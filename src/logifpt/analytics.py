@@ -24,10 +24,11 @@ from mpmath import mp, mpf
 
 from .errors import NonConvergent
 from .kernels import (KernelTable, L_SERIES_TOL, SeriesDiagnostics,
-                      asymptotic_sum, convergent_sum, lbar_series, t_series)
+                      asymptotic_sum, convergent_sum, ensure_table, l_series,
+                      lbar_series, t_series)
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 from .series import (ExpSeries, falling_factorial, log_polynomials,
-                     series_product, series_reciprocal_bell)
+                     series_product, series_ratio, series_reciprocal_bell)
 
 FLAG_RTOL = 1e-8
 
@@ -112,26 +113,14 @@ def _zero_moments(prob, order, method, precision):
 def _s_series(d: DerivedParams, prob: FptProblem, order: int, tol,
               table: KernelTable | None):
     """Building-block series at x0 and at the threshold, plus diagnostics."""
-    if table is None:
-        table = KernelTable(d, m_max=max(order, 4))
+    table = ensure_table(d, order, table)
     if prob.direction is Direction.UP:
         s0, g0 = t_series(d.params.x0, order, d, tol=tol, table=table)
         s1, g1 = t_series(prob.threshold, order, d, tol=tol, table=table)
     else:
         s0, g0 = lbar_series(d.params.x0, order, d, table=table)
         s1, g1 = lbar_series(prob.threshold, order, d, table=table)
-    return s0, s1, SeriesDiagnostics.merge(g0, g1), table
-
-
-def _transform_coeffs_recursion(s0: ExpSeries, s1: ExpSeries, order: int):
-    """Coefficients g_m of the transform ratio via the quotient recursion."""
-    g = [mpf(1)]
-    for m_ in range(1, order + 1):
-        tot = s0[m_]
-        for k in range(1, m_ + 1):
-            tot -= math.comb(m_, k) * s1[k] * g[m_ - k]
-        g.append(tot)
-    return g
+    return s0, s1, SeriesDiagnostics.merge(g0, g1)
 
 
 def _transform_coeffs_bell(s0: ExpSeries, s1: ExpSeries, order: int):
@@ -167,12 +156,12 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     degenerate = validate_problem(d, prob)
     if degenerate:
         return _zero_moments(prob, order, method, d.precision)
-    s0, s1, diag, _ = _s_series(d, prob, order, tol, table)
+    s0, s1, diag = _s_series(d, prob, order, tol, table)
     with mp.workprec(d.precision):
         if method is MomentMethod.BELL_CLOSED_FORM:
             g = _transform_coeffs_bell(s0, s1, order)
         else:
-            g = _transform_coeffs_recursion(s0, s1, order)
+            g = series_ratio(s0, s1).coeffs
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
         dg = _propagate_errors(s0, s1, diag.error_estimate, diag.error_estimate,
                                g, order)
@@ -224,14 +213,11 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int,
     if degenerate:
         return CumulantSet(problem=prob, order=order, cumulants=(mpf(0),) * order,
                            precision=d.precision, degenerate=True)
-    if table is None:
-        table = KernelTable(d, m_max=max(order, 4))
+    table = ensure_table(d, order, table)
     x0 = d.params.x0
     s = prob.threshold
     with mp.workprec(d.precision):
         if prob.direction is Direction.UP:
-            from .kernels import l_series
-
             l0, _ = l_series(x0, order, d, tol=tol, table=table)
             l1, _ = l_series(s, order, d, tol=tol, table=table)
             lp0 = log_polynomials(l0.coeffs)
@@ -260,7 +246,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
     """Crossing-time mean and variance from the explicit coefficient sums.
 
     These are the order-1 and order-2 formulas written directly in terms of
-    the kernel-table entries; they serve as an independent cross-check of
+    the kernel-table rows; they serve as an independent cross-check of
     :func:`fpt_cumulants` at orders one and two and use the same truncation
     rules as the kernel sums (stagnation rule upcrossing, optimal truncation
     downcrossing).
@@ -268,8 +254,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
     degenerate = validate_problem(d, prob)
     if degenerate:
         return mpf(0), mpf(0)
-    if table is None:
-        table = KernelTable(d)
+    table = ensure_table(d, 2, table)
     x0 = d.params.x0
     s = prob.threshold
     with mp.workprec(d.precision):
@@ -277,18 +262,14 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
         vs = d.v * mpf(s)
         if prob.direction is Direction.UP:
             def a1(n):
-                lp0 = table.lambda_plain(n, 0)
-                return (table.lambda_tilde(n, 1) * lp0
-                        - table.lambda_tilde(n, 0) * table.lambda_plain(n, 1)) / lp0 ** 2
+                lp, lt = table.plain_row(n), table.tilde_row(n)
+                return (lt[1] * lp[0] - lt[0] * lp[1]) / lp[0] ** 2
 
             def a2(n):
-                lp0 = table.lambda_plain(n, 0)
-                lt0 = table.lambda_tilde(n, 0)
-                num = (table.lambda_tilde(n, 2) * lp0 ** 2
-                       - 2 * table.lambda_tilde(n, 1) * table.lambda_plain(n, 1) * lp0
-                       - lt0 * table.lambda_plain(n, 2) * lp0
-                       + 2 * lt0 * table.lambda_plain(n, 1) ** 2)
-                return num / lp0 ** 3
+                lp, lt = table.plain_row(n), table.tilde_row(n)
+                num = (lt[2] * lp[0] ** 2 - 2 * lt[1] * lp[1] * lp[0]
+                       - lt[0] * lp[2] * lp[0] + 2 * lt[0] * lp[1] ** 2)
+                return num / lp[0] ** 3
 
             def csum(fn, vy):
                 val, _ = convergent_sum(
@@ -306,7 +287,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
             def asum(m_, vy):
                 def term(n):
                     sign = -1 if n % 2 else 1
-                    return sign * table.mbar_coeff(n, m_) / (vy ** n * mpmath.factorial(n))
+                    return sign * table.mbar_row(n)[m_] / (vy ** n * mpmath.factorial(n))
 
                 val, _, _ = asymptotic_sum(term, m_, table.n_max)
                 return val

@@ -307,7 +307,6 @@ def cmd_oracle(args) -> int:
         for lam in grid:
             direct = laplace_transform(d, prob, lam, cfg=cfg)
             acc = mpf(1)
-            term_scale = mpf(1)
             for k in range(1, args.order + 1):
                 term_scale = mpf(lam) ** k / mpmath.factorial(k)
                 acc += (-1) ** k * ms.moments[k - 1] * term_scale

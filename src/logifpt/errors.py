@@ -71,11 +71,6 @@ class NoFeasibleStart(LogifptError):
     """Likelihood optimisation started from an infeasible parameter point."""
 
 
-class AsymptoticAccuracyWarning(UserWarning):
-    """An optimally-truncated asymptotic sum carries an error estimate above
-    the caller's tolerance; the value is still returned."""
-
-
 class SingularOriginWarning(UserWarning):
     """Moment matching produced a Gamma reference with negative shape offset
     (coefficient of variation above one); the reference density is singular

@@ -15,11 +15,14 @@ explicit sums over unsigned Stirling numbers of the first kind (the image of
 is ``(j/2)_k t^j``, which turns the rising-factorial polynomials into the
 finite sums implemented below).
 
-From these, ``m_coeff`` gives the expansion of the ratio
-``<u(1-s)>_n / <1-2us>_n`` and ``mbar_coeff`` of the product
-``<u(1-s)>_n <u(1+s)>_n``.  Note the product is symmetric under ``s -> -s``
-and hence a polynomial of degree n in z: ``mbar_coeff(n, m) = 0`` for
-``m > n`` identically, which the code exploits.
+For fixed n each family is an exp-convention series in ``a z``;
+:class:`KernelTable` keeps it as a row (``plain_row``, ``tilde_row``,
+``bar_row``) of degree ``order``.  The series algebra of
+:mod:`logifpt.series` then gives ``m_row(n)``, the ratio
+``<u(1-s)>_n / <1-2us>_n``, and ``mbar_row(n)``, the product
+``<u(1-s)>_n <u(1+s)>_n``.  The product is symmetric under ``s -> -s`` and
+hence a polynomial of degree n in z: ``mbar_row(n)[m] = 0`` for ``m > n``
+identically, which the downcrossing sums exploit.
 
 The upcrossing building blocks (``q_series``, ``l_series``, ``t_series``)
 are convergent sums over n and are truncated by a stagnation rule; the
@@ -40,10 +43,10 @@ from mpmath import mp, mpf
 
 from .errors import NoConvergence
 from .model import DerivedParams
-from .series import ExpSeries, falling_factorial, stirling1_unsigned
+from .series import (ExpSeries, falling_factorial, series_product, series_ratio,
+                     stirling1_unsigned)
 
 N_MAX_DEFAULT = 256
-M_MAX_DEFAULT = 64
 L_SERIES_TOL = mpf("1e-30")
 # consecutive negligible terms required before a convergent sum is cut
 _STAGNATION_RUN = 5
@@ -77,140 +80,94 @@ def _frac_to_mpf(fr: Fraction):
 
 
 class KernelTable:
-    """Memoized coefficient tables for a fixed drift index u.
+    """Per-n coefficient rows for a fixed drift index u.
 
-    Entries are computed at the precision carried by the derived parameters
-    and cached; the table is immutable from the caller's perspective and
-    safe to share once built.
+    Row ``(family, n)`` is the :class:`ExpSeries` in ``a z`` of the family's
+    n-th member, of degree ``order``.  Rows are built at the precision of
+    the derived parameters on first use and cached in one dict; the table
+    is immutable from the caller's perspective and safe to share once built.
     """
 
-    def __init__(self, d: DerivedParams, n_max: int = N_MAX_DEFAULT,
-                 m_max: int = M_MAX_DEFAULT):
+    def __init__(self, d: DerivedParams, order: int, n_max: int = N_MAX_DEFAULT):
         self.u = d.u
         self.precision = d.precision
+        self.order = order
         self.n_max = n_max
-        self.m_max = m_max
-        self._plain = {}
-        self._tilde = {}
-        self._bar = {}
-        self._ratio = {}
-        self._prod = {}
-        with mp.workprec(self.precision):
-            self._u_pow = [mpf(1)]
-            self._m2u_pow = [mpf(1)]
+        self._rows = {}
 
-    def _check(self, n: int, m: int):
-        if n < 0 or m < 0:
-            raise IndexError(f"indices must be >= 0, got ({n}, {m})")
-        if n > self.n_max or m > self.m_max:
-            raise IndexError(
-                f"({n}, {m}) outside table bounds (n_max={self.n_max}, m_max={self.m_max})"
-            )
-
-    def _powers(self, n: int):
-        while len(self._u_pow) <= n + 1:
-            self._u_pow.append(self._u_pow[-1] * self.u)
-            self._m2u_pow.append(self._m2u_pow[-1] * (-2 * self.u))
-
-    def lambda_plain(self, n: int, k: int):
-        """Coefficient of (a z)^k / k! in <1 - 2u s(z)>_n.
-
-        lambda_plain(n, 0) equals the rising factorial <1-2u>_n exactly.
-        """
-        self._check(n, k)
-        key = (n, k)
-        if key not in self._plain:
+    def _row(self, family: str, n: int, build) -> ExpSeries:
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"n = {n} outside table bounds 0..{self.n_max}")
+        key = (family, n)
+        if key not in self._rows:
             with mp.workprec(self.precision):
-                self._powers(n)
-                tot = mpf(0)
-                for j in range(n + 1):
-                    ff = _half_falling_exact(j, k)
-                    if ff:
-                        tot += (stirling1_unsigned(n + 1, j + 1)
-                                * self._m2u_pow[j] * _frac_to_mpf(ff))
-                self._plain[key] = tot
-        return self._plain[key]
+                self._rows[key] = build()
+        return self._rows[key]
 
-    def lambda_tilde(self, n: int, m: int):
-        """Coefficient of (a z)^m / m! in <u (1 - s(z))>_n.
+    def _stirling_row(self, n: int, base, shift: int, weight,
+                      alternating: bool = False) -> ExpSeries:
+        """Entries sum_j s(n+shift, j+shift) base^j weight(m, j), m = 0..order.
 
-        Zero for n >= 1, m = 0 since <0>_n = 0 (the constant term of the
-        expanded rising factorial vanishes).
+        The Stirling-times-power prefactors are formed once per row and
+        exact-zero weights are skipped; alternating Euler weights vanish for
+        j > m, so those rows stop at j = m.
         """
-        self._check(n, m)
-        key = (n, m)
-        if key not in self._tilde:
-            with mp.workprec(self.precision):
-                self._powers(n)
-                tot = mpf(0)
-                for j in range(min(n, m) + 1):
-                    w = _euler_weight(m, j, alternating=True)
-                    if w:
-                        tot += (stirling1_unsigned(n, j)
-                                * self._u_pow[j] * _frac_to_mpf(w))
-                self._tilde[key] = tot
-        return self._tilde[key]
+        pre = []
+        power = mpf(1)
+        for j in range(n + 1):
+            pre.append(stirling1_unsigned(n + shift, j + shift) * power)
+            power *= base
+        out = []
+        for m in range(self.order + 1):
+            tot = mpf(0)
+            for j in range(min(n, m) + 1 if alternating else n + 1):
+                w = weight(m, j)
+                if w:
+                    tot += pre[j] * _frac_to_mpf(w)
+            out.append(tot)
+        return ExpSeries(tuple(out))
 
-    def lambda_bar(self, n: int, m: int):
-        """Coefficient of (a z)^m / m! in <u (1 + s(z))>_n.
+    def plain_row(self, n: int) -> ExpSeries:
+        """<1 - 2u s(z)>_n; entry 0 equals the rising factorial <1-2u>_n."""
+        return self._row("plain", n, lambda: self._stirling_row(
+            n, -2 * self.u, 1, lambda m, j: _half_falling_exact(j, m)))
 
-        lambda_bar(n, 0) equals <2u>_n.
+    def tilde_row(self, n: int) -> ExpSeries:
+        """<u (1 - s(z))>_n; entry 0 vanishes for n >= 1 since <0>_n = 0."""
+        return self._row("tilde", n, lambda: self._stirling_row(
+            n, self.u, 0, lambda m, j: _euler_weight(m, j, True), alternating=True))
+
+    def bar_row(self, n: int) -> ExpSeries:
+        """<u (1 + s(z))>_n; entry 0 equals <2u>_n."""
+        return self._row("bar", n, lambda: self._stirling_row(
+            n, self.u, 0, lambda m, j: _euler_weight(m, j, False)))
+
+    def m_row(self, n: int) -> ExpSeries:
+        """<u(1-s)>_n / <1-2us>_n; entry 0 vanishes for n >= 1, and the
+        denominator constant <1-2u>_n never does in the persistent regime."""
+        return self._row("m", n, lambda: series_ratio(self.tilde_row(n),
+                                                      self.plain_row(n)))
+
+    def mbar_row(self, n: int) -> ExpSeries:
+        """<u(1-s)>_n <u(1+s)>_n.
+
+        The product is even in s, hence a polynomial of degree n in z, so
+        entries above n are set to exact zeros; entry 0 vanishes for n >= 1.
         """
-        self._check(n, m)
-        key = (n, m)
-        if key not in self._bar:
-            with mp.workprec(self.precision):
-                self._powers(n)
-                tot = mpf(0)
-                for j in range(n + 1):
-                    w = _euler_weight(m, j, alternating=False)
-                    if w:
-                        tot += (stirling1_unsigned(n, j)
-                                * self._u_pow[j] * _frac_to_mpf(w))
-                self._bar[key] = tot
-        return self._bar[key]
+        def build():
+            prod = series_product(self.tilde_row(n), self.bar_row(n)).coeffs
+            return ExpSeries(prod[: n + 1] + (mpf(0),) * (self.order - n))
 
-    def m_coeff(self, n: int, m: int):
-        """Coefficient of (a z)^m / m! in <u(1-s)>_n / <1-2us>_n.
+        return self._row("mbar", n, build)
 
-        m_coeff(n, 0) = 0 for n >= 1; the denominator constant <1-2u>_n is
-        never zero in the persistent regime (u < 0).
-        """
-        self._check(n, m)
-        key = (n, m)
-        if key not in self._ratio:
-            with mp.workprec(self.precision):
-                if n == 0:
-                    val = mpf(1) if m == 0 else mpf(0)
-                else:
-                    tot = self.lambda_tilde(n, m)
-                    for k in range(1, m + 1):
-                        tot -= (math.comb(m, k) * self.lambda_plain(n, k)
-                                * self.m_coeff(n, m - k))
-                    val = tot / self.lambda_plain(n, 0)
-                self._ratio[key] = val
-        return self._ratio[key]
 
-    def mbar_coeff(self, n: int, m: int):
-        """Coefficient of (a z)^m / m! in <u(1-s)>_n <u(1+s)>_n.
-
-        Exactly zero for m > n (degree bound) and for n >= 1, m = 0.
-        """
-        self._check(n, m)
-        key = (n, m)
-        if key not in self._prod:
-            with mp.workprec(self.precision):
-                if n == 0:
-                    val = mpf(1) if m == 0 else mpf(0)
-                elif m > n:
-                    val = mpf(0)
-                else:
-                    val = mpf(0)
-                    for k in range(m + 1):
-                        val += (math.comb(m, k) * self.lambda_tilde(n, k)
-                                * self.lambda_bar(n, m - k))
-                self._prod[key] = val
-        return self._prod[key]
+def ensure_table(d: DerivedParams, order: int, table: KernelTable | None) -> KernelTable:
+    """The given table, or a fresh one whose rows reach degree ``order``."""
+    if table is None:
+        return KernelTable(d, order)
+    if table.order < order:
+        raise ValueError(f"table rows reach degree {table.order}, need {order}")
+    return table
 
 
 @dataclass
@@ -326,13 +283,13 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
              table: KernelTable | None = None):
     """Expansion coefficients l_k(y) of the regular hypergeometric factor.
 
-    l_0 = 1 and l_k = a^k sum_{n>=1} m_coeff(n, k) (v y)^n / n!.  The n-sum
+    l_0 = 1 and l_k = a^k sum_{n>=1} m_row(n)[k] (v y)^n / n!.  The n-sum
     converges factorially; it is cut once five consecutive terms fall below
     tol times the running partial sum.  Raises NoConvergence if the table
-    bound is hit first.  Returns (series, diagnostics).
+    bound is hit first.  Without a table, one of degree ``order`` is built.
+    Returns (series, diagnostics).
     """
-    if table is None:
-        table = KernelTable(d, m_max=max(M_MAX_DEFAULT, order))
+    table = ensure_table(d, order, table)
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
@@ -343,7 +300,7 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
             apow *= d.a
 
             def term(n, _k=k):
-                return table.m_coeff(n, _k) * vy ** n / mpmath.factorial(n)
+                return table.m_row(n)[_k] * vy ** n / mpmath.factorial(n)
 
             try:
                 partial, n_cut = convergent_sum(term, tol, table.n_max)
@@ -362,29 +319,23 @@ def t_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
     ls, diag = l_series(y, order, d, tol=tol, table=table)
     qs = q_series(y, order, d)
     with mp.workprec(d.precision):
-        out = []
-        for m_ in range(order + 1):
-            tot = mpf(0)
-            for k in range(m_ + 1):
-                tot += math.comb(m_, k) * ls[m_ - k] * qs[k]
-            out.append(tot)
-    return ExpSeries(tuple(out)), diag
+        return series_product(qs, ls), diag
 
 
 def lbar_series(y, order: int, d: DerivedParams,
                 table: KernelTable | None = None):
     """Downcrossing coefficients lbar_m(y) with per-order error estimates.
 
-    lbar_0 = 1 and lbar_m = a^m sum_{n>=m} (-1)^n mbar_coeff(n, m)
+    lbar_0 = 1 and lbar_m = a^m sum_{n>=m} (-1)^n mbar_row(n)[m]
     / ((v y)^n n!).  The n-sum is asymptotic in 1/(v y); it is summed by
     optimal truncation: terms are generated until their magnitude envelope
     has clearly turned upward, the cut n* minimizes the envelope
     max(|T_n|, |T_{n+1}|) (robust to the structural zeros at small n; ties
     resolve to the smaller n), and the first omitted term is reported as
-    the error estimate.  Returns (series, diagnostics).
+    the error estimate.  Without a table, one of degree ``order`` is built.
+    Returns (series, diagnostics).
     """
-    if table is None:
-        table = KernelTable(d, m_max=max(M_MAX_DEFAULT, order))
+    table = ensure_table(d, order, table)
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
@@ -395,7 +346,7 @@ def lbar_series(y, order: int, d: DerivedParams,
 
             def term(n, _m=m_):
                 sign = -1 if n % 2 else 1
-                return sign * table.mbar_coeff(n, _m) / (vy ** n * mpmath.factorial(n))
+                return sign * table.mbar_row(n)[_m] / (vy ** n * mpmath.factorial(n))
 
             value, est, n_cut = asymptotic_sum(term, m_, table.n_max)
             out.append(apow * value)

@@ -237,7 +237,7 @@ def _negative_mass(coeffs: np.ndarray, alpha: float, beta: float, t_cut: float) 
         if p0 < 0:
             x0 = beta * ts_pos[0]
             mass += -p0 * x0 ** (alpha + 1) / (alpha + 1)
-    return mass
+    return float(mass)
 
 
 def select_order(ms: MomentSet, g: GammaRef, n_max: int, tol: float = 1e-6):
@@ -293,13 +293,3 @@ def build_approximant(ms: MomentSet, g: GammaRef | None = None,
         gamma=g, order=n, coeffs=tuple(coeffs), coeffs_mp=tuple(coeffs_mp),
         clip_applied=clip, renorm_factor=renorm, norm_residual=residual,
         negative_mass=neg, converged=converged, t_cut=t_cut)
-
-
-def density_eval(apx: LaguerreApproximant, t):
-    """Approximant density at t (clipping correction applied when active)."""
-    return apx.density(t)
-
-
-def cdf_eval(apx: LaguerreApproximant, t):
-    """Approximant distribution function at t."""
-    return apx.cdf(t)

@@ -15,6 +15,7 @@ catastrophic cancellation in double precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,8 +37,9 @@ class Direction(Enum):
 class ModelParams:
     """Raw model inputs.
 
-    r, K, sigma, x0 must be strictly positive; q and E may be zero.
-    The non-extinction constraint q*E < r is enforced at construction.
+    All values must be finite; r, K, sigma, x0 must be strictly positive,
+    q and E may be zero.  The non-extinction constraint q*E < r is enforced
+    at construction.
     """
 
     r: float
@@ -48,6 +50,9 @@ class ModelParams:
     x0: float
 
     def __post_init__(self):
+        for name in _PARAM_KEYS:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParams(f"{name} must be finite, got {getattr(self, name)!r}")
         for name in ("r", "K", "sigma", "x0"):
             if not getattr(self, name) > 0:
                 raise InvalidParams(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -90,8 +95,8 @@ class FptProblem:
     threshold: float
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise InvalidParams(f"threshold must be > 0, got {self.threshold!r}")
+        if not (math.isfinite(self.threshold) and self.threshold > 0):
+            raise InvalidParams(f"threshold must be finite and > 0, got {self.threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -144,9 +149,9 @@ def derive_params(p: ModelParams, precision: int = DEFAULT_PRECISION) -> Derived
         u = (1 - 2 * r1 / sigma2) / 2
         v = 2 * r1 / (K1 * sigma2)
         rho = 2 * r1 / sigma2 - 1
-        if rho <= 0:
+        if not rho > 0:
             raise NonPersistentRegime(
-                f"persistence index rho = {float(rho)} <= 0; increase r1/sigma^2"
+                f"persistence index rho = {float(rho)} is not > 0; increase r1/sigma^2"
             )
         a = 2 / (sigma2 * u ** 2)
     return DerivedParams(params=p, precision=precision, r1=r1, K1=K1, u=u, v=v, a=a, rho=rho)

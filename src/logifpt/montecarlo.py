@@ -111,18 +111,22 @@ class FptSample:
                 "var": var, "skew": skew}
 
 
-def lie_trotter_step(x, dt: float, z, d: DerivedParams):
-    """One splitting step from state x with standard-normal draw z.
-
-    Works elementwise on numpy arrays; always returns a positive state.
-    """
-    r1 = float(d.r1)
+def step_constants(d: DerivedParams, dt: float) -> tuple:
+    """Float constants (K1, e^(r1 dt), e^(r1 dt) - 1, -sigma^2 dt / 2,
+    sigma sqrt(dt)) of a splitting step of size dt, for lie_trotter_step."""
     K1 = float(d.K1)
     sigma = float(d.params.sigma)
-    grow = math.exp(r1 * dt)
-    xs = K1 * np.asarray(x, dtype=float) * grow / (K1 + np.asarray(x, dtype=float) * (grow - 1.0))
-    out = xs * np.exp(-0.5 * sigma * sigma * dt + sigma * math.sqrt(dt) * np.asarray(z, dtype=float))
-    return out if np.ndim(x) else float(out)
+    grow = math.exp(float(d.r1) * dt)
+    return K1, grow, grow - 1.0, -0.5 * sigma * sigma * dt, sigma * math.sqrt(dt)
+
+
+def lie_trotter_step(x, z, K1, grow, gm1, drift_corr, vol):
+    """One splitting step from state x with standard-normal draw z.
+
+    The constants come from :func:`step_constants`.  Works elementwise on
+    numpy arrays; always returns a positive state.
+    """
+    return (K1 * x * grow / (K1 + x * gm1)) * np.exp(drift_corr + vol * z)
 
 
 def _path_generators(seed: int, ids) -> list:
@@ -144,14 +148,8 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
     if threshold == x0:
         return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg,
                          model=d.params)
-    r1 = float(d.r1)
-    K1 = float(d.K1)
-    sigma = float(d.params.sigma)
     dt = cfg.dt
-    grow = math.exp(r1 * dt)
-    gm1 = grow - 1.0
-    drift_corr = -0.5 * sigma * sigma * dt
-    vol = sigma * math.sqrt(dt)
+    consts = step_constants(d, dt)
     max_steps = int(math.ceil(cfg.horizon / dt))
     all_times = []
     censored = 0
@@ -170,7 +168,7 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
             x_after = np.empty(len(x))
             cur = x
             for j in range(span):
-                nxt = (K1 * cur * grow / (K1 + cur * gm1)) * np.exp(drift_corr + vol * z[:, j])
+                nxt = lie_trotter_step(cur, z[:, j], *consts)
                 hit = nxt > threshold if up else nxt < threshold
                 newly = (crossed_at < 0) & hit
                 if newly.any():
@@ -257,13 +255,7 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
     the corresponding quantity of the effective parameters).
     """
     target = float(d.rho) / float(d.v)
-    r1 = float(d.r1)
-    K1 = float(d.K1)
-    sigma = float(d.params.sigma)
-    grow = math.exp(r1 * dt)
-    gm1 = grow - 1.0
-    drift_corr = -0.5 * sigma * sigma * dt
-    vol = sigma * math.sqrt(dt)
+    consts = step_constants(d, dt)
     gen = np.random.Generator(np.random.Philox(
         key=np.array([seed & _MASK64, _STATIONARY_STREAM], dtype=np.uint64)))
     x = np.full(paths, target)
@@ -272,7 +264,7 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
     count = 0
     for j in range(steps):
         z = gen.standard_normal(paths)
-        x = (K1 * x * grow / (K1 + x * gm1)) * np.exp(drift_corr + vol * z)
+        x = lie_trotter_step(x, z, *consts)
         if j >= burn:
             acc += float(x.sum())
             count += paths

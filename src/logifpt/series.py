@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
-
 from .errors import NonPositiveConstantTerm, ZeroConstantTerm
 
 STIRLING_N_MAX = 512
@@ -146,10 +144,6 @@ class ExpSeries:
         """The multiplicative identity 1 + 0 t + ... up to the given order."""
         return cls((one,) + (one * 0,) * order)
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "ExpSeries":
-        return cls(tuple(coeffs))
-
 
 def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
     """Cauchy product in exponential convention: c_n = sum C(n,k) a_k b_{n-k}."""
@@ -245,8 +239,3 @@ def series_exp(A: ExpSeries) -> ExpSeries:
     for m_ in range(1, n + 1):
         out.append(sum(B[m_][k] for k in range(1, m_ + 1)))
     return ExpSeries(tuple(out))
-
-
-def workprec(bits: int):
-    """Context manager setting the mpmath working precision in bits."""
-    return mp.workprec(bits)

@@ -84,11 +84,11 @@ def test_degenerate_problem_all_zero(fisheries):
 def test_degenerate_recursion_collapses_by_induction():
     # same series at numerator and threshold position: coefficients cancel
     d = fisheries_at(100.0)
-    from logifpt.analytics import _transform_coeffs_recursion
     from logifpt.kernels import t_series
+    from logifpt.series import series_ratio
     s, _ = t_series(100.0, 5, d)
     with mp.workprec(d.precision):
-        g = _transform_coeffs_recursion(s, s, 5)
+        g = series_ratio(s, s).coeffs
         assert g[0] == 1
         for c in g[1:]:
             assert abs(c) < mpf("1e-60")

@@ -48,6 +48,22 @@ def test_derive_input_errors(tmp_path, capsys):
     assert code == 1 and "missing" in err
 
 
+@pytest.mark.parametrize("field,value", [("q", math.nan), ("E", math.nan),
+                                         ("r", math.inf), ("K", math.inf)])
+def test_nonfinite_config_exits_1(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**FISHERIES, field: value}))  # writes NaN / Infinity
+    code, _, err = run(capsys, "moments", str(path), "--direction", "up",
+                       "--threshold", "1e4")
+    assert code == 1 and "finite" in err
+
+
+def test_infinite_threshold_exits_1(config_path, capsys):
+    code, _, err = run(capsys, "moments", config_path, "--direction", "up",
+                       "--threshold", "inf")
+    assert code == 1 and "finite" in err
+
+
 def test_bad_usage_exits_1(capsys):
     assert main(["moments"]) == 1  # missing required arguments
     assert main(["not-a-command"]) == 1
@@ -143,6 +159,19 @@ def test_density_theory_warns_when_unstable(config_path, tmp_path, capsys):
     sidecar = json.loads((out_path.parent / "dens110.csv.json").read_text())
     assert sidecar["alpha"] < 0
     assert (not sidecar["converged"]) or sidecar["clip_applied"] or sidecar["negative_mass"] > 0
+
+
+def test_density_down_high_writes_sidecar(tmp_path, capsys):
+    # a clipped approximant: clip_applied must reach the sidecar as a JSON bool
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({**FISHERIES, "x0": 6e7}))
+    out_path = tmp_path / "down.csv"
+    code, _, _ = run(capsys, "density", str(path), "--direction", "down",
+                     "--threshold", "3.91e7", "--nmax", "10",
+                     "--grid", "0:40:0.05", "--out", str(out_path))
+    assert code == 0
+    sidecar = json.loads((tmp_path / "down.csv.json").read_text())
+    assert isinstance(sidecar["clip_applied"], bool)
 
 
 def test_simulate_deterministic_bytes(config_path, tmp_path, capsys):

@@ -14,7 +14,7 @@ from logifpt.series import (ExpSeries, falling_factorial, rising_factorial,
 from tests.conftest import fisheries_at
 
 
-def dyadic_table(u_value=-2.625, precision=256, **kw):
+def dyadic_table(u_value=-2.625, precision=256, order=7, **kw):
     """Kernel table whose drift index is an exactly representable dyadic,
     so the rational brute-force oracle sees the identical u."""
     sigma = 1.0
@@ -22,7 +22,7 @@ def dyadic_table(u_value=-2.625, precision=256, **kw):
     d = derive_params(ModelParams(r=r1, K=1000.0, q=0.0, E=0.0, sigma=sigma, x0=10.0),
                       precision=precision)
     assert float(d.u) == u_value
-    return d, KernelTable(d, **kw)
+    return d, KernelTable(d, order, **kw)
 
 
 def euler_applied_product(factors, m):
@@ -49,17 +49,17 @@ def lam_oracles(u, n, m):
 def test_lambda_small_examples():
     u = -2.625
     d, tab = dyadic_table(u)
-    assert tab.lambda_plain(1, 1) == -mpf(u)
+    assert tab.plain_row(1)[1] == -mpf(u)
     # n=2, k=1 at u=-1: expand (1-2ut)(2-2ut), apply Euler/2, set t=1 -> -3u+4u^2
     d1, tab1 = dyadic_table(-1.0)
-    assert tab1.lambda_plain(2, 1) == 7
-    assert tab.lambda_tilde(1, 1) == -mpf(u) / 2
-    assert tab.lambda_bar(1, 1) == mpf(u) / 2
+    assert tab1.plain_row(2)[1] == 7
+    assert tab.tilde_row(1)[1] == -mpf(u) / 2
+    assert tab.bar_row(1)[1] == mpf(u) / 2
     for n in range(1, 5):
-        assert tab.lambda_tilde(n, 0) == 0
-        assert tab.lambda_tilde(0, n) == 0
-        assert tab.lambda_bar(0, n) == 0
-    assert tab.lambda_tilde(0, 0) == 1
+        assert tab.tilde_row(n)[0] == 0
+        assert tab.tilde_row(0)[n] == 0
+        assert tab.bar_row(0)[n] == 0
+    assert tab.tilde_row(0)[0] == 1
 
 
 def test_lambda_plain_k0_is_rising_factorial():
@@ -67,7 +67,7 @@ def test_lambda_plain_k0_is_rising_factorial():
     with mp.workprec(256):
         for n in range(0, 12):
             expect = rising_factorial(1 - 2 * d.u, n)
-            assert abs(tab.lambda_plain(n, 0) - expect) <= mpf("1e-70") * abs(expect)
+            assert abs(tab.plain_row(n)[0] - expect) <= mpf("1e-70") * abs(expect)
 
 
 def test_lambda_families_match_symbolic_oracle():
@@ -76,56 +76,62 @@ def test_lambda_families_match_symbolic_oracle():
     for n in range(0, 7):
         for m in range(0, 7):
             plain, tilde, bar = lam_oracles(u, n, m)
-            for got, want in ((tab.lambda_plain(n, m), plain),
-                              (tab.lambda_tilde(n, m), tilde),
-                              (tab.lambda_bar(n, m), bar)):
+            for got, want in ((tab.plain_row(n)[m], plain),
+                              (tab.tilde_row(n)[m], tilde),
+                              (tab.bar_row(n)[m], bar)):
                 want = mpf(want.numerator) / want.denominator
                 assert abs(got - want) <= mpf("1e-65") * max(1, abs(want))
 
 
 def test_table_bounds():
-    d, tab = dyadic_table(n_max=10, m_max=5)
+    d, tab = dyadic_table(order=5, n_max=10)
     with pytest.raises(IndexError):
-        tab.lambda_plain(11, 0)
+        tab.plain_row(11)[0]
     with pytest.raises(IndexError):
-        tab.lambda_tilde(2, 6)
+        tab.tilde_row(2)[6]
     with pytest.raises(IndexError):
-        tab.m_coeff(-1, 0)
+        tab.m_row(-1)[0]
+
+
+def test_table_of_lower_degree_is_refused():
+    d = fisheries_at(100.0)
+    with pytest.raises(ValueError):
+        l_series(1e4, 4, d, table=KernelTable(d, 3))
 
 
 def test_m_coeff_examples_and_series_oracle():
     d, tab = dyadic_table()
     u = d.u
-    assert tab.m_coeff(3, 0) == 0
+    assert tab.m_row(3)[0] == 0
     with mp.workprec(256):
         expect = -u / (2 * (1 - 2 * u))
-        assert abs(tab.m_coeff(1, 1) - expect) <= mpf("1e-70") * abs(expect)
+        assert abs(tab.m_row(1)[1] - expect) <= mpf("1e-70") * abs(expect)
     with mp.workprec(256):
         for n in range(1, 7):
-            num = ExpSeries(tuple(tab.lambda_tilde(n, m) for m in range(7)))
-            den = ExpSeries(tuple(tab.lambda_plain(n, m) for m in range(7)))
+            num = ExpSeries(tuple(tab.tilde_row(n)[m] for m in range(7)))
+            den = ExpSeries(tuple(tab.plain_row(n)[m] for m in range(7)))
             ratio = series_ratio(num, den)
             scale = max(1, max(abs(c) for c in ratio.coeffs))
             for m in range(7):
-                assert abs(tab.m_coeff(n, m) - ratio.coeffs[m]) <= mpf("1e-55") * scale
+                assert abs(tab.m_row(n)[m] - ratio.coeffs[m]) <= mpf("1e-55") * scale
 
 
 def test_mbar_examples_and_series_oracle():
     d, tab = dyadic_table()
     u = d.u
-    assert tab.mbar_coeff(0, 0) == 1
-    assert tab.mbar_coeff(0, 3) == 0
+    assert tab.mbar_row(0)[0] == 1
+    assert tab.mbar_row(0)[3] == 0
     for n in range(1, 5):
-        assert tab.mbar_coeff(n, 0) == 0
-    assert abs(tab.mbar_coeff(1, 1) - (-u ** 2)) <= mpf("1e-70") * abs(u ** 2)
+        assert tab.mbar_row(n)[0] == 0
+    assert abs(tab.mbar_row(1)[1] - (-u ** 2)) <= mpf("1e-70") * abs(u ** 2)
     with mp.workprec(256):
         for n in range(1, 7):
-            A = ExpSeries(tuple(tab.lambda_tilde(n, m) for m in range(7)))
-            B = ExpSeries(tuple(tab.lambda_bar(n, m) for m in range(7)))
+            A = ExpSeries(tuple(tab.tilde_row(n)[m] for m in range(7)))
+            B = ExpSeries(tuple(tab.bar_row(n)[m] for m in range(7)))
             prod = series_product(A, B)
             scale = max(1, max(abs(c) for c in prod.coeffs))
             for m in range(7):
-                assert abs(tab.mbar_coeff(n, m) - prod.coeffs[m]) <= mpf("1e-55") * scale
+                assert abs(tab.mbar_row(n)[m] - prod.coeffs[m]) <= mpf("1e-55") * scale
 
 
 def test_mbar_degree_bound():
@@ -134,7 +140,7 @@ def test_mbar_degree_bound():
     d, tab = dyadic_table()
     for n in range(1, 6):
         for m in range(n + 1, 8):
-            assert tab.mbar_coeff(n, m) == 0
+            assert tab.mbar_row(n)[m] == 0
 
 
 # ------------------------------------------------------------- series blocks
@@ -185,14 +191,14 @@ def test_l_series_basics(fisheries):
 
 def test_l_series_invariant_under_doubled_truncation():
     d = fisheries_at(2.01e7)
-    tab = KernelTable(d)
+    tab = KernelTable(d, 3)
     y = 3.91e7
     ls, diag = l_series(y, 3, d, table=tab)
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         for k in range(1, 4):
             n2 = min(2 * diag.trunc_index[k], tab.n_max)
-            direct = sum(tab.m_coeff(n, k) * vy ** n / mpmath.factorial(n)
+            direct = sum(tab.m_row(n)[k] * vy ** n / mpmath.factorial(n)
                          for n in range(1, n2 + 1))
             direct *= d.a ** k
             assert abs(direct - ls.coeffs[k]) <= mpf("1e-25") * abs(direct)
@@ -200,7 +206,7 @@ def test_l_series_invariant_under_doubled_truncation():
 
 def test_l_series_no_convergence_on_tiny_table():
     d = fisheries_at(2.01e7)
-    tab = KernelTable(d, n_max=5)
+    tab = KernelTable(d, 2, n_max=5)
     with pytest.raises(NoConvergence):
         l_series(3.91e7, 2, d, table=tab)  # v*y ~ 17 needs far more terms
 

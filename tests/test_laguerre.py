@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 from scipy import integrate, special, stats
 
 from logifpt import (Direction, FptProblem, MomentMethod, MomentSet,
-                     build_approximant, cdf_eval, density_eval, fpt_moments,
-                     laguerre_coeffs, laguerre_poly, match_gamma, select_order)
+                     build_approximant, fpt_moments, laguerre_coeffs,
+                     laguerre_poly, match_gamma, select_order)
 from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments,
                             SingularOriginWarning, ZeroVariance)
 from logifpt.series import rising_factorial
@@ -162,7 +162,7 @@ def test_gamma_only_truncation_is_gamma_pdf():
     assert np.allclose(got, expect, rtol=1e-10)
     # median of the reference law through the cdf route
     med = stats.gamma.ppf(0.5, a=5.5, scale=1 / 0.8)
-    assert cdf_eval(apx, med) == pytest.approx(0.5, abs=2e-5)
+    assert apx.cdf(med) == pytest.approx(0.5, abs=2e-5)
 
 
 def test_gamma_fixed_point_selected_order():
@@ -181,7 +181,7 @@ def test_density_normalization_and_moments(fisheries):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         apx = build_approximant(ms, n=4)
-    total, _ = integrate.quad(lambda t: density_eval(apx, t), 0, 80, limit=300)
+    total, _ = integrate.quad(lambda t: apx.density(t), 0, 80, limit=300)
     assert abs(total - 1) < 1e-6
     for j in range(1, 5):
         mj, _ = integrate.quad(lambda t: t ** j * apx.density(t, corrected=False),

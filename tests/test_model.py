@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -45,6 +47,26 @@ def test_invalid_harvest():
 def test_invalid_fields(field, value):
     with pytest.raises(InvalidParams):
         ModelParams(**{**FISHERIES, field: value})
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ModelParams(**{**FISHERIES, "q": math.nan}), id="q=nan"),
+    pytest.param(lambda: ModelParams(**{**FISHERIES, "E": math.nan}), id="E=nan"),
+    pytest.param(lambda: ModelParams(**{**FISHERIES, "r": math.inf}), id="r=inf"),
+    pytest.param(lambda: ModelParams(**{**FISHERIES, "K": math.inf}), id="K=inf"),
+    pytest.param(lambda: FptProblem(Direction.UP, math.inf), id="threshold=inf"),
+])
+def test_nonfinite_inputs_rejected(build):
+    with pytest.raises(InvalidParams):
+        build()
+
+
+def test_nan_persistence_index_rejected():
+    # a NaN reaching derive_params must not pass the rho > 0 guard
+    p = ModelParams(**FISHERIES)
+    object.__setattr__(p, "sigma", math.nan)
+    with pytest.raises(NonPersistentRegime):
+        derive_params(p)
 
 
 def test_from_dict_missing_key():

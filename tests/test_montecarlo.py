@@ -6,7 +6,7 @@ import pytest
 from logifpt import (Direction, FptProblem, ModelParams, SimConfig, derive_params,
                      empirical_moments, fpt_moments, kde, lie_trotter_step,
                      read_samples_csv, sample_fpt, stationary_check,
-                     write_samples_csv)
+                     step_constants, write_samples_csv)
 from logifpt.errors import EmptySample, InvalidParams
 from logifpt.montecarlo import silverman_bandwidth
 from tests.conftest import FISHERIES, rel_err
@@ -18,7 +18,7 @@ def test_step_fixed_point_at_capacity(fisheries):
     K1 = float(fisheries.K1)
     sigma = FISHERIES["sigma"]
     dt = 0.01
-    out = lie_trotter_step(K1, dt, 0.0, fisheries)
+    out = lie_trotter_step(K1, 0.0, *step_constants(fisheries, dt))
     assert rel_err(out, K1 * math.exp(-0.5 * sigma ** 2 * dt)) < 1e-14
 
 
@@ -27,12 +27,12 @@ def test_step_identity_in_zero_drift_zero_noise_limit():
     dt = 0.01
     sigma = 1e-9
     z = 0.5 * sigma * math.sqrt(dt)  # cancels the variance correction exactly
-    out = lie_trotter_step(100.0, dt, z, d)
+    out = lie_trotter_step(100.0, z, *step_constants(d, dt))
     assert rel_err(out, 100.0) < 1e-12
 
 
 def test_step_worked_example(fisheries):
-    out = lie_trotter_step(100.0, 0.01, 0.0, fisheries)
+    out = lie_trotter_step(100.0, 0.0, *step_constants(fisheries, 0.01))
     # drift flow then volatility correction factor exp(-0.0002)
     assert out == pytest.approx(100.34561, abs=2e-5)
     drift_only = 100.36568
@@ -42,7 +42,7 @@ def test_step_worked_example(fisheries):
 def test_step_positivity_and_vector(fisheries):
     xs = np.array([1e-6, 1.0, 1e8])
     zs = np.array([-8.0, 0.0, 8.0])
-    out = lie_trotter_step(xs, 1e-3, zs, fisheries)
+    out = lie_trotter_step(xs, zs, *step_constants(fisheries, 1e-3))
     assert out.shape == xs.shape
     assert np.all(out > 0)
 
