@@ -25,6 +25,7 @@ from .errors import (InvalidParams, LogifptError, NoConvergence, NonConvergent,
                      QuadratureFailure, StencilFailure, WrongSide)
 from .hypergeom import HypEvalConfig, laplace_transform
 from .inference import MleConfig, mle_fit
+from .kernels import KernelTable
 from .laguerre import build_approximant
 from .model import (DEFAULT_PRECISION, Direction, FptProblem, ModelParams,
                     derive_params, validate_problem)
@@ -106,8 +107,9 @@ def cmd_moments(args) -> int:
     prob = _problem(args)
     method = (MomentMethod.BELL_CLOSED_FORM if args.method == "bell"
               else MomentMethod.RECURSION)
-    ms = fpt_moments(d, prob, order=args.order, method=method)
-    cs = fpt_cumulants(d, prob, order=args.order)
+    table = KernelTable(d, args.order)
+    ms = fpt_moments(d, prob, order=args.order, method=method, table=table)
+    cs = fpt_cumulants(d, prob, order=args.order, table=table)
     c = cs.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):

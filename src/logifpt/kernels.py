@@ -13,7 +13,17 @@ where ``<x>_n`` is the rising factorial.  Each family is evaluated through
 explicit sums over unsigned Stirling numbers of the first kind (the image of
 ``t^j`` under the k-th falling power of the halved Euler operator ``t d/dt``
 is ``(j/2)_k t^j``, which turns the rising-factorial polynomials into the
-finite sums implemented below).
+finite sums implemented below).  Entry m of a row is
+
+    2^-m  sum_j  s(n+shift, j+shift) W(family, m, j) base^j,
+
+with base = -2u for ``plain`` and u otherwise.  The weights do not depend on
+u and are integers, because 2^m (j/2)_m = j (j-2) ... (j-2m+2).  An mpf u is
+exactly man 2^e, so the whole sum, scaled by a power of two, is an exact
+Python integer, evaluated by Horner's rule in the mantissa.  Rows are built
+with no rounding at all until each entry is converted once to an mpf at the
+table's precision; that one rounding is all that separates an entry from its
+exact value.
 
 For fixed n each family is an exp-convention series in ``a z``;
 :class:`KernelTable` keeps it as a row (``plain_row``, ``tilde_row``,
@@ -35,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -55,28 +64,22 @@ _GROWTH_STOP = 10.0
 
 
 @lru_cache(maxsize=None)
-def _half_falling_exact(j: int, k: int) -> Fraction:
-    """(j/2)_k as an exact rational."""
-    return falling_factorial(Fraction(j, 2), k)
+def _weight(family: str, m: int, j: int) -> int:
+    """2^m times the u-independent weight of base^j in entry m of a row.
 
-
-@lru_cache(maxsize=None)
-def _euler_weight(m: int, j: int, alternating: bool) -> Fraction:
-    """sum_i (+-1)^i C(j,i) (i/2)_m, the t=1 value of the m-th halved-Euler
-    falling power applied to (1 -+ t)^j.
-
-    The alternating variant vanishes for j > m (alternating binomial sums
-    annihilate polynomials of degree < j).
+    ``plain`` carries 2^m (j/2)_m = j (j-2) ... (j-2m+2).  ``tilde`` and
+    ``bar`` carry sum_i (+-1)^i C(j,i) 2^m (i/2)_m, the t=1 value of the m-th
+    halved-Euler falling power applied to (1 -+ t)^j, times 2^m; the
+    alternating (``tilde``) one vanishes for j > m, since alternating
+    binomial sums annihilate polynomials of degree < j.
     """
-    tot = Fraction(0)
-    for i in range(j + 1):
-        w = math.comb(j, i) * _half_falling_exact(i, m)
-        tot += -w if (alternating and i % 2) else w
-    return tot
+    def doubled(i):
+        return math.prod(range(i, i - 2 * m, -2))
 
-
-def _frac_to_mpf(fr: Fraction):
-    return mpf(fr.numerator) / fr.denominator
+    if family == "plain":
+        return doubled(j)
+    sign = -1 if family == "tilde" else 1
+    return sum(sign ** i * math.comb(j, i) * doubled(i) for i in range(j + 1))
 
 
 class KernelTable:
@@ -104,43 +107,41 @@ class KernelTable:
                 self._rows[key] = build()
         return self._rows[key]
 
-    def _stirling_row(self, n: int, base, shift: int, weight,
-                      alternating: bool = False) -> ExpSeries:
-        """Entries sum_j s(n+shift, j+shift) base^j weight(m, j), m = 0..order.
+    def _stirling_row(self, n: int, base, shift: int, family: str) -> ExpSeries:
+        """Entries sum_j s(n+shift, j+shift) _weight(family, m, j) base^j / 2^m,
+        m = 0..order, each summed exactly in integers and rounded once.
 
-        The Stirling-times-power prefactors are formed once per row and
-        exact-zero weights are skipped; alternating Euler weights vanish for
-        j > m, so those rows stop at j = m.
+        base is exactly x 2^-k with integers x and k >= 0, so an entry whose
+        sum runs to j = top, times 2^(k top + m), is the integer
+        sum_j s(n+shift, j+shift) W x^j 2^(k (top-j)), built by Horner's rule
+        in x.  ``tilde`` weights vanish for j > m, so top = min(n, m) there.
         """
-        pre = []
-        power = mpf(1)
-        for j in range(n + 1):
-            pre.append(stirling1_unsigned(n + shift, j + shift) * power)
-            power *= base
+        x, e = base.man_exp
+        if base < 0:  # mpmath's man_exp gives the mantissa unsigned
+            x = -x
+        k = max(-e, 0)
+        x <<= e + k
+        stirling = [stirling1_unsigned(n + shift, j + shift) for j in range(n + 1)]
         out = []
         for m in range(self.order + 1):
-            tot = mpf(0)
-            for j in range(min(n, m) + 1 if alternating else n + 1):
-                w = weight(m, j)
-                if w:
-                    tot += pre[j] * _frac_to_mpf(w)
-            out.append(tot)
+            top = min(n, m) if family == "tilde" else n
+            acc = 0
+            for j in range(top, -1, -1):
+                acc = acc * x + (stirling[j] * _weight(family, m, j) << k * (top - j))
+            out.append(mpf((acc, -k * top - m)))
         return ExpSeries(tuple(out))
 
     def plain_row(self, n: int) -> ExpSeries:
         """<1 - 2u s(z)>_n; entry 0 equals the rising factorial <1-2u>_n."""
-        return self._row("plain", n, lambda: self._stirling_row(
-            n, -2 * self.u, 1, lambda m, j: _half_falling_exact(j, m)))
+        return self._row("plain", n, lambda: self._stirling_row(n, -2 * self.u, 1, "plain"))
 
     def tilde_row(self, n: int) -> ExpSeries:
         """<u (1 - s(z))>_n; entry 0 vanishes for n >= 1 since <0>_n = 0."""
-        return self._row("tilde", n, lambda: self._stirling_row(
-            n, self.u, 0, lambda m, j: _euler_weight(m, j, True), alternating=True))
+        return self._row("tilde", n, lambda: self._stirling_row(n, self.u, 0, "tilde"))
 
     def bar_row(self, n: int) -> ExpSeries:
         """<u (1 + s(z))>_n; entry 0 equals <2u>_n."""
-        return self._row("bar", n, lambda: self._stirling_row(
-            n, self.u, 0, lambda m, j: _euler_weight(m, j, False)))
+        return self._row("bar", n, lambda: self._stirling_row(n, self.u, 0, "bar"))
 
     def m_row(self, n: int) -> ExpSeries:
         """<u(1-s)>_n / <1-2us>_n; entry 0 vanishes for n >= 1, and the
@@ -279,6 +280,18 @@ def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
     return ExpSeries(tuple(q))
 
 
+def _power_over_factorial(x):
+    """n -> x^n / n! from one list grown on demand, each entry from the last."""
+    values = [mpf(1)]
+
+    def at(n):
+        while len(values) <= n:
+            values.append(values[-1] * x / len(values))
+        return values[n]
+
+    return at
+
+
 def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
              table: KernelTable | None = None):
     """Expansion coefficients l_k(y) of the regular hypergeometric factor.
@@ -293,6 +306,7 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
+        scale = _power_over_factorial(vy)
         tol = mpf(tol)
         out = [mpf(1)]
         apow = mpf(1)
@@ -300,7 +314,7 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
             apow *= d.a
 
             def term(n, _k=k):
-                return table.m_row(n)[_k] * vy ** n / mpmath.factorial(n)
+                return table.m_row(n)[_k] * scale(n)
 
             try:
                 partial, n_cut = convergent_sum(term, tol, table.n_max)
@@ -339,6 +353,7 @@ def lbar_series(y, order: int, d: DerivedParams,
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
+        scale = _power_over_factorial(1 / vy)
         out = [mpf(1)]
         apow = mpf(1)
         for m_ in range(1, order + 1):
@@ -346,7 +361,7 @@ def lbar_series(y, order: int, d: DerivedParams,
 
             def term(n, _m=m_):
                 sign = -1 if n % 2 else 1
-                return sign * table.mbar_row(n)[_m] / (vy ** n * mpmath.factorial(n))
+                return sign * table.mbar_row(n)[_m] * scale(n)
 
             value, est, n_cut = asymptotic_sum(term, m_, table.n_max)
             out.append(apow * value)

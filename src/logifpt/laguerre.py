@@ -111,14 +111,13 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
         alpha = g.alpha_mp
         beta = g.beta_mp
         mu = (mpf(1),) + tuple(ms.moments)
-        out = []
-        for k in range(n + 1):
-            tot = mpf(0)
-            bj = mpf(1)
-            for j in range(k + 1):
-                tot += math.comb(k, j) * bj * mu[j] / mpmath.gamma(alpha + j + 1)
-                bj *= -beta
-            out.append(tot)
+        c = []
+        bj = mpf(1)
+        for j in range(n + 1):
+            c.append(bj * mu[j] / mpmath.gamma(alpha + j + 1))
+            bj *= -beta
+        out = [sum((math.comb(k, j) * c[j] for j in range(k + 1)), mpf(0))
+               for k in range(n + 1)]
     return out
 
 

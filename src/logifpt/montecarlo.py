@@ -295,13 +295,18 @@ def write_samples_csv(s: FptSample, path) -> None:
 def read_samples_csv(path) -> FptSample:
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_MAGIC:
+    if len(lines) < 4 or lines[0] != CSV_MAGIC:
         raise InvalidParams(f"{path} is not a crossing-time sample file")
     meta = json.loads(lines[1].removeprefix("# config: "))
     censored = int(lines[2].removeprefix("# censored: "))
     if lines[3] != "time":
         raise InvalidParams("malformed sample file header")
     times = np.array([float(x) for x in lines[4:] if x], dtype=float)
+    config = SimConfig.from_dict(meta["sim"])
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise InvalidParams(f"{path}: crossing times must be finite and >= 0")
+    if censored < 0 or len(times) + censored > config.paths:
+        raise InvalidParams(f"{path}: {len(times)} crossing times and {censored} censored "
+                            f"paths do not fit in {config.paths} paths")
     model = ModelParams.from_dict(meta["model"]) if meta.get("model") else None
-    return FptSample(times=times, censored=censored,
-                     config=SimConfig.from_dict(meta["sim"]), model=model)
+    return FptSample(times=times, censored=censored, config=config, model=model)

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
-                     cumulants_from_moments, fpt_cumulants, fpt_moments,
+                     cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments,
                      gamma_consistency, mean_variance_closed_form)
 from logifpt.errors import NonConvergent
-from tests.conftest import FISHERIES, fisheries_at, rel_err
+from tests.conftest import FISHERIES, fisheries_at, rel_err, scenario_grid
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -62,6 +62,16 @@ def test_flat_ratios_high_dispersion_scenario():
     fd = cumulants_from_moments(fd_moments(d, prob, 4))
     with mp.workprec(d.precision):
         assert abs(fd.cumulants[3] / cs.cumulants[3] - 1) < mpf("1e-6")
+
+
+@pytest.mark.parametrize("name", ["up_1e4", "down_deep"])
+def test_moments_agree_across_precisions(name):
+    _, d, prob = next(s for s in scenario_grid() if s[0] == name)
+    ms = fpt_moments(d, prob, 10)
+    hi = fpt_moments(derive_params(d.params, precision=512), prob, 10)
+    with mp.workprec(512):
+        for got, want in zip(ms.moments, hi.moments):
+            assert abs(got - want) <= mpf("1e-60") * abs(want)
 
 
 def test_moment_set_invariants(fisheries):

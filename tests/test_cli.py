@@ -262,6 +262,24 @@ def test_mle_cli(config_path, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line, value", [(4, "nan"), (4, "-1.5"), (2, "# censored: 999999")])
+def test_mle_on_invalid_sample_file_exits_1(config_path, tmp_path, capsys, line, value):
+    spath = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "simulate", config_path, "--direction", "up",
+                     "--threshold", "1e4", "--paths", "20", "--dt", "0.01",
+                     "--horizon", "60", "--seed", "3", "--out", str(spath))
+    assert code == 0
+    lines = spath.read_text().splitlines()
+    lines[line] = value
+    spath.write_text("\n".join(lines) + "\n")
+    fpath = tmp_path / "fixed.json"
+    fpath.write_text(json.dumps({**FISHERIES, "U": 1e4, "direction": "up"}))
+    code, _, err = run(capsys, "mle", "--samples", str(spath), "--estimate", "sigma",
+                       "--fixed", str(fpath), "--init", "sigma=0.24")
+    assert code == 1
+    assert "paths" in err or ">= 0" in err
+
+
 def test_oracle_cli(config_path, capsys):
     code, out, _ = run(capsys, "oracle", config_path, "--direction", "up",
                        "--threshold", "1e4", "--lambda-grid", "0:0.08:0.04",

@@ -83,6 +83,25 @@ def test_lambda_families_match_symbolic_oracle():
                 assert abs(got - want) <= mpf("1e-65") * max(1, abs(want))
 
 
+@pytest.mark.parametrize("precision, n_top", [(256, 6), (53, 12)])
+def test_lambda_families_are_the_oracle_rounded_once(precision, n_top):
+    """Rows are summed exactly at the dyadic u and rounded once, so every
+    entry equals the exact rational value correctly rounded to the table's
+    precision.  At 53 bits the larger n need more bits than the precision
+    holds, so a per-term rounding shows."""
+    u = -2.625
+    d, tab = dyadic_table(u, precision=precision)
+    for n in range(0, n_top + 1):
+        for m in range(0, 7):
+            for got, want in zip((tab.plain_row(n)[m], tab.tilde_row(n)[m],
+                                  tab.bar_row(n)[m]), lam_oracles(u, n, m)):
+                with mp.workprec(precision):
+                    rounded = mpf(mpmath.libmp.from_rational(
+                        want.numerator, want.denominator, precision,
+                        mpmath.libmp.round_nearest))
+                assert got == rounded
+
+
 def test_table_bounds():
     d, tab = dyadic_table(order=5, n_max=10)
     with pytest.raises(IndexError):

@@ -180,6 +180,22 @@ def test_csv_round_trip(tmp_path, fisheries):
     assert back.model == s.model
     with pytest.raises(InvalidParams):
         read_samples_csv(__file__)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(InvalidParams):
+        read_samples_csv(path)
+
+
+@pytest.mark.parametrize("line, value", [(4, "nan"), (4, "-1.5"), (4, "inf"),
+                                         (2, "# censored: -1"), (2, "# censored: 999999")])
+def test_invalid_sample_file_rejected(tmp_path, fisheries, line, value):
+    cfg = SimConfig(problem=UP4, paths=25, dt=1e-2, horizon=60.0, seed=17)
+    path = tmp_path / "sample.csv"
+    write_samples_csv(sample_fpt(fisheries, cfg), path)
+    lines = path.read_text().splitlines()
+    lines[line] = value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidParams):
+        read_samples_csv(path)
 
 
 def test_config_validation():
