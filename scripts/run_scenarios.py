@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 
-from logifpt import (Direction, FptProblem, KernelTable, ModelParams, SimConfig,
+from logifpt import (Direction, FptProblem, ModelParams, SimConfig,
                      derive_params, fpt_cumulants, match_gamma, fpt_moments, sample_fpt)
 
 BASE = dict(r=0.71, K=80.5e6, q=3.30e-6, E=104540.0, sigma=0.2)
@@ -52,13 +52,12 @@ def main(argv=None) -> int:
     for label, x0, direction, threshold, horizon in SCENARIOS:
         d = derive_params(ModelParams(**BASE, x0=x0))
         prob = FptProblem(direction, threshold)
-        table = KernelTable(d, 4)
-        cs = fpt_cumulants(d, prob, 4, table=table)
+        cs = fpt_cumulants(d, prob, 4)
         c = cs.cumulants_float
         r = [float(x) for x in cs.ratios]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            g = match_gamma(fpt_moments(d, prob, 2, table=table))
+            g = match_gamma(fpt_moments(d, prob, 2))
         cv = math.sqrt(c[1]) / c[0]
         row = dict(scenario=label, mean=c[0], var=c[1], k4=c[3],
                    r1=r[0], r2=r[1], r3=r[2], alpha=g.alpha, beta=g.beta, cv=cv)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,6 @@ from .errors import (InvalidParams, LogifptError, NoConvergence, NonConvergent,
                      QuadratureFailure, StencilFailure, WrongSide)
 from .hypergeom import HypEvalConfig, laplace_transform
 from .inference import MleConfig, mle_fit
-from .kernels import KernelTable
 from .laguerre import build_approximant
 from .model import (DEFAULT_PRECISION, Direction, FptProblem, ModelParams,
                     derive_params, validate_problem)
@@ -107,9 +107,8 @@ def cmd_moments(args) -> int:
     prob = _problem(args)
     method = (MomentMethod.BELL_CLOSED_FORM if args.method == "bell"
               else MomentMethod.RECURSION)
-    table = KernelTable(d, args.order)
-    ms = fpt_moments(d, prob, order=args.order, method=method, table=table)
-    cs = fpt_cumulants(d, prob, order=args.order, table=table)
+    ms = fpt_moments(d, prob, order=args.order, method=method)
+    cs = fpt_cumulants(d, prob, order=args.order)
     c = cs.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
@@ -335,7 +334,9 @@ def _add_problem(p):
     p.add_argument("--threshold", type=float, required=True)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; built once per process, since parsing leaves it unchanged."""
     parser = _Parser(prog="logifpt",
                      description="Crossing-time analytics for the harvested "
                                  "stochastic logistic model")

@@ -119,8 +119,9 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
 
     The Gamma reference is matched from the theoretical moments of the
     candidate point and the truncation order re-selected (cap cfg.n_max) at
-    every call.  Infeasible or non-convergent candidates return the penalty
-    value instead of raising.
+    every call.  Infeasible or non-convergent candidates (any LogifptError)
+    return the penalty value instead of raising; other exceptions are bugs
+    and propagate.
     """
     if data.n == 0:
         raise EmptySample("cannot evaluate a likelihood on an empty sample")
@@ -138,7 +139,7 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
             apx = build_approximant(ms, n_max=cfg.n_max, tol=cfg.select_tol)
         dens = apx.density(data.times)
         return float(np.sum(np.log(np.maximum(dens, cfg.density_floor))))
-    except (LogifptError, ValueError, OverflowError):
+    except LogifptError:
         return PENALTY
 
 

@@ -39,11 +39,19 @@ are convergent sums over n and are truncated by a stagnation rule; the
 downcrossing blocks (``lbar_series``) are asymptotic sums in ``1/(v y)``
 summed by optimal truncation (stop at the smallest term, report the first
 omitted term as the error estimate).
+
+Every caller that passes no table shares one process-wide cache of
+:class:`KernelTable` objects keyed by ``(u, precision, order)``: rows depend
+on nothing else, so a moments or density scan over thresholds or starting
+states at fixed (r, K, q, E, sigma) builds its rows once.  The cache keeps
+the TABLE_CACHE_SIZE most recently used tables and drops the least recently
+used beyond that; ``table_cache_info`` reports its hits, misses and size.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -61,6 +69,10 @@ L_SERIES_TOL = mpf("1e-30")
 _STAGNATION_RUN = 5
 # sustained-growth factor that ends term generation in an asymptotic sum
 _GROWTH_STOP = 10.0
+# tables kept by ensure_table for callers that pass none
+TABLE_CACHE_SIZE = 8
+_tables: OrderedDict = OrderedDict()
+_table_counts = {"hits": 0, "misses": 0}
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +175,34 @@ class KernelTable:
 
 
 def ensure_table(d: DerivedParams, order: int, table: KernelTable | None) -> KernelTable:
-    """The given table, or a fresh one whose rows reach degree ``order``."""
+    """The given table, or the shared one for (u, precision, order).
+
+    Without a table, the process-wide cache is looked up by
+    ``(d.u, d.precision, order)`` and a table of degree ``order`` is built
+    on a miss; the least recently used table beyond TABLE_CACHE_SIZE is
+    dropped.  A given table is used as it is, and refused if its rows are
+    shorter than ``order``.
+    """
     if table is None:
-        return KernelTable(d, order)
+        key = (d.u, d.precision, order)
+        table = _tables.pop(key, None)
+        if table is None:
+            _table_counts["misses"] += 1
+            table = KernelTable(d, order)
+        else:
+            _table_counts["hits"] += 1
+        _tables[key] = table
+        if len(_tables) > TABLE_CACHE_SIZE:
+            _tables.popitem(last=False)
+        return table
     if table.order < order:
         raise ValueError(f"table rows reach degree {table.order}, need {order}")
     return table
+
+
+def table_cache_info() -> dict:
+    """Hits, misses and current size of the shared table cache."""
+    return {**_table_counts, "size": len(_tables)}
 
 
 @dataclass
@@ -299,7 +333,8 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
     l_0 = 1 and l_k = a^k sum_{n>=1} m_row(n)[k] (v y)^n / n!.  The n-sum
     converges factorially; it is cut once five consecutive terms fall below
     tol times the running partial sum.  Raises NoConvergence if the table
-    bound is hit first.  Without a table, one of degree ``order`` is built.
+    bound is hit first.  Without a table, the shared one of degree ``order``
+    is used (:func:`ensure_table`).
     Returns (series, diagnostics).
     """
     table = ensure_table(d, order, table)
@@ -346,7 +381,8 @@ def lbar_series(y, order: int, d: DerivedParams,
     has clearly turned upward, the cut n* minimizes the envelope
     max(|T_n|, |T_{n+1}|) (robust to the structural zeros at small n; ties
     resolve to the smaller n), and the first omitted term is reported as
-    the error estimate.  Without a table, one of degree ``order`` is built.
+    the error estimate.  Without a table, the shared one of degree ``order``
+    is used (:func:`ensure_table`).
     Returns (series, diagnostics).
     """
     table = ensure_table(d, order, table)

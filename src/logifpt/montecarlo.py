@@ -161,8 +161,8 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
         while len(x) and base < max_steps:
             span = min(_CHUNK, max_steps - base)
             z = np.empty((len(x), span))
-            for i, g in enumerate(gens):
-                z[i] = g.standard_normal(span)
+            for g, row in zip(gens, z):
+                g.standard_normal(out=row)
             crossed_at = np.full(len(x), -1, dtype=np.int64)
             x_before = np.empty(len(x))
             x_after = np.empty(len(x))

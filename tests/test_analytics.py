@@ -223,3 +223,38 @@ def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
         fd = fd_moments(d, prob, 2)
         for x, y in zip(fd.moments, a.moments):
             assert abs(x / y - 1) < mpf("1e-6")
+
+
+@given(st.floats(min_value=0.5, max_value=1.0),       # growth rate r
+       st.floats(min_value=0.15, max_value=0.3),      # sigma
+       st.booleans(),                                 # upcrossing?
+       st.floats(min_value=0.0, max_value=1.0),       # where in the range x0 sits
+       st.floats(min_value=0.0, max_value=1.0))       # where the threshold sits
+@settings(max_examples=12, deadline=None)
+def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
+    """Fisheries-like points (rho > 0 throughout): moments from the shared
+    table cache equal those from a fresh table exactly, and the recursion
+    agrees with the Bell closed form to working precision."""
+    from logifpt import KernelTable, ModelParams
+
+    if up:
+        x0 = 10 ** (2 + 2 * at_x0)                      # 1e2 .. 1e4
+        threshold = x0 * 10 ** (0.5 + 2 * at_threshold)
+        direction = Direction.UP
+    else:
+        x0 = 3.9e7 + 2.1e7 * at_x0                      # 3.9e7 .. 6e7
+        threshold = x0 * (0.5 + 0.25 * at_threshold)
+        direction = Direction.DOWN
+    d = derive_params(ModelParams(**{**FISHERIES, "r": r, "sigma": sigma, "x0": x0}))
+    prob = FptProblem(direction, threshold)
+    fpt_moments(d, prob, 6)
+    shared = fpt_moments(d, prob, 6)
+    fresh = fpt_moments(d, prob, 6, table=KernelTable(d, 6))
+    assert shared.moments == fresh.moments
+    assert shared.error_estimates == fresh.error_estimates
+    assert shared.diagnostics.trunc_index == fresh.diagnostics.trunc_index
+    bell = fpt_moments(d, prob, 6, method=MomentMethod.BELL_CLOSED_FORM)
+    assert d.precision == 256
+    with mp.workprec(d.precision):
+        for x, y in zip(shared.moments, bell.moments):
+            assert abs(x / y - 1) < mpf("1e-60")

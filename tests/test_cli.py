@@ -69,6 +69,28 @@ def test_bad_usage_exits_1(capsys):
     assert main(["not-a-command"]) == 1
 
 
+def test_one_parser_serves_many_calls(config_path, capsys):
+    from logifpt.cli import build_parser
+
+    calls = [
+        ["moments"],  # missing required arguments
+        ["moments", config_path, "--direction", "up", "--threshold", "1e4"],
+        ["density", config_path, "--direction", "up", "--threshold", "1e4",
+         "--grid", "0:30:0.5"],
+    ]
+    build_parser.cache_clear()
+    in_one_process = [run(capsys, *argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    code, out, err = in_one_process[0]
+    assert code == 1 and out == "" and err.startswith("usage: logifpt moments")
+    assert [c[0] for c in in_one_process[1:]] == [0, 0]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert in_one_process == fresh
+
+
 def test_moments_table(config_path, capsys):
     code, out, _ = run(capsys, "moments", config_path, "--direction", "up",
                        "--threshold", "1e4", "--order", "4")

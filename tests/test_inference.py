@@ -57,6 +57,18 @@ def test_penalty_regions(sample_1k):
     assert log_likelihood({"x0": 1e4}, sample_1k, cfg) == PENALTY  # degenerate
 
 
+def test_bugs_are_not_turned_into_penalties(sample_1k, monkeypatch):
+    import logifpt.inference
+
+    def broken(*args, **kw):
+        raise ValueError("a bug, not an infeasible point")
+
+    monkeypatch.setattr(logifpt.inference, "build_approximant", broken)
+    cfg = cfg_for(["sigma"], init={"sigma": 0.2})
+    with pytest.raises(ValueError, match="a bug"):
+        log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg)
+
+
 def test_single_datum_at_mode(fisheries):
     ms = fpt_moments(fisheries, UP4, 10)
     with warnings.catch_warnings():

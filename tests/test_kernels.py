@@ -7,11 +7,12 @@ from mpmath import mp, mpf
 
 from logifpt import (KernelTable, ModelParams, derive_params, l_series,
                      lbar_series, q_series, t_series)
+from logifpt import kernels
 from logifpt.errors import NoConvergence
 from logifpt.kernels import asymptotic_sum, convergent_sum
 from logifpt.series import (ExpSeries, falling_factorial, rising_factorial,
                             series_exp, series_product, series_ratio)
-from tests.conftest import fisheries_at
+from tests.conftest import FISHERIES, fisheries_at
 
 
 def dyadic_table(u_value=-2.625, precision=256, order=7, **kw):
@@ -280,3 +281,67 @@ def test_sum_helpers():
         value, est, cut = asymptotic_sum(term, 1, 400)
         assert 5 <= cut <= 15
         assert est == abs(term(cut + 1))
+
+
+def _cache_delta(before):
+    after = kernels.table_cache_info()
+    return after["hits"] - before["hits"], after["misses"] - before["misses"]
+
+
+def test_shared_table_serves_a_threshold_scan(monkeypatch):
+    from logifpt import Direction, FptProblem, fpt_moments
+
+    built = []
+    init = KernelTable.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(KernelTable, "__init__", counting_init)
+    # an r no other test uses, so the first call cannot find a cached table
+    params = {**FISHERIES, "r": 0.7137}
+    before = kernels.table_cache_info()
+    d1 = derive_params(ModelParams(**{**params, "x0": 100.0}))
+    a = fpt_moments(d1, FptProblem(Direction.UP, 1e4), 4)
+    assert _cache_delta(before) == (0, 1)
+    d2 = derive_params(ModelParams(**{**params, "x0": 150.0}))
+    b = fpt_moments(d2, FptProblem(Direction.UP, 2e4), 4)
+    assert _cache_delta(before) == (1, 1)
+    assert len(built) == 1
+    assert a.moments != b.moments
+
+
+def test_shared_tables_are_bounded_and_least_recently_used_go_first():
+    def derived(i):
+        return derive_params(ModelParams(**{**FISHERIES, "sigma": 0.1 + i / 1000}))
+
+    before = kernels.table_cache_info()
+    tables = [kernels.ensure_table(derived(i), 2, None) for i in range(20)]
+    assert _cache_delta(before) == (0, 20)
+    assert kernels.table_cache_info()["size"] <= kernels.TABLE_CACHE_SIZE
+    # a hit on the oldest cached table keeps it while TABLE_CACHE_SIZE - 1
+    # new ones push out the others
+    oldest = 20 - kernels.TABLE_CACHE_SIZE
+    assert kernels.ensure_table(derived(oldest), 2, None) is tables[oldest]
+    for i in range(20, 19 + kernels.TABLE_CACHE_SIZE):
+        kernels.ensure_table(derived(i), 2, None)
+    assert kernels.ensure_table(derived(oldest), 2, None) is tables[oldest]
+    assert kernels.ensure_table(derived(oldest + 1), 2, None) is not tables[oldest + 1]
+    # a table passed in is used as it is and never enters the cache
+    d = derived(100)
+    own = KernelTable(d, 2)
+    size = kernels.table_cache_info()["size"]
+    assert kernels.ensure_table(d, 2, own) is own
+    assert kernels.table_cache_info()["size"] == size
+    assert kernels.ensure_table(d, 2, None) is not own
+
+
+def test_shared_tables_are_kept_apart_by_precision_and_order():
+    low, _ = dyadic_table(precision=128)
+    high, _ = dyadic_table(precision=256)
+    assert low.u == high.u  # one key field apart
+    tables = {(d.precision, order): kernels.ensure_table(d, order, None)
+              for d in (low, high) for order in (2, 3)}
+    for (precision, order), table in tables.items():
+        assert (table.precision, table.order) == (precision, order)
