@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import NonConvergent
-from .kernels import (KernelTable, L_SERIES_TOL, SeriesDiagnostics,
+from .kernels import (L_SERIES_TOL, N_MAX_DEFAULT, SeriesDiagnostics,
                       asymptotic_sum, convergent_sum, ensure_table, l_series,
                       lbar_series, t_series)
 from .model import DerivedParams, Direction, FptProblem, validate_problem
@@ -110,16 +110,14 @@ def _zero_moments(prob, order, method, precision):
                      flagged=(False,) * order)
 
 
-def _s_series(d: DerivedParams, prob: FptProblem, order: int, tol,
-              table: KernelTable | None):
+def _s_series(d: DerivedParams, prob: FptProblem, order: int):
     """Building-block series at x0 and at the threshold, plus diagnostics."""
-    table = ensure_table(d, order, table)
     if prob.direction is Direction.UP:
-        s0, g0 = t_series(d.params.x0, order, d, tol=tol, table=table)
-        s1, g1 = t_series(prob.threshold, order, d, tol=tol, table=table)
+        s0, g0 = t_series(d.params.x0, order, d)
+        s1, g1 = t_series(prob.threshold, order, d)
     else:
-        s0, g0 = lbar_series(d.params.x0, order, d, table=table)
-        s1, g1 = lbar_series(prob.threshold, order, d, table=table)
+        s0, g0 = lbar_series(d.params.x0, order, d)
+        s1, g1 = lbar_series(prob.threshold, order, d)
     return s0, s1, SeriesDiagnostics.merge(g0, g1)
 
 
@@ -128,20 +126,20 @@ def _transform_coeffs_bell(s0: ExpSeries, s1: ExpSeries, order: int):
     return list(series_product(s0, series_reciprocal_bell(s1)).coeffs[: order + 1])
 
 
-def _propagate_errors(s0, s1, e0, e1, g, order):
-    """First-order error bound for the quotient recursion."""
+def _propagate_errors(s1, e, g, order):
+    """First-order error bound for the quotient recursion, given the summed
+    error estimates e of the two building-block series."""
     dg = [mpf(0)]
     for m_ in range(1, order + 1):
-        tot = e0[m_]
+        tot = e[m_]
         for k in range(1, m_ + 1):
-            tot += math.comb(m_, k) * (e1[k] * abs(g[m_ - k]) + abs(s1[k]) * dg[m_ - k])
+            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(s1[k]) * dg[m_ - k])
         dg.append(tot)
     return dg
 
 
 def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
                 method: MomentMethod = MomentMethod.RECURSION,
-                tol=L_SERIES_TOL, table: KernelTable | None = None,
                 max_rel_error: float | None = None) -> MomentSet:
     """Moments E[T^k], k = 1..order, of the crossing time.
 
@@ -156,15 +154,14 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     degenerate = validate_problem(d, prob)
     if degenerate:
         return _zero_moments(prob, order, method, d.precision)
-    s0, s1, diag = _s_series(d, prob, order, tol, table)
+    s0, s1, diag = _s_series(d, prob, order)
     with mp.workprec(d.precision):
         if method is MomentMethod.BELL_CLOSED_FORM:
             g = _transform_coeffs_bell(s0, s1, order)
         else:
             g = series_ratio(s0, s1).coeffs
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
-        dg = _propagate_errors(s0, s1, diag.error_estimate, diag.error_estimate,
-                               g, order)
+        dg = _propagate_errors(s1, diag.error_estimate, g, order)
         rel = []
         for m_ in range(1, order + 1):
             denom = abs(moments[m_ - 1])
@@ -197,8 +194,7 @@ def cumulants_from_moments(ms: MomentSet) -> CumulantSet:
                        precision=ms.precision, degenerate=ms.degenerate)
 
 
-def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int,
-                  tol=L_SERIES_TOL, table: KernelTable | None = None) -> CumulantSet:
+def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet:
     """Cumulants of the crossing time via logarithmic polynomials.
 
     Upcrossing:  c_k = (-1)^k [ u log(U/x0) (1/2)_k a^k + Lx0_k - LU_k ]
@@ -213,13 +209,12 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int,
     if degenerate:
         return CumulantSet(problem=prob, order=order, cumulants=(mpf(0),) * order,
                            precision=d.precision, degenerate=True)
-    table = ensure_table(d, order, table)
     x0 = d.params.x0
     s = prob.threshold
     with mp.workprec(d.precision):
         if prob.direction is Direction.UP:
-            l0, _ = l_series(x0, order, d, tol=tol, table=table)
-            l1, _ = l_series(s, order, d, tol=tol, table=table)
+            l0, _ = l_series(x0, order, d)
+            l1, _ = l_series(s, order, d)
             lp0 = log_polynomials(l0.coeffs)
             lp1 = log_polynomials(l1.coeffs)
             pre = d.u * mpmath.log(mpf(s) / mpf(x0))
@@ -231,8 +226,8 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int,
                 val = pre * falling_factorial(half, k) * apow + lp0[k - 1] - lp1[k - 1]
                 cum.append((-1) ** k * val)
         else:
-            b0, _ = lbar_series(x0, order, d, table=table)
-            b1, _ = lbar_series(s, order, d, table=table)
+            b0, _ = lbar_series(x0, order, d)
+            b1, _ = lbar_series(s, order, d)
             lp0 = log_polynomials(b0.coeffs)
             lp1 = log_polynomials(b1.coeffs)
             cum = [(-1) ** k * (lp0[k - 1] - lp1[k - 1]) for k in range(1, order + 1)]
@@ -240,9 +235,7 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int,
                        precision=d.precision)
 
 
-def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
-                              tol=L_SERIES_TOL,
-                              table: KernelTable | None = None):
+def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
     """Crossing-time mean and variance from the explicit coefficient sums.
 
     These are the order-1 and order-2 formulas written directly in terms of
@@ -254,7 +247,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
     degenerate = validate_problem(d, prob)
     if degenerate:
         return mpf(0), mpf(0)
-    table = ensure_table(d, 2, table)
+    table = ensure_table(d, 2)
     x0 = d.params.x0
     s = prob.threshold
     with mp.workprec(d.precision):
@@ -274,7 +267,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
             def csum(fn, vy):
                 val, _ = convergent_sum(
                     lambda n: fn(n) * vy ** n / mpmath.factorial(n),
-                    mpf(tol), table.n_max)
+                    mpf(L_SERIES_TOL), N_MAX_DEFAULT)
                 return val
 
             logr = mpmath.log(mpf(x0) / mpf(s))
@@ -289,7 +282,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem,
                     sign = -1 if n % 2 else 1
                     return sign * table.mbar_row(n)[m_] / (vy ** n * mpmath.factorial(n))
 
-                val, _, _ = asymptotic_sum(term, m_, table.n_max)
+                val, _, _ = asymptotic_sum(term, m_, N_MAX_DEFAULT)
                 return val
 
             s1_x0 = asum(1, vx0)

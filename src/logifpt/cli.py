@@ -115,8 +115,8 @@ def cmd_moments(args) -> int:
         ratio = ""
         if k < args.order and c[k] != 0:
             ratio = repr(k * c[k - 1] / c[k])
-        est = float(ms.error_estimates[k - 1]) if ms.error_estimates else 0.0
-        flag = bool(ms.flagged[k - 1]) if ms.flagged else False
+        est = float(ms.error_estimates[k - 1])
+        flag = bool(ms.flagged[k - 1])
         lines.append(f"{k},{float(ms.moments[k-1])!r},{c[k-1]!r},{ratio},{est!r},{flag}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
@@ -125,8 +125,8 @@ def cmd_moments(args) -> int:
                                                    "direction": args.direction}))
     if args.diagnostics:
         diag = ms.diagnostics.to_dict() if ms.diagnostics else {}
-        diag["error_estimates"] = [float(e) for e in (ms.error_estimates or ())]
-        diag["flagged"] = list(ms.flagged or ())
+        diag["error_estimates"] = [float(e) for e in ms.error_estimates]
+        diag["flagged"] = list(ms.flagged)
         text = json.dumps(diag, indent=2) + "\n"
         if args.out:
             with open(str(args.out) + ".diagnostics.json", "w") as fh:
@@ -302,11 +302,10 @@ def cmd_oracle(args) -> int:
     validate_problem(d, prob)
     grid = _parse_grid(args.lambda_grid)
     ms = fpt_moments(d, prob, order=args.order)
-    cfg = HypEvalConfig()
     lines = ["lambda,direct,series,abs_diff"]
-    with mp.workprec(cfg.precision):
+    with mp.workprec(HypEvalConfig.precision):
         for lam in grid:
-            direct = laplace_transform(d, prob, lam, cfg=cfg)
+            direct = laplace_transform(d, prob, lam)
             acc = mpf(1)
             for k in range(1, args.order + 1):
                 term_scale = mpf(lam) ** k / mpmath.factorial(k)
@@ -319,14 +318,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(p, seed=False):
+def _add_common(p):
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="working precision in bits")
-    p.add_argument("--diagnostics", action="store_true",
-                   help="emit truncation/error diagnostics")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
 
 
 def _add_problem(p):
@@ -352,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem(p)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--method", choices=["recursion", "bell"], default="recursion")
+    p.add_argument("--diagnostics", action="store_true",
+                   help="emit truncation/error diagnostics")
     _add_common(p)
     p.set_defaults(func=cmd_moments)
 
@@ -378,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kde-grid", default=None,
                    help="also write a kernel-density curve on start:stop:step "
                         "to OUT.kde.csv")
-    _add_common(p, seed=True)
+    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     p.set_defaults(func=cmd_simulate)
     # simulate writes a sample file, not stdout
     p.set_defaults(out_required=True)
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--max-iter", type=int, default=250)
     p.add_argument("--trace", action="store_true")
-    _add_common(p, seed=True)
+    _add_common(p)
     p.set_defaults(func=cmd_mle)
 
     p = sub.add_parser("oracle", help="transform values: direct vs series")

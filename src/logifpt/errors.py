@@ -34,7 +34,7 @@ class NonPositiveConstantTerm(LogifptError):
 
 class NoConvergence(LogifptError):
     """A convergent coefficient sum failed to satisfy its truncation rule
-    within the configured table bounds."""
+    within the table bound (``kernels.N_MAX_DEFAULT`` terms)."""
 
 
 class NonConvergent(LogifptError):

@@ -5,12 +5,10 @@ the regular confluent function is summed from its globally convergent
 series, the irregular one is integrated from its real integral
 representation, and moments are extracted by Richardson-extrapolated central
 differences of the transform at the origin.  It exists to cross-validate
-the series pipeline, so it runs at a higher default precision (512 bits).
+the series pipeline, so it runs at a higher precision (512 bits).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
@@ -30,24 +28,17 @@ _STENCILS = {
 }
 
 
-@dataclass(frozen=True)
 class HypEvalConfig:
-    """Evaluation settings for the oracle.
+    """The oracle's fixed evaluation settings.
 
     fd_step is expressed in units of 1/a (the natural scale of the Laplace
     variable); fd_levels is the depth of the Richardson table.
     """
 
-    precision: int = 512
-    series_tol: float = 1e-40
-    fd_step: float = 1e-6
-    fd_levels: int = 4
-
-    def __post_init__(self):
-        if self.precision < 128:
-            raise ValueError("oracle precision must be >= 128 bits")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be > 0")
+    precision = 512
+    series_tol = 1e-40
+    fd_step = 1e-6
+    fd_levels = 4
 
 
 def kummer_phi(a, b, z, tol=1e-40):
@@ -143,8 +134,7 @@ def _psi_any(a, b, z, tol=1e-40):
             - (a + 1) * (a + 2 - b) * tricomi_psi(a + 2, b, z, tol=tol))
 
 
-def laplace_transform(d: DerivedParams, prob: FptProblem, lam,
-                      cfg: HypEvalConfig | None = None):
+def laplace_transform(d: DerivedParams, prob: FptProblem, lam):
     """Direct evaluation of E[exp(-lam T)] for the crossing problem.
 
     Equals 1 at lam = 0 and whenever x0 coincides with the threshold; for
@@ -152,9 +142,8 @@ def laplace_transform(d: DerivedParams, prob: FptProblem, lam,
     problems.  Small negative lam (inside the analyticity region
     lam > -1/a) is supported for the finite-difference oracle.
     """
-    cfg = cfg or HypEvalConfig()
     degenerate = validate_problem(d, prob)
-    with mp.workprec(cfg.precision):
+    with mp.workprec(HypEvalConfig.precision):
         lam = mpf(lam)
         if degenerate or lam == 0:
             return mpf(1)
@@ -170,41 +159,39 @@ def laplace_transform(d: DerivedParams, prob: FptProblem, lam,
         vx0 = d.v * x0
         vth = d.v * th
         if prob.direction is Direction.UP:
-            num = kummer_phi(ap, bp, vx0, tol=cfg.series_tol)
-            den = kummer_phi(ap, bp, vth, tol=cfg.series_tol)
+            num = kummer_phi(ap, bp, vx0, tol=HypEvalConfig.series_tol)
+            den = kummer_phi(ap, bp, vth, tol=HypEvalConfig.series_tol)
         else:
-            num = _psi_any(ap, bp, vx0, tol=cfg.series_tol)
-            den = _psi_any(ap, bp, vth, tol=cfg.series_tol)
+            num = _psi_any(ap, bp, vx0, tol=HypEvalConfig.series_tol)
+            den = _psi_any(ap, bp, vth, tol=HypEvalConfig.series_tol)
         return (x0 / th) ** ap * num / den
 
 
-def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4,
-               cfg: HypEvalConfig | None = None) -> MomentSet:
+def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:
     """Moments extracted from derivatives of the transform at the origin.
 
     The k-th moment is (-1)^k times the k-th derivative, estimated with
     second-order central stencils refined through a Richardson table of
-    cfg.fd_levels levels.  Negative-lam evaluations stay inside the
+    HypEvalConfig.fd_levels levels.  Negative-lam evaluations stay inside the
     analyticity region; on evaluation failure the step is halved a few
     times before StencilFailure is raised.
     """
     if not 1 <= order <= 4:
         raise ValueError("finite-difference oracle supports orders 1..4")
-    cfg = cfg or HypEvalConfig()
     degenerate = validate_problem(d, prob)
     if degenerate:
         return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
                          method=MomentMethod.FINITE_DIFFERENCE,
-                         precision=cfg.precision, degenerate=True)
-    with mp.workprec(cfg.precision):
-        base_h = mpf(cfg.fd_step) / d.a
+                         precision=HypEvalConfig.precision, degenerate=True)
+    with mp.workprec(HypEvalConfig.precision):
+        base_h = mpf(HypEvalConfig.fd_step) / d.a
         for attempt in range(6):
             h = base_h / 2 ** attempt
             cache = {}
 
             def g(x):
                 if x not in cache:
-                    cache[x] = laplace_transform(d, prob, x, cfg=cfg)
+                    cache[x] = laplace_transform(d, prob, x)
                 return cache[x]
 
             try:
@@ -213,19 +200,19 @@ def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4,
                     offs, coefs = _STENCILS[k]
                     coefs = [mpf(c) for c in coefs]
                     rows = []
-                    for lev in range(cfg.fd_levels):
+                    for lev in range(HypEvalConfig.fd_levels):
                         hh = h / 2 ** lev
                         val = sum(c * g(o * hh) for o, c in zip(offs, coefs)) / hh ** k
                         rows.append([val])
-                    for i in range(1, cfg.fd_levels):
-                        for lev in range(i, cfg.fd_levels):
+                    for i in range(1, HypEvalConfig.fd_levels):
+                        for lev in range(i, HypEvalConfig.fd_levels):
                             rows[lev].append(
                                 (4 ** i * rows[lev][i - 1] - rows[lev - 1][i - 1])
                                 / (4 ** i - 1))
                     moments.append((-1) ** k * rows[-1][-1])
                 return MomentSet(problem=prob, order=order, moments=tuple(moments),
                                  method=MomentMethod.FINITE_DIFFERENCE,
-                                 precision=cfg.precision)
+                                 precision=HypEvalConfig.precision)
             except (StencilFailure, QuadratureFailure):
                 continue
     raise StencilFailure("transform could not be evaluated on any usable stencil")

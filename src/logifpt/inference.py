@@ -12,13 +12,17 @@ Infeasible candidates (harvesting above growth, non-persistent regime,
 threshold on the wrong side, non-convergent moment sums) receive a large
 negative penalty instead of raising, keeping the simplex inside the
 analyzable region.
+
+Only what callers vary is configurable (:class:`MleConfig`).  The rest is
+fixed: the simplex stays inside DEFAULT_BOUNDS, the order is selected at
+tolerance 1e-6, and densities are floored at 1e-300 before the logarithm.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -49,20 +53,16 @@ DEFAULT_BOUNDS = {
 
 @dataclass(frozen=True)
 class MleConfig:
-    """Which parameters to estimate, starting point, and optimizer settings."""
+    """Which parameters to estimate, the starting point, and the order cap,
+    precision and iteration cap of the fit."""
 
     estimate: tuple
     fixed: dict
     init: dict
     direction: Direction = Direction.UP
     n_max: int = 10
-    select_tol: float = 1e-6
     precision: int = 256
-    density_floor: float = 1e-300
     max_iter: int = 250
-    xatol: float = 1e-4
-    fatol: float = 1e-6
-    bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         est = tuple(self.estimate)
@@ -78,9 +78,6 @@ class MleConfig:
         bad_init = [p for p in est if p not in self.init]
         if bad_init:
             raise InvalidParams(f"no initial value for: {bad_init}")
-
-    def bound(self, name: str):
-        return self.bounds.get(name, DEFAULT_BOUNDS[name])
 
 
 @dataclass
@@ -136,9 +133,9 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularOriginWarning)
             warnings.simplefilter("ignore", ExpansionConditionWarning)
-            apx = build_approximant(ms, n_max=cfg.n_max, tol=cfg.select_tol)
+            apx = build_approximant(ms, n_max=cfg.n_max)
         dens = apx.density(data.times)
-        return float(np.sum(np.log(np.maximum(dens, cfg.density_floor))))
+        return float(np.sum(np.log(np.maximum(dens, 1e-300))))
     except LogifptError:
         return PENALTY
 
@@ -147,7 +144,7 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
     """Derivative-free simplex ascent of the log likelihood.
 
     Box bounds are enforced by projection inside the optimizer; stopping is
-    controlled by the simplex size (xatol) and function spread (fatol) or
+    controlled by the simplex size (1e-4) and function spread (1e-6) or
     the iteration cap.  An empty estimate list returns the initial point
     unchanged and is reported as converged.
     """
@@ -183,12 +180,12 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
         return -val
 
     bounds = optimize.Bounds(
-        np.array([cfg.bound(p)[0] for p in names]),
-        np.array([cfg.bound(p)[1] for p in names]))
+        np.array([DEFAULT_BOUNDS[p][0] for p in names]),
+        np.array([DEFAULT_BOUNDS[p][1] for p in names]))
     res = optimize.minimize(
         neg_ll, x_init, method="Nelder-Mead", bounds=bounds,
-        options={"maxiter": cfg.max_iter, "xatol": cfg.xatol,
-                 "fatol": cfg.fatol, "adaptive": False})
+        options={"maxiter": cfg.max_iter, "xatol": 1e-4,
+                 "fatol": 1e-6, "adaptive": False})
     return MleResult(
         estimates={p: float(v) for p, v in zip(names, res.x)},
         loglik=-float(res.fun), iterations=int(res.nit), n_evals=int(res.nfev),
@@ -212,8 +209,7 @@ class StudyReport:
 
 def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
              replications: int, master_seed: int = 20240, dt: float = 1e-3,
-             horizon: float = 60.0, cfg_overrides: dict | None = None,
-             init_offsets: dict | None = None) -> StudyReport:
+             horizon: float = 60.0, cfg_overrides: dict | None = None) -> StudyReport:
     """Repeated synthetic-data estimation at a known truth.
 
     For every (subset, N, replication) a fresh sample of N crossing times is
@@ -227,8 +223,6 @@ def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
     truth_vals = {**truth.to_dict(), "U": problem.threshold}
     offsets = {"sigma": 0.15, "r": -0.10, "x0": 0.20, "U": 0.10,
                "K": -0.15, "q": 0.10, "E": 0.10}
-    if init_offsets:
-        offsets.update(init_offsets)
     overrides = cfg_overrides or {}
     rows = []
     for si, subset in enumerate(subsets):

@@ -40,12 +40,15 @@ downcrossing blocks (``lbar_series``) are asymptotic sums in ``1/(v y)``
 summed by optimal truncation (stop at the smallest term, report the first
 omitted term as the error estimate).
 
-Every caller that passes no table shares one process-wide cache of
-:class:`KernelTable` objects keyed by ``(u, precision, order)``: rows depend
-on nothing else, so a moments or density scan over thresholds or starting
-states at fixed (r, K, q, E, sigma) builds its rows once.  The cache keeps
-the TABLE_CACHE_SIZE most recently used tables and drops the least recently
-used beyond that; ``table_cache_info`` reports its hits, misses and size.
+Every caller gets its table from :func:`ensure_table`, which keeps one
+process-wide cache of :class:`KernelTable` objects keyed by
+``(u, precision, order)``: rows depend on nothing else, so a moments or
+density scan over thresholds or starting states at fixed (r, K, q, E, sigma)
+builds its rows once.  The cache keeps the TABLE_CACHE_SIZE most recently
+used tables and drops the least recently used beyond that;
+``table_cache_info`` reports its hits, misses and size.  Sums over n stop at
+N_MAX_DEFAULT, the last row a table holds, and the convergent ones are cut
+at the relative tolerance L_SERIES_TOL.
 """
 
 from __future__ import annotations
@@ -63,13 +66,15 @@ from .model import DerivedParams
 from .series import (ExpSeries, falling_factorial, series_product, series_ratio,
                      stirling1_unsigned)
 
+# last row n of every table, hence the last term of every sum over n
 N_MAX_DEFAULT = 256
+# relative size below which a term of a convergent sum is negligible
 L_SERIES_TOL = mpf("1e-30")
 # consecutive negligible terms required before a convergent sum is cut
 _STAGNATION_RUN = 5
 # sustained-growth factor that ends term generation in an asymptotic sum
 _GROWTH_STOP = 10.0
-# tables kept by ensure_table for callers that pass none
+# tables kept by ensure_table
 TABLE_CACHE_SIZE = 8
 _tables: OrderedDict = OrderedDict()
 _table_counts = {"hits": 0, "misses": 0}
@@ -97,22 +102,22 @@ def _weight(family: str, m: int, j: int) -> int:
 class KernelTable:
     """Per-n coefficient rows for a fixed drift index u.
 
-    Row ``(family, n)`` is the :class:`ExpSeries` in ``a z`` of the family's
-    n-th member, of degree ``order``.  Rows are built at the precision of
-    the derived parameters on first use and cached in one dict; the table
-    is immutable from the caller's perspective and safe to share once built.
+    Row ``(family, n)``, n = 0..N_MAX_DEFAULT, is the :class:`ExpSeries` in
+    ``a z`` of the family's n-th member, of degree ``order``.  Rows are built
+    at the precision of the derived parameters on first use and cached in
+    one dict; the table is immutable from the caller's perspective and safe
+    to share once built.
     """
 
-    def __init__(self, d: DerivedParams, order: int, n_max: int = N_MAX_DEFAULT):
+    def __init__(self, d: DerivedParams, order: int):
         self.u = d.u
         self.precision = d.precision
         self.order = order
-        self.n_max = n_max
         self._rows = {}
 
     def _row(self, family: str, n: int, build) -> ExpSeries:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"n = {n} outside table bounds 0..{self.n_max}")
+        if not 0 <= n <= N_MAX_DEFAULT:
+            raise IndexError(f"n = {n} outside table bounds 0..{N_MAX_DEFAULT}")
         key = (family, n)
         if key not in self._rows:
             with mp.workprec(self.precision):
@@ -174,29 +179,23 @@ class KernelTable:
         return self._row("mbar", n, build)
 
 
-def ensure_table(d: DerivedParams, order: int, table: KernelTable | None) -> KernelTable:
-    """The given table, or the shared one for (u, precision, order).
+def ensure_table(d: DerivedParams, order: int) -> KernelTable:
+    """The shared table for (u, precision, order).
 
-    Without a table, the process-wide cache is looked up by
-    ``(d.u, d.precision, order)`` and a table of degree ``order`` is built
-    on a miss; the least recently used table beyond TABLE_CACHE_SIZE is
-    dropped.  A given table is used as it is, and refused if its rows are
-    shorter than ``order``.
+    The process-wide cache is looked up by ``(d.u, d.precision, order)`` and
+    a table of degree ``order`` is built on a miss; the least recently used
+    table beyond TABLE_CACHE_SIZE is dropped.
     """
+    key = (d.u, d.precision, order)
+    table = _tables.pop(key, None)
     if table is None:
-        key = (d.u, d.precision, order)
-        table = _tables.pop(key, None)
-        if table is None:
-            _table_counts["misses"] += 1
-            table = KernelTable(d, order)
-        else:
-            _table_counts["hits"] += 1
-        _tables[key] = table
-        if len(_tables) > TABLE_CACHE_SIZE:
-            _tables.popitem(last=False)
-        return table
-    if table.order < order:
-        raise ValueError(f"table rows reach degree {table.order}, need {order}")
+        _table_counts["misses"] += 1
+        table = KernelTable(d, order)
+    else:
+        _table_counts["hits"] += 1
+    _tables[key] = table
+    if len(_tables) > TABLE_CACHE_SIZE:
+        _tables.popitem(last=False)
     return table
 
 
@@ -225,20 +224,16 @@ class SeriesDiagnostics:
 
     @staticmethod
     def merge(a: "SeriesDiagnostics", b: "SeriesDiagnostics") -> "SeriesDiagnostics":
-        n = max(len(a.trunc_index), len(b.trunc_index))
-
-        def pad(xs, fill):
-            return list(xs) + [fill] * (n - len(xs))
-
+        """Entrywise max of the cut points and sum of the error estimates of
+        two diagnostics of the same order."""
         return SeriesDiagnostics(
-            trunc_index=[max(x, y) for x, y in zip(pad(a.trunc_index, 0), pad(b.trunc_index, 0))],
-            error_estimate=[x + y for x, y in zip(pad(a.error_estimate, mpf(0)),
-                                                  pad(b.error_estimate, mpf(0)))],
+            trunc_index=[max(x, y) for x, y in zip(a.trunc_index, b.trunc_index)],
+            error_estimate=[x + y for x, y in zip(a.error_estimate, b.error_estimate)],
         )
 
 
-def convergent_sum(term_fn, tol, n_max: int, n_start: int = 1):
-    """Sum term_fn(n) for n >= n_start until the stagnation rule fires.
+def convergent_sum(term_fn, tol, n_max: int):
+    """Sum term_fn(n) for n >= 1 until the stagnation rule fires.
 
     The sum is cut once _STAGNATION_RUN consecutive terms fall below tol
     times the running partial sum; raises NoConvergence when n_max is hit
@@ -246,7 +241,7 @@ def convergent_sum(term_fn, tol, n_max: int, n_start: int = 1):
     """
     partial = mpf(0)
     run = 0
-    n = n_start - 1
+    n = 0
     while True:
         n += 1
         if n > n_max:
@@ -326,23 +321,21 @@ def _power_over_factorial(x):
     return at
 
 
-def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
-             table: KernelTable | None = None):
+def l_series(y, order: int, d: DerivedParams):
     """Expansion coefficients l_k(y) of the regular hypergeometric factor.
 
     l_0 = 1 and l_k = a^k sum_{n>=1} m_row(n)[k] (v y)^n / n!.  The n-sum
     converges factorially; it is cut once five consecutive terms fall below
-    tol times the running partial sum.  Raises NoConvergence if the table
-    bound is hit first.  Without a table, the shared one of degree ``order``
-    is used (:func:`ensure_table`).
+    L_SERIES_TOL times the running partial sum.  Raises NoConvergence if the
+    table bound N_MAX_DEFAULT is hit first.
     Returns (series, diagnostics).
     """
-    table = ensure_table(d, order, table)
+    table = ensure_table(d, order)
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         scale = _power_over_factorial(vy)
-        tol = mpf(tol)
+        tol = mpf(L_SERIES_TOL)  # rounded to the working precision
         out = [mpf(1)]
         apow = mpf(1)
         for k in range(1, order + 1):
@@ -352,7 +345,7 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
                 return table.m_row(n)[_k] * scale(n)
 
             try:
-                partial, n_cut = convergent_sum(term, tol, table.n_max)
+                partial, n_cut = convergent_sum(term, tol, N_MAX_DEFAULT)
             except NoConvergence as exc:
                 raise NoConvergence(
                     f"l-series order {k} at v*y = {float(vy)}: {exc}") from exc
@@ -362,17 +355,15 @@ def l_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
     return ExpSeries(tuple(out)), diag
 
 
-def t_series(y, order: int, d: DerivedParams, tol=L_SERIES_TOL,
-             table: KernelTable | None = None):
+def t_series(y, order: int, d: DerivedParams):
     """Upcrossing coefficients t_m(y): Cauchy product of l- and q-series."""
-    ls, diag = l_series(y, order, d, tol=tol, table=table)
+    ls, diag = l_series(y, order, d)
     qs = q_series(y, order, d)
     with mp.workprec(d.precision):
         return series_product(qs, ls), diag
 
 
-def lbar_series(y, order: int, d: DerivedParams,
-                table: KernelTable | None = None):
+def lbar_series(y, order: int, d: DerivedParams):
     """Downcrossing coefficients lbar_m(y) with per-order error estimates.
 
     lbar_0 = 1 and lbar_m = a^m sum_{n>=m} (-1)^n mbar_row(n)[m]
@@ -381,11 +372,10 @@ def lbar_series(y, order: int, d: DerivedParams,
     has clearly turned upward, the cut n* minimizes the envelope
     max(|T_n|, |T_{n+1}|) (robust to the structural zeros at small n; ties
     resolve to the smaller n), and the first omitted term is reported as
-    the error estimate.  Without a table, the shared one of degree ``order``
-    is used (:func:`ensure_table`).
+    the error estimate.
     Returns (series, diagnostics).
     """
-    table = ensure_table(d, order, table)
+    table = ensure_table(d, order)
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
@@ -399,7 +389,7 @@ def lbar_series(y, order: int, d: DerivedParams,
                 sign = -1 if n % 2 else 1
                 return sign * table.mbar_row(n)[_m] * scale(n)
 
-            value, est, n_cut = asymptotic_sum(term, m_, table.n_max)
+            value, est, n_cut = asymptotic_sum(term, m_, N_MAX_DEFAULT)
             out.append(apow * value)
             diag.trunc_index.append(n_cut)
             diag.error_estimate.append(apow * est)

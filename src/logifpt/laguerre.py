@@ -191,7 +191,7 @@ class LaguerreApproximant:
 
     def _ensure_cdf(self):
         if self._cdf_cache is None:
-            ts = _hybrid_grid(self.t_cut, self.gamma.alpha, self.gamma.beta)
+            ts = _hybrid_grid(self.t_cut, self.gamma.alpha)
             dens = self.density(ts)
             dens = np.nan_to_num(dens, posinf=0.0)  # singular origin carries no mass
             cum = np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (dens[1:] + dens[:-1]))])
@@ -207,19 +207,18 @@ class LaguerreApproximant:
         return float(out[0]) if scalar else out
 
 
-def _hybrid_grid(t_cut: float, alpha: float, beta: float, n_lin: int = 6000,
-                 n_log: int = 2000) -> np.ndarray:
-    lin = np.linspace(0.0, t_cut, n_lin)
+def _hybrid_grid(t_cut: float, alpha: float) -> np.ndarray:
+    lin = np.linspace(0.0, t_cut, 6000)
     if alpha < 1:
         # resolve the power-law origin
-        log = np.geomspace(max(t_cut * 1e-14, 1e-300), t_cut / n_lin, n_log)
+        log = np.geomspace(max(t_cut * 1e-14, 1e-300), t_cut / 6000, 2000)
         return np.unique(np.concatenate([lin, log]))
     return lin
 
 
 def _negative_mass(coeffs: np.ndarray, alpha: float, beta: float, t_cut: float) -> float:
     """Pre-correction mass of the negative part, by trapezoid on a hybrid grid."""
-    ts = _hybrid_grid(t_cut, alpha, beta)
+    ts = _hybrid_grid(t_cut, alpha)
     x = beta * ts
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = beta * np.power(x, alpha) * np.exp(-x)
@@ -239,19 +238,18 @@ def _negative_mass(coeffs: np.ndarray, alpha: float, beta: float, t_cut: float) 
     return float(mass)
 
 
-def select_order(ms: MomentSet, g: GammaRef, n_max: int, tol: float = 1e-6):
+def select_order(coeffs_all, alpha: float, tol: float = 1e-6):
     """Smallest order n in 3..n_max passing the stopping rules.
 
-    Accepts n when (i) the Gauss-Laguerre normalization residual is below
-    tol, (ii) the constant polynomial coefficient is positive at the origin
-    and the highest non-negligible coefficient keeps the tail non-negative,
-    and (iii) |B_n| / B_0 < tol.  Returns (n_max, False) when no order
-    qualifies.  The concrete thresholds are this implementation's choices.
+    ``coeffs_all`` holds the float coefficients B_0..B_{n_max} and alpha is
+    the reference shape.  Accepts n when (i) the Gauss-Laguerre
+    normalization residual is below tol, (ii) the constant polynomial
+    coefficient is positive at the origin and the highest non-negligible
+    coefficient keeps the tail non-negative, and (iii) |B_n| / B_0 < tol.
+    Returns (n_max, False) when no order qualifies.  The concrete thresholds
+    are this implementation's choices.
     """
-    if n_max > ms.order:
-        raise InsufficientMoments(f"n_max = {n_max} exceeds MomentSet order {ms.order}")
-    alpha = g.alpha
-    coeffs_all = [float(c) for c in laguerre_coeffs(ms, g, n_max)]
+    n_max = len(coeffs_all) - 1
     b0 = coeffs_all[0]
     for n in range(3, n_max + 1):
         coeffs = np.asarray(coeffs_all[: n + 1])
@@ -270,19 +268,23 @@ def select_order(ms: MomentSet, g: GammaRef, n_max: int, tol: float = 1e-6):
     return n_max, False
 
 
-def build_approximant(ms: MomentSet, g: GammaRef | None = None,
-                      n: int | None = None, n_max: int = 10,
+def build_approximant(ms: MomentSet, n: int | None = None, n_max: int = 10,
                       tol: float = 1e-6) -> LaguerreApproximant:
-    """Assemble the approximant, selecting the order unless ``n`` is forced."""
-    if g is None:
-        g = match_gamma(ms)
+    """Assemble the approximant, selecting the order unless ``n`` is forced.
+
+    The coefficients are computed once, up to the forced order or to
+    min(n_max, ms.order); the selected order keeps the first n + 1 of them,
+    which is exact because B_k depends only on the first k moments.
+    """
+    g = match_gamma(ms)
+    coeffs_mp = laguerre_coeffs(ms, g, min(n_max, ms.order) if n is None else n)
+    coeffs = [float(c) for c in coeffs_mp]
     if n is None:
-        n_max = min(n_max, ms.order)
-        n, converged = select_order(ms, g, n_max, tol=tol)
+        n, converged = select_order(coeffs, g.alpha, tol=tol)
     else:
         converged = True
-    coeffs_mp = laguerre_coeffs(ms, g, n)
-    coeffs = np.array([float(c) for c in coeffs_mp])
+    coeffs_mp = coeffs_mp[: n + 1]
+    coeffs = np.array(coeffs[: n + 1])
     residual = _norm_residual(coeffs, g.alpha)
     t_cut = _t_cut(g.alpha, g.beta, n)
     neg = _negative_mass(coeffs, g.alpha, g.beta, t_cut)

@@ -221,16 +221,16 @@ def silverman_bandwidth(times: np.ndarray) -> float:
     return 0.9 * spread * n ** (-0.2)
 
 
-def kde(s: FptSample, grid, bandwidth: float | None = None) -> np.ndarray:
+def kde(s: FptSample, grid) -> np.ndarray:
     """Gaussian kernel density of the crossing times on the given grid.
 
-    Mass leaking below t = 0 is reflected back, so the estimate integrates
-    to one on the half line.
+    The bandwidth is Silverman's rule.  Mass leaking below t = 0 is
+    reflected back, so the estimate integrates to one on the half line.
     """
     if s.n == 0:
         raise EmptySample("no crossing times observed")
     grid = np.asarray(grid, dtype=float)
-    h = bandwidth if bandwidth is not None else silverman_bandwidth(s.times)
+    h = silverman_bandwidth(s.times)
     times = s.times
     norm = 1.0 / (s.n * h * math.sqrt(2 * math.pi))
     out = np.empty_like(grid)
@@ -245,9 +245,10 @@ def kde(s: FptSample, grid, bandwidth: float | None = None) -> np.ndarray:
 
 
 def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
-                     dt: float = 0.01, burn_fraction: float = 0.25,
-                     seed: int = 0) -> dict:
+                     dt: float = 0.01, seed: int = 0) -> dict:
     """Compare the long-run empirical mean to the stationary Gamma mean.
+
+    The first quarter of the steps is burn-in and is left out of the mean.
 
     The stationary law of the effective process is taken as Gamma with
     shape rho and rate v, giving mean rho/v (for zero harvesting this is
@@ -259,7 +260,7 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
     gen = np.random.Generator(np.random.Philox(
         key=np.array([seed & _MASK64, _STATIONARY_STREAM], dtype=np.uint64)))
     x = np.full(paths, target)
-    burn = int(steps * burn_fraction)
+    burn = int(steps * 0.25)
     acc = 0.0
     count = 0
     for j in range(steps):

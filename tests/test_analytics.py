@@ -235,7 +235,10 @@ def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
     """Fisheries-like points (rho > 0 throughout): moments from the shared
     table cache equal those from a fresh table exactly, and the recursion
     agrees with the Bell closed form to working precision."""
-    from logifpt import KernelTable, ModelParams
+    from collections import OrderedDict
+    from unittest import mock
+
+    from logifpt import ModelParams, kernels
 
     if up:
         x0 = 10 ** (2 + 2 * at_x0)                      # 1e2 .. 1e4
@@ -249,7 +252,8 @@ def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
     prob = FptProblem(direction, threshold)
     fpt_moments(d, prob, 6)
     shared = fpt_moments(d, prob, 6)
-    fresh = fpt_moments(d, prob, 6, table=KernelTable(d, 6))
+    with mock.patch.object(kernels, "_tables", OrderedDict()):
+        fresh = fpt_moments(d, prob, 6)  # from an empty cache: a fresh table
     assert shared.moments == fresh.moments
     assert shared.error_estimates == fresh.error_estimates
     assert shared.diagnostics.trunc_index == fresh.diagnostics.trunc_index

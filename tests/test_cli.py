@@ -69,6 +69,18 @@ def test_bad_usage_exits_1(capsys):
     assert main(["not-a-command"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "config.json", "--direction", "up", "--threshold", "1e4",
+     "--grid", "0:30:0.5", "--diagnostics"],
+    ["mle", "--samples", "s.csv", "--estimate", "sigma", "--fixed", "fixed.json",
+     "--seed", "1"],
+])
+def test_switches_a_command_never_read_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: logifpt") and "unrecognized arguments" in err
+
+
 def test_one_parser_serves_many_calls(config_path, capsys):
     from logifpt.cli import build_parser
 

@@ -2,8 +2,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from logifpt import (Direction, FptProblem, HypEvalConfig, fd_moments,
-                     fpt_moments, kummer_phi, laplace_transform, tricomi_psi)
+from logifpt import (Direction, FptProblem, fd_moments, fpt_moments, kummer_phi,
+                     laplace_transform, tricomi_psi)
 from logifpt.errors import BadParameterB, QuadratureFailure, StencilFailure
 from logifpt.hypergeom import _psi_any
 from tests.conftest import FISHERIES, fisheries_at
@@ -129,10 +129,6 @@ def test_fd_moments_fisheries_mean(fisheries):
             assert abs(a / b - 1) < mpf("1e-6")
 
 
-def test_hyp_config_validation():
-    with pytest.raises(ValueError):
-        HypEvalConfig(precision=64)
-    with pytest.raises(ValueError):
-        HypEvalConfig(fd_step=0.0)
+def test_fd_moments_order_validation():
     with pytest.raises(ValueError):
         fd_moments(fisheries_at(100.0), UP4, order=7)

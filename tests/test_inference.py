@@ -7,7 +7,7 @@ import pytest
 from logifpt import (Direction, FptProblem, SimConfig, build_approximant,
                      fpt_moments, log_likelihood, mle_fit, sample_fpt)
 from logifpt.errors import EmptySample, InvalidParams, NoFeasibleStart
-from logifpt.inference import PENALTY, MleConfig
+from logifpt.inference import DEFAULT_BOUNDS, PENALTY, MleConfig
 from logifpt.montecarlo import FptSample
 from tests.conftest import FISHERIES
 
@@ -120,7 +120,7 @@ def test_fit_recovers_sigma(sample_1k):
     # best-so-far log likelihood never decreases along the trace
     best = [t[2] for t in res.trace]
     assert best == sorted(best)
-    lo, hi = cfg.bound("sigma")
+    lo, hi = DEFAULT_BOUNDS["sigma"]
     assert lo <= res.estimates["sigma"] <= hi
 
 

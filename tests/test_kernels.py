@@ -15,7 +15,7 @@ from logifpt.series import (ExpSeries, falling_factorial, rising_factorial,
 from tests.conftest import FISHERIES, fisheries_at
 
 
-def dyadic_table(u_value=-2.625, precision=256, order=7, **kw):
+def dyadic_table(u_value=-2.625, precision=256, order=7):
     """Kernel table whose drift index is an exactly representable dyadic,
     so the rational brute-force oracle sees the identical u."""
     sigma = 1.0
@@ -23,7 +23,7 @@ def dyadic_table(u_value=-2.625, precision=256, order=7, **kw):
     d = derive_params(ModelParams(r=r1, K=1000.0, q=0.0, E=0.0, sigma=sigma, x0=10.0),
                       precision=precision)
     assert float(d.u) == u_value
-    return d, KernelTable(d, order, **kw)
+    return d, KernelTable(d, order)
 
 
 def euler_applied_product(factors, m):
@@ -104,19 +104,14 @@ def test_lambda_families_are_the_oracle_rounded_once(precision, n_top):
 
 
 def test_table_bounds():
-    d, tab = dyadic_table(order=5, n_max=10)
+    d, tab = dyadic_table(order=5)
+    tab.plain_row(kernels.N_MAX_DEFAULT)
     with pytest.raises(IndexError):
-        tab.plain_row(11)[0]
+        tab.plain_row(kernels.N_MAX_DEFAULT + 1)[0]
     with pytest.raises(IndexError):
         tab.tilde_row(2)[6]
     with pytest.raises(IndexError):
         tab.m_row(-1)[0]
-
-
-def test_table_of_lower_degree_is_refused():
-    d = fisheries_at(100.0)
-    with pytest.raises(ValueError):
-        l_series(1e4, 4, d, table=KernelTable(d, 3))
 
 
 def test_m_coeff_examples_and_series_oracle():
@@ -211,24 +206,23 @@ def test_l_series_basics(fisheries):
 
 def test_l_series_invariant_under_doubled_truncation():
     d = fisheries_at(2.01e7)
-    tab = KernelTable(d, 3)
     y = 3.91e7
-    ls, diag = l_series(y, 3, d, table=tab)
+    ls, diag = l_series(y, 3, d)
+    tab = kernels.ensure_table(d, 3)
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         for k in range(1, 4):
-            n2 = min(2 * diag.trunc_index[k], tab.n_max)
+            n2 = min(2 * diag.trunc_index[k], kernels.N_MAX_DEFAULT)
             direct = sum(tab.m_row(n)[k] * vy ** n / mpmath.factorial(n)
                          for n in range(1, n2 + 1))
             direct *= d.a ** k
             assert abs(direct - ls.coeffs[k]) <= mpf("1e-25") * abs(direct)
 
 
-def test_l_series_no_convergence_on_tiny_table():
+def test_l_series_no_convergence_beyond_table_bound():
     d = fisheries_at(2.01e7)
-    tab = KernelTable(d, 2, n_max=5)
     with pytest.raises(NoConvergence):
-        l_series(3.91e7, 2, d, table=tab)  # v*y ~ 17 needs far more terms
+        l_series(3e8, 2, d)  # v*y ~ 132: terms near n = 256 are not yet negligible
 
 
 def test_t_series_is_product_of_blocks(fisheries):
@@ -304,10 +298,11 @@ def test_shared_table_serves_a_threshold_scan(monkeypatch):
     before = kernels.table_cache_info()
     d1 = derive_params(ModelParams(**{**params, "x0": 100.0}))
     a = fpt_moments(d1, FptProblem(Direction.UP, 1e4), 4)
-    assert _cache_delta(before) == (0, 1)
+    # each building-block series looks the table up: x0 misses, the threshold hits
+    assert _cache_delta(before) == (1, 1)
     d2 = derive_params(ModelParams(**{**params, "x0": 150.0}))
     b = fpt_moments(d2, FptProblem(Direction.UP, 2e4), 4)
-    assert _cache_delta(before) == (1, 1)
+    assert _cache_delta(before) == (3, 1)
     assert len(built) == 1
     assert a.moments != b.moments
 
@@ -317,31 +312,24 @@ def test_shared_tables_are_bounded_and_least_recently_used_go_first():
         return derive_params(ModelParams(**{**FISHERIES, "sigma": 0.1 + i / 1000}))
 
     before = kernels.table_cache_info()
-    tables = [kernels.ensure_table(derived(i), 2, None) for i in range(20)]
+    tables = [kernels.ensure_table(derived(i), 2) for i in range(20)]
     assert _cache_delta(before) == (0, 20)
     assert kernels.table_cache_info()["size"] <= kernels.TABLE_CACHE_SIZE
     # a hit on the oldest cached table keeps it while TABLE_CACHE_SIZE - 1
     # new ones push out the others
     oldest = 20 - kernels.TABLE_CACHE_SIZE
-    assert kernels.ensure_table(derived(oldest), 2, None) is tables[oldest]
+    assert kernels.ensure_table(derived(oldest), 2) is tables[oldest]
     for i in range(20, 19 + kernels.TABLE_CACHE_SIZE):
-        kernels.ensure_table(derived(i), 2, None)
-    assert kernels.ensure_table(derived(oldest), 2, None) is tables[oldest]
-    assert kernels.ensure_table(derived(oldest + 1), 2, None) is not tables[oldest + 1]
-    # a table passed in is used as it is and never enters the cache
-    d = derived(100)
-    own = KernelTable(d, 2)
-    size = kernels.table_cache_info()["size"]
-    assert kernels.ensure_table(d, 2, own) is own
-    assert kernels.table_cache_info()["size"] == size
-    assert kernels.ensure_table(d, 2, None) is not own
+        kernels.ensure_table(derived(i), 2)
+    assert kernels.ensure_table(derived(oldest), 2) is tables[oldest]
+    assert kernels.ensure_table(derived(oldest + 1), 2) is not tables[oldest + 1]
 
 
 def test_shared_tables_are_kept_apart_by_precision_and_order():
     low, _ = dyadic_table(precision=128)
     high, _ = dyadic_table(precision=256)
     assert low.u == high.u  # one key field apart
-    tables = {(d.precision, order): kernels.ensure_table(d, order, None)
+    tables = {(d.precision, order): kernels.ensure_table(d, order)
               for d in (low, high) for order in (2, 3)}
     for (precision, order), table in tables.items():
         assert (table.precision, table.order) == (precision, order)

@@ -127,7 +127,8 @@ def test_select_order_benchmark_scenarios(fisheries):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = match_gamma(ms)
-        n, converged = select_order(ms, g, n_max=8)
+        coeffs = [float(c) for c in laguerre_coeffs(ms, g, 8)]
+        n, converged = select_order(coeffs, g.alpha)
     assert converged and 3 <= n <= 8
     # extreme dispersion: never qualifies, n_max returned with the flag down
     from tests.conftest import fisheries_at
@@ -145,10 +146,11 @@ def test_select_order_gamma_input_returns_three():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = match_gamma(ms)
-        n, converged = select_order(ms, g, n_max=8)
+        coeffs = [float(c) for c in laguerre_coeffs(ms, g, 8)]
+        n, converged = select_order(coeffs, g.alpha)
     assert n == 3 and converged
     with pytest.raises(InsufficientMoments):
-        select_order(ms, g, n_max=9)
+        laguerre_coeffs(ms, g, 9)
 
 
 def test_gamma_only_truncation_is_gamma_pdf():
