@@ -25,7 +25,7 @@ from mpmath import mp, mpf
 from .errors import NonConvergent
 from .kernels import (L_SERIES_TOL, N_MAX_DEFAULT, SeriesDiagnostics,
                       asymptotic_sum, convergent_sum, ensure_table, l_series,
-                      lbar_series, t_series)
+                      lbar_series, q_series)
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 from .series import (ExpSeries, falling_factorial, log_polynomials,
                      series_product, series_ratio, series_reciprocal_bell)
@@ -110,15 +110,18 @@ def _zero_moments(prob, order, method, precision):
                      flagged=(False,) * order)
 
 
-def _s_series(d: DerivedParams, prob: FptProblem, order: int):
-    """Building-block series at x0 and at the threshold, plus diagnostics."""
-    if prob.direction is Direction.UP:
-        s0, g0 = t_series(d.params.x0, order, d)
-        s1, g1 = t_series(prob.threshold, order, d)
-    else:
-        s0, g0 = lbar_series(d.params.x0, order, d)
-        s1, g1 = lbar_series(prob.threshold, order, d)
-    return s0, s1, SeriesDiagnostics.merge(g0, g1)
+def _endpoint_blocks(d: DerivedParams, prob: FptProblem, order: int):
+    """Building-block series at x0 and at the threshold -- the l-series
+    upcrossing, the lbar-series downcrossing -- with their merged
+    diagnostics; None for a degenerate problem."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if validate_problem(d, prob):
+        return None
+    block = l_series if prob.direction is Direction.UP else lbar_series
+    b0, g0 = block(d.params.x0, order, d)
+    b1, g1 = block(prob.threshold, order, d)
+    return b0, b1, SeriesDiagnostics.merge(g0, g1)
 
 
 def _transform_coeffs_bell(s0: ExpSeries, s1: ExpSeries, order: int):
@@ -149,13 +152,19 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     asymptotic sums are attached and orders above FLAG_RTOL are flagged;
     if ``max_rel_error`` is given, exceeding it raises NonConvergent.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    degenerate = validate_problem(d, prob)
-    if degenerate:
+    return _moments(d, prob, order, _endpoint_blocks(d, prob, order), method,
+                    max_rel_error)
+
+
+def _moments(d, prob, order, blocks, method, max_rel_error) -> MomentSet:
+    """:func:`fpt_moments` from the blocks of :func:`_endpoint_blocks`."""
+    if blocks is None:
         return _zero_moments(prob, order, method, d.precision)
-    s0, s1, diag = _s_series(d, prob, order)
+    s0, s1, diag = blocks
     with mp.workprec(d.precision):
+        if prob.direction is Direction.UP:  # t-series: q-series times l-series
+            s0 = series_product(q_series(d.params.x0, order, d), s0)
+            s1 = series_product(q_series(prob.threshold, order, d), s1)
         if method is MomentMethod.BELL_CLOSED_FORM:
             g = _transform_coeffs_bell(s0, s1, order)
         else:
@@ -203,20 +212,21 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet
     where L*_k are the order-k logarithmic polynomials of the corresponding
     building-block series (l-series up, lbar-series down) at the two states.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    degenerate = validate_problem(d, prob)
-    if degenerate:
+    return _cumulants(d, prob, order, _endpoint_blocks(d, prob, order))
+
+
+def _cumulants(d, prob, order, blocks) -> CumulantSet:
+    """:func:`fpt_cumulants` from the blocks of :func:`_endpoint_blocks`."""
+    if blocks is None:
         return CumulantSet(problem=prob, order=order, cumulants=(mpf(0),) * order,
                            precision=d.precision, degenerate=True)
+    b0, b1, _ = blocks
     x0 = d.params.x0
     s = prob.threshold
     with mp.workprec(d.precision):
+        lp0 = log_polynomials(b0.coeffs)
+        lp1 = log_polynomials(b1.coeffs)
         if prob.direction is Direction.UP:
-            l0, _ = l_series(x0, order, d)
-            l1, _ = l_series(s, order, d)
-            lp0 = log_polynomials(l0.coeffs)
-            lp1 = log_polynomials(l1.coeffs)
             pre = d.u * mpmath.log(mpf(s) / mpf(x0))
             half = mpf(1) / 2
             cum = []
@@ -226,10 +236,6 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet
                 val = pre * falling_factorial(half, k) * apow + lp0[k - 1] - lp1[k - 1]
                 cum.append((-1) ** k * val)
         else:
-            b0, _ = lbar_series(x0, order, d)
-            b1, _ = lbar_series(s, order, d)
-            lp0 = log_polynomials(b0.coeffs)
-            lp1 = log_polynomials(b1.coeffs)
             cum = [(-1) ** k * (lp0[k - 1] - lp1[k - 1]) for k in range(1, order + 1)]
     return CumulantSet(problem=prob, order=order, cumulants=tuple(cum),
                        precision=d.precision)
@@ -239,7 +245,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
     """Crossing-time mean and variance from the explicit coefficient sums.
 
     These are the order-1 and order-2 formulas written directly in terms of
-    the kernel-table rows; they serve as an independent cross-check of
+    entries 1 and 2 of the kernel-table rows; they serve as an independent cross-check of
     :func:`fpt_cumulants` at orders one and two and use the same truncation
     rules as the kernel sums (stagnation rule upcrossing, optimal truncation
     downcrossing).
@@ -254,28 +260,18 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
         vx0 = d.v * mpf(x0)
         vs = d.v * mpf(s)
         if prob.direction is Direction.UP:
-            def a1(n):
-                lp, lt = table.plain_row(n), table.tilde_row(n)
-                return (lt[1] * lp[0] - lt[0] * lp[1]) / lp[0] ** 2
-
-            def a2(n):
-                lp, lt = table.plain_row(n), table.tilde_row(n)
-                num = (lt[2] * lp[0] ** 2 - 2 * lt[1] * lp[1] * lp[0]
-                       - lt[0] * lp[2] * lp[0] + 2 * lt[0] * lp[1] ** 2)
-                return num / lp[0] ** 3
-
-            def csum(fn, vy):
+            def csum(m_, vy):
                 val, _ = convergent_sum(
-                    lambda n: fn(n) * vy ** n / mpmath.factorial(n),
+                    lambda n: table.m_row(n)[m_] * vy ** n / mpmath.factorial(n),
                     mpf(L_SERIES_TOL), N_MAX_DEFAULT)
                 return val
 
             logr = mpmath.log(mpf(x0) / mpf(s))
-            s1_x0 = csum(a1, vx0)
-            s1_s = csum(a1, vs)
+            s1_x0 = csum(1, vx0)
+            s1_s = csum(1, vs)
             mean = logr * d.a * d.u / 2 + d.a * (s1_s - s1_x0)
             var = (logr * d.a ** 2 * d.u / 4
-                   + d.a ** 2 * (csum(a2, vx0) - csum(a2, vs) + s1_s ** 2 - s1_x0 ** 2))
+                   + d.a ** 2 * (csum(2, vx0) - csum(2, vs) + s1_s ** 2 - s1_x0 ** 2))
         else:
             def asum(m_, vy):
                 def term(n):

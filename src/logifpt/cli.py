@@ -20,7 +20,8 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import __version__
-from .analytics import MomentMethod, MomentSet, fpt_cumulants, fpt_moments
+from .analytics import (MomentMethod, MomentSet, _cumulants, _endpoint_blocks, _moments,
+                        fpt_moments)
 from .errors import (InvalidParams, LogifptError, NoConvergence, NonConvergent,
                      NonPersistentRegime, InvalidHarvest, NoFeasibleStart,
                      QuadratureFailure, StencilFailure, WrongSide)
@@ -107,8 +108,9 @@ def cmd_moments(args) -> int:
     prob = _problem(args)
     method = (MomentMethod.BELL_CLOSED_FORM if args.method == "bell"
               else MomentMethod.RECURSION)
-    ms = fpt_moments(d, prob, order=args.order, method=method)
-    cs = fpt_cumulants(d, prob, order=args.order)
+    blocks = _endpoint_blocks(d, prob, args.order)  # built once for both columns
+    ms = _moments(d, prob, args.order, blocks, method, None)
+    cs = _cumulants(d, prob, args.order, blocks)
     c = cs.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="density curve vs simulated sample")
     p.add_argument("--density", required=True, help="density CSV from `density`")
     p.add_argument("--samples", required=True, help="sample CSV from `simulate`")
-    _add_common(p)
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mle", help="maximum-likelihood fit from a sample file")

@@ -1,38 +1,31 @@
 """Coefficient tables and building-block series for the crossing transforms.
 
 Everything here expands pieces of the closed-form Laplace transforms around
-the origin of the Laplace variable.  Writing ``s(z) = sqrt(1 + a z)`` (with
-``a`` the scaling from :class:`~logifpt.model.DerivedParams` and ``z`` the
-Laplace variable), the three coefficient families are defined by
+the origin of the Laplace variable.  Writing ``w = a z`` and
+``s = sqrt(1 + w)`` (with ``a`` the scaling from
+:class:`~logifpt.model.DerivedParams` and ``z`` the Laplace variable), every
+moment and cumulant comes from two families of rows, exp-convention series
+in ``w``:
 
-    <1 - 2u s(z)>_n  = sum_k  plain(n, k)  (a z)^k / k!
-    <u (1 - s(z))>_n = sum_m  tilde(n, m)  (a z)^m / m!
-    <u (1 + s(z))>_n = sum_m  bar(n, m)    (a z)^m / m!
+    m_row(n)    = <u (1 - s)>_n / <1 - 2u s>_n
+    mbar_row(n) = <u (1 - s)>_n  <u (1 + s)>_n
 
-where ``<x>_n`` is the rising factorial.  Each family is evaluated through
-explicit sums over unsigned Stirling numbers of the first kind (the image of
-``t^j`` under the k-th falling power of the halved Euler operator ``t d/dt``
-is ``(j/2)_k t^j``, which turns the rising-factorial polynomials into the
-finite sums implemented below).  Entry m of a row is
+where ``<x>_n`` is the rising factorial.  Going from n to n+1 multiplies a
+row by one rational factor in s, so :class:`KernelTable` builds the rows in
+order of n, each from the one before (Taylor-mode evaluation of the term
+ratio of Kummer's series):
 
-    2^-m  sum_j  s(n+shift, j+shift) W(family, m, j) base^j,
+    m_row(n+1)    = m_row(n) (n + u (1 - s)) / (1 + n - 2u s)
+    mbar_row(n+1) = mbar_row(n) (n^2 + 2u n - u^2 w)
 
-with base = -2u for ``plain`` and u otherwise.  The weights do not depend on
-u and are integers, because 2^m (j/2)_m = j (j-2) ... (j-2m+2).  An mpf u is
-exactly man 2^e, so the whole sum, scaled by a power of two, is an exact
-Python integer, evaluated by Horner's rule in the mantissa.  Rows are built
-with no rounding at all until each entry is converted once to an mpf at the
-table's precision; that one rounding is all that separates an entry from its
-exact value.
-
-For fixed n each family is an exp-convention series in ``a z``;
-:class:`KernelTable` keeps it as a row (``plain_row``, ``tilde_row``,
-``bar_row``) of degree ``order``.  The series algebra of
-:mod:`logifpt.series` then gives ``m_row(n)``, the ratio
-``<u(1-s)>_n / <1-2us>_n``, and ``mbar_row(n)``, the product
-``<u(1-s)>_n <u(1+s)>_n``.  The product is symmetric under ``s -> -s`` and
-hence a polynomial of degree n in z: ``mbar_row(n)[m] = 0`` for ``m > n``
-identically, which the downcrossing sums exploit.
+The first takes one series division by the linear factor, the second is a
+shift and a scaling in w; both run at the table's precision and round once
+per step, so an entry carries the rounding of every step before it.  The
+second factor is (u(1-s) + n)(u(1+s) + n), whose s^2 = 1 + w makes it linear
+in w: ``mbar_row(n)`` is a polynomial of degree n, so ``mbar_row(n)[m] = 0``
+for ``m > n`` identically, which the downcrossing sums exploit.  Entry m of
+either row reads only entries up to m, so a row of degree ``order`` is the
+exact prefix of a row of any higher degree.
 
 The upcrossing building blocks (``q_series``, ``l_series``, ``t_series``)
 are convergent sums over n and are truncated by a stagnation rule; the
@@ -42,10 +35,11 @@ omitted term as the error estimate).
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
 process-wide cache of :class:`KernelTable` objects keyed by
-``(u, precision, order)``: rows depend on nothing else, so a moments or
-density scan over thresholds or starting states at fixed (r, K, q, E, sigma)
-builds its rows once.  The cache keeps the TABLE_CACHE_SIZE most recently
-used tables and drops the least recently used beyond that;
+``(u, precision)``: rows depend on nothing else, so a moments or density
+scan over thresholds or starting states at fixed (r, K, q, E, sigma)
+builds its rows once.  A cached table serves any order up to its own; a
+request of higher order replaces it.  The cache keeps the TABLE_CACHE_SIZE
+most recently used tables and drops the least recently used beyond that;
 ``table_cache_info`` reports its hits, misses and size.  Sums over n stop at
 N_MAX_DEFAULT, the last row a table holds, and the convergent ones are cut
 at the relative tolerance L_SERIES_TOL.
@@ -56,15 +50,13 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp, mpf
 
 from .errors import NoConvergence
 from .model import DerivedParams
-from .series import (ExpSeries, falling_factorial, series_product, series_ratio,
-                     stirling1_unsigned)
+from .series import ExpSeries, falling_factorial, series_product
 
 # last row n of every table, hence the last term of every sum over n
 N_MAX_DEFAULT = 256
@@ -80,115 +72,94 @@ _tables: OrderedDict = OrderedDict()
 _table_counts = {"hits": 0, "misses": 0}
 
 
-@lru_cache(maxsize=None)
-def _weight(family: str, m: int, j: int) -> int:
-    """2^m times the u-independent weight of base^j in entry m of a row.
-
-    ``plain`` carries 2^m (j/2)_m = j (j-2) ... (j-2m+2).  ``tilde`` and
-    ``bar`` carry sum_i (+-1)^i C(j,i) 2^m (i/2)_m, the t=1 value of the m-th
-    halved-Euler falling power applied to (1 -+ t)^j, times 2^m; the
-    alternating (``tilde``) one vanishes for j > m, since alternating
-    binomial sums annihilate polynomials of degree < j.
-    """
-    def doubled(i):
-        return math.prod(range(i, i - 2 * m, -2))
-
-    if family == "plain":
-        return doubled(j)
-    sign = -1 if family == "tilde" else 1
-    return sum(sign ** i * math.comb(j, i) * doubled(i) for i in range(j + 1))
-
-
 class KernelTable:
     """Per-n coefficient rows for a fixed drift index u.
 
-    Row ``(family, n)``, n = 0..N_MAX_DEFAULT, is the :class:`ExpSeries` in
-    ``a z`` of the family's n-th member, of degree ``order``.  Rows are built
-    at the precision of the derived parameters on first use and cached in
-    one dict; the table is immutable from the caller's perspective and safe
-    to share once built.
+    ``m_row(n)`` and ``mbar_row(n)``, n = 0..N_MAX_DEFAULT, are the
+    :class:`ExpSeries` in ``a z`` of the n-th ratio and product, of degree
+    ``order``.  Rows are built in order of n at the precision of the derived
+    parameters, each from the one before, on first use, and kept; the table
+    is immutable from the caller's perspective and safe to share once built.
     """
 
     def __init__(self, d: DerivedParams, order: int):
         self.u = d.u
         self.precision = d.precision
         self.order = order
-        self._rows = {}
+        with mp.workprec(self.precision):
+            # s_k = (1/2)(1/2 - 1)...(1/2 - k + 1), the coefficients of
+            # s = sqrt(1 + w) in exp convention; entry m of a series division by
+            # a linear factor in s weighs D_{m-k} by C(m, k) s_k
+            s = [mpf(1)]
+            for k in range(order):
+                s.append(s[-1] * (mpf(1) / 2 - k))
+            self._weights = [[math.comb(m, k) * s[k] for k in range(m + 1)]
+                             for m in range(order + 1)]
+            one = ExpSeries.identity(order, mpf(1))
+        self._rows = {"m": [one], "mbar": [one]}
 
-    def _row(self, family: str, n: int, build) -> ExpSeries:
+    def _row(self, family: str, n: int, step) -> ExpSeries:
         if not 0 <= n <= N_MAX_DEFAULT:
             raise IndexError(f"n = {n} outside table bounds 0..{N_MAX_DEFAULT}")
-        key = (family, n)
-        if key not in self._rows:
+        rows = self._rows[family]
+        if n >= len(rows):
             with mp.workprec(self.precision):
-                self._rows[key] = build()
-        return self._rows[key]
+                while len(rows) <= n:
+                    rows.append(step(len(rows) - 1, rows[-1]))
+        return rows[n]
 
-    def _stirling_row(self, n: int, base, shift: int, family: str) -> ExpSeries:
-        """Entries sum_j s(n+shift, j+shift) _weight(family, m, j) base^j / 2^m,
-        m = 0..order, each summed exactly in integers and rounded once.
+    def _m_step(self, i: int, prev: ExpSeries) -> ExpSeries:
+        """m_row(i+1) = (i + u(1-s)) D with D = m_row(i) / (1 + i - 2us).
 
-        base is exactly x 2^-k with integers x and k >= 0, so an entry whose
-        sum runs to j = top, times 2^(k top + m), is the integer
-        sum_j s(n+shift, j+shift) W x^j 2^(k (top-j)), built by Horner's rule
-        in x.  ``tilde`` weights vanish for j > m, so top = min(n, m) there.
+        D takes one series division, D_m = (prev_m + 2u S_m) / (1 + i - 2u)
+        with S_m = sum_{k=1..m} C(m,k) s_k D_{m-k}; entry m of the new row
+        is i D_m - u S_m.  Since i + u(1-s) = (1 + i - 2us)/2 + u + (i-1)/2
+        this is m_row(i)/2 + (u + (i-1)/2) D, but written so that entry 0
+        comes out an exact zero for every u.
         """
-        x, e = base.man_exp
-        if base < 0:  # mpmath's man_exp gives the mantissa unsigned
-            x = -x
-        k = max(-e, 0)
-        x <<= e + k
-        stirling = [stirling1_unsigned(n + shift, j + shift) for j in range(n + 1)]
-        out = []
-        for m in range(self.order + 1):
-            top = min(n, m) if family == "tilde" else n
-            acc = 0
-            for j in range(top, -1, -1):
-                acc = acc * x + (stirling[j] * _weight(family, m, j) << k * (top - j))
-            out.append(mpf((acc, -k * top - m)))
+        u = self.u
+        two_u = 2 * u
+        den = 1 + i - two_u
+        quot, out = [], []
+        for m_, weights in enumerate(self._weights):
+            conv = mpf(0)
+            for k in range(1, m_ + 1):
+                conv += weights[k] * quot[m_ - k]
+            quot.append((prev[m_] + two_u * conv) / den)
+            out.append(i * quot[m_] - u * conv)
         return ExpSeries(tuple(out))
 
-    def plain_row(self, n: int) -> ExpSeries:
-        """<1 - 2u s(z)>_n; entry 0 equals the rising factorial <1-2u>_n."""
-        return self._row("plain", n, lambda: self._stirling_row(n, -2 * self.u, 1, "plain"))
-
-    def tilde_row(self, n: int) -> ExpSeries:
-        """<u (1 - s(z))>_n; entry 0 vanishes for n >= 1 since <0>_n = 0."""
-        return self._row("tilde", n, lambda: self._stirling_row(n, self.u, 0, "tilde"))
-
-    def bar_row(self, n: int) -> ExpSeries:
-        """<u (1 + s(z))>_n; entry 0 equals <2u>_n."""
-        return self._row("bar", n, lambda: self._stirling_row(n, self.u, 0, "bar"))
+    def _mbar_step(self, i: int, prev: ExpSeries) -> ExpSeries:
+        """mbar_row(i+1) = (i^2 + 2ui - u^2 w) mbar_row(i); multiplying by w
+        shifts an exp-convention series up one place and scales entry m by m."""
+        c = i * (i + 2 * self.u)
+        u2 = self.u ** 2
+        return ExpSeries((c * prev[0],) + tuple(c * prev[m_] - u2 * m_ * prev[m_ - 1]
+                                                for m_ in range(1, self.order + 1)))
 
     def m_row(self, n: int) -> ExpSeries:
         """<u(1-s)>_n / <1-2us>_n; entry 0 vanishes for n >= 1, and the
         denominator constant <1-2u>_n never does in the persistent regime."""
-        return self._row("m", n, lambda: series_ratio(self.tilde_row(n),
-                                                      self.plain_row(n)))
+        return self._row("m", n, self._m_step)
 
     def mbar_row(self, n: int) -> ExpSeries:
-        """<u(1-s)>_n <u(1+s)>_n.
-
-        The product is even in s, hence a polynomial of degree n in z, so
-        entries above n are set to exact zeros; entry 0 vanishes for n >= 1.
-        """
-        def build():
-            prod = series_product(self.tilde_row(n), self.bar_row(n)).coeffs
-            return ExpSeries(prod[: n + 1] + (mpf(0),) * (self.order - n))
-
-        return self._row("mbar", n, build)
+        """<u(1-s)>_n <u(1+s)>_n, a polynomial of degree n in z: entries
+        above n, and entry 0 for n >= 1, are exact zeros."""
+        return self._row("mbar", n, self._mbar_step)
 
 
 def ensure_table(d: DerivedParams, order: int) -> KernelTable:
-    """The shared table for (u, precision, order).
+    """The shared table for (u, precision), of degree at least ``order``.
 
-    The process-wide cache is looked up by ``(d.u, d.precision, order)`` and
-    a table of degree ``order`` is built on a miss; the least recently used
-    table beyond TABLE_CACHE_SIZE is dropped.
+    The process-wide cache is looked up by ``(d.u, d.precision)``.  Entry m
+    of a row depends only on entries up to m, so a cached table of higher
+    degree serves a lower ``order`` unchanged; a table of lower degree, or
+    none, is replaced by a new one of degree ``order``.  The least recently
+    used table beyond TABLE_CACHE_SIZE is dropped.
     """
-    key = (d.u, d.precision, order)
+    key = (d.u, d.precision)
     table = _tables.pop(key, None)
-    if table is None:
+    if table is None or table.order < order:
         _table_counts["misses"] += 1
         table = KernelTable(d, order)
     else:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
@@ -225,20 +225,9 @@ def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
             assert abs(x / y - 1) < mpf("1e-6")
 
 
-@given(st.floats(min_value=0.5, max_value=1.0),       # growth rate r
-       st.floats(min_value=0.15, max_value=0.3),      # sigma
-       st.booleans(),                                 # upcrossing?
-       st.floats(min_value=0.0, max_value=1.0),       # where in the range x0 sits
-       st.floats(min_value=0.0, max_value=1.0))       # where the threshold sits
-@settings(max_examples=12, deadline=None)
-def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
-    """Fisheries-like points (rho > 0 throughout): moments from the shared
-    table cache equal those from a fresh table exactly, and the recursion
-    agrees with the Bell closed form to working precision."""
-    from collections import OrderedDict
-    from unittest import mock
-
-    from logifpt import ModelParams, kernels
+def fisheries_like(r, sigma, up, at_x0, at_threshold):
+    """(derived, problem) at a fisheries-like point; rho > 0 throughout."""
+    from logifpt import ModelParams
 
     if up:
         x0 = 10 ** (2 + 2 * at_x0)                      # 1e2 .. 1e4
@@ -249,7 +238,26 @@ def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
         threshold = x0 * (0.5 + 0.25 * at_threshold)
         direction = Direction.DOWN
     d = derive_params(ModelParams(**{**FISHERIES, "r": r, "sigma": sigma, "x0": x0}))
-    prob = FptProblem(direction, threshold)
+    return d, FptProblem(direction, threshold)
+
+
+GROWTH = st.floats(min_value=0.5, max_value=1.0)        # growth rate r
+SIGMA = st.floats(min_value=0.15, max_value=0.3)
+WHERE = st.floats(min_value=0.0, max_value=1.0)         # where in its range
+
+
+@given(GROWTH, SIGMA, st.booleans(), WHERE, WHERE)      # upcrossing?, x0, threshold
+@settings(max_examples=12, deadline=None)
+def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
+    """Fisheries-like points (rho > 0 throughout): moments from the shared
+    table cache equal those from a fresh table exactly, and the recursion
+    agrees with the Bell closed form to working precision."""
+    from collections import OrderedDict
+    from unittest import mock
+
+    from logifpt import kernels
+
+    d, prob = fisheries_like(r, sigma, up, at_x0, at_threshold)
     fpt_moments(d, prob, 6)
     shared = fpt_moments(d, prob, 6)
     with mock.patch.object(kernels, "_tables", OrderedDict()):
@@ -262,3 +270,28 @@ def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
     with mp.workprec(d.precision):
         for x, y in zip(shared.moments, bell.moments):
             assert abs(x / y - 1) < mpf("1e-60")
+
+
+@given(GROWTH, SIGMA, st.booleans(), WHERE, WHERE)
+@example(r=1.0, sigma=0.25, up=False, at_x0=0.0, at_threshold=0.0)
+@settings(max_examples=12, deadline=None)
+def test_moments_are_positive_or_flagged(r, sigma, up, at_x0, at_threshold):
+    """Upcrossing moments are convergent sums and always positive.  The
+    downcrossing sums are asymptotic in 1/(v y); where v y is too small for
+    them (the explicit example: a mean of -3.35 with a relative error
+    estimate of 3) the moments are flagged, and every unflagged one is
+    positive."""
+    d, prob = fisheries_like(r, sigma, up, at_x0, at_threshold)
+    ms = fpt_moments(d, prob, 6)
+    assert all(m > 0 or flagged for m, flagged in zip(ms.moments, ms.flagged))
+    assert not (up and any(ms.flagged))
+
+
+@given(GROWTH, SIGMA, WHERE, WHERE, WHERE)
+@settings(max_examples=12, deadline=None)
+def test_upcrossing_mean_rises_with_threshold(r, sigma, at_x0, at_low, at_high):
+    at_low, at_high = sorted((at_low, at_high))
+    d, low = fisheries_like(r, sigma, True, at_x0, at_low)
+    _, high = fisheries_like(r, sigma, True, at_x0, at_high)
+    lower, upper = (fpt_moments(d, prob, 1).mean for prob in (low, high))
+    assert upper > lower if high.threshold > low.threshold else upper == lower

@@ -74,6 +74,7 @@ def test_bad_usage_exits_1(capsys):
      "--grid", "0:30:0.5", "--diagnostics"],
     ["mle", "--samples", "s.csv", "--estimate", "sigma", "--fixed", "fixed.json",
      "--seed", "1"],
+    ["compare", "--density", "d.csv", "--samples", "s.csv", "--precision", "128"],
 ])
 def test_switches_a_command_never_read_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)

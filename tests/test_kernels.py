@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import mpmath
@@ -10,8 +9,8 @@ from logifpt import (KernelTable, ModelParams, derive_params, l_series,
 from logifpt import kernels
 from logifpt.errors import NoConvergence
 from logifpt.kernels import asymptotic_sum, convergent_sum
-from logifpt.series import (ExpSeries, falling_factorial, rising_factorial,
-                            series_exp, series_product, series_ratio)
+from logifpt.series import (ExpSeries, falling_factorial, series_exp, series_product,
+                            series_ratio)
 from tests.conftest import FISHERIES, fisheries_at
 
 
@@ -47,106 +46,64 @@ def lam_oracles(u, n, m):
     return plain, tilde, bar
 
 
-def test_lambda_small_examples():
-    u = -2.625
-    d, tab = dyadic_table(u)
-    assert tab.plain_row(1)[1] == -mpf(u)
-    # n=2, k=1 at u=-1: expand (1-2ut)(2-2ut), apply Euler/2, set t=1 -> -3u+4u^2
-    d1, tab1 = dyadic_table(-1.0)
-    assert tab1.plain_row(2)[1] == 7
-    assert tab.tilde_row(1)[1] == -mpf(u) / 2
-    assert tab.bar_row(1)[1] == mpf(u) / 2
-    for n in range(1, 5):
-        assert tab.tilde_row(n)[0] == 0
-        assert tab.tilde_row(0)[n] == 0
-        assert tab.bar_row(0)[n] == 0
-    assert tab.tilde_row(0)[0] == 1
+def exact(q):
+    return mpf(q.numerator) / q.denominator
 
 
-def test_lambda_plain_k0_is_rising_factorial():
-    d, tab = dyadic_table()
-    with mp.workprec(256):
-        for n in range(0, 12):
-            expect = rising_factorial(1 - 2 * d.u, n)
-            assert abs(tab.plain_row(n)[0] - expect) <= mpf("1e-70") * abs(expect)
-
-
-def test_lambda_families_match_symbolic_oracle():
-    u = -2.625
-    d, tab = dyadic_table(u)
-    for n in range(0, 7):
-        for m in range(0, 7):
-            plain, tilde, bar = lam_oracles(u, n, m)
-            for got, want in ((tab.plain_row(n)[m], plain),
-                              (tab.tilde_row(n)[m], tilde),
-                              (tab.bar_row(n)[m], bar)):
-                want = mpf(want.numerator) / want.denominator
-                assert abs(got - want) <= mpf("1e-65") * max(1, abs(want))
-
-
-@pytest.mark.parametrize("precision, n_top", [(256, 6), (53, 12)])
-def test_lambda_families_are_the_oracle_rounded_once(precision, n_top):
-    """Rows are summed exactly at the dyadic u and rounded once, so every
-    entry equals the exact rational value correctly rounded to the table's
-    precision.  At 53 bits the larger n need more bits than the precision
-    holds, so a per-term rounding shows."""
-    u = -2.625
-    d, tab = dyadic_table(u, precision=precision)
-    for n in range(0, n_top + 1):
-        for m in range(0, 7):
-            for got, want in zip((tab.plain_row(n)[m], tab.tilde_row(n)[m],
-                                  tab.bar_row(n)[m]), lam_oracles(u, n, m)):
-                with mp.workprec(precision):
-                    rounded = mpf(mpmath.libmp.from_rational(
-                        want.numerator, want.denominator, precision,
-                        mpmath.libmp.round_nearest))
-                assert got == rounded
+def oracle_rows(u, n, order):
+    """m_row(n) and mbar_row(n) in exact rationals: series_ratio and
+    series_product of the Fraction expansions of the rising factorials."""
+    plain, tilde, bar = zip(*(lam_oracles(u, n, m) for m in range(order + 1)))
+    return (series_ratio(ExpSeries(tilde), ExpSeries(plain)).coeffs,
+            series_product(ExpSeries(tilde), ExpSeries(bar)).coeffs)
 
 
 def test_table_bounds():
     d, tab = dyadic_table(order=5)
-    tab.plain_row(kernels.N_MAX_DEFAULT)
+    tab.m_row(kernels.N_MAX_DEFAULT)
     with pytest.raises(IndexError):
-        tab.plain_row(kernels.N_MAX_DEFAULT + 1)[0]
+        tab.m_row(kernels.N_MAX_DEFAULT + 1)[0]
     with pytest.raises(IndexError):
-        tab.tilde_row(2)[6]
+        tab.m_row(2)[6]
     with pytest.raises(IndexError):
         tab.m_row(-1)[0]
 
 
-def test_m_coeff_examples_and_series_oracle():
-    d, tab = dyadic_table()
+def test_m_coeff_examples_and_series_oracle(fisheries):
+    d, tab = dyadic_table(order=6)
     u = d.u
-    assert tab.m_row(3)[0] == 0
+    assert tab.m_row(0)[0] == 1
     with mp.workprec(256):
         expect = -u / (2 * (1 - 2 * u))
         assert abs(tab.m_row(1)[1] - expect) <= mpf("1e-70") * abs(expect)
+    # the recurrence rounds once per step; 1e-65 bounds what 12 steps leave
     with mp.workprec(256):
-        for n in range(1, 7):
-            num = ExpSeries(tuple(tab.tilde_row(n)[m] for m in range(7)))
-            den = ExpSeries(tuple(tab.plain_row(n)[m] for m in range(7)))
-            ratio = series_ratio(num, den)
-            scale = max(1, max(abs(c) for c in ratio.coeffs))
+        for n in range(0, 13):
+            want, _ = oracle_rows(-2.625, n, 6)
             for m in range(7):
-                assert abs(tab.m_row(n)[m] - ratio.coeffs[m]) <= mpf("1e-55") * scale
+                e = exact(want[m])
+                assert abs(tab.m_row(n)[m] - e) <= mpf("1e-65") * max(1, abs(e))
+    # entry 0 is <0>_n / <1-2u>_n: an exact zero at a u that is not dyadic too
+    fish = KernelTable(fisheries, 2)
+    for n in range(1, 13):
+        assert tab.m_row(n)[0] == 0
+        assert fish.m_row(n)[0] == 0
 
 
 def test_mbar_examples_and_series_oracle():
-    d, tab = dyadic_table()
+    d, tab = dyadic_table(order=6)
     u = d.u
     assert tab.mbar_row(0)[0] == 1
     assert tab.mbar_row(0)[3] == 0
-    for n in range(1, 5):
+    for n in range(1, 13):
         assert tab.mbar_row(n)[0] == 0
     assert abs(tab.mbar_row(1)[1] - (-u ** 2)) <= mpf("1e-70") * abs(u ** 2)
     with mp.workprec(256):
-        for n in range(1, 7):
-            A = ExpSeries(tuple(tab.tilde_row(n)[m] for m in range(7)))
-            B = ExpSeries(tuple(tab.bar_row(n)[m] for m in range(7)))
-            prod = series_product(A, B)
-            scale = max(1, max(abs(c) for c in prod.coeffs))
+        for n in range(0, 13):
+            _, want = oracle_rows(-2.625, n, 6)
             for m in range(7):
-                assert abs(tab.mbar_row(n)[m] - prod.coeffs[m]) <= mpf("1e-55") * scale
+                e = exact(want[m])
+                assert abs(tab.mbar_row(n)[m] - e) <= mpf("1e-65") * max(1, abs(e))
 
 
 def test_mbar_degree_bound():
@@ -325,11 +282,40 @@ def test_shared_tables_are_bounded_and_least_recently_used_go_first():
     assert kernels.ensure_table(derived(oldest + 1), 2) is not tables[oldest + 1]
 
 
-def test_shared_tables_are_kept_apart_by_precision_and_order():
+def test_shared_tables_are_keyed_by_u_and_precision():
+    from collections import OrderedDict
+    from unittest import mock
+
+    from logifpt import Direction, FptProblem, fpt_moments
+
     low, _ = dyadic_table(precision=128)
     high, _ = dyadic_table(precision=256)
     assert low.u == high.u  # one key field apart
-    tables = {(d.precision, order): kernels.ensure_table(d, order)
-              for d in (low, high) for order in (2, 3)}
-    for (precision, order), table in tables.items():
-        assert (table.precision, table.order) == (precision, order)
+    for d in (low, high):
+        assert kernels.ensure_table(d, 3).precision == d.precision
+    assert kernels.ensure_table(low, 3) is not kernels.ensure_table(high, 3)
+
+    # rows of a lower order are the prefix of those of a higher one, so an
+    # order-10 table serves order 4 with the numbers of a fresh order-4 table
+    cases = [(fisheries_at(100.0), FptProblem(Direction.UP, 1e4)),
+             (fisheries_at(3.91e7), FptProblem(Direction.DOWN, 2.8e7))]
+    for d, prob in cases:
+        with mock.patch.object(kernels, "_tables", OrderedDict()):
+            ten = kernels.ensure_table(d, 10)
+            served = fpt_moments(d, prob, 4)
+            assert kernels.ensure_table(d, 4) is ten
+        with mock.patch.object(kernels, "_tables", OrderedDict()):
+            fresh = fpt_moments(d, prob, 4)
+            assert kernels.ensure_table(d, 4).order == 4
+        assert served.moments == fresh.moments
+        assert served.error_estimates == fresh.error_estimates
+        assert served.diagnostics.trunc_index == fresh.diagnostics.trunc_index
+
+    # a higher order replaces the cached table, which then serves both
+    d = fisheries_at(100.0)
+    with mock.patch.object(kernels, "_tables", OrderedDict()):
+        four = kernels.ensure_table(d, 4)
+        ten = kernels.ensure_table(d, 10)
+        assert ten is not four and ten.order == 10
+        assert kernels.ensure_table(d, 4) is ten
+        assert kernels.table_cache_info()["size"] == 1
