@@ -1,44 +1,50 @@
 """Gamma-referenced orthogonal density approximation from moments.
 
-The n-th approximant is
+The n-th approximant, in normalized form, is
 
-    g_n(t) = beta (beta t)^alpha exp(-beta t) * sum_{k=0}^n B_k L_k^(alpha)(beta t),
+    g_n(t) = beta f_alpha(beta t) p(beta t),   p = sum_{k=0}^n b_k L_k^(alpha),
+    f_alpha(x) = x^alpha e^-x / Gamma(alpha + 1),
+    b_k = Gamma(alpha + 1) B_k = sum_j C(k, j) (-beta)^j E[T^j] / (alpha + 1)_j,
 
-with generalized Laguerre polynomials L_k and Fourier coefficients
+with generalized Laguerre polynomials L_k and the paper's Fourier
+coefficients B_k.  So b_0 = 1, the n = 0 truncation is the Gamma density,
+and matching (alpha, beta) to two moments makes b_1 and b_2 vanish.  The b_k
+are summed in arbitrary precision (the sums alternate violently once moments
+span many decades); evaluation runs in double precision through the
+three-term recurrence, with f_alpha taken through logarithms so that it is
+finite for every alpha > -1.
 
-    B_k = sum_j C(k, j) (-beta)^j E[T^j] / Gamma(alpha + j + 1),
+Integrals are closed form.  By DLMF 18.9, d/dx [x^(alpha+1) e^-x
+L_(k-1)^(alpha+1)(x)] = k x^alpha e^-x L_k^(alpha)(x), so the raw
+distribution function is, with P the regularized incomplete gamma function,
 
-so B_0 = 1/Gamma(alpha+1) and the n = 0 truncation is exactly the Gamma
-density.  Matching (alpha, beta) to the first two moments makes B_1 and B_2
-vanish.  Coefficients are accumulated in arbitrary precision (the sums
-alternate violently once moments span many decades) and downcast for
-evaluation, which runs in double precision through the three-term
-recurrence.
+    F(x) = P(alpha + 1, x) + x^(alpha+1) e^-x / Gamma(alpha + 1)
+                             * sum_{k>=1} (b_k / k) L_(k-1)^(alpha+1)(x),
 
-Truncation-order selection and the positivity correction follow simple,
-explicitly documented rules: normalization is checked by generalized
-Gauss-Laguerre quadrature, origin/tail signs come from the constant and
-leading polynomial coefficients, and negative parts are clipped to zero
-followed by renormalization (the measured pre-correction negative mass is
-always reported).
+and F(inf) = 1.  The roots of p are the eigenvalues of its comrade matrix:
+the Jacobi matrix of the recurrence with n b_k / b_n added to its last row.
+The negative mass is a sum of differences of F between roots, in which an
+error in a root enters only at second order.  Negative parts are clipped to
+zero and the rest renormalized; the pre-correction mass is always reported.
+By orthogonality the raw expansion integrates to exactly 1, so
+``norm_residual`` (Gauss-Laguerre quadrature of p) reports only how well p
+is conditioned in double precision.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp, mpf
-import mpmath
-from scipy import special, stats
+from scipy import linalg, special
 
 from .analytics import MomentSet
 from .errors import (ExpansionConditionWarning, InsufficientMoments,
                      SingularOriginWarning, ZeroVariance)
 
-GAMMA_TAIL_MASS = 1e-13
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
 
@@ -95,159 +101,158 @@ def laguerre_poly(k: int, alpha: float, x):
     Accepts scalars or numpy arrays; the explicit binomial sum is reserved
     for test oracles at small k.
     """
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for i in range(k):
-        prev, cur = cur, ((2 * i + 1 + alpha - x) * cur - (i + alpha) * prev) / (i + 1)
-    return cur if cur.shape else float(cur)
+    out = _coeff_sum(np.eye(k + 1)[k], alpha, x)
+    return out if out.shape else float(out)
 
 
 def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
-    """Fourier-Laguerre coefficients B_0..B_n in arbitrary precision."""
+    """Normalized coefficients b_0..b_n in arbitrary precision.
+
+    b_k = Gamma(alpha + 1) B_k, where B_k are the paper's Fourier-Laguerre
+    coefficients, so b_0 = 1.  The rising factorial (alpha + 1)_j is a
+    running product; no Gamma function is evaluated.
+    """
     if ms.order < n:
         raise InsufficientMoments(f"need {n} moments, MomentSet carries {ms.order}")
     with mp.workprec(ms.precision):
-        alpha = g.alpha_mp
-        beta = g.beta_mp
         mu = (mpf(1),) + tuple(ms.moments)
         c = []
-        bj = mpf(1)
+        scale = mpf(1)  # (-beta)^j / (alpha + 1)_j
         for j in range(n + 1):
-            c.append(bj * mu[j] / mpmath.gamma(alpha + j + 1))
-            bj *= -beta
+            c.append(scale * mu[j])
+            scale *= -g.beta_mp / (g.alpha_mp + j + 1)
         out = [sum((math.comb(k, j) * c[j] for j in range(k + 1)), mpf(0))
                for k in range(n + 1)]
     return out
 
 
-def _coeff_sum(coeffs: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
-    """sum_k B_k L_k^(alpha)(x), accumulated along the recurrence."""
+def _gamma_pdf(alpha: float, x):
+    """f_alpha(x); at x = 0 it is 0, 1 or inf as alpha is > 0, = 0 or < 0."""
+    return np.exp(special.xlogy(alpha, x) - x - special.gammaln(alpha + 1))
+
+
+def _coeff_sum(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
+    """sum_k b_k L_k^(alpha)(x), accumulated along the recurrence (0 if empty)."""
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
-    acc = coeffs[0] * cur
-    for i in range(len(coeffs) - 1):
-        prev, cur = cur, ((2 * i + 1 + alpha - x) * cur - (i + alpha) * prev) / (i + 1)
-        acc = acc + coeffs[i + 1] * cur
+    acc = np.zeros_like(x)
+    for i, c in enumerate(coeffs):
+        if i:
+            prev, cur = cur, ((2 * i - 1 + alpha - x) * cur - (i - 1 + alpha) * prev) / i
+        acc = acc + c * cur
     return acc
 
 
-def _laguerre_at_zero(k: int, alpha: float) -> float:
-    # L_k^(alpha)(0) = C(k + alpha, k)
-    return math.exp(special.gammaln(alpha + k + 1)
-                    - special.gammaln(k + 1) - special.gammaln(alpha + 1))
+def _raw_cdf(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
+    """F(x), the integral of f_alpha p over (0, x), by the DLMF 18.9 antiderivative."""
+    k = np.arange(1, len(coeffs))
+    with np.errstate(invalid="ignore"):
+        # x^(alpha+1) e^-x / Gamma(alpha+1): NaN at x = inf, where the term is 0
+        w = (alpha + 1) * _gamma_pdf(alpha + 1, x)
+        tail = w * _coeff_sum(coeffs[1:] / k, alpha + 1, x)
+    return coeffs[0] * special.gammainc(alpha + 1, x) + np.where(w > 0, tail, 0.0)
+
+
+def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
+    """Real positive roots of p, ascending, as comrade-matrix eigenvalues."""
+    n = len(np.trim_zeros(coeffs, "b")) - 1
+    if n < 1:
+        return np.empty(0)
+    k = np.arange(1.0, n)
+    jac = (np.diag(2 * np.arange(n) + alpha + 1.0)
+           - np.diag(k, 1) - np.diag(k + alpha, -1))
+    jac[-1] += n * coeffs[:n] / coeffs[n]
+    ev = np.linalg.eigvals(jac)
+    return np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
+
+
+def _negative_intervals(coeffs: np.ndarray, alpha: float):
+    """Ends (a, b) of the intervals of (0, inf) on which p < 0."""
+    edges = np.concatenate([[0.0], _roots(coeffs, alpha), [np.inf]])
+    inner = np.append((edges[:-2] + edges[1:-1]) / 2, 2 * edges[-2] + 1)
+    neg = _coeff_sum(coeffs, alpha, inner) < 0
+    return edges[:-1][neg], edges[1:][neg]
 
 
 def _norm_residual(coeffs: np.ndarray, alpha: float) -> float:
-    """|integral of the raw approximant - 1| by generalized Gauss-Laguerre."""
-    deg = max(2 * len(coeffs) + 8, 24)
-    nodes, weights = special.roots_genlaguerre(deg, alpha)
-    vals = _coeff_sum(coeffs, alpha, nodes)
-    return abs(float(weights @ vals) - 1.0)
+    """|integral of f_alpha p - 1| by generalized Gauss-Laguerre quadrature.
 
-
-def _t_cut(alpha: float, beta: float, n: int) -> float:
-    # quantile of the Gamma with the polynomial degree absorbed in the shape
-    return 1.25 * float(stats.gamma.ppf(1 - GAMMA_TAIL_MASS, a=alpha + n + 1,
-                                        scale=1.0 / beta))
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix, the weights (normalized to sum to 1) the squared first
+    components of its eigenvectors.
+    """
+    m = max(2 * len(coeffs) + 8, 24)
+    k = np.arange(1, m)
+    nodes, vecs = linalg.eigh_tridiagonal(2 * np.arange(m) + alpha + 1.0,
+                                          np.sqrt(k * (k + alpha)))
+    return abs(float(vecs[0] ** 2 @ _coeff_sum(coeffs, alpha, nodes)) - 1.0)
 
 
 @dataclass
 class LaguerreApproximant:
-    """Evaluable truncated expansion plus its correction metadata."""
+    """Evaluable truncated expansion plus its correction metadata.
+
+    The residual, the negative mass and the correction follow from the
+    coefficients and are computed on construction.
+    """
 
     gamma: GammaRef
     order: int
-    coeffs: tuple            # float view used by evaluation
-    coeffs_mp: tuple         # full-precision coefficients
-    clip_applied: bool
-    renorm_factor: float
-    norm_residual: float     # Gauss-Laguerre residual of the raw expansion
-    negative_mass: float     # mass below zero before correction
+    coeffs: tuple            # float b_0..b_n used by evaluation
+    coeffs_mp: tuple         # full-precision b_0..b_n
     converged: bool          # order-selection verdict
-    t_cut: float
+    norm_residual: float = field(init=False)   # float-conditioning report
+    negative_mass: float = field(init=False)   # mass below zero before correction
+    clip_applied: bool = field(init=False)
+    renorm_factor: float = field(init=False)
 
     def __post_init__(self):
         self._coeff_arr = np.asarray(self.coeffs, dtype=float)
-        self._cdf_cache = None
+        alpha = self.gamma.alpha
+        self.norm_residual = _norm_residual(self._coeff_arr, alpha)
+        self._neg = _negative_intervals(self._coeff_arr, alpha)
+        self.negative_mass = float(self._mass_below(np.inf))
+        self.clip_applied = self.negative_mass > CLIP_THRESHOLD
+        self.renorm_factor = 1.0 / (1.0 + self.negative_mass) if self.clip_applied else 1.0
+
+    def _mass_below(self, x):
+        """Negative raw mass on (0, x), in the reference's x = beta t."""
+        a, b = self._neg
+        coeffs, alpha = self._coeff_arr, self.gamma.alpha
+        upper = np.clip(np.asarray(x)[..., None], a, b)
+        return np.sum(_raw_cdf(coeffs, alpha, a) - _raw_cdf(coeffs, alpha, upper), axis=-1)
 
     def density(self, t, corrected: bool = True):
         """Approximant value(s) at t >= 0 (1/time units)."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
         alpha = self.gamma.alpha
         beta = self.gamma.beta
         x = beta * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = beta * np.power(x, alpha) * np.exp(-x)
-        weight = np.where(x == 0, beta if alpha == 0 else (0.0 if alpha > 0 else np.inf),
-                          weight)
-        vals = weight * _coeff_sum(self._coeff_arr, alpha, x)
+        vals = beta * _gamma_pdf(alpha, x) * _coeff_sum(self._coeff_arr, alpha, x)
         if corrected and self.clip_applied:
             vals = np.maximum(vals, 0.0) * self.renorm_factor
-        return float(vals[0]) if scalar else vals
-
-    def _ensure_cdf(self):
-        if self._cdf_cache is None:
-            ts = _hybrid_grid(self.t_cut, self.gamma.alpha)
-            dens = self.density(ts)
-            dens = np.nan_to_num(dens, posinf=0.0)  # singular origin carries no mass
-            cum = np.concatenate([[0.0], np.cumsum(np.diff(ts) * 0.5 * (dens[1:] + dens[:-1]))])
-            self._cdf_cache = (ts, np.clip(cum, 0.0, None))
+        return float(vals) if t.ndim == 0 else vals
 
     def cdf(self, t):
-        """Integrated corrected density; 0 at t = 0, ~1 at the tail cut."""
-        self._ensure_cdf()
-        ts, cum = self._cdf_cache
+        """Integral of the (corrected) density over (0, t): exact, 1 at t = inf."""
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        out = np.interp(np.atleast_1d(t), ts, cum, left=0.0, right=cum[-1])
-        return float(out[0]) if scalar else out
-
-
-def _hybrid_grid(t_cut: float, alpha: float) -> np.ndarray:
-    lin = np.linspace(0.0, t_cut, 6000)
-    if alpha < 1:
-        # resolve the power-law origin
-        log = np.geomspace(max(t_cut * 1e-14, 1e-300), t_cut / 6000, 2000)
-        return np.unique(np.concatenate([lin, log]))
-    return lin
-
-
-def _negative_mass(coeffs: np.ndarray, alpha: float, beta: float, t_cut: float) -> float:
-    """Pre-correction mass of the negative part, by trapezoid on a hybrid grid."""
-    ts = _hybrid_grid(t_cut, alpha)
-    x = beta * ts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weight = beta * np.power(x, alpha) * np.exp(-x)
-    weight = np.where(x == 0, beta if alpha == 0 else (0.0 if alpha > 0 else np.inf),
-                      weight)
-    vals = weight * _coeff_sum(coeffs, alpha, x)
-    neg = np.maximum(-vals, 0.0)
-    neg = np.nan_to_num(neg, posinf=0.0)
-    mass = float(np.trapezoid(neg, ts))
-    # analytic head below the first positive grid point (power-law regime)
-    ts_pos = ts[ts > 0]
-    if alpha < 1 and len(ts_pos):
-        p0 = float(_coeff_sum(coeffs, alpha, np.array([0.0]))[0])
-        if p0 < 0:
-            x0 = beta * ts_pos[0]
-            mass += -p0 * x0 ** (alpha + 1) / (alpha + 1)
-    return float(mass)
+        x = self.gamma.beta * np.maximum(t, 0.0)
+        out = _raw_cdf(self._coeff_arr, self.gamma.alpha, x)
+        if self.clip_applied:
+            out = (out + self._mass_below(x)) / (1.0 + self.negative_mass)
+        return float(out) if t.ndim == 0 else out
 
 
 def select_order(coeffs_all, alpha: float, tol: float = 1e-6):
     """Smallest order n in 3..n_max passing the stopping rules.
 
-    ``coeffs_all`` holds the float coefficients B_0..B_{n_max} and alpha is
-    the reference shape.  Accepts n when (i) the Gauss-Laguerre
-    normalization residual is below tol, (ii) the constant polynomial
-    coefficient is positive at the origin and the highest non-negligible
-    coefficient keeps the tail non-negative, and (iii) |B_n| / B_0 < tol.
-    Returns (n_max, False) when no order qualifies.  The concrete thresholds
-    are this implementation's choices.
+    ``coeffs_all`` holds the float coefficients b_0..b_{n_max} and alpha is
+    the reference shape.  Accepts n when (i) p is positive at the origin
+    and the highest non-negligible coefficient keeps the tail non-negative,
+    and (ii) |b_n| / b_0 < tol.  Returns (n_max, False) when no order
+    qualifies.  The concrete thresholds are this implementation's choices.
+    Normalization needs no rule: it holds exactly (see the module docstring).
     """
     n_max = len(coeffs_all) - 1
     b0 = coeffs_all[0]
@@ -255,14 +260,11 @@ def select_order(coeffs_all, alpha: float, tol: float = 1e-6):
         coeffs = np.asarray(coeffs_all[: n + 1])
         if abs(coeffs[n]) >= tol * abs(b0):
             continue
-        at_zero = sum(coeffs[k] * _laguerre_at_zero(k, alpha) for k in range(n + 1))
-        if not at_zero > 0:
+        if not _coeff_sum(coeffs, alpha, 0.0) > 0:
             continue
         lead = max((k for k in range(1, n + 1)
                     if abs(coeffs[k]) > NEGLIGIBLE_COEFF * abs(b0)), default=0)
         if lead and (-1) ** lead * coeffs[lead] < 0:
-            continue
-        if _norm_residual(coeffs, alpha) >= tol:
             continue
         return n, True
     return n_max, False
@@ -274,7 +276,7 @@ def build_approximant(ms: MomentSet, n: int | None = None, n_max: int = 10,
 
     The coefficients are computed once, up to the forced order or to
     min(n_max, ms.order); the selected order keeps the first n + 1 of them,
-    which is exact because B_k depends only on the first k moments.
+    which is exact because b_k depends only on the first k moments.
     """
     g = match_gamma(ms)
     coeffs_mp = laguerre_coeffs(ms, g, min(n_max, ms.order) if n is None else n)
@@ -283,14 +285,5 @@ def build_approximant(ms: MomentSet, n: int | None = None, n_max: int = 10,
         n, converged = select_order(coeffs, g.alpha, tol=tol)
     else:
         converged = True
-    coeffs_mp = coeffs_mp[: n + 1]
-    coeffs = np.array(coeffs[: n + 1])
-    residual = _norm_residual(coeffs, g.alpha)
-    t_cut = _t_cut(g.alpha, g.beta, n)
-    neg = _negative_mass(coeffs, g.alpha, g.beta, t_cut)
-    clip = neg > CLIP_THRESHOLD
-    renorm = 1.0 / (1.0 + neg) if clip else 1.0
-    return LaguerreApproximant(
-        gamma=g, order=n, coeffs=tuple(coeffs), coeffs_mp=tuple(coeffs_mp),
-        clip_applied=clip, renorm_factor=renorm, norm_residual=residual,
-        negative_mass=neg, converged=converged, t_cut=t_cut)
+    return LaguerreApproximant(gamma=g, order=n, coeffs=tuple(coeffs[: n + 1]),
+                               coeffs_mp=tuple(coeffs_mp[: n + 1]), converged=converged)

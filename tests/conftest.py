@@ -22,6 +22,24 @@ def fisheries(fisheries_params) -> DerivedParams:
     return derive_params(fisheries_params)
 
 
+def fisheries_like(r, sigma, up, at_x0, at_threshold):
+    """(derived, problem) at a fisheries-like point.
+
+    derive_params raises NonPersistentRegime where rho <= 0, which needs
+    sigma^2 >= 2 (r - qE), qE = 0.345.
+    """
+    if up:
+        x0 = 10 ** (2 + 2 * at_x0)                      # 1e2 .. 1e4
+        threshold = x0 * 10 ** (0.5 + 2 * at_threshold)
+        direction = Direction.UP
+    else:
+        x0 = 3.9e7 + 2.1e7 * at_x0                      # 3.9e7 .. 6e7
+        threshold = x0 * (0.5 + 0.25 * at_threshold)
+        direction = Direction.DOWN
+    d = derive_params(ModelParams(**{**FISHERIES, "r": r, "sigma": sigma, "x0": x0}))
+    return d, FptProblem(direction, threshold)
+
+
 def scenario_grid():
     """Six golden scenarios: three up, three down, spanning v*y from ~1e-3 to ~26."""
     return [

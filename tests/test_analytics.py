@@ -8,7 +8,8 @@ from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
                      cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments,
                      gamma_consistency, mean_variance_closed_form)
 from logifpt.errors import NonConvergent
-from tests.conftest import FISHERIES, fisheries_at, rel_err, scenario_grid
+from tests.conftest import (FISHERIES, fisheries_at, fisheries_like, rel_err,
+                            scenario_grid)
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -223,22 +224,6 @@ def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
         fd = fd_moments(d, prob, 2)
         for x, y in zip(fd.moments, a.moments):
             assert abs(x / y - 1) < mpf("1e-6")
-
-
-def fisheries_like(r, sigma, up, at_x0, at_threshold):
-    """(derived, problem) at a fisheries-like point; rho > 0 throughout."""
-    from logifpt import ModelParams
-
-    if up:
-        x0 = 10 ** (2 + 2 * at_x0)                      # 1e2 .. 1e4
-        threshold = x0 * 10 ** (0.5 + 2 * at_threshold)
-        direction = Direction.UP
-    else:
-        x0 = 3.9e7 + 2.1e7 * at_x0                      # 3.9e7 .. 6e7
-        threshold = x0 * (0.5 + 0.25 * at_threshold)
-        direction = Direction.DOWN
-    d = derive_params(ModelParams(**{**FISHERIES, "r": r, "sigma": sigma, "x0": x0}))
-    return d, FptProblem(direction, threshold)
 
 
 GROWTH = st.floats(min_value=0.5, max_value=1.0)        # growth rate r

@@ -209,6 +209,24 @@ def test_density_down_high_writes_sidecar(tmp_path, capsys):
     assert isinstance(sidecar["clip_applied"], bool)
 
 
+def test_density_at_large_gamma_shape(tmp_path, capsys):
+    # sigma = 0.1 matches a Gamma shape near 165, where (beta t)^alpha
+    # overflows a double
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({**FISHERIES, "sigma": 0.1}))
+    out_path = tmp_path / "narrow.csv"
+    code, _, _ = run(capsys, "density", str(path), "--direction", "up",
+                     "--threshold", "1e4", "--nmax", "10",
+                     "--grid", "0:40:0.05", "--out", str(out_path))
+    assert code == 0
+    dens = np.loadtxt(out_path, delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.isfinite(dens)) and dens.max() > 0
+    sidecar = json.loads((tmp_path / "narrow.csv.json").read_text())
+    assert sidecar["alpha"] > 160
+    assert sidecar["coefficients"][0] == 1
+    assert math.isfinite(sidecar["norm_residual"])
+
+
 def test_simulate_deterministic_bytes(config_path, tmp_path, capsys):
     args = ["simulate", config_path, "--direction", "up", "--threshold", "1e4",
             "--paths", "200", "--dt", "0.002", "--horizon", "60", "--seed", "21"]

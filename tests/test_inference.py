@@ -124,6 +124,17 @@ def test_fit_recovers_sigma(sample_1k):
     assert lo <= res.estimates["sigma"] <= hi
 
 
+@pytest.mark.parametrize("sigma", [0.1, 0.08, 0.05])
+def test_likelihood_finite_at_large_gamma_shape(sample_1k, sigma):
+    # small sigma matches Gamma shapes of about 165 to 660, where (beta t)^alpha
+    # and Gamma(alpha+1) overflow a double; the likelihood must stay finite
+    # and fall off
+    cfg = cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": 0.71})
+    ll = log_likelihood({"sigma": sigma, "r": 0.71}, sample_1k, cfg)
+    assert math.isfinite(ll)
+    assert ll < log_likelihood({"sigma": 0.2, "r": 0.71}, sample_1k, cfg)
+
+
 def test_likelihood_deterministic(sample_1k):
     cfg = cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": 0.71})
     theta = {"sigma": 0.21, "r": 0.69}

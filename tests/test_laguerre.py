@@ -1,19 +1,22 @@
+import functools
 import math
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 from logifpt import (Direction, FptProblem, MomentMethod, MomentSet,
                      build_approximant, fpt_moments, laguerre_coeffs,
                      laguerre_poly, match_gamma, select_order)
 from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments,
-                            SingularOriginWarning, ZeroVariance)
+                            LogifptError, SingularOriginWarning, ZeroVariance)
+from logifpt.laguerre import CLIP_THRESHOLD
 from logifpt.series import rising_factorial
-from tests.conftest import rel_err
+from tests.conftest import FISHERIES, fisheries_at, fisheries_like, rel_err
 
 UP4 = FptProblem(Direction.UP, 1e4)
 
@@ -101,11 +104,17 @@ def test_coeffs_b0_and_matched_vanishing(fisheries):
         warnings.simplefilter("ignore")
         g = match_gamma(ms)
     coeffs = laguerre_coeffs(ms, g, 6)
+    assert coeffs[0] == 1
     with mp.workprec(256):
-        b0_expect = 1 / mpmath.gamma(g.alpha_mp + 1)
-        assert abs(coeffs[0] / b0_expect - 1) < mpf("1e-40")
-        assert abs(coeffs[1]) < mpf("1e-10") * coeffs[0]
-        assert abs(coeffs[2]) < mpf("1e-10") * coeffs[0]
+        # the paper's B_k = sum_j C(k, j) (-beta)^j E[T^j] / Gamma(alpha + j + 1)
+        mu = (mpf(1),) + tuple(ms.moments)
+        gam = mpmath.gamma(g.alpha_mp + 1)
+        for k, b in enumerate(coeffs):
+            paper = sum(math.comb(k, j) * (-g.beta_mp) ** j * mu[j]
+                        / mpmath.gamma(g.alpha_mp + j + 1) for j in range(k + 1))
+            assert abs(b / gam - paper) < mpf("1e-40") / gam
+        assert abs(coeffs[1]) < mpf("1e-10")
+        assert abs(coeffs[2]) < mpf("1e-10")
     with pytest.raises(InsufficientMoments):
         laguerre_coeffs(ms, g, 7)
 
@@ -131,8 +140,6 @@ def test_select_order_benchmark_scenarios(fisheries):
         n, converged = select_order(coeffs, g.alpha)
     assert converged and 3 <= n <= 8
     # extreme dispersion: never qualifies, n_max returned with the flag down
-    from tests.conftest import fisheries_at
-
     d6 = fisheries_at(4.0e7)
     ms6 = fpt_moments(d6, FptProblem(Direction.UP, 6.0e7), 12)
     with warnings.catch_warnings():
@@ -153,29 +160,36 @@ def test_select_order_gamma_input_returns_three():
         laguerre_coeffs(ms, g, 9)
 
 
-def test_gamma_only_truncation_is_gamma_pdf():
-    ms = gamma_moment_set(4.5, 0.8, 4)
+# Gamma(alpha+1) overflows a double above alpha = 170: the shape 300 cases
+# check that nothing in the layer forms it.
+@pytest.mark.parametrize("alpha,t_max", [(4.5, 25.0), (300.0, 500.0)],
+                         ids=["alpha4.5", "alpha300"])
+def test_gamma_only_truncation_is_gamma_pdf(alpha, t_max):
+    ms = gamma_moment_set(alpha, 0.8, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         apx = build_approximant(ms, n=0)
-    ts = np.linspace(0.01, 25, 200)
-    expect = stats.gamma.pdf(ts, a=5.5, scale=1 / 0.8)
+    ts = np.linspace(0.01, t_max, 200)
+    expect = stats.gamma.pdf(ts, a=alpha + 1, scale=1 / 0.8)
     got = apx.density(ts)
     assert np.allclose(got, expect, rtol=1e-10)
-    # median of the reference law through the cdf route
-    med = stats.gamma.ppf(0.5, a=5.5, scale=1 / 0.8)
-    assert apx.cdf(med) == pytest.approx(0.5, abs=2e-5)
+    cdf = stats.gamma.cdf(ts, a=alpha + 1, scale=1 / 0.8)
+    assert np.allclose(apx.cdf(ts), cdf, rtol=0, atol=1e-12)
 
 
-def test_gamma_fixed_point_selected_order():
-    ms = gamma_moment_set(2.0, 1.5, 8)
+@pytest.mark.parametrize("alpha,t_max", [(2.0, 20 / 1.5), (300.0, 300.0)],
+                         ids=["alpha2", "alpha300"])
+def test_gamma_fixed_point_selected_order(alpha, t_max):
+    ms = gamma_moment_set(alpha, 1.5, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         apx = build_approximant(ms, n_max=8)
-    ts = np.linspace(0.0, 20 / 1.5, 400)
-    expect = stats.gamma.pdf(ts, a=3.0, scale=1 / 1.5)
+    ts = np.linspace(0.0, t_max, 400)
+    expect = stats.gamma.pdf(ts, a=alpha + 1, scale=1 / 1.5)
     assert np.allclose(apx.density(ts), expect, rtol=1e-9, atol=1e-10)
     assert not apx.clip_applied
+    cdf = stats.gamma.cdf(ts, a=alpha + 1, scale=1 / 1.5)
+    assert np.allclose(apx.cdf(ts), cdf, rtol=0, atol=1e-12)
 
 
 def test_density_normalization_and_moments(fisheries):
@@ -208,7 +222,7 @@ def test_cdf_endpoints(fisheries):
         warnings.simplefilter("ignore")
         apx = build_approximant(ms, n=4)
     assert apx.cdf(0.0) == 0.0
-    assert apx.cdf(apx.t_cut * 2) == pytest.approx(1.0, abs=1e-6)
+    assert apx.cdf(np.inf) == pytest.approx(1.0, abs=1e-12)
     ts = np.linspace(0, 40, 300)
     cdf = apx.cdf(ts)
     assert np.all(np.diff(cdf) >= -1e-12)
@@ -227,3 +241,66 @@ def test_singular_origin_scenario_diagnostics(fisheries):
     if apx.clip_applied:
         ts = np.linspace(0.001, 5, 500)
         assert np.all(apx.density(ts) >= 0)
+
+
+@pytest.mark.parametrize("x0,direction,threshold", [
+    (100.0, Direction.UP, 150.0),        # up_150
+    (2.01e7, Direction.UP, 3.91e7),      # up_large
+    (6.0e7, Direction.DOWN, 3.91e7),     # down_high
+])
+def test_negative_mass_matches_quadrature(x0, direction, threshold):
+    """The closed-form negative mass of a clipped approximant equals adaptive
+    quadrature of the negative raw density between sign changes located on a
+    fine grid."""
+    ms = fpt_moments(fisheries_at(x0), FptProblem(direction, threshold), 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        apx = build_approximant(ms, n_max=10)
+    assert apx.clip_applied
+    raw = functools.partial(apx.density, corrected=False)
+    ts = float(ms.moments[0]) * np.geomspace(1e-9, 200.0, 200_001)
+    sign = np.sign(raw(ts))
+    changes = [optimize.brentq(raw, ts[i], ts[i + 1])
+               for i in np.flatnonzero(sign[1:] != sign[:-1])]
+    edges = np.concatenate([[0.0], changes, [np.inf]])
+    # the raw density keeps one sign between consecutive changes
+    parts = [integrate.quad(raw, a, b, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+             for a, b in zip(edges[:-1], edges[1:])]
+    neg = -sum(p for p in parts if p < 0)
+    assert apx.negative_mass == pytest.approx(neg, rel=1e-8)
+    assert apx.renorm_factor == 1.0 / (1.0 + apx.negative_mass)
+
+
+@given(st.floats(min_value=0.4, max_value=2.0),      # growth rate r
+       st.floats(min_value=0.05, max_value=0.5),     # sigma
+       st.floats(min_value=0.0, max_value=1.0),      # where x0 lies in its range
+       st.floats(min_value=0.0, max_value=1.0))      # where the threshold lies
+@example(r=0.71, sigma=0.1, at_x0=0.0, at_threshold=0.75)  # x0 = 100, U = 1e4
+@settings(max_examples=15, deadline=None)
+def test_approximant_is_a_distribution(r, sigma, at_x0, at_threshold):
+    """On fisheries-like upcrossings (rho > 0), build_approximant either raises
+    a LogifptError or gives a density and a cdf that are a distribution.
+
+    Shapes alpha reach the thousands here (sigma = 0.1 gives about 165).  An
+    approximant whose negative mass is at most CLIP_THRESHOLD is left as it
+    is, so its density may dip below zero by that order, and the cdf carries
+    double rounding: both get 1e-12 of slack.
+    """
+    assume(sigma ** 2 < 2 * (r - FISHERIES["q"] * FISHERIES["E"]))  # rho > 0
+    d, prob = fisheries_like(r, sigma, True, at_x0, at_threshold)
+    try:
+        ms = fpt_moments(d, prob, 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            apx = build_approximant(ms, n_max=10)
+    except LogifptError:
+        return
+    ts = float(ms.moments[0]) * np.linspace(0.0, 10.0, 1001)[1:]
+    dens = apx.density(ts)
+    assert np.all(np.isfinite(dens))
+    assert dens.min() >= -CLIP_THRESHOLD * dens.max()
+    cdf = apx.cdf(np.concatenate([[0.0], ts, [np.inf]]))
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert np.all(np.diff(cdf) >= -1e-12)
+    assert np.all((cdf >= -1e-12) & (cdf <= 1 + 1e-12))
+    assert math.isfinite(apx.norm_residual)
