@@ -3,9 +3,12 @@
 Moments come from the coefficient recursion of the transform ratio (default)
 or, equivalently, from the Bell-polynomial closed form of the reciprocal
 denominator series; the two routes are cross-checked in the test suite to
-high precision.  Cumulants come from logarithmic polynomials applied to the
-building-block series, which is cheaper and better conditioned than the
-generic moment-to-cumulant conversion (also provided, as an oracle).
+high precision.  A :class:`MomentSet` from :func:`fpt_moments` keeps its two
+endpoint building-block series, and its ``cumulants`` property (computed on
+first use, then cached) takes the logarithmic polynomials of them, which is
+cheaper and better conditioned than the generic moment-to-cumulant
+conversion (also provided, as an oracle, and the fallback for moment sets
+from other sources).
 
 All values are held in arbitrary precision and downcast only through the
 ``*_float`` accessors.  Downcrossing results carry per-order relative error
@@ -16,8 +19,9 @@ whose estimate exceeds FLAG_RTOL are flagged rather than silently returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import mpmath
 from mpmath import mp, mpf
@@ -27,8 +31,8 @@ from .kernels import (L_SERIES_TOL, N_MAX_DEFAULT, SeriesDiagnostics,
                       asymptotic_sum, convergent_sum, ensure_table, l_series,
                       lbar_series, q_series)
 from .model import DerivedParams, Direction, FptProblem, validate_problem
-from .series import (ExpSeries, falling_factorial, log_polynomials,
-                     series_product, series_ratio, series_reciprocal_bell)
+from .series import (binomial_series, log_polynomials, series_product, series_ratio,
+                     series_reciprocal_bell)
 
 FLAG_RTOL = 1e-8
 
@@ -53,6 +57,8 @@ class MomentSet:
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
     flagged: tuple | None = None
     diagnostics: object = None  # SeriesDiagnostics of the building blocks
+    # (derived params, block series at x0, at the threshold) from fpt_moments
+    endpoints: tuple | None = field(default=None, compare=False, repr=False)
 
     def moment(self, k: int):
         if not 1 <= k <= self.order:
@@ -72,6 +78,34 @@ class MomentSet:
         if self.order < 2:
             raise IndexError("variance needs order >= 2")
         return self.moments[1] - self.moments[0] ** 2
+
+    @cached_property
+    def cumulants(self) -> "CumulantSet":
+        """Cumulants c_1..c_order of the crossing time.
+
+        From the endpoint series, by logarithmic polynomials:
+
+            upcrossing:   c_k = (-1)^k [ u log(U/x0) (1/2)_k a^k + Lx0_k - LU_k ]
+            downcrossing: c_k = (-1)^k [ Lx0_k - LL_k ]
+
+        where L*_k are the order-k logarithmic polynomials of the building-block
+        series (l-series up, lbar-series down) at the two states, and the
+        upcrossing term is log q(x0) - log q(U).  A set without endpoint
+        series (degenerate, empirical, finite-difference or read from a file)
+        goes through :func:`cumulants_from_moments`.
+        """
+        if self.endpoints is None:
+            return cumulants_from_moments(self)
+        d, b0, b1 = self.endpoints
+        with mp.workprec(self.precision):
+            logq = [0] * (self.order + 1)
+            if self.problem.direction is Direction.UP:
+                pre = d.u * mpmath.log(mpf(self.problem.threshold) / mpf(d.params.x0))
+                logq = [pre * c for c in binomial_series(mpf(1) / 2, d.a, self.order).coeffs]
+            lp = zip(log_polynomials(b0.coeffs), log_polynomials(b1.coeffs))
+            cum = tuple((-1) ** k * (logq[k] + l0 - l1) for k, (l0, l1) in enumerate(lp, 1))
+        return CumulantSet(problem=self.problem, order=self.order, cumulants=cum,
+                           precision=self.precision)
 
 
 @dataclass(frozen=True)
@@ -103,32 +137,6 @@ class CumulantSet:
         return (c[0] / c[1], 2 * c[1] / c[2], 3 * c[2] / c[3])
 
 
-def _zero_moments(prob, order, method, precision):
-    return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
-                     method=method, precision=precision, degenerate=True,
-                     error_estimates=(mpf(0),) * order,
-                     flagged=(False,) * order)
-
-
-def _endpoint_blocks(d: DerivedParams, prob: FptProblem, order: int):
-    """Building-block series at x0 and at the threshold -- the l-series
-    upcrossing, the lbar-series downcrossing -- with their merged
-    diagnostics; None for a degenerate problem."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if validate_problem(d, prob):
-        return None
-    block = l_series if prob.direction is Direction.UP else lbar_series
-    b0, g0 = block(d.params.x0, order, d)
-    b1, g1 = block(prob.threshold, order, d)
-    return b0, b1, SeriesDiagnostics.merge(g0, g1)
-
-
-def _transform_coeffs_bell(s0: ExpSeries, s1: ExpSeries, order: int):
-    """Same coefficients via the Bell-polynomial reciprocal closed form."""
-    return list(series_product(s0, series_reciprocal_bell(s1)).coeffs[: order + 1])
-
-
 def _propagate_errors(s1, e, g, order):
     """First-order error bound for the quotient recursion, given the summed
     error estimates e of the two building-block series."""
@@ -146,27 +154,32 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
                 max_rel_error: float | None = None) -> MomentSet:
     """Moments E[T^k], k = 1..order, of the crossing time.
 
+    The building blocks -- the l-series upcrossing, the lbar-series
+    downcrossing -- are expanded at x0 and at the threshold and kept in the
+    result, whose ``cumulants`` are formed from them on first use.
     ``method`` selects the quotient recursion (default, cheaper) or the
     Bell-polynomial closed form; both agree to working precision.  For
     downcrossing problems the per-order relative error estimates of the
     asymptotic sums are attached and orders above FLAG_RTOL are flagged;
     if ``max_rel_error`` is given, exceeding it raises NonConvergent.
     """
-    return _moments(d, prob, order, _endpoint_blocks(d, prob, order), method,
-                    max_rel_error)
-
-
-def _moments(d, prob, order, blocks, method, max_rel_error) -> MomentSet:
-    """:func:`fpt_moments` from the blocks of :func:`_endpoint_blocks`."""
-    if blocks is None:
-        return _zero_moments(prob, order, method, d.precision)
-    s0, s1, diag = blocks
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if validate_problem(d, prob):
+        return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
+                         method=method, precision=d.precision, degenerate=True,
+                         error_estimates=(mpf(0),) * order, flagged=(False,) * order)
+    block = l_series if prob.direction is Direction.UP else lbar_series
+    b0, g0 = block(d.params.x0, order, d)
+    b1, g1 = block(prob.threshold, order, d)
+    diag = SeriesDiagnostics.merge(g0, g1)
+    s0, s1 = b0, b1
     with mp.workprec(d.precision):
         if prob.direction is Direction.UP:  # t-series: q-series times l-series
-            s0 = series_product(q_series(d.params.x0, order, d), s0)
-            s1 = series_product(q_series(prob.threshold, order, d), s1)
+            s0 = series_product(q_series(d.params.x0, order, d), b0)
+            s1 = series_product(q_series(prob.threshold, order, d), b1)
         if method is MomentMethod.BELL_CLOSED_FORM:
-            g = _transform_coeffs_bell(s0, s1, order)
+            g = series_product(s0, series_reciprocal_bell(s1)).coeffs
         else:
             g = series_ratio(s0, s1).coeffs
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
@@ -186,59 +199,23 @@ def _moments(d, prob, order, blocks, method, max_rel_error) -> MomentSet:
             f"exceeds {max_rel_error:.3g}")
     return MomentSet(problem=prob, order=order, moments=moments, method=method,
                      precision=d.precision, error_estimates=tuple(rel),
-                     flagged=flagged, diagnostics=diag)
+                     flagged=flagged, diagnostics=diag, endpoints=(d, b0, b1))
 
 
 def cumulants_from_moments(ms: MomentSet) -> CumulantSet:
-    """Standard conversion c_n = m_n - sum C(n-1, k-1) c_k m_{n-k}."""
+    """Standard conversion: the logarithmic polynomials of (1, m_1, ..., m_n),
+    c_n = m_n - sum C(n-1, k-1) c_k m_{n-k}."""
     with mp.workprec(ms.precision):
-        mu = (mpf(1),) + tuple(ms.moments)
-        c = [mpf(0)]
-        for n in range(1, ms.order + 1):
-            tot = mu[n]
-            for k in range(1, n):
-                tot -= math.comb(n - 1, k - 1) * c[k] * mu[n - k]
-            c.append(tot)
-    return CumulantSet(problem=ms.problem, order=ms.order, cumulants=tuple(c[1:]),
+        c = log_polynomials((mpf(1),) + tuple(ms.moments))
+    return CumulantSet(problem=ms.problem, order=ms.order, cumulants=tuple(c),
                        precision=ms.precision, degenerate=ms.degenerate)
 
 
 def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet:
-    """Cumulants of the crossing time via logarithmic polynomials.
-
-    Upcrossing:  c_k = (-1)^k [ u log(U/x0) (1/2)_k a^k + Lx0_k - LU_k ]
-    Downcrossing: c_k = (-1)^k [ Lx0_k - LL_k ]
-
-    where L*_k are the order-k logarithmic polynomials of the corresponding
-    building-block series (l-series up, lbar-series down) at the two states.
-    """
-    return _cumulants(d, prob, order, _endpoint_blocks(d, prob, order))
-
-
-def _cumulants(d, prob, order, blocks) -> CumulantSet:
-    """:func:`fpt_cumulants` from the blocks of :func:`_endpoint_blocks`."""
-    if blocks is None:
-        return CumulantSet(problem=prob, order=order, cumulants=(mpf(0),) * order,
-                           precision=d.precision, degenerate=True)
-    b0, b1, _ = blocks
-    x0 = d.params.x0
-    s = prob.threshold
-    with mp.workprec(d.precision):
-        lp0 = log_polynomials(b0.coeffs)
-        lp1 = log_polynomials(b1.coeffs)
-        if prob.direction is Direction.UP:
-            pre = d.u * mpmath.log(mpf(s) / mpf(x0))
-            half = mpf(1) / 2
-            cum = []
-            apow = mpf(1)
-            for k in range(1, order + 1):
-                apow *= d.a
-                val = pre * falling_factorial(half, k) * apow + lp0[k - 1] - lp1[k - 1]
-                cum.append((-1) ** k * val)
-        else:
-            cum = [(-1) ** k * (lp0[k - 1] - lp1[k - 1]) for k in range(1, order + 1)]
-    return CumulantSet(problem=prob, order=order, cumulants=tuple(cum),
-                       precision=d.precision)
+    """Cumulants of the crossing time: ``fpt_moments(d, prob, order).cumulants``,
+    by logarithmic polynomials of the building-block series (see
+    :attr:`MomentSet.cumulants`)."""
+    return fpt_moments(d, prob, order).cumulants
 
 
 def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):

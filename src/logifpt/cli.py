@@ -20,8 +20,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import __version__
-from .analytics import (MomentMethod, MomentSet, _cumulants, _endpoint_blocks, _moments,
-                        fpt_moments)
+from .analytics import MomentMethod, MomentSet, fpt_moments
 from .errors import (InvalidParams, LogifptError, NoConvergence, NonConvergent,
                      NonPersistentRegime, InvalidHarvest, NoFeasibleStart,
                      QuadratureFailure, StencilFailure, WrongSide)
@@ -108,10 +107,8 @@ def cmd_moments(args) -> int:
     prob = _problem(args)
     method = (MomentMethod.BELL_CLOSED_FORM if args.method == "bell"
               else MomentMethod.RECURSION)
-    blocks = _endpoint_blocks(d, prob, args.order)  # built once for both columns
-    ms = _moments(d, prob, args.order, blocks, method, None)
-    cs = _cumulants(d, prob, args.order, blocks)
-    c = cs.cumulants_float
+    ms = fpt_moments(d, prob, args.order, method=method)
+    c = ms.cumulants.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
         ratio = ""

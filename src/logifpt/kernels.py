@@ -56,7 +56,7 @@ from mpmath import mp, mpf
 
 from .errors import NoConvergence
 from .model import DerivedParams
-from .series import ExpSeries, falling_factorial, series_product
+from .series import ExpSeries, binomial_series, series_exp, series_product
 
 # last row n of every table, hence the last term of every sum over n
 N_MAX_DEFAULT = 256
@@ -90,9 +90,7 @@ class KernelTable:
             # s_k = (1/2)(1/2 - 1)...(1/2 - k + 1), the coefficients of
             # s = sqrt(1 + w) in exp convention; entry m of a series division by
             # a linear factor in s weighs D_{m-k} by C(m, k) s_k
-            s = [mpf(1)]
-            for k in range(order):
-                s.append(s[-1] * (mpf(1) / 2 - k))
+            s = binomial_series(mpf(1) / 2, 1, order)
             self._weights = [[math.comb(m, k) * s[k] for k in range(m + 1)]
                              for m in range(order + 1)]
             one = ExpSeries.identity(order, mpf(1))
@@ -260,24 +258,14 @@ def asymptotic_sum(term_fn, n_start: int, n_max: int):
 def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
     """Expansion of y^(u (1 - s(z))) in the Laplace variable z.
 
-    q_0 = 1 and q_k = -u log(y) sum_j C(k-1, j-1) (1/2)_j a^j q_{k-j};
-    collapses to the identity series at y = 1.
+    The exponential of u log(y) (1 - s), where s = sqrt(1 + a z) has the
+    coefficients (1/2)_k a^k (falling factorial); collapses to the identity
+    series at y = 1.
     """
     with mp.workprec(d.precision):
-        logy = mpmath.log(mpf(y))
-        half = mpf(1) / 2
-        w = [mpf(0)]
-        apow = mpf(1)
-        for j in range(1, order + 1):
-            apow *= d.a
-            w.append(-d.u * logy * falling_factorial(half, j) * apow)
-        q = [mpf(1)]
-        for k in range(1, order + 1):
-            tot = mpf(0)
-            for j in range(1, k + 1):
-                tot += math.comb(k - 1, j - 1) * w[j] * q[k - j]
-            q.append(tot)
-    return ExpSeries(tuple(q))
+        ulogy = d.u * mpmath.log(mpf(y))
+        s = binomial_series(mpf(1) / 2, d.a, order)
+        return series_exp(ExpSeries((mpf(0),) + tuple(-ulogy * c for c in s.coeffs[1:])))
 
 
 def _power_over_factorial(x):

@@ -24,8 +24,9 @@ distribution function is, with P the regularized incomplete gamma function,
 and F(inf) = 1.  The roots of p are the eigenvalues of its comrade matrix:
 the Jacobi matrix of the recurrence with n b_k / b_n added to its last row.
 The negative mass is a sum of differences of F between roots, in which an
-error in a root enters only at second order.  Negative parts are clipped to
-zero and the rest renormalized; the pre-correction mass is always reported.
+error in a root enters only at second order.  The corrected density is
+never negative; above CLIP_THRESHOLD of negative mass it is renormalized as
+well.  The pre-correction mass is always reported.
 By orthogonality the raw expansion integrates to exactly 1, so
 ``norm_residual`` (Gauss-Laguerre quadrature of p) reports only how well p
 is conditioned in double precision.
@@ -224,13 +225,18 @@ class LaguerreApproximant:
         return np.sum(_raw_cdf(coeffs, alpha, a) - _raw_cdf(coeffs, alpha, upper), axis=-1)
 
     def density(self, t, corrected: bool = True):
-        """Approximant value(s) at t >= 0 (1/time units)."""
+        """Approximant value(s) at t (1/time units); 0 for t < 0.
+
+        The corrected density is never negative; it is renormalized only when
+        the negative mass was clipped (``renorm_factor`` is 1 otherwise).
+        """
         t = np.asarray(t, dtype=float)
         alpha = self.gamma.alpha
         beta = self.gamma.beta
-        x = beta * t
+        x = beta * np.maximum(t, 0.0)
         vals = beta * _gamma_pdf(alpha, x) * _coeff_sum(self._coeff_arr, alpha, x)
-        if corrected and self.clip_applied:
+        vals = np.where(t < 0, 0.0, vals)
+        if corrected:
             vals = np.maximum(vals, 0.0) * self.renorm_factor
         return float(vals) if t.ndim == 0 else vals
 

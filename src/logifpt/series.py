@@ -12,9 +12,22 @@ Coefficients may be ``mpmath.mpf`` values (the normal case; callers set the
 working precision with ``mp.workprec``), plain floats, or ``Fraction`` for
 exact test oracles -- the algebra only needs +, *, /.
 
+Every operation is one coefficient recursion of O(n^2) steps, the standard
+power-series recurrences (Knuth, TAOCP vol. 2, sec. 4.7):
+
+    ratio   A/B:     q_n = (a_n - sum_{k>=1} C(n, k) b_k q_{n-k}) / b_0
+    exp     e^A:     c_n = sum_{k>=1} C(n-1, k-1) a_k c_{n-k}
+    log     log A:   L_n = b_n - sum_{0<k<n} C(n-1, k-1) L_k b_{n-k},  b = a/a_0
+    binomial (1 + a t)^p:  c_k = c_{k-1} (p - k + 1) a
+
+The reciprocal is the ratio of the identity by A.  The exp and log
+recurrences follow from differentiating e^A and A = e^(log A).
+
 The combinatorial kernels (unsigned Stirling numbers of the first kind,
-partial Bell polynomials, logarithmic polynomials) are kept here as well;
-Stirling numbers and binomials are exact Python integers.
+partial Bell polynomials) are kept here as well; Stirling numbers and
+binomials are exact Python integers.  The Bell forms serve only the
+Bell-polynomial moment route (:func:`series_reciprocal_bell`) and the test
+oracles, as an independent check on the recursions.
 """
 
 from __future__ import annotations
@@ -105,25 +118,19 @@ def bell_partial(n: int, k: int, b):
 def log_polynomials(coeffs):
     """Coefficients L_1..L_n of log A for A with coefficients (a_0, a_1, ...).
 
-    L_n = sum_k (-1)^(k-1) (k-1)! B_{n,k}(a_1/a_0, ..., a_{n-k+1}/a_0).
-    Returns the list [L_1, ..., L_n]; the constant term log a_0 is left to
-    the caller.
+    With b = a/a_0, L_n = b_n - sum_{k=1}^{n-1} C(n-1, k-1) L_k b_{n-k}, the
+    exp-convention form of A' = A (log A)'.  Returns the list [L_1, ..., L_n];
+    the constant term log a_0 is left to the caller.
     """
     a0 = coeffs[0]
-    n = len(coeffs) - 1
-    scaled = [c / a0 for c in coeffs[1:]]
-    B = bell_partial_table(scaled, n)
-    out = []
-    for m_ in range(1, n + 1):
-        tot = 0
-        sign = 1
-        fact = 1
-        for k in range(1, m_ + 1):
-            tot += sign * fact * B[m_][k]
-            sign = -sign
-            fact *= k
-        out.append(tot)
-    return out
+    b = [c / a0 for c in coeffs]
+    L = [None]
+    for n in range(1, len(coeffs)):
+        tot = b[n]
+        for k in range(1, n):
+            tot -= math.comb(n - 1, k - 1) * L[k] * b[n - k]
+        L.append(tot)
+    return L[1:]
 
 
 @dataclass(frozen=True)
@@ -158,19 +165,11 @@ def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
 
 
 def series_reciprocal(A: ExpSeries) -> ExpSeries:
-    """Reciprocal series by the coefficient recursion.
+    """Reciprocal series, the :func:`series_ratio` of the identity by A.
 
-    r_0 = 1/a_0,  r_n = -(1/a_0) sum_{j>=1} C(n,j) a_j r_{n-j}.
+    r_0 = 1/a_0,  r_n = (0 - sum_{j>=1} C(n,j) a_j r_{n-j}) / a_0.
     """
-    if A.coeffs[0] == 0:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    r = [1 / A.coeffs[0]]
-    for m_ in range(1, A.order + 1):
-        tot = 0
-        for j in range(1, m_ + 1):
-            tot += math.comb(m_, j) * A.coeffs[j] * r[m_ - j]
-        r.append(-tot / A.coeffs[0])
-    return ExpSeries(tuple(r))
+    return series_ratio(ExpSeries.identity(A.order), A)
 
 
 def series_reciprocal_bell(A: ExpSeries) -> ExpSeries:
@@ -229,13 +228,28 @@ def series_log(A: ExpSeries) -> ExpSeries:
 def series_exp(A: ExpSeries) -> ExpSeries:
     """Exponential of a series with zero constant term (result has c_0 = 1).
 
-    c_n is the complete Bell polynomial of (a_1, ..., a_n).
+    c_n = sum_{k=1}^n C(n-1, k-1) a_k c_{n-k}, the exp-convention form of
+    (e^A)' = A' e^A; c_n is the complete Bell polynomial of (a_1, ..., a_n).
     """
-    if A.coeffs[0] != 0:
+    a = A.coeffs
+    if a[0] != 0:
         raise NonPositiveConstantTerm("exp is restricted to zero constant term")
-    n = A.order
-    B = bell_partial_table(list(A.coeffs[1:]), n)
-    out = [A.coeffs[0] + 1]  # promotes to the coefficient type
-    for m_ in range(1, n + 1):
-        out.append(sum(B[m_][k] for k in range(1, m_ + 1)))
-    return ExpSeries(tuple(out))
+    c = [a[0] + 1]  # promotes to the coefficient type
+    for n in range(1, A.order + 1):
+        tot = 0
+        for k in range(1, n + 1):
+            tot += math.comb(n - 1, k - 1) * a[k] * c[n - k]
+        c.append(tot)
+    return ExpSeries(tuple(c))
+
+
+def binomial_series(p, a, order: int) -> ExpSeries:
+    """(1 + a t)^p to the given order: c_k = p (p-1) ... (p-k+1) a^k.
+
+    Each coefficient is the one before times (p - k + 1) a, a running
+    product in the type of p (so c_0 = p^0).
+    """
+    c = [p ** 0]
+    for k in range(order):
+        c.append(c[-1] * (p - k) * a)
+    return ExpSeries(tuple(c))

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
                      cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments,
                      gamma_consistency, mean_variance_closed_form)
-from logifpt.errors import NonConvergent
+from logifpt.errors import LogifptError, NonConvergent
 from tests.conftest import (FISHERIES, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
 
@@ -121,6 +123,19 @@ def test_cumulant_duality(fisheries):
     with mp.workprec(fisheries.precision):
         for x, y in zip(via_moments.cumulants, direct.cumulants):
             assert abs(x / y - 1) < mpf("1e-10")
+
+
+def test_moment_set_cumulants(fisheries):
+    """fpt_moments keeps its endpoint series out of == and repr; its cumulants
+    are computed once and are those of fpt_cumulants, and a set without
+    endpoint series converts its moments."""
+    ms = fpt_moments(fisheries, UP4, 4)
+    assert ms.cumulants is ms.cumulants
+    assert ms.cumulants == fpt_cumulants(fisheries, UP4, 4)
+    assert "endpoints" not in repr(ms)
+    bare = dataclasses.replace(ms, endpoints=None)
+    assert bare == ms
+    assert bare.cumulants == cumulants_from_moments(ms)
 
 
 def test_cumulants_from_moments_low_orders(fisheries):
@@ -280,3 +295,22 @@ def test_upcrossing_mean_rises_with_threshold(r, sigma, at_x0, at_low, at_high):
     _, high = fisheries_like(r, sigma, True, at_x0, at_high)
     lower, upper = (fpt_moments(d, prob, 1).mean for prob in (low, high))
     assert upper > lower if high.threshold > low.threshold else upper == lower
+
+
+@given(st.floats(min_value=0.4, max_value=2.0),        # growth rate r
+       st.floats(min_value=0.05, max_value=0.5),       # sigma
+       st.booleans(), WHERE, WHERE,                    # upcrossing?, x0, threshold
+       st.integers(min_value=1, max_value=10))         # order
+@settings(max_examples=12, deadline=None)
+def test_moments_layer_is_finite_or_raises_typed(r, sigma, up, at_x0, at_threshold, order):
+    """On fisheries-like problems (rho > 0), fpt_moments either raises a
+    LogifptError or returns finite moments, error estimates and cumulants."""
+    assume(sigma ** 2 < 2 * (r - FISHERIES["q"] * FISHERIES["E"]))  # rho > 0
+    d, prob = fisheries_like(r, sigma, up, at_x0, at_threshold)
+    try:
+        ms = fpt_moments(d, prob, order)
+    except LogifptError:
+        return
+    values = (*ms.moments, *ms.error_estimates, *ms.cumulants.cumulants)
+    assert len(values) == 3 * order
+    assert all(mpmath.isfinite(v) for v in values)

@@ -227,6 +227,17 @@ def test_density_at_large_gamma_shape(tmp_path, capsys):
     assert math.isfinite(sidecar["norm_residual"])
 
 
+def test_density_is_zero_at_negative_times(config_path, tmp_path, capsys):
+    out_path = tmp_path / "neg.csv"
+    code, _, _ = run(capsys, "density", config_path, "--direction", "up",
+                     "--threshold", "1e4", "--grid=-1:1:0.5", "--out", str(out_path))
+    assert code == 0
+    t, dens = np.loadtxt(out_path, delimiter=",", skiprows=1).T
+    assert list(t) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert np.all(np.isfinite(dens))
+    assert np.all(dens[t < 0] == 0.0)
+
+
 def test_simulate_deterministic_bytes(config_path, tmp_path, capsys):
     args = ["simulate", config_path, "--direction", "up", "--threshold", "1e4",
             "--paths", "200", "--dt", "0.002", "--horizon", "60", "--seed", "21"]

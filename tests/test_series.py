@@ -8,10 +8,10 @@ from mpmath import mp, mpf
 
 from logifpt.errors import NonPositiveConstantTerm, ZeroConstantTerm
 from logifpt.series import (ExpSeries, bell_partial, bell_partial_table,
-                            falling_factorial, rising_factorial, series_exp,
-                            series_log, series_product, series_ratio,
-                            series_reciprocal, series_reciprocal_bell,
-                            stirling1_unsigned)
+                            binomial_series, falling_factorial, log_polynomials,
+                            rising_factorial, series_exp, series_log,
+                            series_product, series_ratio, series_reciprocal,
+                            series_reciprocal_bell, stirling1_unsigned)
 
 PREC = 256
 
@@ -108,6 +108,51 @@ def test_bell_matches_partition_enumeration(b):
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert table[n][k] == bell_brute(n, k, b)
+
+
+def log_polynomials_bell(a):
+    """L_n = sum_k (-1)^(k-1) (k-1)! B_{n,k}(a_1/a_0, ...), the Bell form."""
+    n = len(a) - 1
+    B = bell_partial_table([c / a[0] for c in a[1:]], n)
+    return [sum((-1) ** (k - 1) * math.factorial(k - 1) * B[m][k] for k in range(1, m + 1))
+            for m in range(1, n + 1)]
+
+
+def exp_bell(a):
+    """Coefficients of exp(A), a_0 = 0: the complete Bell polynomials of (a_1, ...)."""
+    n = len(a) - 1
+    B = bell_partial_table(list(a[1:]), n)
+    return [1] + [sum(B[m][k] for k in range(1, m + 1)) for m in range(1, n + 1)]
+
+
+FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@given(st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7),
+       st.lists(FRACTIONS, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_log_polynomials_equal_bell_form_exactly(a0, tail):
+    a = [a0, *tail]
+    assert log_polynomials(a) == log_polynomials_bell(a)
+
+
+@given(st.lists(FRACTIONS, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_series_exp_equals_complete_bell_exactly(tail):
+    a = (Fraction(0), *tail)
+    assert series_exp(ExpSeries(a)).coeffs == tuple(exp_bell(a))
+
+
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5))
+@settings(max_examples=40, deadline=None)
+def test_binomial_series_exactly(p, a):
+    order = 12
+    c = binomial_series(p, a, order).coeffs
+    assert c == tuple(falling_factorial(p, k) * a ** k for k in range(order + 1))
+    # (1 + a t)^p (1 + a t)^(1 - p) = 1 + a t
+    prod = series_product(ExpSeries(c), binomial_series(1 - p, a, order))
+    assert prod.coeffs == (1, a) + (0,) * (order - 1)
 
 
 def test_bell_index_errors():
