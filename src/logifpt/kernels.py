@@ -19,9 +19,15 @@ ratio of Kummer's series):
     mbar_row(n+1) = mbar_row(n) (n^2 + 2u n - u^2 w)
 
 The first takes one series division by the linear factor, the second is a
-shift and a scaling in w; both run at the table's precision and round once
-per step, so an entry carries the rounding of every step before it.  The
-second factor is (u(1-s) + n)(u(1+s) + n), whose s^2 = 1 + w makes it linear
+shift and a scaling in w.  Both run in fixed point, in the style of
+mpmath's hypergeometric summators (``mpmath.libmp.libhyper``): a row is a
+list of Python ints that share one binary exponent, rescaled after each
+step so that its smallest nonzero entry carries ``precision + GUARD_BITS``
+bits.  u enters exactly, as its mantissa and exponent; the division weights
+are exact integers; and the mbar step is exact up to the rescaling.  The
+guard bits absorb what the steps truncate, so an entry is rounded once,
+when ``m_row`` or ``mbar_row`` converts it to ``mpf`` at the table's
+precision, not once per step.  The second factor is (u(1-s) + n)(u(1+s) + n), whose s^2 = 1 + w makes it linear
 in w: ``mbar_row(n)`` is a polynomial of degree n, so ``mbar_row(n)[m] = 0``
 for ``m > n`` identically, which the downcrossing sums exploit.  Entry m of
 either row reads only entries up to m, so a row of degree ``order`` is the
@@ -31,7 +37,13 @@ The upcrossing building blocks (``q_series``, ``l_series``, ``t_series``)
 are convergent sums over n and are truncated by a stagnation rule; the
 downcrossing blocks (``lbar_series``) are asymptotic sums in ``1/(v y)``
 summed by optimal truncation (stop at the smallest term, report the first
-omitted term as the error estimate).
+omitted term as the error estimate).  ``l_series`` and ``lbar_series`` run
+their n-sums in the same integers, on the rows as ints: (v y)^n / n! and
+(v y)^-n / n! are fixed-point sequences, each order's partial sum is one
+int, and both truncation rules compare ints exactly.  An ``mpf`` is formed
+once per output coefficient and once per error estimate.
+``convergent_sum`` and ``asymptotic_sum`` state the same two rules on
+``mpf`` terms, for the closed form in :mod:`logifpt.analytics`.
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
 process-wide cache of :class:`KernelTable` objects keyed by
@@ -53,6 +65,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import NoConvergence
 from .model import DerivedParams
@@ -65,11 +78,42 @@ L_SERIES_TOL = mpf("1e-30")
 # consecutive negligible terms required before a convergent sum is cut
 _STAGNATION_RUN = 5
 # sustained-growth factor that ends term generation in an asymptotic sum
-_GROWTH_STOP = 10.0
+_GROWTH_STOP = 10
+# bits above the table precision carried by fixed-point rows and sums
+GUARD_BITS = 64
 # tables kept by ensure_table
 TABLE_CACHE_SIZE = 8
 _tables: OrderedDict = OrderedDict()
 _table_counts = {"hits": 0, "misses": 0}
+
+
+def _man_exp(x) -> tuple:
+    """(man, exp) with x = man 2^exp exactly, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+# L_SERIES_TOL = _TOL_MAN 2^_TOL_EXP exactly
+_TOL_MAN, _TOL_EXP = _man_exp(L_SERIES_TOL)
+
+
+def _to_mpf(man: int, exp: int, precision: int):
+    """man 2^exp rounded to nearest at ``precision`` bits."""
+    return mp.make_mpf(from_man_exp(man, exp, precision, round_nearest))
+
+
+def _shift(man: int, by: int) -> int:
+    """man 2^by, floored to an integer."""
+    return man << by if by >= 0 else man >> -by
+
+
+def _normalize(mans: list, exp: int, wp: int) -> tuple:
+    """Rescale ints sharing the exponent ``exp`` so that the smallest nonzero
+    one has wp bits: every nonzero entry then carries wp bits, however far
+    apart the entries are (at order 10 a row spans up to 2^230 for large |u|
+    and, in mbar, up to 2^320 for small |u|)."""
+    low = min((abs(x).bit_length() for x in mans if x), default=wp)
+    return [_shift(x, wp - low) for x in mans], exp - (wp - low)
 
 
 class KernelTable:
@@ -77,73 +121,92 @@ class KernelTable:
 
     ``m_row(n)`` and ``mbar_row(n)``, n = 0..N_MAX_DEFAULT, are the
     :class:`ExpSeries` in ``a z`` of the n-th ratio and product, of degree
-    ``order``.  Rows are built in order of n at the precision of the derived
-    parameters, each from the one before, on first use, and kept; the table
-    is immutable from the caller's perspective and safe to share once built.
+    ``order``.  Rows are built in order of n, each from the one before, on
+    first use, and kept as fixed-point integers (``fixed_row``) at the
+    precision of the derived parameters plus GUARD_BITS; ``m_row`` and
+    ``mbar_row`` round them to ``mpf`` on each call.  The table is immutable
+    from the caller's perspective and safe to share once built.
     """
 
     def __init__(self, d: DerivedParams, order: int):
         self.u = d.u
         self.precision = d.precision
         self.order = order
-        with mp.workprec(self.precision):
-            # s_k = (1/2)(1/2 - 1)...(1/2 - k + 1), the coefficients of
-            # s = sqrt(1 + w) in exp convention; entry m of a series division by
-            # a linear factor in s weighs D_{m-k} by C(m, k) s_k
-            s = binomial_series(mpf(1) / 2, 1, order)
-            self._weights = [[math.comb(m, k) * s[k] for k in range(m + 1)]
-                             for m in range(order + 1)]
-            one = ExpSeries.identity(order, mpf(1))
+        self._wp = d.precision + GUARD_BITS
+        # u = u_man 2^-sh exactly
+        u_man, u_exp = _man_exp(d.u)
+        self._sh = max(0, -u_exp)
+        self._u_man = u_man << (u_exp + self._sh)
+        # entry m of a series division by a linear factor in s = sqrt(1 + w)
+        # weighs D_{m-k} by C(m, k) s_k, with s_k 2^k = prod_{j<k} (1 - 2j);
+        # scaled by 2^order these weights are exact integers
+        s_scaled = [1]
+        for j in range(order):
+            s_scaled.append(s_scaled[-1] * (1 - 2 * j))
+        self._div_weights = [[math.comb(m, k) * s_scaled[k] << (order - k)
+                              for k in range(1, m + 1)] for m in range(order + 1)]
+        one = ([1 << self._wp] + [0] * order, -self._wp)
         self._rows = {"m": [one], "mbar": [one]}
 
-    def _row(self, family: str, n: int, step) -> ExpSeries:
+    def fixed_row(self, family: str, n: int) -> tuple:
+        """Row n of family "m" or "mbar" as (mans, exp): entry m is
+        mans[m] 2^exp, and every nonzero entry has precision + GUARD_BITS
+        bits or more."""
         if not 0 <= n <= N_MAX_DEFAULT:
             raise IndexError(f"n = {n} outside table bounds 0..{N_MAX_DEFAULT}")
         rows = self._rows[family]
-        if n >= len(rows):
-            with mp.workprec(self.precision):
-                while len(rows) <= n:
-                    rows.append(step(len(rows) - 1, rows[-1]))
+        step = self._m_next if family == "m" else self._mbar_next
+        while len(rows) <= n:
+            rows.append(step(len(rows) - 1, *rows[-1]))
         return rows[n]
 
-    def _m_step(self, i: int, prev: ExpSeries) -> ExpSeries:
+    def _m_next(self, i: int, prev: list, exp: int) -> tuple:
         """m_row(i+1) = (i + u(1-s)) D with D = m_row(i) / (1 + i - 2us).
 
         D takes one series division, D_m = (prev_m + 2u S_m) / (1 + i - 2u)
         with S_m = sum_{k=1..m} C(m,k) s_k D_{m-k}; entry m of the new row
-        is i D_m - u S_m.  Since i + u(1-s) = (1 + i - 2us)/2 + u + (i-1)/2
-        this is m_row(i)/2 + (u + (i-1)/2) D, but written so that entry 0
-        comes out an exact zero for every u.
+        is i D_m - u S_m.  In units of 2^exp, with S_m = conv 2^-order and
+        u = u_man 2^-sh, D_m is one floor division and entry 0 comes out an
+        exact zero for every u.
         """
-        u = self.u
-        two_u = 2 * u
-        den = 1 + i - two_u
+        u_man, up = self._u_man, self._sh + self.order
+        den = (((1 + i) << self._sh) - 2 * u_man) << self.order
         quot, out = [], []
-        for m_, weights in enumerate(self._weights):
-            conv = mpf(0)
-            for k in range(1, m_ + 1):
-                conv += weights[k] * quot[m_ - k]
-            quot.append((prev[m_] + two_u * conv) / den)
-            out.append(i * quot[m_] - u * conv)
-        return ExpSeries(tuple(out))
+        for m_, weights in enumerate(self._div_weights):
+            conv = 0
+            for k, w in enumerate(weights, 1):
+                conv += w * quot[m_ - k]
+            uc = u_man * conv
+            q = ((prev[m_] << up) + 2 * uc) // den
+            quot.append(q)
+            out.append(i * q - (uc >> up))
+        return _normalize(out, exp, self._wp)
 
-    def _mbar_step(self, i: int, prev: ExpSeries) -> ExpSeries:
-        """mbar_row(i+1) = (i^2 + 2ui - u^2 w) mbar_row(i); multiplying by w
-        shifts an exp-convention series up one place and scales entry m by m."""
-        c = i * (i + 2 * self.u)
-        u2 = self.u ** 2
-        return ExpSeries((c * prev[0],) + tuple(c * prev[m_] - u2 * m_ * prev[m_ - 1]
-                                                for m_ in range(1, self.order + 1)))
+    def _mbar_next(self, i: int, prev: list, exp: int) -> tuple:
+        """mbar_row(i+1) = (i^2 + 2ui - u^2 w) mbar_row(i), exactly in units
+        of 2^(exp - 2 sh); multiplying by w shifts an exp-convention series up
+        one place and scales entry m by m."""
+        sh = self._sh
+        c = ((i * i) << sh) + 2 * i * self._u_man   # (i^2 + 2ui) 2^sh
+        u2 = self._u_man ** 2                         # u^2 2^(2 sh)
+        out = [(c * prev[0]) << sh]
+        out += [((c * prev[m_]) << sh) - u2 * m_ * prev[m_ - 1]
+                for m_ in range(1, self.order + 1)]
+        return _normalize(out, exp - 2 * sh, self._wp)
+
+    def _mpf_row(self, family: str, n: int) -> ExpSeries:
+        mans, exp = self.fixed_row(family, n)
+        return ExpSeries(tuple(_to_mpf(x, exp, self.precision) for x in mans))
 
     def m_row(self, n: int) -> ExpSeries:
         """<u(1-s)>_n / <1-2us>_n; entry 0 vanishes for n >= 1, and the
         denominator constant <1-2u>_n never does in the persistent regime."""
-        return self._row("m", n, self._m_step)
+        return self._mpf_row("m", n)
 
     def mbar_row(self, n: int) -> ExpSeries:
         """<u(1-s)>_n <u(1+s)>_n, a polynomial of degree n in z: entries
         above n, and entry 0 for n >= 1, are exact zeros."""
-        return self._row("mbar", n, self._mbar_step)
+        return self._mpf_row("mbar", n)
 
 
 def ensure_table(d: DerivedParams, order: int) -> KernelTable:
@@ -268,16 +331,87 @@ def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
         return series_exp(ExpSeries((mpf(0),) + tuple(-ulogy * c for c in s.coeffs[1:])))
 
 
-def _power_over_factorial(x):
-    """n -> x^n / n! from one list grown on demand, each entry from the last."""
-    values = [mpf(1)]
+def _powers_over_factorials(x, wp: int):
+    """n -> (man, exp) with man 2^exp = x^n / n! to wp bits, from one list
+    grown on demand, each entry from the last."""
+    x_man, x_exp = _man_exp(x)
+    values = [(1 << wp, -wp)]
 
     def at(n):
         while len(values) <= n:
-            values.append(values[-1] * x / len(values))
+            man, exp = values[-1]
+            man = man * x_man // len(values)
+            by = wp - man.bit_length()
+            values.append((_shift(man, by), exp + x_exp - by))
         return values[n]
 
     return at
+
+
+def _fixed_terms(table: KernelTable, family: str, k: int, scale, n_start: int):
+    """Exact products (man, exp) of row entry k and scale(n), n = n_start ..
+    N_MAX_DEFAULT."""
+    for n in range(n_start, N_MAX_DEFAULT + 1):
+        mans, e = table.fixed_row(family, n)
+        x, f = scale(n)
+        yield mans[k] * x, e + f
+
+
+def _fixed_convergent_sum(terms, wp: int):
+    """convergent_sum at tolerance L_SERIES_TOL over exact terms (man, exp),
+    n = 1, 2, ..., in integers.
+
+    The partial sum is one int at the exponent that gives the first term wp
+    bits; the stagnation test compares against the exact mantissa and
+    exponent of L_SERIES_TOL.  Returns (man, exp, last_included_n), or None
+    when the terms run out first.
+    """
+    partial, acc, run = 0, None, 0
+    for n, (p, e) in enumerate(terms, 1):
+        if acc is None:
+            acc = e + p.bit_length() - wp
+        term = _shift(p, e - acc)
+        partial += term
+        scale = abs(partial) if partial else abs(term)
+        if abs(term) << -_TOL_EXP <= _TOL_MAN * scale:
+            run += 1
+            if run >= _STAGNATION_RUN:
+                return partial, acc, n
+        else:
+            run = 0
+    return None
+
+
+def _fixed_asymptotic_sum(terms, wp: int):
+    """asymptotic_sum over exact terms (man, exp), in integers.
+
+    The kept terms share one exponent, lowered (and the kept ints shifted up
+    to match) whenever a new term would carry fewer than wp bits, so the
+    envelope comparisons see every term to wp bits.  Returns (value_man,
+    first_omitted_man, exp, index of the last included term).
+    """
+    kept, acc, min_env = [], None, None
+    for p, e in terms:
+        want = e + p.bit_length() - wp
+        if acc is None:
+            acc = want
+        elif p and want < acc:
+            by = acc - want + wp  # room for the next wp bits of decline
+            kept = [t << by for t in kept]
+            if min_env is not None:
+                min_env <<= by
+            acc -= by
+        kept.append(_shift(p, e - acc))
+        if len(kept) >= 2:
+            env = max(abs(kept[-1]), abs(kept[-2]))
+            if min_env is None or env < min_env:
+                min_env = env
+            elif env > _GROWTH_STOP * min_env and abs(kept[-1]) > abs(kept[-2]):
+                break
+    if len(kept) == 1:
+        return kept[0], abs(kept[0]), acc, 0
+    best = min(range(len(kept) - 1), key=lambda i: max(abs(kept[i]), abs(kept[i + 1])))
+    return sum(kept[: best + 1]), abs(kept[best + 1]), acc, best
 
 
 def l_series(y, order: int, d: DerivedParams):
@@ -286,29 +420,25 @@ def l_series(y, order: int, d: DerivedParams):
     l_0 = 1 and l_k = a^k sum_{n>=1} m_row(n)[k] (v y)^n / n!.  The n-sum
     converges factorially; it is cut once five consecutive terms fall below
     L_SERIES_TOL times the running partial sum.  Raises NoConvergence if the
-    table bound N_MAX_DEFAULT is hit first.
+    table bound N_MAX_DEFAULT is hit first.  The sums run in fixed point on
+    the table's integer rows.
     Returns (series, diagnostics).
     """
     table = ensure_table(d, order)
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-        scale = _power_over_factorial(vy)
-        tol = mpf(L_SERIES_TOL)  # rounded to the working precision
+        scale = _powers_over_factorials(vy, table._wp)
         out = [mpf(1)]
         apow = mpf(1)
         for k in range(1, order + 1):
             apow *= d.a
-
-            def term(n, _k=k):
-                return table.m_row(n)[_k] * scale(n)
-
-            try:
-                partial, n_cut = convergent_sum(term, tol, N_MAX_DEFAULT)
-            except NoConvergence as exc:
-                raise NoConvergence(
-                    f"l-series order {k} at v*y = {float(vy)}: {exc}") from exc
-            out.append(apow * partial)
+            found = _fixed_convergent_sum(_fixed_terms(table, "m", k, scale, 1), table._wp)
+            if found is None:
+                raise NoConvergence(f"l-series order {k} at v*y = {float(vy)}: "
+                                    f"sum still changing at n_max = {N_MAX_DEFAULT}")
+            man, exp, n_cut = found
+            out.append(apow * _to_mpf(man, exp, d.precision))
             diag.trunc_index.append(n_cut)
             diag.error_estimate.append(mpf(0))
     return ExpSeries(tuple(out)), diag
@@ -338,18 +468,14 @@ def lbar_series(y, order: int, d: DerivedParams):
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-        scale = _power_over_factorial(1 / vy)
+        scale = _powers_over_factorials(-1 / vy, table._wp)  # carries (-1)^n
         out = [mpf(1)]
         apow = mpf(1)
         for m_ in range(1, order + 1):
             apow *= d.a
-
-            def term(n, _m=m_):
-                sign = -1 if n % 2 else 1
-                return sign * table.mbar_row(n)[_m] * scale(n)
-
-            value, est, n_cut = asymptotic_sum(term, m_, N_MAX_DEFAULT)
-            out.append(apow * value)
-            diag.trunc_index.append(n_cut)
-            diag.error_estimate.append(apow * est)
+            terms = _fixed_terms(table, "mbar", m_, scale, m_)
+            value, est, exp, best = _fixed_asymptotic_sum(terms, table._wp)
+            out.append(apow * _to_mpf(value, exp, d.precision))
+            diag.trunc_index.append(m_ + best)
+            diag.error_estimate.append(apow * _to_mpf(est, exp, d.precision))
     return ExpSeries(tuple(out)), diag

@@ -247,6 +247,7 @@ WHERE = st.floats(min_value=0.0, max_value=1.0)         # where in its range
 
 
 @given(GROWTH, SIGMA, st.booleans(), WHERE, WHERE)      # upcrossing?, x0, threshold
+@example(r=0.75, sigma=0.2, up=False, at_x0=1.0, at_threshold=1.0)  # six unflagged down moments
 @settings(max_examples=12, deadline=None)
 def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
     """Fisheries-like points (rho > 0 throughout): moments from the shared

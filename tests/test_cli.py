@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from logifpt import errors
 from logifpt.cli import main
 from logifpt.montecarlo import read_samples_csv
 from tests.conftest import FISHERIES
@@ -46,6 +47,40 @@ def test_derive_input_errors(tmp_path, capsys):
     partial.write_text(json.dumps({"r": 0.7}))
     code, _, err = run(capsys, "derive", str(partial))
     assert code == 1 and "missing" in err
+
+
+# the documented exit code of every package error: 1 input, 2 infeasible
+# regime, 3 numerical non-convergence
+EXIT_CODES = {
+    errors.LogifptError: 1, errors.InvalidParams: 1, errors.ZeroConstantTerm: 1,
+    errors.NonPositiveConstantTerm: 1, errors.ZeroVariance: 1,
+    errors.InsufficientMoments: 1, errors.EmptySample: 1, errors.BadParameterB: 1,
+    errors.InvalidHarvest: 2, errors.NonPersistentRegime: 2, errors.WrongSide: 2,
+    errors.NoFeasibleStart: 2,
+    errors.NoConvergence: 3, errors.NonConvergent: 3, errors.QuadratureFailure: 3,
+    errors.StencilFailure: 3,
+}
+
+
+def test_every_package_error_has_an_exit_code():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+    assert subclasses(errors.LogifptError) == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES.items(), ids=lambda v: getattr(v, "__name__", str(v)))
+def test_moments_errors_map_to_exit_codes(config_path, capsys, monkeypatch, error, code):
+    import logifpt.cli
+
+    def raising(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(logifpt.cli, "fpt_moments", raising)
+    got, out, err = run(capsys, "moments", config_path, "--direction", "up",
+                        "--threshold", "1e4")
+    assert (got, out) == (code, "")
+    assert "injected" in err
 
 
 @pytest.mark.parametrize("field,value", [("q", math.nan), ("E", math.nan),

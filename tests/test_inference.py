@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from logifpt import (Direction, FptProblem, SimConfig, build_approximant,
-                     fpt_moments, log_likelihood, mle_fit, sample_fpt)
-from logifpt.errors import EmptySample, InvalidParams, NoFeasibleStart
+from logifpt import (Direction, FptProblem, ModelParams, SimConfig, build_approximant,
+                     derive_params, fpt_moments, log_likelihood, mle_fit, sample_fpt)
+from logifpt.errors import EmptySample, InvalidParams, NoConvergence, NoFeasibleStart
 from logifpt.inference import DEFAULT_BOUNDS, PENALTY, MleConfig
 from logifpt.montecarlo import FptSample
 from tests.conftest import FISHERIES
@@ -55,6 +56,32 @@ def test_penalty_regions(sample_1k):
     cfg = cfg_for(["x0"], init={"x0": 100.0})
     assert log_likelihood({"x0": 2e4}, sample_1k, cfg) == PENALTY  # wrong side
     assert log_likelihood({"x0": 1e4}, sample_1k, cfg) == PENALTY  # degenerate
+
+
+@given(sigma=st.floats(*DEFAULT_BOUNDS["sigma"]), r=st.floats(*DEFAULT_BOUNDS["r"]))
+@example(sigma=1e-3, r=10.0)  # |u| ~ 1e7: one kernel row spans about 2^226
+@settings(max_examples=10, deadline=None)
+def test_likelihood_is_finite_or_the_penalty(sample_1k, sigma, r):
+    """Anywhere in the (sigma, r) box the simplex searches, a likelihood is
+    a finite float or exactly PENALTY, and it never raises."""
+    cfg = cfg_for(["sigma", "r"], init={"sigma": FISHERIES["sigma"], "r": FISHERIES["r"]})
+    ll = log_likelihood({"sigma": sigma, "r": r}, sample_1k, cfg)
+    assert type(ll) is float
+    assert ll == PENALTY or math.isfinite(ll)
+
+
+def test_non_convergent_sums_are_the_penalty():
+    """At v*U ~ 132 the upcrossing n-sum is still changing at the table
+    bound: the moments raise NoConvergence and the likelihood is PENALTY."""
+    far = FptProblem(Direction.UP, 3e8)
+    with pytest.raises(NoConvergence):
+        fpt_moments(derive_params(ModelParams(**{**FISHERIES, "x0": 2.01e7})), far, 10)
+    data = FptSample(times=np.array([1.0, 2.0]), censored=0,
+                     config=SimConfig(problem=far, paths=2, dt=1e-3, horizon=60.0, seed=0))
+    fixed = {k: v for k, v in FIXED_ALL.items() if k != "sigma"}
+    cfg = MleConfig(estimate=("sigma",), fixed={**fixed, "x0": 2.01e7, "U": 3e8},
+                    init={"sigma": FISHERIES["sigma"]})
+    assert log_likelihood({"sigma": FISHERIES["sigma"]}, data, cfg) == PENALTY
 
 
 def test_bugs_are_not_turned_into_penalties(sample_1k, monkeypatch):

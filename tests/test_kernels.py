@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -9,18 +10,23 @@ from logifpt import (KernelTable, ModelParams, derive_params, l_series,
 from logifpt import kernels
 from logifpt.errors import NoConvergence
 from logifpt.kernels import asymptotic_sum, convergent_sum
-from logifpt.series import (ExpSeries, falling_factorial, series_exp, series_product,
-                            series_ratio)
-from tests.conftest import FISHERIES, fisheries_at
+from logifpt.series import (ExpSeries, binomial_series, falling_factorial, series_exp,
+                            series_product, series_ratio)
+from tests.conftest import FISHERIES, fisheries_at, scenario_grid
+
+
+def drift_at(u_value, precision=256):
+    """Derived parameters whose drift index is u_value rounded to precision."""
+    sigma = 1.0
+    r1 = sigma ** 2 * (1 - 2 * u_value) / 2
+    return derive_params(ModelParams(r=r1, K=1000.0, q=0.0, E=0.0, sigma=sigma, x0=10.0),
+                         precision=precision)
 
 
 def dyadic_table(u_value=-2.625, precision=256, order=7):
     """Kernel table whose drift index is an exactly representable dyadic,
     so the rational brute-force oracle sees the identical u."""
-    sigma = 1.0
-    r1 = sigma ** 2 * (1 - 2 * u_value) / 2
-    d = derive_params(ModelParams(r=r1, K=1000.0, q=0.0, E=0.0, sigma=sigma, x0=10.0),
-                      precision=precision)
+    d = drift_at(u_value, precision)
     assert float(d.u) == u_value
     return d, KernelTable(d, order)
 
@@ -113,6 +119,80 @@ def test_mbar_degree_bound():
     for n in range(1, 6):
         for m in range(n + 1, 8):
             assert tab.mbar_row(n)[m] == 0
+
+
+def reference_rows(u, order, n_max, precision=600):
+    """m_row(n) and mbar_row(n), n = 0..n_max, by the mpf row steps at
+    ``precision`` bits, rounding once per step.
+
+    The m step is one series division by the linear factor 1 + i - 2us,
+    D_m = (prev_m + 2u S_m) / (1 + i - 2u) with S_m = sum_{k=1..m} C(m,k)
+    s_k D_{m-k}, and entry m of the next row is i D_m - u S_m; the mbar step
+    multiplies by i^2 + 2ui - u^2 w.
+    """
+    with mp.workprec(precision):
+        s = binomial_series(mpf(1) / 2, 1, order)
+        weights = [[math.comb(m, k) * s[k] for k in range(m + 1)] for m in range(order + 1)]
+        one = (mpf(1),) + (mpf(0),) * order
+        m_rows, mbar_rows = [one], [one]
+        for i in range(n_max):
+            prev, quot, out = m_rows[-1], [], []
+            for m_ in range(order + 1):
+                conv = sum((weights[m_][k] * quot[m_ - k] for k in range(1, m_ + 1)), mpf(0))
+                quot.append((prev[m_] + 2 * u * conv) / (1 + i - 2 * u))
+                out.append(i * quot[m_] - u * conv)
+            m_rows.append(tuple(out))
+            prev, c = mbar_rows[-1], i * (i + 2 * u)
+            mbar_rows.append((c * prev[0],) + tuple(c * prev[m_] - u ** 2 * m_ * prev[m_ - 1]
+                                                    for m_ in range(1, order + 1)))
+    return m_rows, mbar_rows
+
+
+@pytest.mark.parametrize("u_value", [None, -1e4, -0.01], ids=["fisheries", "large_u", "small_u"])
+def test_rows_match_a_600_bit_reference_to_the_table_bound(u_value):
+    """Fixed-point rows are rounded once, on conversion: every nonzero entry
+    of both families is within 1e-75 of a 600-bit recurrence up to the last
+    row, and every structural zero is an exact zero.  Entries of one row
+    span about 2^136 at |u| = 1e4 (both families) and at |u| = 0.01 (mbar)."""
+    d = fisheries_at(100.0) if u_value is None else drift_at(u_value)
+    order = 10
+    tab = KernelTable(d, order)
+    want_m, want_mbar = reference_rows(d.u, order, kernels.N_MAX_DEFAULT)
+    with mp.workprec(600):
+        for n in range(1, kernels.N_MAX_DEFAULT + 1):
+            for got, want in ((tab.m_row(n), want_m[n]), (tab.mbar_row(n), want_mbar[n])):
+                for x, e in zip(got.coeffs, want):
+                    if e == 0:
+                        assert x == 0
+                    else:
+                        assert abs(x - e) <= mpf("1e-75") * abs(e)
+
+
+# trunc_index and flagged of fpt_moments on scenario_grid(), as the
+# per-step mpf sums cut them
+CUTS = {
+    ("up_1e4", 4): ([0, 13, 14, 14, 13], [False] * 4),
+    ("up_1e4", 10): ([0, 13, 14, 14, 13, 14, 14, 14, 14, 14, 14], [False] * 10),
+    ("up_1e5", 4): ([0, 16, 16, 17, 16], [False] * 4),
+    ("up_1e5", 10): ([0, 16, 16, 17, 16, 17, 17, 16, 17, 17, 17], [False] * 10),
+    ("up_large", 4): ([0, 69, 70, 71, 71], [False] * 4),
+    ("up_large", 10): ([0, 69, 70, 71, 71, 70, 73, 72, 72, 70, 72], [False] * 10),
+    ("down_deep", 4): ([0, 35, 35, 35, 36], [False] * 4),
+    ("down_deep", 10): ([0, 35, 35, 35, 36, 35, 35, 36, 29, 35, 37], [False] * 4 + [True] * 6),
+    ("down_mid", 4): ([0, 35, 35, 35, 36], [False] * 4),
+    ("down_mid", 10): ([0, 35, 35, 35, 36, 35, 35, 36, 29, 35, 37], [False] * 10),
+    ("down_high", 4): ([0, 44, 44, 45, 46], [False] * 4),
+    ("down_high", 10): ([0, 44, 44, 45, 46, 44, 45, 46, 44, 45, 48], [False] * 10),
+}
+
+
+@pytest.mark.parametrize("name, order", list(CUTS))
+def test_cut_points_are_pinned(name, order):
+    from logifpt import fpt_moments
+
+    d, prob = {s[0]: s[1:] for s in scenario_grid()}[name]
+    ms = fpt_moments(d, prob, order)
+    assert (ms.diagnostics.trunc_index, list(ms.flagged)) == CUTS[name, order]
 
 
 # ------------------------------------------------------------- series blocks
