@@ -18,7 +18,6 @@ whose estimate exceeds FLAG_RTOL are flagged rather than silently returned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -31,8 +30,8 @@ from .kernels import (L_SERIES_TOL, N_MAX_DEFAULT, SeriesDiagnostics,
                       asymptotic_sum, convergent_sum, ensure_table, l_series,
                       lbar_series, q_series)
 from .model import DerivedParams, Direction, FptProblem, validate_problem
-from .series import (binomial_series, log_polynomials, series_product, series_ratio,
-                     series_reciprocal_bell)
+from .series import (ExpSeries, binomial_series, log_polynomials, series_product,
+                     series_ratio, series_reciprocal_bell)
 
 FLAG_RTOL = 1e-8
 
@@ -137,16 +136,19 @@ class CumulantSet:
         return (c[0] / c[1], 2 * c[1] / c[2], 3 * c[2] / c[3])
 
 
-def _propagate_errors(s1, e, g, order):
-    """First-order error bound for the quotient recursion, given the summed
-    error estimates e of the two building-block series."""
-    dg = [mpf(0)]
-    for m_ in range(1, order + 1):
-        tot = e[m_]
-        for k in range(1, m_ + 1):
-            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(s1[k]) * dg[m_ - k])
-        dg.append(tot)
-    return dg
+def _propagate_errors(s1, e, g):
+    """First-order error bound dg on the quotient g = s0/s1, given the summed
+    error estimates e of the two building-block series (e_0 = 0, s1_0 = 1).
+
+    dg = e (1 + |g|) / (1 - |s1|+), with |g| and |s1| taken entrywise and
+    |s1|+ the series |s1| with its constant term set to 0.  When every
+    estimate is 0, as for all upcrossing sums, the bound is the zero series.
+    """
+    if not any(e):
+        return (mpf(0),) * len(g)
+    one_plus_g = ExpSeries((1 + abs(g[0]),) + tuple(abs(c) for c in g[1:]))
+    one_minus_s1 = ExpSeries((mpf(1),) + tuple(-abs(c) for c in s1[1:]))
+    return series_ratio(series_product(ExpSeries(tuple(e)), one_plus_g), one_minus_s1).coeffs
 
 
 def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
@@ -156,12 +158,19 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
 
     The building blocks -- the l-series upcrossing, the lbar-series
     downcrossing -- are expanded at x0 and at the threshold and kept in the
-    result, whose ``cumulants`` are formed from them on first use.
+    result, whose ``cumulants`` are formed from them on first use.  The
+    moments are the coefficients of the quotient of the two expansions.
+    Upcrossing, that is q(x0) l(x0) / (q(U) l(U)); it is taken as
+    q(x0/U) l(x0) / l(U), with x0/U formed at working precision, since
+    q(x0)/q(U) = q(x0/U) exactly (see :mod:`logifpt.kernels`).  One q-series
+    and no ``t_series`` enter, and nothing cancels between two q-series.
     ``method`` selects the quotient recursion (default, cheaper) or the
     Bell-polynomial closed form; both agree to working precision.  For
     downcrossing problems the per-order relative error estimates of the
     asymptotic sums are attached and orders above FLAG_RTOL are flagged;
     if ``max_rel_error`` is given, exceeding it raises NonConvergent.
+    Upcrossing sums are convergent, their estimates are 0, and so are the
+    relative error estimates.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -175,15 +184,14 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     diag = SeriesDiagnostics.merge(g0, g1)
     s0, s1 = b0, b1
     with mp.workprec(d.precision):
-        if prob.direction is Direction.UP:  # t-series: q-series times l-series
-            s0 = series_product(q_series(d.params.x0, order, d), b0)
-            s1 = series_product(q_series(prob.threshold, order, d), b1)
+        if prob.direction is Direction.UP:  # q(x0) l(x0) / (q(U) l(U))
+            s0 = series_product(q_series(mpf(d.params.x0) / mpf(prob.threshold), order, d), b0)
         if method is MomentMethod.BELL_CLOSED_FORM:
             g = series_product(s0, series_reciprocal_bell(s1)).coeffs
         else:
             g = series_ratio(s0, s1).coeffs
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
-        dg = _propagate_errors(s1, diag.error_estimate, g, order)
+        dg = _propagate_errors(s1, diag.error_estimate, g)
         rel = []
         for m_ in range(1, order + 1):
             denom = abs(moments[m_ - 1])
@@ -233,13 +241,19 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
     table = ensure_table(d, 2)
     x0 = d.params.x0
     s = prob.threshold
+
+    def entry(family, n, m_):
+        # entry m_ of row n as m_row/mbar_row would give it, converting only that entry
+        mans, exp = table.fixed_row(family, n)
+        return mpf((mans[m_], exp))
+
     with mp.workprec(d.precision):
         vx0 = d.v * mpf(x0)
         vs = d.v * mpf(s)
         if prob.direction is Direction.UP:
             def csum(m_, vy):
                 val, _ = convergent_sum(
-                    lambda n: table.m_row(n)[m_] * vy ** n / mpmath.factorial(n),
+                    lambda n: entry("m", n, m_) * vy ** n / mpmath.factorial(n),
                     mpf(L_SERIES_TOL), N_MAX_DEFAULT)
                 return val
 
@@ -253,7 +267,7 @@ def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
             def asum(m_, vy):
                 def term(n):
                     sign = -1 if n % 2 else 1
-                    return sign * table.mbar_row(n)[m_] / (vy ** n * mpmath.factorial(n))
+                    return sign * entry("mbar", n, m_) / (vy ** n * mpmath.factorial(n))
 
                 val, _, _ = asymptotic_sum(term, m_, N_MAX_DEFAULT)
                 return val

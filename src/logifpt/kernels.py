@@ -40,10 +40,18 @@ summed by optimal truncation (stop at the smallest term, report the first
 omitted term as the error estimate).  ``l_series`` and ``lbar_series`` run
 their n-sums in the same integers, on the rows as ints: (v y)^n / n! and
 (v y)^-n / n! are fixed-point sequences, each order's partial sum is one
-int, and both truncation rules compare ints exactly.  An ``mpf`` is formed
-once per output coefficient and once per error estimate.
+int, and both truncation rules compare ints exactly.  ``l_series`` advances
+all its orders in one pass over n, each to its own cut.  An ``mpf`` is
+formed once per output coefficient and once per error estimate.
 ``convergent_sum`` and ``asymptotic_sum`` state the same two rules on
 ``mpf`` terms, for the closed form in :mod:`logifpt.analytics`.
+
+The moments do not go through ``t_series`` = q(y) l(y).  The upcrossing
+quotient is q(x0) l(x0) / (q(U) l(U)), and since q(y) = y^(u (1 - s)),
+q(x0) / q(U) = q(x0 / U) exactly: :func:`logifpt.analytics.fpt_moments`
+forms one q-series at the quotient x0 / U, taken at working precision, and
+divides q(x0 / U) l(x0) by l(U).  Dividing by a second q-series instead
+loses up to 16 digits to cancellation at order 10.
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
 process-wide cache of :class:`KernelTable` objects keyed by
@@ -357,31 +365,6 @@ def _fixed_terms(table: KernelTable, family: str, k: int, scale, n_start: int):
         yield mans[k] * x, e + f
 
 
-def _fixed_convergent_sum(terms, wp: int):
-    """convergent_sum at tolerance L_SERIES_TOL over exact terms (man, exp),
-    n = 1, 2, ..., in integers.
-
-    The partial sum is one int at the exponent that gives the first term wp
-    bits; the stagnation test compares against the exact mantissa and
-    exponent of L_SERIES_TOL.  Returns (man, exp, last_included_n), or None
-    when the terms run out first.
-    """
-    partial, acc, run = 0, None, 0
-    for n, (p, e) in enumerate(terms, 1):
-        if acc is None:
-            acc = e + p.bit_length() - wp
-        term = _shift(p, e - acc)
-        partial += term
-        scale = abs(partial) if partial else abs(term)
-        if abs(term) << -_TOL_EXP <= _TOL_MAN * scale:
-            run += 1
-            if run >= _STAGNATION_RUN:
-                return partial, acc, n
-        else:
-            run = 0
-    return None
-
-
 def _fixed_asymptotic_sum(terms, wp: int):
     """asymptotic_sum over exact terms (man, exp), in integers.
 
@@ -419,28 +402,57 @@ def l_series(y, order: int, d: DerivedParams):
 
     l_0 = 1 and l_k = a^k sum_{n>=1} m_row(n)[k] (v y)^n / n!.  The n-sum
     converges factorially; it is cut once five consecutive terms fall below
-    L_SERIES_TOL times the running partial sum.  Raises NoConvergence if the
-    table bound N_MAX_DEFAULT is hit first.  The sums run in fixed point on
-    the table's integer rows.
-    Returns (series, diagnostics).
+    L_SERIES_TOL times the running partial sum.  Raises NoConvergence, for
+    the smallest order still open, if the table bound N_MAX_DEFAULT is hit
+    first.  Returns (series, diagnostics).
+
+    The sums run in fixed point on the table's integer rows, all orders in
+    one pass over n, so each row and each (v y)^n / n! is fetched once.
+    Order k keeps its partial sum as one int at the exponent that gives its
+    first term wp bits, and leaves the pass at its own cut; the stagnation
+    test compares ints against the exact mantissa and exponent of
+    L_SERIES_TOL.
     """
     table = ensure_table(d, order)
-    diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
+    wp = table._wp
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-        scale = _powers_over_factorials(vy, table._wp)
+        scale = _powers_over_factorials(vy, wp)
+        partial, acc, run = [0] * (order + 1), [None] * (order + 1), [0] * (order + 1)
+        cut = [0] * (order + 1)
+        open_orders = list(range(1, order + 1))
+        for n in range(1, N_MAX_DEFAULT + 1):
+            mans, e = table.fixed_row("m", n)
+            x, f = scale(n)
+            e += f
+            still_open = []
+            for k in open_orders:
+                p = mans[k] * x
+                if acc[k] is None:
+                    acc[k] = e + p.bit_length() - wp
+                term = _shift(p, e - acc[k])
+                partial[k] += term
+                ref = abs(partial[k]) if partial[k] else abs(term)
+                if abs(term) << -_TOL_EXP <= _TOL_MAN * ref:
+                    run[k] += 1
+                    if run[k] >= _STAGNATION_RUN:
+                        cut[k] = n
+                        continue
+                else:
+                    run[k] = 0
+                still_open.append(k)
+            open_orders = still_open
+            if not open_orders:
+                break
+        else:
+            raise NoConvergence(f"l-series order {open_orders[0]} at v*y = {float(vy)}: "
+                                f"sum still changing at n_max = {N_MAX_DEFAULT}")
         out = [mpf(1)]
         apow = mpf(1)
         for k in range(1, order + 1):
             apow *= d.a
-            found = _fixed_convergent_sum(_fixed_terms(table, "m", k, scale, 1), table._wp)
-            if found is None:
-                raise NoConvergence(f"l-series order {k} at v*y = {float(vy)}: "
-                                    f"sum still changing at n_max = {N_MAX_DEFAULT}")
-            man, exp, n_cut = found
-            out.append(apow * _to_mpf(man, exp, d.precision))
-            diag.trunc_index.append(n_cut)
-            diag.error_estimate.append(mpf(0))
+            out.append(apow * _to_mpf(partial[k], acc[k], d.precision))
+    diag = SeriesDiagnostics(trunc_index=cut, error_estimate=[mpf(0)] * (order + 1))
     return ExpSeries(tuple(out)), diag
 
 

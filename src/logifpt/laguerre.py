@@ -9,10 +9,11 @@ The n-th approximant, in normalized form, is
 with generalized Laguerre polynomials L_k and the paper's Fourier
 coefficients B_k.  So b_0 = 1, the n = 0 truncation is the Gamma density,
 and matching (alpha, beta) to two moments makes b_1 and b_2 vanish.  The b_k
-are summed in arbitrary precision (the sums alternate violently once moments
-span many decades); evaluation runs in double precision through the
-three-term recurrence, with f_alpha taken through logarithms so that it is
-finite for every alpha > -1.
+are summed exactly, as integers at one binary exponent, and rounded once to
+the working precision (the sums alternate violently once moments span many
+decades); evaluation runs in double precision through the three-term
+recurrence, with f_alpha taken through logarithms so that it is finite for
+every alpha > -1.
 
 Integrals are closed form.  By DLMF 18.9, d/dx [x^(alpha+1) e^-x
 L_(k-1)^(alpha+1)(x)] = k x^alpha e^-x L_k^(alpha)(x), so the raw
@@ -28,8 +29,8 @@ error in a root enters only at second order.  The corrected density is
 never negative; above CLIP_THRESHOLD of negative mass it is renormalized as
 well.  The pre-correction mass is always reported.
 By orthogonality the raw expansion integrates to exactly 1, so
-``norm_residual`` (Gauss-Laguerre quadrature of p) reports only how well p
-is conditioned in double precision.
+``norm_residual`` (Gauss-Laguerre quadrature of p, computed on first use)
+reports only how well p is conditioned in double precision.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
+import mpmath
 import numpy as np
 from mpmath import mp, mpf
 from scipy import linalg, special
 
 from .analytics import MomentSet
-from .errors import (ExpansionConditionWarning, InsufficientMoments,
+from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                      SingularOriginWarning, ZeroVariance)
 
 CLIP_THRESHOLD = 1e-12
@@ -111,7 +114,9 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
 
     b_k = Gamma(alpha + 1) B_k, where B_k are the paper's Fourier-Laguerre
     coefficients, so b_0 = 1.  The rising factorial (alpha + 1)_j is a
-    running product; no Gamma function is evaluated.
+    running product; no Gamma function is evaluated.  The terms c_j are
+    brought to one binary exponent as exact ints, so each alternating sum
+    b_k = sum_j C(k, j) c_j is exact and rounded once.
     """
     if ms.order < n:
         raise InsufficientMoments(f"need {n} moments, MomentSet carries {ms.order}")
@@ -122,9 +127,13 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
         for j in range(n + 1):
             c.append(scale * mu[j])
             scale *= -g.beta_mp / (g.alpha_mp + j + 1)
-        out = [sum((math.comb(k, j) * c[j] for j in range(k + 1)), mpf(0))
-               for k in range(n + 1)]
-    return out
+        if not all(mpmath.isfinite(x) for x in c):
+            raise InvalidParams(f"moments must be finite, got {[float(m) for m in mu[1:n + 1]]}")
+        parts = [x._mpf_ for x in c]  # (sign, man, exp, bitcount)
+        low = min(exp for _, _, exp, _ in parts)
+        ints = [(-man if sign else man) << (exp - low) for sign, man, exp, _ in parts]
+        return [mpf((sum(math.comb(k, j) * ints[j] for j in range(k + 1)), low))
+                for k in range(n + 1)]
 
 
 def _gamma_pdf(alpha: float, x):
@@ -194,8 +203,8 @@ def _norm_residual(coeffs: np.ndarray, alpha: float) -> float:
 class LaguerreApproximant:
     """Evaluable truncated expansion plus its correction metadata.
 
-    The residual, the negative mass and the correction follow from the
-    coefficients and are computed on construction.
+    The negative mass and the correction follow from the coefficients and
+    are computed on construction; ``norm_residual`` on first use.
     """
 
     gamma: GammaRef
@@ -203,7 +212,6 @@ class LaguerreApproximant:
     coeffs: tuple            # float b_0..b_n used by evaluation
     coeffs_mp: tuple         # full-precision b_0..b_n
     converged: bool          # order-selection verdict
-    norm_residual: float = field(init=False)   # float-conditioning report
     negative_mass: float = field(init=False)   # mass below zero before correction
     clip_applied: bool = field(init=False)
     renorm_factor: float = field(init=False)
@@ -211,11 +219,15 @@ class LaguerreApproximant:
     def __post_init__(self):
         self._coeff_arr = np.asarray(self.coeffs, dtype=float)
         alpha = self.gamma.alpha
-        self.norm_residual = _norm_residual(self._coeff_arr, alpha)
         self._neg = _negative_intervals(self._coeff_arr, alpha)
         self.negative_mass = float(self._mass_below(np.inf))
         self.clip_applied = self.negative_mass > CLIP_THRESHOLD
         self.renorm_factor = 1.0 / (1.0 + self.negative_mass) if self.clip_applied else 1.0
+
+    @cached_property
+    def norm_residual(self) -> float:
+        """|integral of the raw expansion - 1|: a float-conditioning report."""
+        return _norm_residual(self._coeff_arr, self.gamma.alpha)
 
     def _mass_below(self, x):
         """Negative raw mass on (0, x), in the reference's x = beta t."""

@@ -9,7 +9,9 @@ from mpmath import mp, mpf
 from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
                      cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments,
                      gamma_consistency, mean_variance_closed_form)
+from logifpt.analytics import FLAG_RTOL
 from logifpt.errors import LogifptError, NonConvergent
+from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
 
@@ -75,6 +77,55 @@ def test_moments_agree_across_precisions(name):
     with mp.workprec(512):
         for got, want in zip(ms.moments, hi.moments):
             assert abs(got - want) <= mpf("1e-60") * abs(want)
+
+
+# the seven upcrossing scenarios of the benchmark: (x0, threshold)
+BENCH_UP = {"up_150": (100.0, 150.0), "up_1e4": (100.0, 1e4), "up_1e5": (100.0, 1e5),
+            "up_110": (100.0, 110.0), "up_large": (2.01e7, 3.91e7),
+            "up_mid": (2.01e7, 2.51e7), "up_high": (4.0e7, 6e7)}
+
+
+@pytest.mark.parametrize("name", list(BENCH_UP))
+def test_upcrossing_moments_match_700_bits(name):
+    """q(x0)/q(U) enters as the one series q(x0/U), so the two q-series do not
+    cancel: at order 10 both routes keep 256-bit moments within 1e-72 of a
+    700-bit evaluation (with q(x0) and q(U) apart, up to 3.8e-61)."""
+    x0, threshold = BENCH_UP[name]
+    d = fisheries_at(x0)
+    prob = FptProblem(Direction.UP, threshold)
+    hi = fpt_moments(derive_params(d.params, precision=700), prob, 10)
+    for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM):
+        ms = fpt_moments(d, prob, 10, method=method)
+        with mp.workprec(700):
+            for got, want in zip(ms.moments, hi.moments):
+                assert abs(got - want) <= mpf("1e-72") * abs(want), method
+
+
+def reference_error_bound(s1, e, g, order):
+    """The first-order error bound as a direct recursion:
+    dg_m = e_m + sum_{k=1..m} C(m, k) (e_k |g_{m-k}| + |s1_k| dg_{m-k})."""
+    dg = [mpf(0)]
+    for m_ in range(1, order + 1):
+        tot = e[m_]
+        for k in range(1, m_ + 1):
+            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(s1[k]) * dg[m_ - k])
+        dg.append(tot)
+    return dg
+
+
+@pytest.mark.parametrize("name", ["down_deep", "down_mid", "down_high"])
+def test_error_bound_matches_the_recursion(name):
+    _, d, prob = next(s for s in scenario_grid() if s[0] == name)
+    ms = fpt_moments(d, prob, 10)
+    _, b0, b1 = ms.endpoints
+    e = ms.diagnostics.error_estimate
+    with mp.workprec(d.precision):
+        g = series_ratio(b0, b1).coeffs
+        want = reference_error_bound(b1, e, g, 10)
+        for k in range(1, 11):
+            assert abs(ms.error_estimates[k - 1] * abs(ms.moments[k - 1]) - want[k]) \
+                <= mpf("1e-70") * want[k]
+            assert ms.flagged[k - 1] == (want[k] / abs(ms.moments[k - 1]) > FLAG_RTOL)
 
 
 def test_moment_set_invariants(fisheries):

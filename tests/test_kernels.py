@@ -262,6 +262,14 @@ def test_l_series_no_convergence_beyond_table_bound():
         l_series(3e8, 2, d)  # v*y ~ 132: terms near n = 256 are not yet negligible
 
 
+@pytest.mark.parametrize("y, first_open", [(2.775e8, 3), (2.75e8, 6)])
+def test_l_series_names_the_smallest_open_order(y, first_open):
+    # the lower orders converge before n = 256; the error names the first that does not
+    d = fisheries_at(2.01e7)
+    with pytest.raises(NoConvergence, match=f"l-series order {first_open} at"):
+        l_series(y, 10, d)
+
+
 def test_t_series_is_product_of_blocks(fisheries):
     d = fisheries
     y = 512.0
@@ -312,6 +320,17 @@ def test_sum_helpers():
         value, est, cut = asymptotic_sum(term, 1, 400)
         assert 5 <= cut <= 15
         assert est == abs(term(cut + 1))
+
+
+def test_optimal_truncation_ties_resolve_to_the_smaller_n():
+    # envelopes max(|T_i|, |T_i+1|): 8, 4, 2, 2, 4, ...; the two minima tie
+    terms = [8, -4, 2, -1, 2, -4, 8, -16, 32, -64]
+    with mp.workprec(64):
+        value, est, cut = asymptotic_sum(lambda n: mpf(terms[n - 1]), 1, len(terms))
+    assert (value, est, cut) == (6, 1, 3)
+    man, omitted, exp, best = kernels._fixed_asymptotic_sum(((t, 0) for t in terms), 16)
+    assert (Fraction(man) * Fraction(2) ** exp, Fraction(omitted) * Fraction(2) ** exp,
+            best) == (6, 1, 2)
 
 
 def _cache_delta(before):

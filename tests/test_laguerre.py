@@ -12,7 +12,7 @@ from scipy import integrate, optimize, special, stats
 from logifpt import (Direction, FptProblem, MomentMethod, MomentSet,
                      build_approximant, fpt_moments, laguerre_coeffs,
                      laguerre_poly, match_gamma, select_order)
-from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments,
+from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                             LogifptError, SingularOriginWarning, ZeroVariance)
 from logifpt.series import rising_factorial
 from tests.conftest import FISHERIES, fisheries_at, fisheries_like, rel_err
@@ -116,6 +116,34 @@ def test_coeffs_b0_and_matched_vanishing(fisheries):
         assert abs(coeffs[2]) < mpf("1e-10")
     with pytest.raises(InsufficientMoments):
         laguerre_coeffs(ms, g, 7)
+
+
+@pytest.mark.parametrize("x0, threshold", [(100.0, 150.0), (2.01e7, 2.51e7)])
+def test_coeffs_are_exact_sums_rounded_once(x0, threshold):
+    ms = fpt_moments(fisheries_at(x0), FptProblem(Direction.UP, threshold), 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = match_gamma(ms)
+    coeffs = laguerre_coeffs(ms, g, 10)
+    with mp.workprec(ms.precision):
+        c, scale = [], mpf(1)
+        for j, mu in enumerate((mpf(1),) + ms.moments):
+            c.append(scale * mu)
+            scale *= -g.beta_mp / (g.alpha_mp + j + 1)
+    with mp.workprec(4096):  # wide enough to hold every sum exactly
+        exact = [mpmath.fsum(math.comb(k, j) * c[j] for j in range(k + 1)) for k in range(11)]
+    with mp.workprec(ms.precision):
+        assert coeffs == [+b for b in exact]
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_moments_are_invalid_params(bad):
+    ms = moment_set([13.35, 182.7, 2600.0, 38000.0, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = match_gamma(ms)
+        with pytest.raises(InvalidParams, match="finite"):
+            laguerre_coeffs(ms, g, 5)
 
 
 def test_exact_gamma_coefficients_vanish():
