@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .analytics import (CumulantSet, GammaDiagnostics, MomentMethod, MomentSet,
                         cumulants_from_moments, fpt_cumulants, fpt_moments,
                         gamma_consistency, mean_variance_closed_form)
-from .hypergeom import HypEvalConfig, fd_moments, kummer_phi, laplace_transform, tricomi_psi
+from .hypergeom import HypEvalConfig, fd_moments, laplace_transform
 from .kernels import KernelTable, l_series, lbar_series, q_series, t_series
 from .laguerre import (GammaRef, LaguerreApproximant, build_approximant,
                        laguerre_coeffs, laguerre_poly, match_gamma, select_order)
@@ -23,10 +23,10 @@ __all__ = [
     "MomentMethod", "MomentSet", "SimConfig", "StudyReport",
     "DEFAULT_PRECISION", "build_approximant", "cumulants_from_moments",
     "derive_params", "empirical_moments", "fd_moments", "fpt_cumulants",
-    "fpt_moments", "gamma_consistency", "kde", "kummer_phi", "l_series",
+    "fpt_moments", "gamma_consistency", "kde", "l_series",
     "laguerre_coeffs", "laguerre_poly", "laplace_transform", "lbar_series",
     "lie_trotter_step", "log_likelihood", "match_gamma", "mc_study",
     "mean_variance_closed_form", "mle_fit", "q_series", "read_samples_csv",
     "sample_fpt", "select_order", "stationary_check", "step_constants",
-    "t_series", "tricomi_psi", "validate_problem", "write_samples_csv",
+    "t_series", "validate_problem", "write_samples_csv",
 ]

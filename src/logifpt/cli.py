@@ -194,7 +194,6 @@ def cmd_simulate(args) -> int:
     params = ModelParams.from_json(args.config)
     d = derive_params(params, precision=args.precision)
     prob = _problem(args)
-    validate_problem(d, prob)
     cfg = SimConfig(problem=prob, paths=args.paths, dt=args.dt,
                     horizon=args.horizon, seed=args.seed,
                     interpolate_crossing=not args.no_interpolate)
@@ -287,6 +286,8 @@ def cmd_mle(args) -> int:
                     max_iter=args.max_iter)
     result = mle_fit(sample, cfg, keep_trace=args.trace)
     doc = result.to_dict()
+    doc["censored"] = sample.censored
+    doc["censor_time"] = sample.config.censor_time
     if args.trace:
         doc["trace"] = result.trace
     doc["manifest"] = _manifest(args, {"estimate": list(estimate)})

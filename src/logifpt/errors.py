@@ -54,12 +54,9 @@ class EmptySample(LogifptError):
     """Operation requires at least one observed crossing time."""
 
 
-class BadParameterB(LogifptError):
-    """Kummer function evaluated at a non-positive integer second parameter."""
-
-
 class QuadratureFailure(LogifptError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """The oracle could not evaluate a confluent hypergeometric function
+    (mpmath's ``hyp1f1`` or ``hyperu`` raised its NoConvergence)."""
 
 
 class StencilFailure(LogifptError):

@@ -16,6 +16,8 @@ analyzable region.
 Only what callers vary is configurable (:class:`MleConfig`).  The rest is
 fixed: the simplex stays inside DEFAULT_BOUNDS, the order is selected at
 tolerance 1e-6, and densities are floored at 1e-300 before the logarithm.
+Right-censored paths (no crossing by the end of the simulated horizon)
+enter through the survival function of the approximant.
 """
 
 from __future__ import annotations
@@ -112,7 +114,11 @@ def _assemble(theta: dict, cfg: MleConfig):
 
 
 def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
-    """Sum of log approximant densities at the observed crossing times.
+    """Sum of log approximant densities at the observed crossing times, plus
+    censored * log S(t_c) for the paths still uncrossed at t_c =
+    data.config.censor_time, with S = 1 - cdf of the approximant (Klein and
+    Moeschberger, Survival Analysis, 2nd ed., 2003, sec. 3.5).  Densities
+    and S are floored at 1e-300 before the logarithm.
 
     The Gamma reference is matched from the theoretical moments of the
     candidate point and the truncation order re-selected (cap cfg.n_max) at
@@ -135,7 +141,11 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
             warnings.simplefilter("ignore", ExpansionConditionWarning)
             apx = build_approximant(ms, n_max=cfg.n_max)
         dens = apx.density(data.times)
-        return float(np.sum(np.log(np.maximum(dens, 1e-300))))
+        ll = float(np.sum(np.log(np.maximum(dens, 1e-300))))
+        if data.censored:
+            survival = 1.0 - apx.cdf(data.config.censor_time)
+            ll += data.censored * math.log(max(survival, 1e-300))
+        return ll
     except LogifptError:
         return PENALTY
 

@@ -210,7 +210,6 @@ class LaguerreApproximant:
     gamma: GammaRef
     order: int
     coeffs: tuple            # float b_0..b_n used by evaluation
-    coeffs_mp: tuple         # full-precision b_0..b_n
     converged: bool          # order-selection verdict
     negative_mass: float = field(init=False)   # mass below zero before correction
     clip_applied: bool = field(init=False)
@@ -297,11 +296,11 @@ def build_approximant(ms: MomentSet, n: int | None = None, n_max: int = 10,
     which is exact because b_k depends only on the first k moments.
     """
     g = match_gamma(ms)
-    coeffs_mp = laguerre_coeffs(ms, g, min(n_max, ms.order) if n is None else n)
-    coeffs = [float(c) for c in coeffs_mp]
+    coeffs = [float(c) for c in
+              laguerre_coeffs(ms, g, min(n_max, ms.order) if n is None else n)]
     if n is None:
         n, converged = select_order(coeffs, g.alpha, tol=tol)
     else:
         converged = True
     return LaguerreApproximant(gamma=g, order=n, coeffs=tuple(coeffs[: n + 1]),
-                               coeffs_mp=tuple(coeffs_mp[: n + 1]), converged=converged)
+                               converged=converged)

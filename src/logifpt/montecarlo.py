@@ -30,7 +30,7 @@ from mpmath import mpf
 
 from .analytics import MomentMethod, MomentSet
 from .errors import EmptySample, InvalidParams
-from .model import DerivedParams, Direction, FptProblem, ModelParams
+from .model import DerivedParams, Direction, FptProblem, ModelParams, validate_problem
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 4096
@@ -56,6 +56,16 @@ class SimConfig:
             raise InvalidParams(f"dt must be > 0, got {self.dt}")
         if not self.horizon > self.dt:
             raise InvalidParams("horizon must exceed dt")
+
+    @property
+    def steps(self) -> int:
+        """Steps per path: ceil(horizon / dt)."""
+        return math.ceil(self.horizon / self.dt)
+
+    @property
+    def censor_time(self) -> float:
+        """Where a path that has not crossed stops and is censored: steps * dt."""
+        return self.steps * self.dt
 
     def to_dict(self) -> dict:
         return {
@@ -140,23 +150,23 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
 
     The crossing is recorded at the first grid point past the threshold or,
     with interpolate_crossing, linearly interpolated between the bracketing
-    grid values (removes most of the O(dt) grid bias).
+    grid values (removes most of the O(dt) grid bias).  Raises WrongSide
+    when x0 lies past the threshold; at x0 == threshold every time is 0.
     """
-    threshold = cfg.problem.threshold
-    up = cfg.problem.direction is Direction.UP
-    x0 = d.params.x0
-    if threshold == x0:
+    if validate_problem(d, cfg.problem):
         return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg,
                          model=d.params)
+    threshold = cfg.problem.threshold
+    up = cfg.problem.direction is Direction.UP
     dt = cfg.dt
     consts = step_constants(d, dt)
-    max_steps = int(math.ceil(cfg.horizon / dt))
+    max_steps = cfg.steps
     all_times = []
     censored = 0
     for start in range(0, cfg.paths, _BATCH):
         ids = range(start, min(start + _BATCH, cfg.paths))
         gens = _path_generators(cfg.seed, ids)
-        x = np.full(len(gens), float(x0))
+        x = np.full(len(gens), float(d.params.x0))
         base = 0
         while len(x) and base < max_steps:
             span = min(_CHUNK, max_steps - base)

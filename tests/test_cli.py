@@ -54,7 +54,7 @@ def test_derive_input_errors(tmp_path, capsys):
 EXIT_CODES = {
     errors.LogifptError: 1, errors.InvalidParams: 1, errors.ZeroConstantTerm: 1,
     errors.NonPositiveConstantTerm: 1, errors.ZeroVariance: 1,
-    errors.InsufficientMoments: 1, errors.EmptySample: 1, errors.BadParameterB: 1,
+    errors.InsufficientMoments: 1, errors.EmptySample: 1,
     errors.InvalidHarvest: 2, errors.NonPersistentRegime: 2, errors.WrongSide: 2,
     errors.NoFeasibleStart: 2,
     errors.NoConvergence: 3, errors.NonConvergent: 3, errors.QuadratureFailure: 3,
@@ -350,6 +350,7 @@ def test_mle_cli(config_path, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["estimates"]["sigma"] - 0.2) < 0.04
+    assert doc["censored"] == 0 and doc["censor_time"] == pytest.approx(60.0)
     # empty estimate echoes the init
     code, out, _ = run(capsys, "mle", "--samples", str(spath), "--estimate", "",
                        "--fixed", str(fpath))
@@ -390,3 +391,19 @@ def test_oracle_cli(config_path, capsys):
     assert float(first[1]) == 1.0 and float(first[2]) == 1.0
     for line in lines[1:]:
         assert float(line.split(",")[3]) < 1e-8
+
+
+def test_oracle_cli_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    import mpmath
+
+    def raising(*args, **kwargs):
+        raise mpmath.mp.NoConvergence("injected")
+
+    monkeypatch.setattr(mpmath, "hyperu", raising)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**FISHERIES, "x0": 3.91e7}))
+    code, out, err = run(capsys, "oracle", str(path), "--direction", "down",
+                         "--threshold", "2.8e7", "--lambda-grid", "0:0.02:0.01",
+                         "--order", "4")
+    assert (code, out) == (3, "")
+    assert "injected" in err

@@ -2,71 +2,49 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from logifpt import (Direction, FptProblem, fd_moments, fpt_moments, kummer_phi,
-                     laplace_transform, tricomi_psi)
-from logifpt.errors import BadParameterB, QuadratureFailure, StencilFailure
-from logifpt.hypergeom import _psi_any
-from tests.conftest import FISHERIES, fisheries_at
+from logifpt import Direction, FptProblem, fd_moments, fpt_moments, laplace_transform
+from logifpt.errors import StencilFailure
+from tests.conftest import FISHERIES, fisheries_at, scenario_grid
 
 UP4 = FptProblem(Direction.UP, 1e4)
 
-
-def test_kummer_basics():
-    with mp.workprec(256):
-        assert kummer_phi(1.7, 2.3, 0.0) == 1
-        z = mpf("0.7")
-        assert abs(kummer_phi(1.0, 1.0, z, tol=1e-70) - mpmath.e ** z) < mpf("1e-60")
-        # (e^z - 1)/z identity at z = 1
-        assert abs(kummer_phi(1.0, 2.0, 1.0, tol=1e-70) - (mpmath.e - 1)) < mpf("1e-60")
-        assert float(kummer_phi(1.0, 2.0, 1.0)) == pytest.approx(1.718281828, abs=1e-9)
-
-
-def test_kummer_against_reference():
-    with mp.workprec(256):
-        for (a, b, z) in [(-8.6, 18.25, 4.41), (0.3, 1.7, -2.5), (2.0, 5.5, 17.2)]:
-            mine = kummer_phi(a, b, z)
-            ref = mpmath.hyp1f1(mpf(a), mpf(b), mpf(z))
-            assert abs(mine / ref - 1) < mpf("1e-35")
-
-
-def test_kummer_bad_b():
-    with pytest.raises(BadParameterB):
-        kummer_phi(1.0, 0.0, 2.0)
-    with pytest.raises(BadParameterB):
-        kummer_phi(1.0, -3.0, 2.0)
+# fd_moments of the downcrossing golden scenarios, as the oracle gave them
+# when it integrated Tricomi's function by a 350-bit quadrature of its own
+DOWN_ORACLE = {
+    "down_deep": ("90.04395424634922496302023968385803231324686787",
+                  "15855.61362883547646531767770120367817896582166",
+                  "4186670.810561705060054583524953824201810579008",
+                  "1473981366.278063226604046639959726041328833273"),
+    "down_mid": ("10.44336747991835635475856188499601040537400525",
+                 "224.4635076168956971272759100245547900889298154",
+                 "7335.957972681289158234402677100122835461715947",
+                 "320344.2468530838967984549612776756787974487181"),
+    "down_high": ("3.416377806537418769000866118132999732815661713",
+                  "17.93967390556833698482123063914144366229070327",
+                  "133.2959804165885077270731431723124673002934392",
+                  "1302.161098794703906683503780984942375001336245"),
+}
 
 
-def test_tricomi_identities():
-    with mp.workprec(256):
-        # psi(a, a+1, z) = z^-a
-        for (a, z) in [(0.5, 2.0), (1.25, 8.87)]:
-            got = tricomi_psi(a, a + 1, z)
-            assert abs(got - mpf(z) ** (-a)) < mpf("1e-35") * abs(got)
-        assert tricomi_psi(0.0, 5.0, 3.0) == 1
-        # e * E1(1)
-        got = tricomi_psi(1.0, 1.0, 1.0)
-        assert float(got) == pytest.approx(0.5963473623, abs=1e-9)
+def golden(direction):
+    return [pytest.param(name, d, prob, id=name) for name, d, prob in scenario_grid()
+            if prob.direction is direction]
 
 
-def test_tricomi_against_reference_and_recurrence():
-    with mp.workprec(300):
-        for (a, b, z) in [(1e-6, 18.25, 8.87), (0.3, 2.5, 4.41), (2.2, -3.5, 17.2)]:
-            mine = tricomi_psi(a, b, z)
-            ref = mpmath.hyperu(mpf(a), mpf(b), mpf(z))
-            assert abs(mine / ref - 1) < mpf("1e-35")
-        for (a, b, z) in [(-0.01, 18.3, 8.87), (-0.4, 2.5, 4.41)]:
-            mine = _psi_any(a, b, z)
-            ref = mpmath.hyperu(mpf(a), mpf(b), mpf(z))
-            assert abs(mine / ref - 1) < mpf("1e-30")
+def assert_within(got, want, tol):
+    with mp.workprec(512):
+        rels = [abs(a / mpf(b) - 1) for a, b in zip(got, want)]
+    assert max(rels) < mpf(tol), [mpmath.nstr(r, 3) for r in rels]
 
 
-def test_tricomi_domain_errors():
-    with pytest.raises(QuadratureFailure):
-        tricomi_psi(0.5, 1.0, -1.0)
-    with pytest.raises(QuadratureFailure):
-        tricomi_psi(-0.5, 1.0, 1.0)
-    with pytest.raises(QuadratureFailure):
-        _psi_any(-1.5, 1.0, 1.0)
+@pytest.mark.parametrize("name, d, prob", golden(Direction.UP))
+def test_upcrossing_oracle_matches_the_series(name, d, prob):
+    assert_within(fd_moments(d, prob, 4).moments, fpt_moments(d, prob, 4).moments, "1e-30")
+
+
+@pytest.mark.parametrize("name, d, prob", golden(Direction.DOWN))
+def test_downcrossing_oracle_is_pinned(name, d, prob):
+    assert_within(fd_moments(d, prob, 4).moments, DOWN_ORACLE[name], "1e-30")
 
 
 def test_transform_at_zero_and_degenerate(fisheries):

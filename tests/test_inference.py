@@ -58,14 +58,25 @@ def test_penalty_regions(sample_1k):
     assert log_likelihood({"x0": 1e4}, sample_1k, cfg) == PENALTY  # degenerate
 
 
-@given(sigma=st.floats(*DEFAULT_BOUNDS["sigma"]), r=st.floats(*DEFAULT_BOUNDS["r"]))
-@example(sigma=1e-3, r=10.0)  # |u| ~ 1e7: one kernel row spans about 2^226
+@pytest.fixture(scope="module")
+def sample_censored(fisheries):
+    """N=500 at horizon 14: about 40% of the paths have not crossed."""
+    cfg = SimConfig(problem=UP4, paths=500, dt=1e-3, horizon=14.0, seed=1)
+    return sample_fpt(fisheries, cfg)
+
+
+@given(sigma=st.floats(*DEFAULT_BOUNDS["sigma"]), r=st.floats(*DEFAULT_BOUNDS["r"]),
+       censored=st.booleans())
+@example(sigma=1e-3, r=10.0, censored=False)  # |u| ~ 1e7: one kernel row spans about 2^226
+@example(sigma=1e-3, r=10.0, censored=True)
 @settings(max_examples=10, deadline=None)
-def test_likelihood_is_finite_or_the_penalty(sample_1k, sigma, r):
+def test_likelihood_is_finite_or_the_penalty(sample_1k, sample_censored, sigma, r, censored):
     """Anywhere in the (sigma, r) box the simplex searches, a likelihood is
-    a finite float or exactly PENALTY, and it never raises."""
+    a finite float or exactly PENALTY, and it never raises, with or without
+    censored paths."""
     cfg = cfg_for(["sigma", "r"], init={"sigma": FISHERIES["sigma"], "r": FISHERIES["r"]})
-    ll = log_likelihood({"sigma": sigma, "r": r}, sample_1k, cfg)
+    data = sample_censored if censored else sample_1k
+    ll = log_likelihood({"sigma": sigma, "r": r}, data, cfg)
     assert type(ll) is float
     assert ll == PENALTY or math.isfinite(ll)
 
@@ -160,6 +171,25 @@ def test_likelihood_finite_at_large_gamma_shape(sample_1k, sigma):
     ll = log_likelihood({"sigma": sigma, "r": 0.71}, sample_1k, cfg)
     assert math.isfinite(ll)
     assert ll < log_likelihood({"sigma": 0.2, "r": 0.71}, sample_1k, cfg)
+
+
+def test_censored_paths_enter_through_the_survival_function(sample_censored):
+    assert sample_censored.censored > 150
+    cfg = cfg_for(["sigma", "r"], init={"sigma": 0.23, "r": 0.639})
+    res = mle_fit(sample_censored, cfg)
+    assert res.converged
+    assert abs(res.estimates["sigma"] - FISHERIES["sigma"]) < 0.02
+
+
+def test_uncensored_likelihood_is_the_density_sum(sample_1k, fisheries):
+    assert sample_1k.censored == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        apx = build_approximant(fpt_moments(fisheries, UP4, 10, max_rel_error=1e-6),
+                                n_max=10)
+    want = float(np.sum(np.log(np.maximum(apx.density(sample_1k.times), 1e-300))))
+    cfg = cfg_for(["sigma"], init={"sigma": 0.2})
+    assert log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg) == want
 
 
 def test_likelihood_deterministic(sample_1k):

@@ -7,7 +7,7 @@ from logifpt import (Direction, FptProblem, ModelParams, SimConfig, derive_param
                      empirical_moments, fpt_moments, kde, lie_trotter_step,
                      read_samples_csv, sample_fpt, stationary_check,
                      step_constants, write_samples_csv)
-from logifpt.errors import EmptySample, InvalidParams
+from logifpt.errors import EmptySample, InvalidParams, WrongSide
 from logifpt.montecarlo import silverman_bandwidth
 from tests.conftest import FISHERIES, rel_err
 
@@ -76,6 +76,14 @@ def test_degenerate_threshold(fisheries):
     s = sample_fpt(fisheries, cfg)
     assert np.all(s.times == 0.0)
     assert s.censored == 0
+
+
+def test_wrong_side_is_rejected(fisheries):
+    # x0 = 100 already lies above an upcrossing threshold of 50
+    cfg = SimConfig(problem=FptProblem(Direction.UP, 50.0), paths=50, dt=1e-2,
+                    horizon=1.0, seed=1)
+    with pytest.raises(WrongSide):
+        sample_fpt(fisheries, cfg)
 
 
 def test_small_noise_concentrates_at_deterministic_time():
