@@ -50,9 +50,18 @@ def laplace_transform(d: DerivedParams, prob: FptProblem, lam):
 
     Equals 1 at lam = 0 and whenever x0 coincides with the threshold; for
     lam > 0 the value lies strictly inside (0, 1) for non-degenerate
-    problems.  Small negative lam (inside the analyticity region
-    lam > -1/a) is supported for the finite-difference oracle.  Raises
-    QuadratureFailure when mpmath cannot evaluate a confluent function.
+    problems.  Small negative lam is supported for the finite-difference
+    oracle.  lam = -1/a is the branch point of s = sqrt(1 + a lam), not the
+    edge of the domain: the expectation can diverge at a larger lam, where
+    the denominator function vanishes, and the ratio continues past that
+    pole to values no expectation of a positive T can take.
+
+    Raises StencilFailure at lam <= -1/a, and when the value is not finite,
+    is <= 0, is below 1 at lam < 0 or is above 1 at lam > 0.  That check is
+    necessary, not sufficient: a value past the pole can still pass it
+    (fisheries from x0 = 3.91e7 down to 2.8e7 gives 2.14 at lam = -0.05,
+    where -0.1 gives -10.1 and is refused).  Raises QuadratureFailure when
+    mpmath cannot evaluate a confluent function.
     """
     degenerate = validate_problem(d, prob)
     with mp.workprec(HypEvalConfig.precision):
@@ -74,7 +83,12 @@ def laplace_transform(d: DerivedParams, prob: FptProblem, lam):
             den = f(ap, bp, d.v * th)
         except mp.NoConvergence as exc:
             raise QuadratureFailure(f"{f.__name__} did not converge: {exc}") from exc
-        return (x0 / th) ** ap * num / den
+        value = (x0 / th) ** ap * num / den
+        if not (mpmath.isfinite(value) and value > 0
+                and (value <= 1 if lam > 0 else value >= 1)):
+            raise StencilFailure(f"lam = {float(lam)} gives {mpmath.nstr(value, 5)}, "
+                                 "which is not E[exp(-lam T)] of a positive T")
+        return value
 
 
 def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:

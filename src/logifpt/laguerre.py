@@ -165,8 +165,14 @@ def _raw_cdf(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
 
 
 def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
-    """Real positive roots of p, ascending, as comrade-matrix eigenvalues."""
-    n = len(np.trim_zeros(coeffs, "b")) - 1
+    """Real positive roots of p, ascending, as comrade-matrix eigenvalues.
+
+    Trailing coefficients at or below NEGLIGIBLE_COEFF |b_0| are dropped
+    first: the matrix divides by b_n, and a b_n that is rounding noise puts
+    the roots anywhere.
+    """
+    big = np.flatnonzero(np.abs(coeffs) > NEGLIGIBLE_COEFF * abs(coeffs[0]))
+    n = big[-1] if len(big) else 0
     if n < 1:
         return np.empty(0)
     k = np.arange(1.0, n)

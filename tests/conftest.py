@@ -12,6 +12,14 @@ def fisheries_at(x0: float) -> DerivedParams:
     return derive_params(ModelParams(**{**FISHERIES, "x0": x0}))
 
 
+def drift_at(u_value, precision=256, x0=10.0):
+    """Derived parameters whose drift index is u_value rounded to precision."""
+    sigma = 1.0
+    r1 = sigma ** 2 * (1 - 2 * u_value) / 2
+    return derive_params(ModelParams(r=r1, K=1000.0, q=0.0, E=0.0, sigma=sigma, x0=x0),
+                         precision=precision)
+
+
 @pytest.fixture(scope="session")
 def fisheries_params() -> ModelParams:
     return ModelParams(**FISHERIES)

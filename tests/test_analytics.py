@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import pytest
@@ -12,7 +13,7 @@ from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
 from logifpt.analytics import FLAG_RTOL
 from logifpt.errors import LogifptError, NonConvergent
 from logifpt.series import series_ratio
-from tests.conftest import (FISHERIES, fisheries_at, fisheries_like, rel_err,
+from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
 
 UP4 = FptProblem(Direction.UP, 1e4)
@@ -99,6 +100,62 @@ def test_upcrossing_moments_match_700_bits(name):
         with mp.workprec(700):
             for got, want in zip(ms.moments, hi.moments):
                 assert abs(got - want) <= mpf("1e-72") * abs(want), method
+
+
+# (u, x0, U) at the drift corners of the kernel-row tests.  The inputs to the
+# quotient span 2^238 at u = -1e4 (a = 2e-8) and 2^153 at u = -0.01 (a = 2e4)
+@pytest.mark.parametrize("u_value, x0, threshold", [(-1e4, 1.0, 5.0), (-0.01, 10.0, 500.0)],
+                         ids=["large_u", "small_u"])
+def test_upcrossing_moments_at_the_drift_corners_match_700_bits(u_value, x0, threshold):
+    d = drift_at(u_value, x0=x0)
+    prob = FptProblem(Direction.UP, threshold)
+    hi = fpt_moments(derive_params(d.params, precision=700), prob, 10)
+    for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM):
+        ms = fpt_moments(d, prob, 10, method=method)
+        with mp.workprec(700):
+            for got, want in zip(ms.moments, hi.moments):
+                assert abs(got - want) <= mpf("1e-70") * abs(want), method
+
+
+def count_calls(monkeypatch, names):
+    """Wrap every logifpt module's binding of each name in a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("logifpt."):
+            continue
+        for name in names:
+            original = vars(module).get(name)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
+    """One upcrossing likelihood evaluation runs its quotient in ints and calls
+    none of the mpf series algebra; the Bell route still goes through it."""
+    from logifpt import SimConfig, log_likelihood, sample_fpt
+    from logifpt.inference import MleConfig
+
+    sample = sample_fpt(fisheries, SimConfig(problem=UP4, paths=50, dt=1e-2,
+                                             horizon=60.0, seed=3))
+    fixed = {k: FISHERIES[k] for k in ("x0", "K", "q", "E")}
+    cfg = MleConfig(estimate=("sigma", "r"), fixed={**fixed, "U": 1e4},
+                    init={"sigma": 0.2, "r": 0.71})
+    calls = count_calls(monkeypatch, ("series_product", "series_ratio", "q_series"))
+    assert log_likelihood({"sigma": 0.21, "r": 0.7}, sample, cfg) > -1e300
+    assert calls == {"series_product": 0, "series_ratio": 0, "q_series": 0}
+    fpt_moments(fisheries, UP4, 10, method=MomentMethod.BELL_CLOSED_FORM)
+    assert calls["series_product"] > 0 and calls["q_series"] > 0
+    # downcrossing, both routes bound their errors by one mpf product and ratio
+    _, d, prob = next(s for s in scenario_grid() if s[0] == "down_mid")
+    fpt_moments(d, prob, 10, method=MomentMethod.BELL_CLOSED_FORM)
+    assert calls["series_ratio"] > 0
 
 
 def reference_error_bound(s1, e, g, order):

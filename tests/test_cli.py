@@ -407,3 +407,13 @@ def test_oracle_cli_non_convergence_exits_3(tmp_path, capsys, monkeypatch):
                          "--order", "4")
     assert (code, out) == (3, "")
     assert "injected" in err
+
+
+def test_oracle_cli_past_the_pole_exits_3(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**FISHERIES, "x0": 3.91e7}))
+    code, out, err = run(capsys, "oracle", str(path), "--direction", "down",
+                         "--threshold", "2.8e7", "--lambda-grid=-0.25:0:0.05",
+                         "--order", "4")
+    assert (code, out) == (3, "")
+    assert "lam = -0.25" in err

@@ -80,6 +80,16 @@ def test_transform_outside_analyticity_region(fisheries):
         laplace_transform(fisheries, UP4, -10.0)
 
 
+@pytest.mark.parametrize("lam", [-0.1, -0.25])
+def test_transform_refuses_values_past_the_pole(lam):
+    """Fisheries from 3.91e7 down to 2.8e7: the ratio of U functions has a
+    pole between lam = -0.05 and -0.1, and beyond it gives -10.1 at -0.1 and
+    -0.40 at -0.25, which no E[exp(-lam T)] can be."""
+    prob = FptProblem(Direction.DOWN, 2.8e7)
+    with pytest.raises(StencilFailure, match="not E"):
+        laplace_transform(fisheries_at(3.91e7), prob, lam)
+
+
 def test_series_matches_direct_evaluation(fisheries):
     # transform reconstructed from 16 moments agrees with the direct value
     ms = fpt_moments(fisheries, UP4, 16)

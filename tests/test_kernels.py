@@ -12,15 +12,7 @@ from logifpt.errors import NoConvergence
 from logifpt.kernels import asymptotic_sum, convergent_sum
 from logifpt.series import (ExpSeries, binomial_series, falling_factorial, series_exp,
                             series_product, series_ratio)
-from tests.conftest import FISHERIES, fisheries_at, scenario_grid
-
-
-def drift_at(u_value, precision=256):
-    """Derived parameters whose drift index is u_value rounded to precision."""
-    sigma = 1.0
-    r1 = sigma ** 2 * (1 - 2 * u_value) / 2
-    return derive_params(ModelParams(r=r1, K=1000.0, q=0.0, E=0.0, sigma=sigma, x0=10.0),
-                         precision=precision)
+from tests.conftest import FISHERIES, drift_at, fisheries_at, scenario_grid
 
 
 def dyadic_table(u_value=-2.625, precision=256, order=7):

@@ -9,9 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 from scipy import integrate, optimize, special, stats
 
-from logifpt import (Direction, FptProblem, MomentMethod, MomentSet,
-                     build_approximant, fpt_moments, laguerre_coeffs,
-                     laguerre_poly, match_gamma, select_order)
+from logifpt import (Direction, FptProblem, GammaRef, LaguerreApproximant, ModelParams,
+                     MomentMethod, MomentSet, build_approximant, derive_params, fpt_moments,
+                     laguerre_coeffs, laguerre_poly, match_gamma, select_order)
 from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                             LogifptError, SingularOriginWarning, ZeroVariance)
 from logifpt.series import rising_factorial
@@ -333,3 +333,37 @@ def test_approximant_is_a_distribution(r, sigma, at_x0, at_threshold):
     assert np.all(np.diff(cdf) >= -1e-12)
     assert np.all((cdf >= -1e-12) & (cdf <= 1 + 1e-12))
     assert math.isfinite(apx.norm_residual)
+
+
+def test_noise_coefficients_leave_no_negative_mass():
+    """A fully flagged downcrossing set: fisheries K, q and E at sigma 0.577,
+    r 6.63, from 4e7 down to 2.5e7.  On the Bell route its b_1..b_3 are
+    rounding noise; dividing by that b_3 in the comrade matrix gave a
+    negative mass of -1.0."""
+    params = {k: FISHERIES[k] for k in ("K", "q", "E")}
+    d = derive_params(ModelParams(**params, r=6.63, sigma=0.577, x0=4e7))
+    ms = fpt_moments(d, FptProblem(Direction.DOWN, 2.5e7), 10,
+                     method=MomentMethod.BELL_CLOSED_FORM)
+    assert all(ms.flagged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        apx = build_approximant(ms)
+    assert apx.order == 3 and 0 < abs(apx.coeffs[3]) < 1e-70
+    assert apx.negative_mass == 0.0
+    assert not apx.clip_applied
+
+
+@given(st.integers(min_value=1, max_value=10),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=9, max_size=9),
+       st.floats(min_value=0.0, max_value=70.0),      # -log10 |b_n / b_0|
+       st.booleans(),                                 # sign of b_n
+       st.floats(min_value=-0.9, max_value=50.0))     # alpha
+@settings(max_examples=60, deadline=None)
+def test_negative_mass_is_finite_and_non_negative(n, middle, decades, negative, alpha):
+    """Coefficient vectors whose last entry b_n lies anywhere down to 1e-70 b_0
+    give a finite, non-negative negative mass."""
+    b_n = (-1.0 if negative else 1.0) * 10.0 ** -decades
+    coeffs = (1.0, *middle[:n - 1], b_n)
+    apx = LaguerreApproximant(gamma=GammaRef(alpha_mp=mpf(alpha), beta_mp=mpf(1)),
+                              order=n, coeffs=coeffs, converged=True)
+    assert math.isfinite(apx.negative_mass) and apx.negative_mass >= 0
