@@ -29,7 +29,6 @@ from functools import cached_property
 import mpmath
 from mpmath import mp, mpf
 
-from .errors import NonConvergent
 from .kernels import (L_SERIES_TOL, N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient,
                       asymptotic_sum, convergent_sum, ensure_table, l_series, lbar_series,
                       q_series)
@@ -145,19 +144,15 @@ def _propagate_errors(s1, e, g):
     error estimates e of the two building-block series (e_0 = 0, s1_0 = 1).
 
     dg = e (1 + |g|) / (1 - |s1|+), with |g| and |s1| taken entrywise and
-    |s1|+ the series |s1| with its constant term set to 0.  When every
-    estimate is 0, as for all upcrossing sums, the bound is the zero series.
+    |s1|+ the series |s1| with its constant term set to 0.
     """
-    if not any(e):
-        return (mpf(0),) * len(g)
     one_plus_g = ExpSeries((1 + abs(g[0]),) + tuple(abs(c) for c in g[1:]))
     one_minus_s1 = ExpSeries((mpf(1),) + tuple(-abs(c) for c in s1[1:]))
     return series_ratio(series_product(ExpSeries(tuple(e)), one_plus_g), one_minus_s1).coeffs
 
 
 def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
-                method: MomentMethod = MomentMethod.RECURSION,
-                max_rel_error: float | None = None) -> MomentSet:
+                method: MomentMethod = MomentMethod.RECURSION) -> MomentSet:
     """Moments E[T^k], k = 1..order, of the crossing time.
 
     The building blocks -- the l-series upcrossing, the lbar-series
@@ -171,11 +166,10 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     recursion (default, cheaper: in fixed-point ints) or the Bell-polynomial
     closed form (in ``mpf``, with x0/U formed at working precision); both
     agree to working precision.  For downcrossing problems the per-order
-    relative error estimates of the
-    asymptotic sums are attached and orders above FLAG_RTOL are flagged;
-    if ``max_rel_error`` is given, exceeding it raises NonConvergent.
-    Upcrossing sums are convergent, their estimates are 0, and so are the
-    relative error estimates.
+    relative error estimates of the asymptotic sums are attached and orders
+    above FLAG_RTOL are flagged.  Upcrossing sums are convergent, their
+    estimates are 0, and the relative error estimates are exact zeros with
+    no order flagged.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -200,22 +194,14 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
                 q_log = (d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0)), d.a)
             g = _fixed_quotient(b0.coeffs, b1.coeffs, d.precision, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
-        dg = _propagate_errors(b1, diag.error_estimate, g)
-        rel = []
-        for m_ in range(1, order + 1):
-            denom = abs(moments[m_ - 1])
-            if denom > 0:
-                rel.append(dg[m_] / denom)
-            else:
-                rel.append(mpf(0) if dg[m_] == 0 else mpf("inf"))
-    flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
-    if max_rel_error is not None and any(r > max_rel_error for r in rel):
-        worst = max(range(order), key=lambda i: rel[i])
-        raise NonConvergent(
-            f"order {worst + 1} relative error estimate {float(rel[worst]):.3g} "
-            f"exceeds {max_rel_error:.3g}")
+        rel, flagged = (mpf(0),) * order, (False,) * order
+        if any(diag.error_estimate):  # convergent sums, all upcrossing ones, have none
+            dg = _propagate_errors(b1, diag.error_estimate, g)
+            rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
+                        for k, m in enumerate(moments, 1))
+            flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
     return MomentSet(problem=prob, order=order, moments=moments, method=method,
-                     precision=d.precision, error_estimates=tuple(rel),
+                     precision=d.precision, error_estimates=rel,
                      flagged=flagged, diagnostics=diag, endpoints=(d, b0, b1))
 
 

@@ -21,9 +21,9 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .analytics import MomentMethod, MomentSet, fpt_moments
-from .errors import (InvalidParams, LogifptError, NoConvergence, NonConvergent,
-                     NonPersistentRegime, InvalidHarvest, NoFeasibleStart,
-                     QuadratureFailure, StencilFailure, WrongSide)
+from .errors import (InvalidParams, LogifptError, NoConvergence, NonPersistentRegime,
+                     InvalidHarvest, NoFeasibleStart, QuadratureFailure, StencilFailure,
+                     WrongSide)
 from .hypergeom import HypEvalConfig, laplace_transform
 from .inference import MleConfig, mle_fit
 from .laguerre import build_approximant
@@ -35,7 +35,7 @@ from .montecarlo import (SimConfig, empirical_moments, kde, read_samples_csv,
 _INPUT_ERRORS = (InvalidParams, FileNotFoundError, IsADirectoryError,
                  PermissionError, json.JSONDecodeError, KeyError, ValueError)
 _REGIME_ERRORS = (NonPersistentRegime, InvalidHarvest, WrongSide, NoFeasibleStart)
-_NUMERIC_ERRORS = (NonConvergent, NoConvergence, StencilFailure, QuadratureFailure)
+_NUMERIC_ERRORS = (NoConvergence, StencilFailure, QuadratureFailure)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +69,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except Exception as exc:
         raise InvalidParams(f"grid must be start:stop:step, got {spec!r}") from exc
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise InvalidParams(f"bad grid {spec!r}")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)
@@ -146,7 +146,11 @@ def _moments_for_density(args, d, prob) -> MomentSet:
     if kind == "moments" and path:
         with open(path) as fh:
             data = json.load(fh)
-        vals = [mpf(float(v)) for v in data["moments"]]
+        moments = data.get("moments") if isinstance(data, dict) else None
+        if not isinstance(moments, list):
+            raise InvalidParams(f'moments file {path} must hold a JSON object with a '
+                                f'list "moments"')
+        vals = [mpf(float(v)) for v in moments]
         if len(vals) < args.nmax:
             raise InvalidParams(
                 f"moments file holds {len(vals)} moments, need {args.nmax}")
@@ -160,9 +164,9 @@ def cmd_density(args) -> int:
     d = derive_params(params, precision=args.precision)
     prob = _problem(args)
     validate_problem(d, prob)
+    grid = _parse_grid(args.grid)
     ms = _moments_for_density(args, d, prob)
     apx = build_approximant(ms, n=args.order, n_max=args.nmax, tol=args.tol)
-    grid = _parse_grid(args.grid)
     dens = apx.density(grid)
     lines = ["t,density"]
     lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), np.asarray(dens).tolist())]
@@ -222,6 +226,8 @@ def _load_density_csv(path):
             if line.strip():
                 t, v = line.split(",")
                 rows.append((float(t), float(v)))
+    if not rows:
+        raise InvalidParams(f"{path} holds no density rows")
     arr = np.array(rows)
     return arr[:, 0], arr[:, 1]
 
@@ -271,6 +277,8 @@ def cmd_mle(args) -> int:
     sample = read_samples_csv(args.samples)
     with open(args.fixed) as fh:
         fixed_doc = json.load(fh)
+    if not isinstance(fixed_doc, dict):
+        raise InvalidParams(f"--fixed file {args.fixed} must hold a JSON object")
     estimate = tuple(p.strip() for p in args.estimate.split(",") if p.strip())
     direction = Direction(fixed_doc.pop("direction", "up"))
     init = _parse_init(args.init)

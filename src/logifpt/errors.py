@@ -37,11 +37,6 @@ class NoConvergence(LogifptError):
     within the table bound (``kernels.N_MAX_DEFAULT`` terms)."""
 
 
-class NonConvergent(LogifptError):
-    """Requested quantity cannot be produced within the requested accuracy
-    (downcrossing asymptotics exhausted)."""
-
-
 class ZeroVariance(LogifptError):
     """Gamma moment matching needs a strictly positive variance."""
 

@@ -9,9 +9,10 @@ why optimisation uses a derivative-free simplex with box projection rather
 than anything gradient-based.
 
 Infeasible candidates (harvesting above growth, non-persistent regime,
-threshold on the wrong side, non-convergent moment sums) receive a large
-negative penalty instead of raising, keeping the simplex inside the
-analyzable region.
+threshold on the wrong side, non-convergent moment sums, moments whose
+relative error estimate exceeds MAX_REL_ERROR) receive a large negative
+penalty instead of raising, keeping the simplex inside the analyzable
+region.
 
 Only what callers vary is configurable (:class:`MleConfig`).  The rest is
 fixed: the simplex stays inside DEFAULT_BOUNDS, the order is selected at
@@ -33,14 +34,15 @@ from .analytics import fpt_moments
 from .errors import (EmptySample, ExpansionConditionWarning, InvalidParams,
                      LogifptError, NoFeasibleStart, SingularOriginWarning)
 from .laguerre import build_approximant, match_gamma
-from .model import (Direction, FptProblem, ModelParams, derive_params,
-                    validate_problem)
+from .model import MIN_PRECISION, Direction, FptProblem, ModelParams, derive_params
 from .montecarlo import FptSample, SimConfig, empirical_moments, sample_fpt
 
 PARAM_NAMES = ("sigma", "r", "x0", "U", "K", "q", "E")
 _MODEL_KEYS = ("r", "K", "q", "E", "sigma", "x0")
 
 PENALTY = -1e300
+# largest relative error estimate of a moment the likelihood accepts
+MAX_REL_ERROR = 1e-6
 
 DEFAULT_BOUNDS = {
     "sigma": (1e-3, 5.0),
@@ -80,6 +82,11 @@ class MleConfig:
         bad_init = [p for p in est if p not in self.init]
         if bad_init:
             raise InvalidParams(f"no initial value for: {bad_init}")
+        if self.n_max < 2:  # the likelihood reads the variance
+            raise InvalidParams(f"n_max must be >= 2, got {self.n_max}")
+        if self.precision < MIN_PRECISION:
+            raise InvalidParams(f"precision must be >= {MIN_PRECISION} bits, "
+                                f"got {self.precision}")
 
 
 @dataclass
@@ -122,19 +129,21 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
 
     The Gamma reference is matched from the theoretical moments of the
     candidate point and the truncation order re-selected (cap cfg.n_max) at
-    every call.  Infeasible or non-convergent candidates (any LogifptError)
-    return the penalty value instead of raising; other exceptions are bugs
-    and propagate.
+    every call.  Infeasible or non-convergent candidates (any LogifptError),
+    degenerate ones (x0 at the threshold), and those with a moment whose
+    relative error estimate exceeds MAX_REL_ERROR return the penalty value
+    instead of raising; other exceptions are bugs and propagate.
     """
     if data.n == 0:
         raise EmptySample("cannot evaluate a likelihood on an empty sample")
     try:
         params, problem = _assemble(theta, cfg)
         d = derive_params(params, precision=cfg.precision)
-        if validate_problem(d, problem):
-            return PENALTY  # degenerate point mass at zero
-        ms = fpt_moments(d, problem, order=cfg.n_max, max_rel_error=1e-6)
+        ms = fpt_moments(d, problem, order=cfg.n_max)
         if not (ms.mean > 0 and ms.variance > 0):
+            return PENALTY  # a degenerate set has zero moments
+        # upcrossing estimates are exact zeros, which `any` passes without comparing
+        if any(ms.error_estimates) and any(e > MAX_REL_ERROR for e in ms.error_estimates):
             return PENALTY
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularOriginWarning)

@@ -63,21 +63,19 @@ within 4.5e-76 of a 700-bit evaluation (the ``mpf`` recursion: 4.8e-76), and
 within 8e-77 at u = -1e4 and -0.01.
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
-process-wide cache of :class:`KernelTable` objects keyed by
-``(u, precision)``: rows depend on nothing else, so a moments or density
-scan over thresholds or starting states at fixed (r, K, q, E, sigma)
-builds its rows once.  A cached table serves any order up to its own; a
-request of higher order replaces it.  The cache keeps the TABLE_CACHE_SIZE
-most recently used tables and drops the least recently used beyond that;
-``table_cache_info`` reports its hits, misses and size.  Sums over n stop at
-N_MAX_DEFAULT, the last row a table holds, and the convergent ones are cut
-at the relative tolerance L_SERIES_TOL.
+:class:`KernelTable` per process, the last one built.  Rows depend on
+nothing but ``(u, precision)``, so a moments or density scan over thresholds
+or starting states at fixed (r, K, q, E, sigma) builds its rows once.  The
+kept table serves any order up to its own; another u or precision, or a
+higher order, replaces it.  A likelihood fit moves u at every evaluation, so
+no larger cache would serve it.  Sums over n stop at N_MAX_DEFAULT, the last
+row a table holds, and the convergent ones are cut at the relative
+tolerance L_SERIES_TOL.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import mpmath
@@ -98,10 +96,6 @@ _STAGNATION_RUN = 5
 _GROWTH_STOP = 10
 # bits above the table precision carried by fixed-point rows and sums
 GUARD_BITS = 64
-# tables kept by ensure_table
-TABLE_CACHE_SIZE = 8
-_tables: OrderedDict = OrderedDict()
-_table_counts = {"hits": 0, "misses": 0}
 
 
 def _man_exp(x) -> tuple:
@@ -279,31 +273,23 @@ class KernelTable:
         return self._mpf_row("mbar", n)
 
 
+# the table ensure_table built last
+_table = None
+
+
 def ensure_table(d: DerivedParams, order: int) -> KernelTable:
     """The shared table for (u, precision), of degree at least ``order``.
 
-    The process-wide cache is looked up by ``(d.u, d.precision)``.  Entry m
-    of a row depends only on entries up to m, so a cached table of higher
-    degree serves a lower ``order`` unchanged; a table of lower degree, or
-    none, is replaced by a new one of degree ``order``.  The least recently
-    used table beyond TABLE_CACHE_SIZE is dropped.
+    One table is kept, the last one built.  Entry m of a row depends only on
+    entries up to m, so it serves a request with its own ``(d.u,
+    d.precision)`` and a degree up to its own unchanged; any other request
+    replaces it with a new table of degree ``order``.
     """
-    key = (d.u, d.precision)
-    table = _tables.pop(key, None)
-    if table is None or table.order < order:
-        _table_counts["misses"] += 1
-        table = KernelTable(d, order)
-    else:
-        _table_counts["hits"] += 1
-    _tables[key] = table
-    if len(_tables) > TABLE_CACHE_SIZE:
-        _tables.popitem(last=False)
-    return table
-
-
-def table_cache_info() -> dict:
-    """Hits, misses and current size of the shared table cache."""
-    return {**_table_counts, "size": len(_tables)}
+    global _table
+    if (_table is None or (_table.u, _table.precision) != (d.u, d.precision)
+            or _table.order < order):
+        _table = KernelTable(d, order)
+    return _table
 
 
 @dataclass

@@ -24,6 +24,8 @@ from mpmath import mp, mpf
 from .errors import InvalidHarvest, InvalidParams, NonPersistentRegime, WrongSide
 
 DEFAULT_PRECISION = 256
+# every output is written in double precision, so no working precision is lower
+MIN_PRECISION = 53
 
 _PARAM_KEYS = ("r", "K", "q", "E", "sigma", "x0")
 
@@ -136,9 +138,11 @@ def derive_params(p: ModelParams, precision: int = DEFAULT_PRECISION) -> Derived
     """Compute :class:`DerivedParams` at the requested binary precision.
 
     Raises NonPersistentRegime when the persistence index is <= 0 (the
-    regime in which crossing times may be infinite) and InvalidHarvest when
-    q*E >= r.
+    regime in which crossing times may be infinite), InvalidHarvest when
+    q*E >= r and InvalidParams when ``precision`` is below MIN_PRECISION.
     """
+    if precision < MIN_PRECISION:
+        raise InvalidParams(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
     if p.q * p.E >= p.r:
         raise InvalidHarvest(f"q*E = {p.q * p.E} must stay below r = {p.r}")
     with mp.workprec(precision):

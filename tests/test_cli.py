@@ -57,7 +57,7 @@ EXIT_CODES = {
     errors.InsufficientMoments: 1, errors.EmptySample: 1,
     errors.InvalidHarvest: 2, errors.NonPersistentRegime: 2, errors.WrongSide: 2,
     errors.NoFeasibleStart: 2,
-    errors.NoConvergence: 3, errors.NonConvergent: 3, errors.QuadratureFailure: 3,
+    errors.NoConvergence: 3, errors.QuadratureFailure: 3,
     errors.StencilFailure: 3,
 }
 
@@ -97,6 +97,53 @@ def test_infinite_threshold_exits_1(config_path, capsys):
     code, _, err = run(capsys, "moments", config_path, "--direction", "up",
                        "--threshold", "inf")
     assert code == 1 and "finite" in err
+
+
+def _input_error_argv(case, config, tmp_path):
+    """argv for one malformed input; the files it names are written here."""
+    from logifpt import Direction, FptProblem, SimConfig
+    from logifpt.montecarlo import FptSample, write_samples_csv
+
+    listed = tmp_path / "list.json"
+    listed.write_text("[1.0, 2.0]")
+    samples = tmp_path / "s.csv"
+    write_samples_csv(FptSample(times=np.array([1.0, 2.0, 3.0]), censored=0, config=SimConfig(
+        problem=FptProblem(Direction.UP, 1e4), paths=3, dt=1e-3, horizon=60.0, seed=0)),
+        samples)
+    fixed = tmp_path / "fixed.json"
+    fixed.write_text(json.dumps({**FISHERIES, "U": 1e4}))
+    header_only = tmp_path / "d.csv"
+    header_only.write_text("t,density\n")
+    up = ["--direction", "up", "--threshold", "1e4"]
+    mle = ["mle", "--samples", str(samples), "--estimate", "sigma", "--init", "sigma=0.2"]
+    return {
+        "moments-list": ["density", config, *up, "--grid", "0:1:0.5",
+                         "--moments-from", f"moments:{listed}"],
+        "fixed-list": [*mle, "--fixed", str(listed)],
+        "grid-inf": ["density", config, *up, "--grid", "0:inf:0.5"],
+        "lambda-grid-inf": ["oracle", config, *up, "--lambda-grid", "0:inf:0.01"],
+        "density-header-only": ["compare", "--density", str(header_only),
+                                "--samples", str(samples)],
+        "precision-0": ["moments", config, *up, "--precision", "0"],
+        "mle-precision-0": [*mle, "--fixed", str(fixed), "--precision", "0"],
+        "mle-nmax-1": [*mle, "--fixed", str(fixed), "--nmax", "1"],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["moments-list", "fixed-list", "grid-inf", "lambda-grid-inf",
+                                  "density-header-only", "precision-0", "mle-precision-0",
+                                  "mle-nmax-1"])
+def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
+                                                     monkeypatch, case):
+    import logifpt.cli
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("moments computed before the input was checked")
+
+    monkeypatch.setattr(logifpt.cli, "fpt_moments", not_reached)
+    code, out, err = run(capsys, *_input_error_argv(case, config_path, tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 def test_bad_usage_exits_1(capsys):

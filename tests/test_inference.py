@@ -40,6 +40,14 @@ def test_config_validation():
         cfg_for(["sigma"])
 
 
+@pytest.mark.parametrize("n_max", [1, 0])
+def test_config_refuses_an_order_cap_below_two(n_max):
+    # the likelihood reads the variance, the second moment
+    with pytest.raises(InvalidParams, match="n_max"):
+        cfg_for(["sigma"], init={"sigma": 0.2}, n_max=n_max)
+    cfg_for(["sigma"], init={"sigma": 0.2}, n_max=2)
+
+
 def test_truth_beats_perturbation(sample_1k):
     cfg = cfg_for(["sigma"], init={"sigma": FISHERIES["sigma"]})
     ll_truth = log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg)
@@ -93,6 +101,33 @@ def test_non_convergent_sums_are_the_penalty():
     cfg = MleConfig(estimate=("sigma",), fixed={**fixed, "x0": 2.01e7, "U": 3e8},
                     init={"sigma": FISHERIES["sigma"]})
     assert log_likelihood({"sigma": FISHERIES["sigma"]}, data, cfg) == PENALTY
+
+
+def test_moments_beyond_the_error_bound_are_the_penalty(monkeypatch):
+    """Downcrossing from 3.91e7 to 2.8e7: at the truth every moment's
+    relative error estimate is below 1e-8, at sigma 0.3, r 1.0 the largest is
+    about 2e-6, above MAX_REL_ERROR.  Only the bound makes the second point
+    the penalty."""
+    from logifpt import inference
+
+    down = FptProblem(Direction.DOWN, 2.8e7)
+    data = FptSample(times=np.linspace(2.0, 30.0, 15), censored=0,
+                     config=SimConfig(problem=down, paths=15, dt=1e-3, horizon=60.0, seed=0))
+    fixed = {k: v for k, v in FIXED_ALL.items() if k not in ("sigma", "r")}
+    cfg = MleConfig(estimate=("sigma", "r"), fixed={**fixed, "x0": 3.91e7, "U": 2.8e7},
+                    init={"sigma": 0.2, "r": 0.71}, direction=Direction.DOWN)
+
+    def worst_estimate(theta):
+        d = derive_params(ModelParams(**{**FISHERIES, "x0": 3.91e7, **theta}))
+        return max(fpt_moments(d, down, cfg.n_max).error_estimates)
+
+    truth, off = {"sigma": 0.2, "r": 0.71}, {"sigma": 0.3, "r": 1.0}
+    assert worst_estimate(truth) < 1e-8
+    assert PENALTY < log_likelihood(truth, data, cfg) < math.inf
+    assert inference.MAX_REL_ERROR < worst_estimate(off) < 1e-5
+    assert log_likelihood(off, data, cfg) == PENALTY
+    monkeypatch.setattr(inference, "MAX_REL_ERROR", 1e-5)
+    assert PENALTY < log_likelihood(off, data, cfg) < math.inf
 
 
 def test_bugs_are_not_turned_into_penalties(sample_1k, monkeypatch):
@@ -185,8 +220,7 @@ def test_uncensored_likelihood_is_the_density_sum(sample_1k, fisheries):
     assert sample_1k.censored == 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(fpt_moments(fisheries, UP4, 10, max_rel_error=1e-6),
-                                n_max=10)
+        apx = build_approximant(fpt_moments(fisheries, UP4, 10), n_max=10)
     want = float(np.sum(np.log(np.maximum(apx.density(sample_1k.times), 1e-300))))
     cfg = cfg_for(["sigma"], init={"sigma": 0.2})
     assert log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg) == want

@@ -325,11 +325,6 @@ def test_optimal_truncation_ties_resolve_to_the_smaller_n():
             best) == (6, 1, 2)
 
 
-def _cache_delta(before):
-    after = kernels.table_cache_info()
-    return after["hits"] - before["hits"], after["misses"] - before["misses"]
-
-
 def test_shared_table_serves_a_threshold_scan(monkeypatch):
     from logifpt import Direction, FptProblem, fpt_moments
 
@@ -341,42 +336,22 @@ def test_shared_table_serves_a_threshold_scan(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(KernelTable, "__init__", counting_init)
-    # an r no other test uses, so the first call cannot find a cached table
-    params = {**FISHERIES, "r": 0.7137}
-    before = kernels.table_cache_info()
-    d1 = derive_params(ModelParams(**{**params, "x0": 100.0}))
+    monkeypatch.setattr(kernels, "_table", None)
+    d1 = fisheries_at(100.0)
     a = fpt_moments(d1, FptProblem(Direction.UP, 1e4), 4)
-    # each building-block series looks the table up: x0 misses, the threshold hits
-    assert _cache_delta(before) == (1, 1)
-    d2 = derive_params(ModelParams(**{**params, "x0": 150.0}))
+    # both building-block series read the one table: x0 builds it, the threshold reuses it
+    assert len(built) == 1 and kernels._table is built[0]
+    d2 = fisheries_at(150.0)  # another x0, the same u
     b = fpt_moments(d2, FptProblem(Direction.UP, 2e4), 4)
-    assert _cache_delta(before) == (3, 1)
     assert len(built) == 1
     assert a.moments != b.moments
+    # another u replaces the table
+    d3 = derive_params(ModelParams(**{**FISHERIES, "r": 0.7137}))
+    fpt_moments(d3, FptProblem(Direction.UP, 1e4), 4)
+    assert len(built) == 2 and kernels._table is built[1]
 
 
-def test_shared_tables_are_bounded_and_least_recently_used_go_first():
-    def derived(i):
-        return derive_params(ModelParams(**{**FISHERIES, "sigma": 0.1 + i / 1000}))
-
-    before = kernels.table_cache_info()
-    tables = [kernels.ensure_table(derived(i), 2) for i in range(20)]
-    assert _cache_delta(before) == (0, 20)
-    assert kernels.table_cache_info()["size"] <= kernels.TABLE_CACHE_SIZE
-    # a hit on the oldest cached table keeps it while TABLE_CACHE_SIZE - 1
-    # new ones push out the others
-    oldest = 20 - kernels.TABLE_CACHE_SIZE
-    assert kernels.ensure_table(derived(oldest), 2) is tables[oldest]
-    for i in range(20, 19 + kernels.TABLE_CACHE_SIZE):
-        kernels.ensure_table(derived(i), 2)
-    assert kernels.ensure_table(derived(oldest), 2) is tables[oldest]
-    assert kernels.ensure_table(derived(oldest + 1), 2) is not tables[oldest + 1]
-
-
-def test_shared_tables_are_keyed_by_u_and_precision():
-    from collections import OrderedDict
-    from unittest import mock
-
+def test_shared_tables_are_keyed_by_u_and_precision(monkeypatch):
     from logifpt import Direction, FptProblem, fpt_moments
 
     low, _ = dyadic_table(precision=128)
@@ -391,22 +366,21 @@ def test_shared_tables_are_keyed_by_u_and_precision():
     cases = [(fisheries_at(100.0), FptProblem(Direction.UP, 1e4)),
              (fisheries_at(3.91e7), FptProblem(Direction.DOWN, 2.8e7))]
     for d, prob in cases:
-        with mock.patch.object(kernels, "_tables", OrderedDict()):
-            ten = kernels.ensure_table(d, 10)
-            served = fpt_moments(d, prob, 4)
-            assert kernels.ensure_table(d, 4) is ten
-        with mock.patch.object(kernels, "_tables", OrderedDict()):
-            fresh = fpt_moments(d, prob, 4)
-            assert kernels.ensure_table(d, 4).order == 4
+        monkeypatch.setattr(kernels, "_table", None)
+        ten = kernels.ensure_table(d, 10)
+        served = fpt_moments(d, prob, 4)
+        assert kernels.ensure_table(d, 4) is ten
+        monkeypatch.setattr(kernels, "_table", None)
+        fresh = fpt_moments(d, prob, 4)
+        assert kernels.ensure_table(d, 4).order == 4
         assert served.moments == fresh.moments
         assert served.error_estimates == fresh.error_estimates
         assert served.diagnostics.trunc_index == fresh.diagnostics.trunc_index
 
-    # a higher order replaces the cached table, which then serves both
+    # a higher order replaces the kept table, which then serves both
     d = fisheries_at(100.0)
-    with mock.patch.object(kernels, "_tables", OrderedDict()):
-        four = kernels.ensure_table(d, 4)
-        ten = kernels.ensure_table(d, 10)
-        assert ten is not four and ten.order == 10
-        assert kernels.ensure_table(d, 4) is ten
-        assert kernels.table_cache_info()["size"] == 1
+    monkeypatch.setattr(kernels, "_table", None)
+    four = kernels.ensure_table(d, 4)
+    ten = kernels.ensure_table(d, 10)
+    assert ten is not four and ten.order == 10
+    assert kernels.ensure_table(d, 4) is ten

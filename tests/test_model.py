@@ -36,6 +36,14 @@ def test_persistence_boundary_rejected():
         derive_params(ModelParams(r=0.5, K=1000.0, q=0.0, E=0.0, sigma=1.0, x0=100.0))
 
 
+@pytest.mark.parametrize("precision", [52, 0, -1])
+def test_precision_below_double_is_refused(fisheries_params, precision):
+    # every output is written as a double, so 53 bits is the least precision
+    with pytest.raises(InvalidParams, match="precision"):
+        derive_params(fisheries_params, precision=precision)
+    assert derive_params(fisheries_params, precision=53).precision == 53
+
+
 def test_invalid_harvest():
     with pytest.raises(InvalidHarvest):
         ModelParams(r=0.5, K=1000.0, q=0.1, E=10.0, sigma=0.2, x0=100.0)
