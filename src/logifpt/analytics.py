@@ -6,9 +6,11 @@ denominator series; the two routes are cross-checked in the test suite to
 high precision.  The recursion runs in fixed-point Python ints, the Bell
 route in ``mpf`` (see :mod:`logifpt.kernels`); at 256 bits and order 10
 both keep upcrossing moments within 1.1e-75 of a 700-bit evaluation on the
-benchmark scenarios, the int route within 4.5e-76.  The error bounds and
-the cumulants stay in ``mpf``.  A :class:`MomentSet` from
-:func:`fpt_moments` keeps its two endpoint building-block series, and its
+benchmark scenarios, the int route within 4.9e-76.  The recursion reads the
+building-block sums as ints, and its first ``mpf`` is each moment.  The
+error bounds and the cumulants stay in ``mpf``.  A :class:`MomentSet` from
+:func:`fpt_moments` keeps its two endpoint building-block series, whose
+``mpf`` coefficients are formed on first use, and its
 ``cumulants`` property (computed on first use, then cached) takes the
 logarithmic polynomials of them, which is cheaper and better conditioned
 than the generic moment-to-cumulant conversion (also provided, as an
@@ -59,7 +61,8 @@ class MomentSet:
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
     flagged: tuple | None = None
     diagnostics: object = None  # SeriesDiagnostics of the building blocks
-    # (derived params, block series at x0, at the threshold) from fpt_moments
+    # (derived params, block series at x0, at the threshold) from fpt_moments;
+    # the series are kernels.SumSeries, rounded to mpf when first read
     endpoints: tuple | None = field(default=None, compare=False, repr=False)
 
     def moment(self, k: int):
@@ -163,13 +166,13 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     q(x0/U) l(x0) / l(U), since q(x0)/q(U) = q(x0/U) exactly (see
     :mod:`logifpt.kernels`).  One q-series and no ``t_series`` enter, and
     nothing cancels between two q-series.  ``method`` selects the quotient
-    recursion (default, cheaper: in fixed-point ints) or the Bell-polynomial
-    closed form (in ``mpf``, with x0/U formed at working precision); both
-    agree to working precision.  For downcrossing problems the per-order
-    relative error estimates of the asymptotic sums are attached and orders
-    above FLAG_RTOL are flagged.  Upcrossing sums are convergent, their
-    estimates are 0, and the relative error estimates are exact zeros with
-    no order flagged.
+    recursion (default, cheaper: in fixed-point ints, on the int partial
+    sums of the blocks) or the Bell-polynomial closed form (in ``mpf``, with
+    x0/U formed at working precision); both agree to working precision.
+    For downcrossing problems the per-order relative error estimates of the
+    asymptotic sums are attached and orders above FLAG_RTOL are flagged.
+    Upcrossing sums are convergent, their estimates are 0, and the relative
+    error estimates are exact zeros with no order flagged.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -191,8 +194,8 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
         else:
             q_log = None
             if up:  # log(q(x0) / q(U)) = u log(U/x0) (1/2)_k a^k at k >= 1
-                q_log = (d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0)), d.a)
-            g = _fixed_quotient(b0.coeffs, b1.coeffs, d.precision, q_log)
+                q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))
+            g = _fixed_quotient(b0, b1, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
         rel, flagged = (mpf(0),) * order, (False,) * order
         if any(diag.error_estimate):  # convergent sums, all upcrossing ones, have none

@@ -75,6 +75,18 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+def _json_number(value, what: str) -> float:
+    """A number read from a JSON file, as a float.  null, booleans, strings,
+    lists and objects are input errors, and so is an integer beyond the
+    range of a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParams(f"{what} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InvalidParams(f"{what} is beyond the range of a float") from exc
+
+
 def _problem(args) -> FptProblem:
     return FptProblem(Direction(args.direction), args.threshold)
 
@@ -150,7 +162,7 @@ def _moments_for_density(args, d, prob) -> MomentSet:
         if not isinstance(moments, list):
             raise InvalidParams(f'moments file {path} must hold a JSON object with a '
                                 f'list "moments"')
-        vals = [mpf(float(v)) for v in moments]
+        vals = [mpf(_json_number(v, f"moment in {path}")) for v in moments]
         if len(vals) < args.nmax:
             raise InvalidParams(
                 f"moments file holds {len(vals)} moments, need {args.nmax}")
@@ -285,10 +297,11 @@ def cmd_mle(args) -> int:
     for p in estimate:
         if p not in init:
             if p in fixed_doc:
-                init[p] = float(fixed_doc[p])
+                init[p] = _json_number(fixed_doc[p], f"--fixed {p}")
             else:
                 raise InvalidParams(f"no initial value for estimated parameter {p!r}")
-    fixed = {k: float(v) for k, v in fixed_doc.items() if k not in estimate}
+    fixed = {k: _json_number(v, f"--fixed {k}") for k, v in fixed_doc.items()
+             if k not in estimate}
     cfg = MleConfig(estimate=estimate, fixed=fixed, init=init, direction=direction,
                     n_max=args.nmax, precision=args.precision,
                     max_iter=args.max_iter)

@@ -41,8 +41,11 @@ omitted term as the error estimate).  ``l_series`` and ``lbar_series`` run
 their n-sums in the same integers, on the rows as ints: (v y)^n / n! and
 (v y)^-n / n! are fixed-point sequences, each order's partial sum is one
 int, and both truncation rules compare ints exactly.  ``l_series`` advances
-all its orders in one pass over n, each to its own cut.  An ``mpf`` is
-formed once per output coefficient and once per error estimate.
+all its orders in one pass over n, each to its own cut.  Both return the
+partial sums as ints, in a :class:`SumSeries`: an :class:`ExpSeries` whose
+``mpf`` coefficients (each sum rounded to the precision, then times a^k)
+are formed on first use.  Only the downcrossing error estimates are formed
+in ``mpf`` right away.
 ``convergent_sum`` and ``asymptotic_sum`` state the same two rules on
 ``mpf`` terms, for the closed form in :mod:`logifpt.analytics`.
 
@@ -52,15 +55,18 @@ q(x0) / q(U) = q(x0 / U) exactly: :func:`logifpt.analytics.fpt_moments`
 forms one q-series, of exponent u log(U / x0) (1/2)_k a^k, and divides
 q(x0 / U) l(x0) by l(U).  Dividing by a second q-series instead loses up to
 16 digits to cancellation at order 10.  On the default route the quotient
-runs in the same fixed point as the rows (``_fixed_quotient``): the
-exponent's running product, the exp recurrence, the product and the ratio
-are Python ints at one binary exponent, and each moment is rounded once.
-Going down the quotient is lbar(x0) / lbar(L), in the same ints.  The Bell
-route (``q_series``, ``series_product`` and ``series_reciprocal_bell``)
-stays in ``mpf``, as the independent check.  At 256 bits and order 10, the
-int route keeps the upcrossing moments of the seven benchmark scenarios
-within 4.5e-76 of a 700-bit evaluation (the ``mpf`` recursion: 4.8e-76), and
-within 8e-77 at u = -1e4 and -0.01.
+runs in the same fixed point as the rows (``_fixed_quotient``): it takes
+the partial sums of the two :class:`SumSeries` as ints, with a^k folded in
+as a fixed-point int at precision + GUARD_BITS bits, and the exponent, the
+exp recurrence, the product and the ratio are Python ints at one binary
+exponent.  No ``mpf`` is formed between the kernel rows and the moments:
+the first one is each moment, rounded once.  Going down the quotient is
+lbar(x0) / lbar(L), in the same ints.  The Bell route (``q_series``,
+``series_product`` and ``series_reciprocal_bell``), the error bound and the
+cumulants read the ``mpf`` series and stay in ``mpf``, as the independent
+check.  At 256 bits and order 10, the int route keeps the upcrossing
+moments of the seven benchmark scenarios within 4.9e-76 of a 700-bit
+evaluation, and within 8e-77 at u = -1e4 and -0.01.
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
 :class:`KernelTable` per process, the last one built.  Rows depend on
@@ -77,6 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import mpmath
 from mpmath import mp, mpf
@@ -118,30 +125,47 @@ def _shift(man: int, by: int) -> int:
     return man << by if by >= 0 else man >> -by
 
 
-def _fixed_quotient(num, den, precision: int, q_log=None) -> tuple:
-    """Coefficients of q num / den, or of num / den when ``q_log`` is None,
-    for exp-convention series num and den with num_0 = den_0 = 1, each
-    rounded once to ``precision`` bits.
+def _fixed_powers(x, order: int, wp: int) -> list:
+    """(man, exp) with man 2^exp = x^k to wp bits, k = 0..order, each from
+    the one before; x^0 = 1 and x^1 = x are exact."""
+    x_man, x_exp = _man_exp(x)
+    out = [(1, 0)]
+    man, exp = 1, 0
+    for _ in range(order):
+        man *= x_man
+        by = wp - man.bit_length()
+        man, exp = _shift(man, by), exp + x_exp - by
+        out.append((man, exp))
+    return out
 
-    q = exp(A) with A_0 = 0 and A_k = c (1/2)_k a^k for ``q_log`` = (c, a),
-    the falling factorial (1/2)_k as in :func:`q_series`.  The A_k are formed
-    by a running product at precision + GUARD_BITS bits.  Everything then
-    comes to the one binary exponent that gives the smallest nonzero input
-    entry precision + GUARD_BITS bits, the rule of the kernel rows, and the
-    exp recurrence, the product and the ratio of :mod:`logifpt.series` run
-    on Python ints: each output entry sums its terms exactly and is floored
-    once to the shared exponent.  den_0 = 1, so the ratio divides by nothing.
+
+def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
+    """Coefficients of q num / den, or of num / den when ``q_log`` is None,
+    for two building-block series of :func:`l_series` or :func:`lbar_series`,
+    each rounded once to the precision.
+
+    q = exp(A) with A_0 = 0 and A_k = c (1/2)_k a^k for ``q_log`` = c, the
+    falling factorial (1/2)_k as in :func:`q_series`.  The int partial sums
+    come in with a^k folded in (``SumSeries.fixed``), a^k taken at precision
+    + GUARD_BITS bits, and each A_k is one exact product of c, (1/2)_k 2^k
+    and a^k.  Everything then comes to the one binary exponent that gives
+    the smallest nonzero input entry precision + GUARD_BITS bits, the rule
+    of the kernel rows, and the exp recurrence, the product and the ratio of
+    :mod:`logifpt.series` run on Python ints: each output entry sums its
+    terms exactly and is floored once to the shared exponent.  den_0 = 1, so
+    the ratio divides by nothing.
     """
+    precision = num.d.precision
     wp = precision + GUARD_BITS
-    order = len(num) - 1
-    parts = [_man_exp(x) for x in (*num, *den)]
+    order = num.order
+    apow = _fixed_powers(num.d.a, order, wp)
+    parts = num.fixed(apow) + den.fixed(apow)
     if q_log is not None:
-        (man, e), (a_man, a_exp) = _man_exp(q_log[0]), _man_exp(q_log[1])
-        for k in range(order):  # A_(k+1) = A_k a (1 - 2k) / 2, from A_0 := c
-            man *= a_man * (1 - 2 * k)
-            by = wp - man.bit_length()
-            man, e = _shift(man, by), e + a_exp - 1 - by
-            parts.append((man, e))
+        c_man, c_exp = _man_exp(q_log)
+        half = 1  # (1/2)_k 2^k
+        for k, (man, e) in enumerate(apow[1:]):
+            half *= 1 - 2 * k
+            parts.append((c_man * half * man, c_exp + e - k - 1))
     exp = min(e + m.bit_length() for m, e in parts if m) - wp
     ints = [_shift(m, e - exp) for m, e in parts]
     sh = -exp  # num_0 = 1 carries at least wp bits, so the unit 1 << sh is exact
@@ -178,6 +202,41 @@ def _normalize(mans: list, exp: int, wp: int) -> tuple:
     and, in mbar, up to 2^320 for small |u|)."""
     low = min((abs(x).bit_length() for x in mans if x), default=wp)
     return [_shift(x, wp - low) for x in mans], exp - (wp - low)
+
+
+class SumSeries(ExpSeries):
+    """A building-block series held as its partial sums over n, one int per
+    order: coefficient k >= 1 is a^k mans[k] 2^exps[k], coefficient 0 is 1.
+
+    :func:`_fixed_quotient` reads the ints (``fixed``).  ``coeffs``, the
+    ``mpf`` series, is formed on first use: each sum rounded to the
+    precision, then times a^k in ``mpf``.
+    """
+
+    def __init__(self, mans: list, exps: list, d: DerivedParams):
+        object.__setattr__(self, "mans", mans)
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "d", d)
+
+    @property
+    def order(self) -> int:
+        return len(self.mans) - 1
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        d = self.d
+        with mp.workprec(d.precision):
+            out, apow = [mpf(1)], mpf(1)
+            for man, exp in zip(self.mans[1:], self.exps[1:]):
+                apow *= d.a
+                out.append(apow * _to_mpf(man, exp, d.precision))
+        return tuple(out)
+
+    def fixed(self, apow: list) -> list:
+        """The coefficients as exact (man, exp) pairs, given a^k as the pair
+        ``apow[k]``."""
+        return [(1, 0)] + [(m * p, e + f) for m, e, (p, f)
+                           in zip(self.mans[1:], self.exps[1:], apow[1:])]
 
 
 class KernelTable:
@@ -452,7 +511,8 @@ def l_series(y, order: int, d: DerivedParams):
     converges factorially; it is cut once five consecutive terms fall below
     L_SERIES_TOL times the running partial sum.  Raises NoConvergence, for
     the smallest order still open, if the table bound N_MAX_DEFAULT is hit
-    first.  Returns (series, diagnostics).
+    first.  Returns (series, diagnostics); the series is a :class:`SumSeries`,
+    whose ``mpf`` coefficients are formed on first use.
 
     The sums run in fixed point on the table's integer rows, all orders in
     one pass over n, so each row and each (v y)^n / n! is fetched once.
@@ -495,13 +555,8 @@ def l_series(y, order: int, d: DerivedParams):
         else:
             raise NoConvergence(f"l-series order {open_orders[0]} at v*y = {float(vy)}: "
                                 f"sum still changing at n_max = {N_MAX_DEFAULT}")
-        out = [mpf(1)]
-        apow = mpf(1)
-        for k in range(1, order + 1):
-            apow *= d.a
-            out.append(apow * _to_mpf(partial[k], acc[k], d.precision))
     diag = SeriesDiagnostics(trunc_index=cut, error_estimate=[mpf(0)] * (order + 1))
-    return ExpSeries(tuple(out)), diag
+    return SumSeries(partial, acc, d), diag
 
 
 def t_series(y, order: int, d: DerivedParams):
@@ -521,21 +576,23 @@ def lbar_series(y, order: int, d: DerivedParams):
     has clearly turned upward, the cut n* minimizes the envelope
     max(|T_n|, |T_{n+1}|) (robust to the structural zeros at small n; ties
     resolve to the smaller n), and the first omitted term is reported as
-    the error estimate.
-    Returns (series, diagnostics).
+    the error estimate, in ``mpf``.  Returns (series, diagnostics); the
+    series is a :class:`SumSeries`, whose ``mpf`` coefficients are formed on
+    first use.
     """
     table = ensure_table(d, order)
+    mans, exps = [0], [0]
     diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         scale = _powers_over_factorials(-1 / vy, table._wp)  # carries (-1)^n
-        out = [mpf(1)]
         apow = mpf(1)
         for m_ in range(1, order + 1):
             apow *= d.a
             terms = _fixed_terms(table, "mbar", m_, scale, m_)
             value, est, exp, best = _fixed_asymptotic_sum(terms, table._wp)
-            out.append(apow * _to_mpf(value, exp, d.precision))
+            mans.append(value)
+            exps.append(exp)
             diag.trunc_index.append(m_ + best)
             diag.error_estimate.append(apow * _to_mpf(est, exp, d.precision))
-    return ExpSeries(tuple(out)), diag
+    return SumSeries(mans, exps, d), diag

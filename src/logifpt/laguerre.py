@@ -8,12 +8,17 @@ The n-th approximant, in normalized form, is
 
 with generalized Laguerre polynomials L_k and the paper's Fourier
 coefficients B_k.  So b_0 = 1, the n = 0 truncation is the Gamma density,
-and matching (alpha, beta) to two moments makes b_1 and b_2 vanish.  The b_k
-are summed exactly, as integers at one binary exponent, and rounded once to
-the working precision (the sums alternate violently once moments span many
-decades); evaluation runs in double precision through the three-term
-recurrence, with f_alpha taken through logarithms so that it is finite for
-every alpha > -1.
+and matching (alpha, beta) to two moments makes b_1 and b_2 vanish.  The
+moments and the matched (alpha, beta) are ``mpf``; the terms c_j of the b_k
+are formed from their mantissas in Python ints, rounded as the ``mpf``
+chain rounds them, and the b_k are summed exactly, as integers at one binary
+exponent, and rounded once to the working precision (the sums alternate
+violently once moments span many decades): the b_k are the first ``mpf``
+this layer forms.  Evaluation runs in double precision through the
+three-term recurrence, with f_alpha taken through logarithms so that it is
+finite for every alpha > -1; a check of p at one point (p(0) in order
+selection, the sign of p when it has no root) runs in Python floats with
+the same operations, and so gives the same double.
 
 Integrals are closed form.  By DLMF 18.9, d/dx [x^(alpha+1) e^-x
 L_(k-1)^(alpha+1)(x)] = k x^alpha e^-x L_k^(alpha)(x), so the raw
@@ -25,7 +30,8 @@ distribution function is, with P the regularized incomplete gamma function,
 and F(inf) = 1.  The roots of p are the eigenvalues of its comrade matrix:
 the Jacobi matrix of the recurrence with n b_k / b_n added to its last row.
 The negative mass is a sum of differences of F between roots, in which an
-error in a root enters only at second order.  The corrected density is
+error in a root enters only at second order; when p has no negative
+interval, the mass is 0 and no F is evaluated.  The corrected density is
 never negative; above CLIP_THRESHOLD of negative mass it is renormalized as
 well.  The pre-correction mass is always reported.
 By orthogonality the raw expansion integrates to exactly 1, so
@@ -35,12 +41,10 @@ reports only how well p is conditioned in double precision.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import mpmath
 import numpy as np
 from mpmath import mp, mpf
 from scipy import linalg, special
@@ -48,6 +52,7 @@ from scipy import linalg, special
 from .analytics import MomentSet
 from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                      SingularOriginWarning, ZeroVariance)
+from .kernels import _man_exp
 
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
@@ -113,27 +118,61 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
     """Normalized coefficients b_0..b_n in arbitrary precision.
 
     b_k = Gamma(alpha + 1) B_k, where B_k are the paper's Fourier-Laguerre
-    coefficients, so b_0 = 1.  The rising factorial (alpha + 1)_j is a
-    running product; no Gamma function is evaluated.  The terms c_j are
+    coefficients, so b_0 = 1.  The terms c_j = s_j mu_j, with the scale
+    s_j = (-beta)^j / (alpha + 1)_j a running product, are formed in Python
+    ints with the roundings of the ``mpf`` chain s_(j+1) = s_j (-beta /
+    ((alpha + j) + 1)): each step is exact and then rounded to nearest at the
+    working precision, the quotient by one floor division whose remainder
+    decides the rounding.  No Gamma function is evaluated.  The c_j are
     brought to one binary exponent as exact ints, so each alternating sum
     b_k = sum_j C(k, j) c_j is exact and rounded once.
     """
     if ms.order < n:
         raise InsufficientMoments(f"need {n} moments, MomentSet carries {ms.order}")
-    with mp.workprec(ms.precision):
-        mu = (mpf(1),) + tuple(ms.moments)
-        c = []
-        scale = mpf(1)  # (-beta)^j / (alpha + 1)_j
-        for j in range(n + 1):
-            c.append(scale * mu[j])
-            scale *= -g.beta_mp / (g.alpha_mp + j + 1)
-        if not all(mpmath.isfinite(x) for x in c):
-            raise InvalidParams(f"moments must be finite, got {[float(m) for m in mu[1:n + 1]]}")
-        parts = [x._mpf_ for x in c]  # (sign, man, exp, bitcount)
-        low = min(exp for _, _, exp, _ in parts)
-        ints = [(-man if sign else man) << (exp - low) for sign, man, exp, _ in parts]
-        return [mpf((sum(math.comb(k, j) * ints[j] for j in range(k + 1)), low))
-                for k in range(n + 1)]
+    mu = [_man_exp(m) for m in ms.moments[:n]]
+    if any(not man and exp for man, exp in mu):  # mpf inf and nan: mantissa 0, exponent not 0
+        raise InvalidParams(f"moments must be finite, got {ms.moments_float[:n]}")
+    prec = ms.precision
+    b_man, b_exp = _rounded(*_man_exp(g.beta_mp), prec)  # as mpf negation rounds -beta
+    a_man, a_exp = _man_exp(g.alpha_mp)
+    s_man, s_exp = 1, 0
+    parts = [(1, 0)]
+    for j, (m_man, m_exp) in enumerate(mu):
+        # s_(j+1) = s_j (-beta / ((alpha + j) + 1)), rounded after each operation
+        t_man, t_exp = _rounded(*_plus_int(a_man, a_exp, j), prec)
+        t_man, t_exp = _rounded(*_plus_int(t_man, t_exp, 1), prec)
+        by = prec + 3 + t_man.bit_length() - b_man.bit_length()  # >= prec + 2 bits
+        q, r = divmod(b_man << by, t_man)
+        q_man, q_exp = _rounded(-((q << 1) | (r != 0)), b_exp - t_exp - by - 1, prec)
+        s_man, s_exp = _rounded(s_man * q_man, s_exp + q_exp, prec)
+        parts.append(_rounded(s_man * m_man, s_exp + m_exp, prec))
+    low = min(e for _, e in parts)
+    row = [m << (e - low) for m, e in parts]
+    b = []
+    for _ in range(n + 1):  # b_k = sum_j C(k, j) c_j, by Pascal's rule in k
+        b.append(row[0])
+        row = [x + y for x, y in zip(row, row[1:])]
+    with mp.workprec(prec):
+        return [mpf((x, low)) for x in b]
+
+
+def _plus_int(man: int, exp: int, k: int) -> tuple:
+    """man 2^exp + k, exactly."""
+    low = min(exp, 0)
+    return (man << (exp - low)) + (k << -low), low
+
+
+def _rounded(man: int, exp: int, prec: int) -> tuple:
+    """man 2^exp rounded to nearest at prec bits, ties to even: the rounding
+    of an ``mpf`` operation at precision prec."""
+    mag = abs(man)
+    n = mag.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    q, rem, half = mag >> n, mag & ((1 << n) - 1), 1 << (n - 1)
+    if rem > half or (rem == half and q & 1):
+        q += 1
+    return (q if man > 0 else -q), exp + n
 
 
 def _gamma_pdf(alpha: float, x):
@@ -164,6 +203,17 @@ def _raw_cdf(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
     return coeffs[0] * special.gammainc(alpha + 1, x) + np.where(w > 0, tail, 0.0)
 
 
+def _coeff_sum_at(coeffs, alpha: float, x: float) -> float:
+    """:func:`_coeff_sum` at one point in Python floats: the same operations
+    in the same order, so the same double."""
+    prev, cur, acc = 0.0, 1.0, 0.0
+    for i, c in enumerate(coeffs):
+        if i:
+            prev, cur = cur, ((2 * i - 1 + alpha - x) * cur - (i - 1 + alpha) * prev) / i
+        acc = acc + c * cur
+    return acc
+
+
 def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Real positive roots of p, ascending, as comrade-matrix eigenvalues.
 
@@ -171,13 +221,15 @@ def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     first: the matrix divides by b_n, and a b_n that is rounding noise puts
     the roots anywhere.
     """
-    big = np.flatnonzero(np.abs(coeffs) > NEGLIGIBLE_COEFF * abs(coeffs[0]))
-    n = big[-1] if len(big) else 0
+    small = NEGLIGIBLE_COEFF * abs(coeffs[0])
+    n = max((k for k, c in enumerate(coeffs) if abs(c) > small), default=0)
     if n < 1:
         return np.empty(0)
     k = np.arange(1.0, n)
-    jac = (np.diag(2 * np.arange(n) + alpha + 1.0)
-           - np.diag(k, 1) - np.diag(k + alpha, -1))
+    jac = np.zeros((n, n))
+    jac.flat[::n + 1] = 2 * np.arange(n) + alpha + 1.0
+    jac.flat[1::n + 1] = -k
+    jac.flat[n::n + 1] = -(k + alpha)
     jac[-1] += n * coeffs[:n] / coeffs[n]
     ev = np.linalg.eigvals(jac)
     return np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
@@ -185,7 +237,12 @@ def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
 
 def _negative_intervals(coeffs: np.ndarray, alpha: float):
     """Ends (a, b) of the intervals of (0, inf) on which p < 0."""
-    edges = np.concatenate([[0.0], _roots(coeffs, alpha), [np.inf]])
+    roots = _roots(coeffs, alpha)
+    if not len(roots):  # p keeps one sign on (0, inf); test it at 1
+        if _coeff_sum_at(coeffs, alpha, 1.0) < 0:
+            return np.zeros(1), np.full(1, np.inf)
+        return np.empty(0), np.empty(0)
+    edges = np.concatenate([[0.0], roots, [np.inf]])
     inner = np.append((edges[:-2] + edges[1:-1]) / 2, 2 * edges[-2] + 1)
     neg = _coeff_sum(coeffs, alpha, inner) < 0
     return edges[:-1][neg], edges[1:][neg]
@@ -225,7 +282,7 @@ class LaguerreApproximant:
         self._coeff_arr = np.asarray(self.coeffs, dtype=float)
         alpha = self.gamma.alpha
         self._neg = _negative_intervals(self._coeff_arr, alpha)
-        self.negative_mass = float(self._mass_below(np.inf))
+        self.negative_mass = float(self._mass_below(np.inf)) if len(self._neg[0]) else 0.0
         self.clip_applied = self.negative_mass > CLIP_THRESHOLD
         self.renorm_factor = 1.0 / (1.0 + self.negative_mass) if self.clip_applied else 1.0
 
@@ -280,10 +337,10 @@ def select_order(coeffs_all, alpha: float, tol: float = 1e-6):
     n_max = len(coeffs_all) - 1
     b0 = coeffs_all[0]
     for n in range(3, n_max + 1):
-        coeffs = np.asarray(coeffs_all[: n + 1])
+        coeffs = coeffs_all[: n + 1]
         if abs(coeffs[n]) >= tol * abs(b0):
             continue
-        if not _coeff_sum(coeffs, alpha, 0.0) > 0:
+        if not _coeff_sum_at(coeffs, alpha, 0.0) > 0:
             continue
         lead = max((k for k in range(1, n + 1)
                     if abs(coeffs[k]) > NEGLIGIBLE_COEFF * abs(b0)), default=0)

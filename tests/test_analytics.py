@@ -158,6 +158,28 @@ def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
     assert calls["series_ratio"] > 0
 
 
+@pytest.mark.parametrize("name", ["up_1e4", "up_large", "down_mid"])
+def test_endpoints_are_the_block_series_once_read(name):
+    """The recursion route keeps its endpoint sums as ints; read, its endpoint
+    series are those of l_series (lbar_series going down) at x0 and at the
+    threshold, bit for bit.  Upcrossing, nothing reads them before; going
+    down, the error bound reads the threshold's."""
+    from logifpt.kernels import l_series, lbar_series
+    from logifpt.series import ExpSeries
+
+    _, d, prob = next(s for s in scenario_grid() if s[0] == name)
+    ms = fpt_moments(d, prob, 10)
+    block = l_series if prob.direction is Direction.UP else lbar_series
+    d_, b0, b1 = ms.endpoints
+    assert d_ is d and isinstance(b0, ExpSeries) and isinstance(b1, ExpSeries)
+    assert "coeffs" not in vars(b0)
+    assert ("coeffs" in vars(b1)) is (prob.direction is Direction.DOWN)
+    for got, y in ((b0, d.params.x0), (b1, prob.threshold)):
+        want = block(y, 10, d)[0].coeffs
+        assert got.order == 10 and len(got.coeffs) == 11
+        assert [c._mpf_ for c in got.coeffs] == [c._mpf_ for c in want]
+
+
 def reference_error_bound(s1, e, g, order):
     """The first-order error bound as a direct recursion:
     dg_m = e_m + sum_{k=1..m} C(m, k) (e_k |g_{m-k}| + |s1_k| dg_{m-k})."""

@@ -114,6 +114,18 @@ def _input_error_argv(case, config, tmp_path):
     fixed.write_text(json.dumps({**FISHERIES, "U": 1e4}))
     header_only = tmp_path / "d.csv"
     header_only.write_text("t,density\n")
+    moments_null = tmp_path / "null.json"
+    moments_null.write_text('{"moments": [null, 1, 2]}')
+    moments_bool = tmp_path / "bool.json"
+    # the exponential law's moments k!, with true standing for the mean 1
+    moments_bool.write_text('{"moments": [true, 2, 6, 24, 120, 720, 5040, 40320, 362880, '
+                            '3628800]}')
+    fixed_null = tmp_path / "fixed-null.json"
+    fixed_null.write_text(json.dumps({**FISHERIES, "U": 1e4, "K": None}))
+    fixed_string = tmp_path / "fixed-string.json"
+    fixed_string.write_text(json.dumps({**FISHERIES, "U": 1e4, "K": "8.05e7"}))
+    fixed_huge = tmp_path / "fixed-huge.json"
+    fixed_huge.write_text(json.dumps({**FISHERIES, "U": 10 ** 400}))
     up = ["--direction", "up", "--threshold", "1e4"]
     mle = ["mle", "--samples", str(samples), "--estimate", "sigma", "--init", "sigma=0.2"]
     return {
@@ -127,12 +139,20 @@ def _input_error_argv(case, config, tmp_path):
         "precision-0": ["moments", config, *up, "--precision", "0"],
         "mle-precision-0": [*mle, "--fixed", str(fixed), "--precision", "0"],
         "mle-nmax-1": [*mle, "--fixed", str(fixed), "--nmax", "1"],
+        "moments-null": ["density", config, *up, "--grid", "0:1:0.5",
+                         "--moments-from", f"moments:{moments_null}"],
+        "moments-bool": ["density", config, *up, "--grid", "0:1:0.5",
+                         "--moments-from", f"moments:{moments_bool}"],
+        "fixed-null": [*mle, "--fixed", str(fixed_null)],
+        "fixed-string": [*mle, "--fixed", str(fixed_string)],
+        "fixed-huge-int": [*mle, "--fixed", str(fixed_huge)],
     }[case]
 
 
 @pytest.mark.parametrize("case", ["moments-list", "fixed-list", "grid-inf", "lambda-grid-inf",
                                   "density-header-only", "precision-0", "mle-precision-0",
-                                  "mle-nmax-1"])
+                                  "mle-nmax-1", "moments-null", "moments-bool", "fixed-null",
+                                  "fixed-string", "fixed-huge-int"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli

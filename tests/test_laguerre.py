@@ -146,6 +146,17 @@ def test_non_finite_moments_are_invalid_params(bad):
             laguerre_coeffs(ms, g, 5)
 
 
+def test_infinite_variance_is_invalid_params():
+    """An infinite second moment matches alpha = -1 and beta = 0, where
+    (alpha + 1)_j vanishes; the moments are refused before any division."""
+    ms = moment_set([13.35, float("inf"), 2600.0, 38000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = match_gamma(ms)
+        with pytest.raises(InvalidParams, match="finite"):
+            laguerre_coeffs(ms, g, 4)
+
+
 def test_exact_gamma_coefficients_vanish():
     ms = gamma_moment_set(4.5, 0.8, 6)
     with warnings.catch_warnings():
@@ -367,3 +378,54 @@ def test_negative_mass_is_finite_and_non_negative(n, middle, decades, negative, 
     apx = LaguerreApproximant(gamma=GammaRef(alpha_mp=mpf(alpha), beta_mp=mpf(1)),
                               order=n, coeffs=coeffs, converged=True)
     assert math.isfinite(apx.negative_mass) and apx.negative_mass >= 0
+
+
+def _same_double(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
+
+
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=11),
+       st.floats(min_value=-0.99, max_value=4199.0),
+       st.floats(min_value=0.0, max_value=1e4))
+@example(coeffs=[1.0, 0.0, 0.0, -2e-3, 5e-4], alpha=38.7, x=0.0)
+@example(coeffs=[1.0], alpha=-0.99, x=1.0)
+@settings(max_examples=200, deadline=None)
+def test_scalar_p_is_the_array_sum(coeffs, alpha, x):
+    """p at one point in Python floats gives the double that the numpy sum
+    gives, at the origin, at 1 and inside (0, 1e4), from a list or an array."""
+    from logifpt.laguerre import _coeff_sum, _coeff_sum_at
+
+    for at in (0.0, 1.0, x):
+        want = float(_coeff_sum(np.asarray(coeffs), alpha, at))
+        assert _same_double(_coeff_sum_at(coeffs, alpha, at), want)
+        assert _same_double(_coeff_sum_at(np.asarray(coeffs), alpha, at), want)
+
+
+@given(st.sampled_from([53, 64, 113, 256, 300]),
+       st.floats(min_value=-0.99, max_value=4199.0),                   # alpha
+       st.floats(min_value=1e-3, max_value=1e3),                       # beta
+       st.lists(st.floats(min_value=1e-30, max_value=1e30), min_size=1, max_size=10),
+       st.lists(st.booleans(), min_size=10, max_size=10))              # moment signs
+@example(precision=256, alpha=0.0, beta=1.0, moments=[1.0, 2.0, 6.0], negative=[False] * 10)
+@settings(max_examples=100, deadline=None)
+def test_coeffs_round_as_the_mpf_chain(precision, alpha, beta, moments, negative):
+    """The c_j formed in ints are the c_j of the mpf chain s_(j+1) = s_j
+    (-beta / (alpha + j + 1)), c_j = s_j mu_j, bit for bit, and b_k is their
+    exact binomial sum rounded once.  Inputs carry full mantissas (a third of
+    a double, at the working precision)."""
+    with mp.workprec(precision):
+        third = mpf(1) / 3
+        mu = tuple((-1 if neg else 1) * mpf(m) * third for m, neg in zip(moments, negative))
+        g = GammaRef(alpha_mp=mpf(alpha) * (1 + third), beta_mp=mpf(beta) * third)
+        c, scale = [], mpf(1)
+        for j, m in enumerate((mpf(1),) + mu):
+            c.append(scale * m)
+            scale *= -g.beta_mp / (g.alpha_mp + j + 1)
+    ms = MomentSet(problem=UP4, order=len(mu), moments=mu, method=MomentMethod.EMPIRICAL,
+                   precision=precision)
+    got = laguerre_coeffs(ms, g, len(mu))
+    with mp.workprec(8192):  # wide enough to hold every sum exactly
+        exact = [mpmath.fsum(math.comb(k, j) * c[j] for j in range(k + 1))
+                 for k in range(len(mu) + 1)]
+    with mp.workprec(precision):
+        assert got == [+b for b in exact]

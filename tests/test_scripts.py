@@ -2,7 +2,8 @@
 
 ``run_scenarios.py`` without ``--mc`` computes the moments of its nine
 scenarios through ``fpt_moments``; ``run_mle_study.py`` is only asked for its
-usage, since a study takes minutes.
+usage, since a study takes minutes.  ``profile_likelihood.py`` times a few
+points on a small sample.
 """
 
 import os
@@ -33,3 +34,11 @@ def test_run_mle_study_help():
     done = run_script("run_mle_study.py", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: run_mle_study.py")
+
+
+def test_profile_likelihood():
+    done = run_script("profile_likelihood.py", "--points", "3", "--paths", "50")
+    assert done.returncode == 0, done.stderr
+    stages = [line.split()[0] for line in done.stdout.strip().splitlines()[1:]]
+    assert stages == ["derive", "rows", "l-sums", "quotient", "c_j/b_k", "order", "approx",
+                      "density", "sum", "whole"]
