@@ -178,7 +178,7 @@ def cmd_density(args) -> int:
     validate_problem(d, prob)
     grid = _parse_grid(args.grid)
     ms = _moments_for_density(args, d, prob)
-    apx = build_approximant(ms, n=args.order, n_max=args.nmax, tol=args.tol)
+    apx = build_approximant(ms, n=args.order, n_max=args.nmax)
     dens = apx.density(grid)
     lines = ["t,density"]
     lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), np.asarray(dens).tolist())]
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem(p)
     p.add_argument("--nmax", type=int, default=10, help="order-selection cap")
     p.add_argument("--order", type=int, default=None, help="force a fixed order")
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--grid", required=True, help="start:stop:step")
     p.add_argument("--moments-from", default="theory",
                    help="theory | samples:FILE | moments:FILE")

@@ -16,9 +16,8 @@ exponent, and rounded once to the working precision (the sums alternate
 violently once moments span many decades): the b_k are the first ``mpf``
 this layer forms.  Evaluation runs in double precision through the
 three-term recurrence, with f_alpha taken through logarithms so that it is
-finite for every alpha > -1; a check of p at one point (p(0) in order
-selection, the sign of p when it has no root) runs in Python floats with
-the same operations, and so gives the same double.
+finite for every alpha > -1; at a float x (p(0), the sign of p between
+roots) the same operations run in Python floats and give the same double.
 
 Integrals are closed form.  By DLMF 18.9, d/dx [x^(alpha+1) e^-x
 L_(k-1)^(alpha+1)(x)] = k x^alpha e^-x L_k^(alpha)(x), so the raw
@@ -29,11 +28,11 @@ distribution function is, with P the regularized incomplete gamma function,
 
 and F(inf) = 1.  The roots of p are the eigenvalues of its comrade matrix:
 the Jacobi matrix of the recurrence with n b_k / b_n added to its last row.
-The negative mass is a sum of differences of F between roots, in which an
-error in a root enters only at second order; when p has no negative
-interval, the mass is 0 and no F is evaluated.  The corrected density is
-never negative; above CLIP_THRESHOLD of negative mass it is renormalized as
-well.  The pre-correction mass is always reported.
+The negative mass is a float sum of differences of F between roots, in
+which an error in a root enters only at second order; F(inf) = b_0 is not
+evaluated.  The corrected density is never negative; above CLIP_THRESHOLD
+of negative mass it is renormalized as well.  The pre-correction mass is
+always reported.
 By orthogonality the raw expansion integrates to exactly 1, so
 ``norm_residual`` (Gauss-Laguerre quadrature of p, computed on first use)
 reports only how well p is conditioned in double precision.
@@ -41,9 +40,10 @@ reports only how well p is conditioned in double precision.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from mpmath import mp, mpf
@@ -56,6 +56,7 @@ from .kernels import _man_exp
 
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
+ORDER_TOL = 1e-6  # order selection accepts n only when |b_n| < ORDER_TOL |b_0|
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,8 @@ def match_gamma(ms: MomentSet) -> GammaRef:
     with mp.workprec(ms.precision):
         mean = ms.moments[0]
         var = ms.moments[1] - mean ** 2
+        if not mp.isfinite(var):  # a non-finite mean or second moment
+            raise InvalidParams(f"moments must be finite, got {ms.moments_float[:2]}")
         if not var > 0:
             raise ZeroVariance(f"variance must be > 0, got {float(var)}")
         alpha = mean ** 2 / var - 1
@@ -127,6 +130,8 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
     brought to one binary exponent as exact ints, so each alternating sum
     b_k = sum_j C(k, j) c_j is exact and rounded once.
     """
+    if n < 0:
+        raise InvalidParams(f"order must be >= 0, got {n}")
     if ms.order < n:
         raise InsufficientMoments(f"need {n} moments, MomentSet carries {ms.order}")
     mu = [_man_exp(m) for m in ms.moments[:n]]
@@ -180,12 +185,14 @@ def _gamma_pdf(alpha: float, x):
     return np.exp(special.xlogy(alpha, x) - x - special.gammaln(alpha + 1))
 
 
-def _coeff_sum(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
-    """sum_k b_k L_k^(alpha)(x), accumulated along the recurrence (0 if empty)."""
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    acc = np.zeros_like(x)
+def _coeff_sum(coeffs, alpha: float, x):
+    """sum_k b_k L_k^(alpha)(x), accumulated along the recurrence (0 if empty):
+    a float for a float x, else an array of its shape, by the same operations."""
+    if isinstance(x, float):
+        prev, cur, acc = 0.0, 1.0, 0.0
+    else:
+        x = np.asarray(x, dtype=float)
+        prev, cur, acc = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
     for i, c in enumerate(coeffs):
         if i:
             prev, cur = cur, ((2 * i - 1 + alpha - x) * cur - (i - 1 + alpha) * prev) / i
@@ -193,7 +200,7 @@ def _coeff_sum(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
     return acc
 
 
-def _raw_cdf(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
+def _raw_cdf(coeffs: np.ndarray, alpha: float, x):
     """F(x), the integral of f_alpha p over (0, x), by the DLMF 18.9 antiderivative."""
     k = np.arange(1, len(coeffs))
     with np.errstate(invalid="ignore"):
@@ -203,26 +210,17 @@ def _raw_cdf(coeffs: np.ndarray, alpha: float, x) -> np.ndarray:
     return coeffs[0] * special.gammainc(alpha + 1, x) + np.where(w > 0, tail, 0.0)
 
 
-def _coeff_sum_at(coeffs, alpha: float, x: float) -> float:
-    """:func:`_coeff_sum` at one point in Python floats: the same operations
-    in the same order, so the same double."""
-    prev, cur, acc = 0.0, 1.0, 0.0
-    for i, c in enumerate(coeffs):
-        if i:
-            prev, cur = cur, ((2 * i - 1 + alpha - x) * cur - (i - 1 + alpha) * prev) / i
-        acc = acc + c * cur
-    return acc
+def _degree(coeffs) -> int:
+    """Index of the last coefficient above NEGLIGIBLE_COEFF |b_0| (0 if none)."""
+    small = NEGLIGIBLE_COEFF * abs(coeffs[0])
+    return max((k for k, c in enumerate(coeffs) if abs(c) > small), default=0)
 
 
 def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
-    """Real positive roots of p, ascending, as comrade-matrix eigenvalues.
-
-    Trailing coefficients at or below NEGLIGIBLE_COEFF |b_0| are dropped
-    first: the matrix divides by b_n, and a b_n that is rounding noise puts
-    the roots anywhere.
-    """
-    small = NEGLIGIBLE_COEFF * abs(coeffs[0])
-    n = max((k for k, c in enumerate(coeffs) if abs(c) > small), default=0)
+    """Real positive roots of p, ascending, as comrade-matrix eigenvalues at
+    the :func:`_degree` of p: the matrix divides by b_n, and a b_n that is
+    rounding noise puts the roots anywhere."""
+    n = _degree(coeffs)
     if n < 1:
         return np.empty(0)
     k = np.arange(1.0, n)
@@ -235,17 +233,14 @@ def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     return np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
 
 
-def _negative_intervals(coeffs: np.ndarray, alpha: float):
-    """Ends (a, b) of the intervals of (0, inf) on which p < 0."""
-    roots = _roots(coeffs, alpha)
-    if not len(roots):  # p keeps one sign on (0, inf); test it at 1
-        if _coeff_sum_at(coeffs, alpha, 1.0) < 0:
-            return np.zeros(1), np.full(1, np.inf)
-        return np.empty(0), np.empty(0)
-    edges = np.concatenate([[0.0], roots, [np.inf]])
-    inner = np.append((edges[:-2] + edges[1:-1]) / 2, 2 * edges[-2] + 1)
-    neg = _coeff_sum(coeffs, alpha, inner) < 0
-    return edges[:-1][neg], edges[1:][neg]
+def _negative_intervals(coeffs: np.ndarray, alpha: float) -> list:
+    """Ends (a, b), as float pairs, of the intervals of (0, inf) on which p < 0,
+    each probed at its midpoint, the last, (a, inf), at 2 a + 1."""
+    edges = [0.0, *_roots(coeffs, alpha).tolist(), math.inf]
+    probes = [(a + b) / 2 for a, b in zip(edges, edges[1:-1])] + [2 * edges[-2] + 1]
+    floats = coeffs.tolist()
+    return [ends for ends, x in zip(zip(edges, edges[1:]), probes)
+            if _coeff_sum(floats, alpha, x) < 0]
 
 
 def _norm_residual(coeffs: np.ndarray, alpha: float) -> float:
@@ -282,7 +277,9 @@ class LaguerreApproximant:
         self._coeff_arr = np.asarray(self.coeffs, dtype=float)
         alpha = self.gamma.alpha
         self._neg = _negative_intervals(self._coeff_arr, alpha)
-        self.negative_mass = float(self._mass_below(np.inf)) if len(self._neg[0]) else 0.0
+        F = partial(_raw_cdf, self._coeff_arr, alpha)  # F(inf) = b_0
+        self.negative_mass = float(sum((F(a) - (F(b) if b < math.inf else self._coeff_arr[0])
+                                        for a, b in self._neg), 0.0))
         self.clip_applied = self.negative_mass > CLIP_THRESHOLD
         self.renorm_factor = 1.0 / (1.0 + self.negative_mass) if self.clip_applied else 1.0
 
@@ -293,7 +290,7 @@ class LaguerreApproximant:
 
     def _mass_below(self, x):
         """Negative raw mass on (0, x), in the reference's x = beta t."""
-        a, b = self._neg
+        a, b = np.transpose(self._neg)  # called only when clipped, so never empty
         coeffs, alpha = self._coeff_arr, self.gamma.alpha
         upper = np.clip(np.asarray(x)[..., None], a, b)
         return np.sum(_raw_cdf(coeffs, alpha, a) - _raw_cdf(coeffs, alpha, upper), axis=-1)
@@ -324,13 +321,13 @@ class LaguerreApproximant:
         return float(out) if t.ndim == 0 else out
 
 
-def select_order(coeffs_all, alpha: float, tol: float = 1e-6):
+def select_order(coeffs_all, alpha: float):
     """Smallest order n in 3..n_max passing the stopping rules.
 
     ``coeffs_all`` holds the float coefficients b_0..b_{n_max} and alpha is
     the reference shape.  Accepts n when (i) p is positive at the origin
-    and the highest non-negligible coefficient keeps the tail non-negative,
-    and (ii) |b_n| / b_0 < tol.  Returns (n_max, False) when no order
+    and the coefficient at its :func:`_degree` keeps the tail non-negative,
+    and (ii) |b_n| < ORDER_TOL |b_0|.  Returns (n_max, False) when no order
     qualifies.  The concrete thresholds are this implementation's choices.
     Normalization needs no rule: it holds exactly (see the module docstring).
     """
@@ -338,20 +335,19 @@ def select_order(coeffs_all, alpha: float, tol: float = 1e-6):
     b0 = coeffs_all[0]
     for n in range(3, n_max + 1):
         coeffs = coeffs_all[: n + 1]
-        if abs(coeffs[n]) >= tol * abs(b0):
+        if abs(coeffs[n]) >= ORDER_TOL * abs(b0):
             continue
-        if not _coeff_sum_at(coeffs, alpha, 0.0) > 0:
+        if not _coeff_sum(coeffs, alpha, 0.0) > 0:
             continue
-        lead = max((k for k in range(1, n + 1)
-                    if abs(coeffs[k]) > NEGLIGIBLE_COEFF * abs(b0)), default=0)
+        lead = _degree(coeffs)
         if lead and (-1) ** lead * coeffs[lead] < 0:
             continue
         return n, True
     return n_max, False
 
 
-def build_approximant(ms: MomentSet, n: int | None = None, n_max: int = 10,
-                      tol: float = 1e-6) -> LaguerreApproximant:
+def build_approximant(ms: MomentSet, n: int | None = None,
+                      n_max: int = 10) -> LaguerreApproximant:
     """Assemble the approximant, selecting the order unless ``n`` is forced.
 
     The coefficients are computed once, up to the forced order or to
@@ -362,7 +358,7 @@ def build_approximant(ms: MomentSet, n: int | None = None, n_max: int = 10,
     coeffs = [float(c) for c in
               laguerre_coeffs(ms, g, min(n_max, ms.order) if n is None else n)]
     if n is None:
-        n, converged = select_order(coeffs, g.alpha, tol=tol)
+        n, converged = select_order(coeffs, g.alpha)
     else:
         converged = True
     return LaguerreApproximant(gamma=g, order=n, coeffs=tuple(coeffs[: n + 1]),

@@ -52,10 +52,10 @@ class SimConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise InvalidParams(f"paths must be >= 1, got {self.paths}")
-        if not self.dt > 0:
-            raise InvalidParams(f"dt must be > 0, got {self.dt}")
-        if not self.horizon > self.dt:
-            raise InvalidParams("horizon must exceed dt")
+        if not 0 < self.dt < math.inf:
+            raise InvalidParams(f"dt must be finite and > 0, got {self.dt}")
+        if not self.dt < self.horizon < math.inf:
+            raise InvalidParams(f"horizon must be finite and exceed dt, got {self.horizon}")
 
     @property
     def steps(self) -> int:

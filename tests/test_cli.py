@@ -126,6 +126,8 @@ def _input_error_argv(case, config, tmp_path):
     fixed_string.write_text(json.dumps({**FISHERIES, "U": 1e4, "K": "8.05e7"}))
     fixed_huge = tmp_path / "fixed-huge.json"
     fixed_huge.write_text(json.dumps({**FISHERIES, "U": 10 ** 400}))
+    moments_exp = tmp_path / "exp.json"  # the exponential law's moments k!
+    moments_exp.write_text(json.dumps({"moments": [math.factorial(k) for k in range(1, 11)]}))
     up = ["--direction", "up", "--threshold", "1e4"]
     mle = ["mle", "--samples", str(samples), "--estimate", "sigma", "--init", "sigma=0.2"]
     return {
@@ -146,13 +148,20 @@ def _input_error_argv(case, config, tmp_path):
         "fixed-null": [*mle, "--fixed", str(fixed_null)],
         "fixed-string": [*mle, "--fixed", str(fixed_string)],
         "fixed-huge-int": [*mle, "--fixed", str(fixed_huge)],
+        "order-negative": ["density", config, *up, "--grid", "0:1:0.5", "--order", "-1",
+                           "--moments-from", f"moments:{moments_exp}"],
+        "nmax-negative": ["density", config, *up, "--grid", "0:1:0.5", "--nmax", "-1",
+                          "--moments-from", f"moments:{moments_exp}"],
+        "horizon-inf": ["simulate", config, *up, "--paths", "4", "--dt", "0.01",
+                        "--horizon", "inf", "--out", str(tmp_path / "sim.csv")],
     }[case]
 
 
 @pytest.mark.parametrize("case", ["moments-list", "fixed-list", "grid-inf", "lambda-grid-inf",
                                   "density-header-only", "precision-0", "mle-precision-0",
                                   "mle-nmax-1", "moments-null", "moments-bool", "fixed-null",
-                                  "fixed-string", "fixed-huge-int"])
+                                  "fixed-string", "fixed-huge-int", "order-negative",
+                                  "nmax-negative", "horizon-inf"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli
@@ -177,6 +186,8 @@ def test_bad_usage_exits_1(capsys):
     ["mle", "--samples", "s.csv", "--estimate", "sigma", "--fixed", "fixed.json",
      "--seed", "1"],
     ["compare", "--density", "d.csv", "--samples", "s.csv", "--precision", "128"],
+    ["density", "config.json", "--direction", "up", "--threshold", "1e4",
+     "--grid", "0:30:0.5", "--tol", "1e-6"],
 ])
 def test_switches_a_command_never_read_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -147,14 +148,19 @@ def test_non_finite_moments_are_invalid_params(bad):
 
 
 def test_infinite_variance_is_invalid_params():
-    """An infinite second moment matches alpha = -1 and beta = 0, where
-    (alpha + 1)_j vanishes; the moments are refused before any division."""
+    """An infinite second moment would match alpha = -1 and beta = 0, where
+    (alpha + 1)_j vanishes; match_gamma refuses it before any division."""
     ms = moment_set([13.35, float("inf"), 2600.0, 38000.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        g = match_gamma(ms)
-        with pytest.raises(InvalidParams, match="finite"):
-            laguerre_coeffs(ms, g, 4)
+    with pytest.raises(InvalidParams, match="moments must be finite"):
+        match_gamma(ms)
+    with pytest.raises(InvalidParams, match="moments must be finite"):
+        build_approximant(ms, n_max=3)
+
+
+def test_nan_mean_is_invalid_params_not_zero_variance():
+    ms = moment_set([float("nan"), 182.7, 2600.0, 38000.0])
+    with pytest.raises(InvalidParams, match="moments must be finite"):
+        match_gamma(ms)
 
 
 def test_exact_gamma_coefficients_vanish():
@@ -384,6 +390,35 @@ def _same_double(a, b) -> bool:
     return (math.isnan(a) and math.isnan(b)) or float(a).hex() == float(b).hex()
 
 
+@given(st.integers(min_value=1, max_value=10),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=10, max_size=10),
+       st.floats(min_value=-0.9, max_value=50.0))     # alpha
+@example(n=3, middle=[0.0, 0.0, 0.5] + [0.0] * 7, alpha=1.0)  # p < 0 on (a, inf)
+@example(n=1, middle=[1.0] + [0.0] * 9, alpha=0.0)            # p = 2 - x, root at 2
+@settings(max_examples=60, deadline=None)
+def test_negative_mass_takes_F_at_inf_as_b0(n, middle, alpha):
+    """The constructor sums F(a) - F(b) over the negative intervals with
+    F(inf) = b_0 exact: no F is evaluated at inf, and the mass is the double
+    that the array route of cdf, _mass_below(inf), gives."""
+    import logifpt.laguerre as laguerre
+
+    seen, raw_cdf = [], laguerre._raw_cdf
+
+    def spy(coeffs, alpha, x):
+        seen.append(x)
+        return raw_cdf(coeffs, alpha, x)
+
+    with mock.patch.object(laguerre, "_raw_cdf", spy):
+        apx = LaguerreApproximant(gamma=GammaRef(alpha_mp=mpf(alpha), beta_mp=mpf(1)),
+                                  order=n, coeffs=(1.0, *middle[:n]), converged=True)
+    assert all(np.isfinite(x).all() for x in seen)
+    assert len(seen) <= 2 * len(apx._neg)
+    if apx._neg:
+        assert _same_double(apx.negative_mass, apx._mass_below(np.inf))
+    else:
+        assert apx.negative_mass == 0.0 and seen == []
+
+
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=11),
        st.floats(min_value=-0.99, max_value=4199.0),
        st.floats(min_value=0.0, max_value=1e4))
@@ -391,14 +426,34 @@ def _same_double(a, b) -> bool:
 @example(coeffs=[1.0], alpha=-0.99, x=1.0)
 @settings(max_examples=200, deadline=None)
 def test_scalar_p_is_the_array_sum(coeffs, alpha, x):
-    """p at one point in Python floats gives the double that the numpy sum
-    gives, at the origin, at 1 and inside (0, 1e4), from a list or an array."""
-    from logifpt.laguerre import _coeff_sum, _coeff_sum_at
+    """_coeff_sum at a float gives a Python float, the double that it gives
+    as an element of an array, at the origin, at 1 and inside (0, 1e4), from
+    a list or an array of coefficients; an array keeps its shape."""
+    from logifpt.laguerre import _coeff_sum
 
     for at in (0.0, 1.0, x):
-        want = float(_coeff_sum(np.asarray(coeffs), alpha, at))
-        assert _same_double(_coeff_sum_at(coeffs, alpha, at), want)
-        assert _same_double(_coeff_sum_at(np.asarray(coeffs), alpha, at), want)
+        grid = _coeff_sum(np.asarray(coeffs), alpha, np.full((2, 3), at))
+        assert grid.shape == (2, 3)
+        want = grid[1, 2]
+        got = _coeff_sum(coeffs, alpha, at)
+        assert type(got) is float and _same_double(got, want)
+        assert _same_double(_coeff_sum(np.asarray(coeffs), alpha, at), want)
+
+
+@pytest.mark.parametrize("tail, degree", [(-1e-13, 4), (-1.5e-13, 5)])
+def test_select_order_and_roots_agree_on_the_degree(monkeypatch, tail, degree):
+    """b_5 at NEGLIGIBLE_COEFF |b_0| is dropped in both places, and just
+    above it kept in both: _roots forms its comrade matrix at that degree,
+    and the tail rule of select_order reads the sign of that coefficient
+    (b_4 < 0 fails the rule at degree 4, b_5 < 0 passes it at degree 5)."""
+    import logifpt.laguerre as laguerre
+
+    coeffs = [1.0, 0.0, 0.0, 1e-3, -1e-8, tail]  # |b_3| >= 1e-6: order 3 is refused
+    sizes, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: sizes.append(len(m)) or eigvals(m))
+    laguerre._roots(np.asarray(coeffs), 2.0)
+    assert sizes == [degree]
+    assert select_order(coeffs, 2.0) == (5, degree == 5)
 
 
 @given(st.sampled_from([53, 64, 113, 256, 300]),

@@ -213,3 +213,16 @@ def test_config_validation():
         SimConfig(problem=UP4, paths=1, dt=0.0, horizon=1.0, seed=0)
     with pytest.raises(InvalidParams):
         SimConfig(problem=UP4, paths=1, dt=0.5, horizon=0.5, seed=0)
+    for dt, horizon in ((1e-3, math.inf), (math.inf, 1.0), (math.inf, math.inf)):
+        with pytest.raises(InvalidParams, match="finite"):
+            SimConfig(problem=UP4, paths=1, dt=dt, horizon=horizon, seed=0)
+
+
+def test_sample_file_with_an_infinite_horizon_rejected(tmp_path, fisheries):
+    """ceil(horizon / dt) would overflow; the file is refused as input."""
+    cfg = SimConfig(problem=UP4, paths=4, dt=1e-2, horizon=60.0, seed=17)
+    path = tmp_path / "sample.csv"
+    write_samples_csv(sample_fpt(fisheries, cfg), path)
+    path.write_text(path.read_text().replace('"horizon": 60.0', '"horizon": Infinity'))
+    with pytest.raises(InvalidParams, match="finite"):
+        read_samples_csv(path)
