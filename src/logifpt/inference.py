@@ -16,7 +16,7 @@ region.
 
 Only what callers vary is configurable (:class:`MleConfig`).  The rest is
 fixed: the simplex stays inside DEFAULT_BOUNDS, the order is selected at
-the tolerance ``laguerre.ORDER_TOL`` (1e-6), and densities are floored at
+the tolerance ``laguerre.ORDER_TOL``, and densities are floored at
 1e-300 before the logarithm.
 Right-censored paths (no crossing by the end of the simulated horizon)
 enter through the survival function of the approximant.

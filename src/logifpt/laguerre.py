@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf
@@ -277,9 +277,11 @@ class LaguerreApproximant:
         self._coeff_arr = np.asarray(self.coeffs, dtype=float)
         alpha = self.gamma.alpha
         self._neg = _negative_intervals(self._coeff_arr, alpha)
-        F = partial(_raw_cdf, self._coeff_arr, alpha)  # F(inf) = b_0
-        self.negative_mass = float(sum((F(a) - (F(b) if b < math.inf else self._coeff_arr[0])
-                                        for a, b in self._neg), 0.0))
+
+        def F(x):  # F(inf) = b_0 exactly
+            return _raw_cdf(self._coeff_arr, alpha, x) if x < math.inf else self._coeff_arr[0]
+
+        self.negative_mass = float(sum(F(a) - F(b) for a, b in self._neg))
         self.clip_applied = self.negative_mass > CLIP_THRESHOLD
         self.renorm_factor = 1.0 / (1.0 + self.negative_mass) if self.clip_applied else 1.0
 

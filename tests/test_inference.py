@@ -277,5 +277,5 @@ def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1
     assert "coeffs" not in vars(b0) and "coeffs" not in vars(b1)
     # p < 0 on one interval at sigma 0.15, r 0.8: its mass is integrated
     assert log_likelihood({"sigma": 0.15, "r": 0.8}, sample_1k, cfg) > PENALTY
-    assert seen["apx"].negative_mass > 0 and calls
+    assert seen["apx"].negative_mass > 0 and len(calls) == 2
     assert not any(np.isinf(x).any() for *_, x in calls)
