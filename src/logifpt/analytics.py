@@ -1,4 +1,4 @@
-"""Crossing-time moments, cumulants, and Gamma-consistency diagnostics.
+"""Crossing-time moments and cumulants.
 
 Moments come from the coefficient recursion of the transform ratio (default)
 or, equivalently, from the Bell-polynomial closed form of the reciprocal
@@ -31,9 +31,7 @@ from functools import cached_property
 import mpmath
 from mpmath import mp, mpf
 
-from .kernels import (L_SERIES_TOL, N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient,
-                      asymptotic_sum, convergent_sum, ensure_table, l_series, lbar_series,
-                      q_series)
+from .kernels import SeriesDiagnostics, _fixed_quotient, l_series, lbar_series, q_series
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 from .series import (ExpSeries, binomial_series, log_polynomials, series_product,
                      series_ratio, series_reciprocal_bell)
@@ -64,11 +62,6 @@ class MomentSet:
     # (derived params, block series at x0, at the threshold) from fpt_moments;
     # the series are kernels.SumSeries, rounded to mpf when first read
     endpoints: tuple | None = field(default=None, compare=False, repr=False)
-
-    def moment(self, k: int):
-        if not 1 <= k <= self.order:
-            raise IndexError(f"order {k} outside 1..{self.order}")
-        return self.moments[k - 1]
 
     @property
     def moments_float(self) -> tuple:
@@ -122,11 +115,6 @@ class CumulantSet:
     cumulants: tuple
     precision: int
     degenerate: bool = False
-
-    def cumulant(self, k: int):
-        if not 1 <= k <= self.order:
-            raise IndexError(f"order {k} outside 1..{self.order}")
-        return self.cumulants[k - 1]
 
     @property
     def cumulants_float(self) -> tuple:
@@ -222,80 +210,3 @@ def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet
     by logarithmic polynomials of the building-block series (see
     :attr:`MomentSet.cumulants`)."""
     return fpt_moments(d, prob, order).cumulants
-
-
-def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
-    """Crossing-time mean and variance from the explicit coefficient sums.
-
-    These are the order-1 and order-2 formulas written directly in terms of
-    entries 1 and 2 of the kernel-table rows; they serve as an independent cross-check of
-    :func:`fpt_cumulants` at orders one and two and use the same truncation
-    rules as the kernel sums (stagnation rule upcrossing, optimal truncation
-    downcrossing).
-    """
-    degenerate = validate_problem(d, prob)
-    if degenerate:
-        return mpf(0), mpf(0)
-    table = ensure_table(d, 2)
-    x0 = d.params.x0
-    s = prob.threshold
-
-    def entry(family, n, m_):
-        # entry m_ of row n as m_row/mbar_row would give it, converting only that entry
-        mans, exp = table.fixed_row(family, n)
-        return mpf((mans[m_], exp))
-
-    with mp.workprec(d.precision):
-        vx0 = d.v * mpf(x0)
-        vs = d.v * mpf(s)
-        if prob.direction is Direction.UP:
-            def csum(m_, vy):
-                val, _ = convergent_sum(
-                    lambda n: entry("m", n, m_) * vy ** n / mpmath.factorial(n),
-                    mpf(L_SERIES_TOL), N_MAX_DEFAULT)
-                return val
-
-            logr = mpmath.log(mpf(x0) / mpf(s))
-            s1_x0 = csum(1, vx0)
-            s1_s = csum(1, vs)
-            mean = logr * d.a * d.u / 2 + d.a * (s1_s - s1_x0)
-            var = (logr * d.a ** 2 * d.u / 4
-                   + d.a ** 2 * (csum(2, vx0) - csum(2, vs) + s1_s ** 2 - s1_x0 ** 2))
-        else:
-            def asum(m_, vy):
-                def term(n):
-                    sign = -1 if n % 2 else 1
-                    return sign * entry("mbar", n, m_) / (vy ** n * mpmath.factorial(n))
-
-                val, _, _ = asymptotic_sum(term, m_, N_MAX_DEFAULT)
-                return val
-
-            s1_x0 = asum(1, vx0)
-            s1_s = asum(1, vs)
-            mean = d.a * (s1_s - s1_x0)
-            var = d.a ** 2 * (asum(2, vx0) - asum(2, vs) + s1_s ** 2 - s1_x0 ** 2)
-    return mean, var
-
-
-@dataclass(frozen=True)
-class GammaDiagnostics:
-    """Cumulant-ratio consistency with a Gamma reference law."""
-
-    ratios: tuple          # (c1/c2, 2 c2/c3, 3 c3/c4)
-    implied_beta: tuple    # k c_k / c_{k+1}, the rate implied by each pair
-    flatness: float        # max relative spread of the implied rates
-
-
-def gamma_consistency(cs: CumulantSet) -> GammaDiagnostics:
-    """The three adjacent cumulant ratios and their spread.
-
-    For a Gamma law every entry equals the rate parameter, so a small
-    flatness score supports the Gamma-referenced density expansion.
-    """
-    if cs.order < 4:
-        raise ValueError("gamma_consistency needs cumulants up to order 4")
-    ratios = cs.ratios
-    betas = tuple(float(b) for b in ratios)
-    mean_b = sum(betas) / 3
-    flat = max(abs(b - mean_b) for b in betas) / abs(mean_b) if mean_b else float("inf")
-    return GammaDiagnostics(ratios=ratios, implied_beta=betas, flatness=flat)

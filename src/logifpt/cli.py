@@ -120,15 +120,18 @@ def cmd_moments(args) -> int:
     method = (MomentMethod.BELL_CLOSED_FORM if args.method == "bell"
               else MomentMethod.RECURSION)
     ms = fpt_moments(d, prob, args.order, method=method)
-    c = ms.cumulants.cumulants_float
+    m, c = ms.moments_float, ms.cumulants.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
+        if not (math.isfinite(m[k - 1]) and math.isfinite(c[k - 1])):  # nothing written yet
+            raise InvalidParams(f"order {k}: moment {m[k - 1]!r} and cumulant {c[k - 1]!r} "
+                                "must be finite doubles; ask for a lower --order")
         ratio = ""
         if k < args.order and c[k] != 0:
             ratio = repr(k * c[k - 1] / c[k])
         est = float(ms.error_estimates[k - 1])
         flag = bool(ms.flagged[k - 1])
-        lines.append(f"{k},{float(ms.moments[k-1])!r},{c[k-1]!r},{ratio},{est!r},{flag}")
+        lines.append(f"{k},{m[k - 1]!r},{c[k - 1]!r},{ratio},{est!r},{flag}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
         _write_manifest(args.out, _manifest(args, {"params": params.to_dict(),
@@ -339,10 +342,11 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(p):
+def _add_common(p, out_required=False):
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="working precision in bits")
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
+    p.add_argument("--out", required=out_required,
+                   help="output file" if out_required else "output file (default: stdout)")
 
 
 def _add_problem(p):
@@ -395,11 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kde-grid", default=None,
                    help="also write a kernel-density curve on start:stop:step "
                         "to OUT.kde.csv")
-    _add_common(p)
+    _add_common(p, out_required=True)  # simulate writes a sample file, not stdout
     p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     p.set_defaults(func=cmd_simulate)
-    # simulate writes a sample file, not stdout
-    p.set_defaults(out_required=True)
 
     p = sub.add_parser("compare", help="density curve vs simulated sample")
     p.add_argument("--density", required=True, help="density CSV from `density`")
@@ -436,9 +438,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    if getattr(args, "out_required", False) and not args.out:
-        sys.stderr.write("error: this command requires --out\n")
-        return 1
     try:
         return args.func(args)
     except _REGIME_ERRORS as exc:

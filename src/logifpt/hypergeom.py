@@ -2,11 +2,10 @@
 
 The transform is a ratio of confluent hypergeometric functions (DLMF 13.2):
 Kummer's M for upcrossing and Tricomi's U for downcrossing.  Both are
-mpmath's (``hyp1f1`` and ``hyperu``), evaluated at a fixed 512 bits, and
-moments are extracted by Richardson-extrapolated central differences of the
-transform at the origin.  The module shares no code with ``kernels``,
-``series`` or ``analytics``: it exists to cross-validate the series
-pipeline.
+mpmath's (``hyp1f1`` and ``hyperu``), evaluated at a fixed 512 bits.  The
+module shares no code with ``kernels``, ``series`` or ``analytics``: it
+exists to cross-validate the series pipeline, through ``logifpt oracle`` and
+through the finite-difference moments of ``tests/oracles.py``.
 
 ``hyperu`` has one slow corner: b an integer, with b and z both near 1e4.
 There one evaluation took 27-39 s on a 2-vCPU host, and more than 40 s at
@@ -20,29 +19,14 @@ from __future__ import annotations
 import mpmath
 from mpmath import mp, mpf
 
-from .analytics import MomentMethod, MomentSet
 from .errors import QuadratureFailure, StencilFailure
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 
-# central-difference stencils of second-order accuracy, offsets in units of h
-_STENCILS = {
-    1: ((-1, 1), ("-1/2", "1/2")),
-    2: ((-1, 0, 1), ("1", "-2", "1")),
-    3: ((-2, -1, 1, 2), ("-1/2", "1", "-1", "1/2")),
-    4: ((-2, -1, 0, 1, 2), ("1", "-4", "6", "-4", "1")),
-}
-
 
 class HypEvalConfig:
-    """The oracle's fixed evaluation settings.
-
-    fd_step is expressed in units of 1/a (the natural scale of the Laplace
-    variable); fd_levels is the depth of the Richardson table.
-    """
+    """The oracle's fixed evaluation precision, in bits."""
 
     precision = 512
-    fd_step = 1e-6
-    fd_levels = 4
 
 
 def laplace_transform(d: DerivedParams, prob: FptProblem, lam):
@@ -89,54 +73,3 @@ def laplace_transform(d: DerivedParams, prob: FptProblem, lam):
             raise StencilFailure(f"lam = {float(lam)} gives {mpmath.nstr(value, 5)}, "
                                  "which is not E[exp(-lam T)] of a positive T")
         return value
-
-
-def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:
-    """Moments extracted from derivatives of the transform at the origin.
-
-    The k-th moment is (-1)^k times the k-th derivative, estimated with
-    second-order central stencils refined through a Richardson table of
-    HypEvalConfig.fd_levels levels.  Negative-lam evaluations stay inside the
-    analyticity region; on evaluation failure the step is halved a few
-    times before StencilFailure is raised.
-    """
-    if not 1 <= order <= 4:
-        raise ValueError("finite-difference oracle supports orders 1..4")
-    degenerate = validate_problem(d, prob)
-    if degenerate:
-        return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
-                         method=MomentMethod.FINITE_DIFFERENCE,
-                         precision=HypEvalConfig.precision, degenerate=True)
-    with mp.workprec(HypEvalConfig.precision):
-        base_h = mpf(HypEvalConfig.fd_step) / d.a
-        for attempt in range(6):
-            h = base_h / 2 ** attempt
-            cache = {}
-
-            def g(x):
-                if x not in cache:
-                    cache[x] = laplace_transform(d, prob, x)
-                return cache[x]
-
-            try:
-                moments = []
-                for k in range(1, order + 1):
-                    offs, coefs = _STENCILS[k]
-                    coefs = [mpf(c) for c in coefs]
-                    rows = []
-                    for lev in range(HypEvalConfig.fd_levels):
-                        hh = h / 2 ** lev
-                        val = sum(c * g(o * hh) for o, c in zip(offs, coefs)) / hh ** k
-                        rows.append([val])
-                    for i in range(1, HypEvalConfig.fd_levels):
-                        for lev in range(i, HypEvalConfig.fd_levels):
-                            rows[lev].append(
-                                (4 ** i * rows[lev][i - 1] - rows[lev - 1][i - 1])
-                                / (4 ** i - 1))
-                    moments.append((-1) ** k * rows[-1][-1])
-                return MomentSet(problem=prob, order=order, moments=tuple(moments),
-                                 method=MomentMethod.FINITE_DIFFERENCE,
-                                 precision=HypEvalConfig.precision)
-            except (StencilFailure, QuadratureFailure):
-                continue
-    raise StencilFailure("transform could not be evaluated on any usable stencil")

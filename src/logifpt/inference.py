@@ -74,6 +74,8 @@ class MleConfig:
         unknown = [p for p in est if p not in PARAM_NAMES]
         if unknown:
             raise InvalidParams(f"unknown parameters to estimate: {unknown}")
+        if len(set(est)) < len(est):
+            raise InvalidParams(f"a parameter is estimated twice: {list(est)}")
         overlap = set(est) & set(self.fixed)
         if overlap:
             raise InvalidParams(f"parameters both estimated and fixed: {sorted(overlap)}")
@@ -83,6 +85,11 @@ class MleConfig:
         bad_init = [p for p in est if p not in self.init]
         if bad_init:
             raise InvalidParams(f"no initial value for: {bad_init}")
+        nonfinite = [p for p in est if not math.isfinite(self.init[p])]
+        if nonfinite:
+            raise InvalidParams(f"initial values must be finite: {nonfinite}")
+        if self.max_iter < 1:
+            raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
         if self.n_max < 2:  # the likelihood reads the variance
             raise InvalidParams(f"n_max must be >= 2, got {self.n_max}")
         if self.precision < MIN_PRECISION:

@@ -25,13 +25,13 @@ list of Python ints that share one binary exponent, rescaled after each
 step so that its smallest nonzero entry carries ``precision + GUARD_BITS``
 bits.  u enters exactly, as its mantissa and exponent; the division weights
 are exact integers; and the mbar step is exact up to the rescaling.  The
-guard bits absorb what the steps truncate, so an entry is rounded once,
-when ``m_row`` or ``mbar_row`` converts it to ``mpf`` at the table's
-precision, not once per step.  The second factor is (u(1-s) + n)(u(1+s) + n), whose s^2 = 1 + w makes it linear
-in w: ``mbar_row(n)`` is a polynomial of degree n, so ``mbar_row(n)[m] = 0``
-for ``m > n`` identically, which the downcrossing sums exploit.  Entry m of
-either row reads only entries up to m, so a row of degree ``order`` is the
-exact prefix of a row of any higher degree.
+guard bits absorb what the steps truncate: the sums over n read the entries
+as ints and round only their results to the table's precision, not once
+per step.  The second factor is (u(1-s) + n)(u(1+s) + n), whose s^2 = 1 + w
+makes it linear in w: ``mbar_row(n)`` is a polynomial of degree n, so
+``mbar_row(n)[m] = 0`` for ``m > n`` identically, which the downcrossing
+sums exploit.  Entry m of either row reads only entries up to m, so a row of
+degree ``order`` is the exact prefix of a row of any higher degree.
 
 The upcrossing building blocks (``q_series``, ``l_series``, ``t_series``)
 are convergent sums over n and are truncated by a stagnation rule; the
@@ -46,8 +46,6 @@ partial sums as ints, in a :class:`SumSeries`: an :class:`ExpSeries` whose
 ``mpf`` coefficients (each sum rounded to the precision, then times a^k)
 are formed on first use.  Only the downcrossing error estimates are formed
 in ``mpf`` right away.
-``convergent_sum`` and ``asymptotic_sum`` state the same two rules on
-``mpf`` terms, for the closed form in :mod:`logifpt.analytics`.
 
 The moments do not go through ``t_series`` = q(y) l(y).  The upcrossing
 quotient is q(x0) l(x0) / (q(U) l(U)), and since q(y) = y^(u (1 - s)),
@@ -242,13 +240,14 @@ class SumSeries(ExpSeries):
 class KernelTable:
     """Per-n coefficient rows for a fixed drift index u.
 
-    ``m_row(n)`` and ``mbar_row(n)``, n = 0..N_MAX_DEFAULT, are the
-    :class:`ExpSeries` in ``a z`` of the n-th ratio and product, of degree
-    ``order``.  Rows are built in order of n, each from the one before, on
-    first use, and kept as fixed-point integers (``fixed_row``) at the
-    precision of the derived parameters plus GUARD_BITS; ``m_row`` and
-    ``mbar_row`` round them to ``mpf`` on each call.  The table is immutable
-    from the caller's perspective and safe to share once built.
+    ``fixed_row("m", n)`` and ``fixed_row("mbar", n)``, n = 0..N_MAX_DEFAULT,
+    are the exp-convention series in ``a z`` of the n-th ratio m_row(n) and
+    product mbar_row(n), of degree ``order``.  Rows are built in order of n,
+    each from the one before, on first use, and kept as fixed-point integers
+    at the precision of the derived parameters plus GUARD_BITS.  Entry 0 of
+    either row is an exact zero for n >= 1, and so are the entries of
+    mbar_row(n) above n.  The table is immutable from the caller's
+    perspective and safe to share once built.
     """
 
     def __init__(self, d: DerivedParams, order: int):
@@ -317,20 +316,6 @@ class KernelTable:
                 for m_ in range(1, self.order + 1)]
         return _normalize(out, exp - 2 * sh, self._wp)
 
-    def _mpf_row(self, family: str, n: int) -> ExpSeries:
-        mans, exp = self.fixed_row(family, n)
-        return ExpSeries(tuple(_to_mpf(x, exp, self.precision) for x in mans))
-
-    def m_row(self, n: int) -> ExpSeries:
-        """<u(1-s)>_n / <1-2us>_n; entry 0 vanishes for n >= 1, and the
-        denominator constant <1-2u>_n never does in the persistent regime."""
-        return self._mpf_row("m", n)
-
-    def mbar_row(self, n: int) -> ExpSeries:
-        """<u(1-s)>_n <u(1+s)>_n, a polynomial of degree n in z: entries
-        above n, and entry 0 for n >= 1, are exact zeros."""
-        return self._mpf_row("mbar", n)
-
 
 # the table ensure_table built last
 _table = None
@@ -379,60 +364,6 @@ class SeriesDiagnostics:
         )
 
 
-def convergent_sum(term_fn, tol, n_max: int):
-    """Sum term_fn(n) for n >= 1 until the stagnation rule fires.
-
-    The sum is cut once _STAGNATION_RUN consecutive terms fall below tol
-    times the running partial sum; raises NoConvergence when n_max is hit
-    first.  Returns (value, last_included_n).
-    """
-    partial = mpf(0)
-    run = 0
-    n = 0
-    while True:
-        n += 1
-        if n > n_max:
-            raise NoConvergence(f"sum still changing at n_max = {n_max}")
-        term = term_fn(n)
-        partial += term
-        scale = abs(partial) if partial != 0 else abs(term)
-        if abs(term) <= tol * scale:
-            run += 1
-            if run >= _STAGNATION_RUN:
-                return partial, n
-        else:
-            run = 0
-
-
-def asymptotic_sum(term_fn, n_start: int, n_max: int):
-    """Optimal truncation of the (generally divergent) sum of term_fn(n).
-
-    Terms are generated from n_start until their magnitude envelope has
-    clearly turned upward (or n_max is reached).  The cut n* minimizes the
-    envelope max(|T_n|, |T_{n+1}|), which is robust to isolated exact zeros
-    in the term sequence; ties resolve to the smaller n.  Returns
-    (value, first_omitted_magnitude, last_included_n).
-    """
-    terms = []
-    min_env = mpmath.inf
-    n = n_start - 1
-    while n < n_max:
-        n += 1
-        terms.append(term_fn(n))
-        if len(terms) >= 2:
-            env = max(abs(terms[-1]), abs(terms[-2]))
-            if env < min_env:
-                min_env = env
-            elif env > _GROWTH_STOP * min_env and abs(terms[-1]) > abs(terms[-2]):
-                break
-    if len(terms) == 1:
-        return terms[0], abs(terms[0]), n_start
-    best = min(range(len(terms) - 1),
-               key=lambda i: max(abs(terms[i]), abs(terms[i + 1])))
-    value = sum(terms[: best + 1], mpf(0))
-    return value, abs(terms[best + 1]), n_start + best
-
-
 def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
     """Expansion of y^(u (1 - s(z))) in the Laplace variable z.
 
@@ -473,7 +404,8 @@ def _fixed_terms(table: KernelTable, family: str, k: int, scale, n_start: int):
 
 
 def _fixed_asymptotic_sum(terms, wp: int):
-    """asymptotic_sum over exact terms (man, exp), in integers.
+    """Optimal truncation, the rule of :func:`lbar_series`, over exact terms
+    (man, exp), in integers.
 
     The kept terms share one exponent, lowered (and the kept ints shifted up
     to match) whenever a new term would carry fewer than wp bits, so the

@@ -107,16 +107,6 @@ def match_gamma(ms: MomentSet) -> GammaRef:
     return GammaRef(alpha_mp=alpha, beta_mp=beta)
 
 
-def laguerre_poly(k: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_k^(alpha) by the three-term recurrence.
-
-    Accepts scalars or numpy arrays; the explicit binomial sum is reserved
-    for test oracles at small k.
-    """
-    out = _coeff_sum(np.eye(k + 1)[k], alpha, x)
-    return out if out.shape else float(out)
-
-
 def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
     """Normalized coefficients b_0..b_n in arbitrary precision.
 

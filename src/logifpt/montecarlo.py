@@ -35,7 +35,6 @@ from .model import DerivedParams, Direction, FptProblem, ModelParams, validate_p
 _MASK64 = (1 << 64) - 1
 _BATCH = 4096
 _CHUNK = 512
-_STATIONARY_STREAM = _MASK64  # path ids are always < paths << 2^64 - 1
 
 CSV_MAGIC = "# logifpt fpt-sample v1"
 
@@ -104,10 +103,6 @@ class FptSample:
     @property
     def n(self) -> int:
         return len(self.times)
-
-    @property
-    def censored_fraction(self) -> float:
-        return self.censored / self.config.paths
 
     def summary(self) -> dict:
         t = self.times
@@ -252,42 +247,6 @@ def kde(s: FptSample, grid) -> np.ndarray:
         out[i:i + step] = norm * (direct + mirror).sum(axis=1)
     out[grid < 0] = 0.0
     return out
-
-
-def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
-                     dt: float = 0.01, seed: int = 0) -> dict:
-    """Compare the long-run empirical mean to the stationary Gamma mean.
-
-    The first quarter of the steps is burn-in and is left out of the mean.
-
-    The stationary law of the effective process is taken as Gamma with
-    shape rho and rate v, giving mean rho/v (for zero harvesting this is
-    the classical shape rho, rate 2r/(K sigma^2) law; the harvested rate is
-    the corresponding quantity of the effective parameters).
-    """
-    target = float(d.rho) / float(d.v)
-    consts = step_constants(d, dt)
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed & _MASK64, _STATIONARY_STREAM], dtype=np.uint64)))
-    x = np.full(paths, target)
-    burn = int(steps * 0.25)
-    acc = 0.0
-    count = 0
-    for j in range(steps):
-        z = gen.standard_normal(paths)
-        x = lie_trotter_step(x, z, *consts)
-        if j >= burn:
-            acc += float(x.sum())
-            count += paths
-    emp = acc / count
-    return {
-        "empirical_mean": emp,
-        "target_mean": target,
-        "rel_deviation": abs(emp - target) / target,
-        "paths": paths,
-        "steps": steps,
-        "dt": dt,
-    }
 
 
 def write_samples_csv(s: FptSample, path) -> None:

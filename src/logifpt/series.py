@@ -1,4 +1,4 @@
-"""Formal power series in exponential convention, plus exact combinatorics.
+"""Formal power series in exponential convention.
 
 A series is stored through the coefficients c_0..c_n of
 
@@ -20,14 +20,15 @@ power-series recurrences (Knuth, TAOCP vol. 2, sec. 4.7):
     log     log A:   L_n = b_n - sum_{0<k<n} C(n-1, k-1) L_k b_{n-k},  b = a/a_0
     binomial (1 + a t)^p:  c_k = c_{k-1} (p - k + 1) a
 
-The reciprocal is the ratio of the identity by A.  The exp and log
-recurrences follow from differentiating e^A and A = e^(log A).
+The exp and log recurrences follow from differentiating e^A and
+A = e^(log A).
 
-The combinatorial kernels (unsigned Stirling numbers of the first kind,
-partial Bell polynomials) are kept here as well; Stirling numbers and
-binomials are exact Python integers.  The Bell forms serve only the
-Bell-polynomial moment route (:func:`series_reciprocal_bell`) and the test
-oracles, as an independent check on the recursions.
+The partial exponential Bell polynomials (:func:`bell_partial_table`) serve
+the Bell-polynomial moment route (:func:`series_reciprocal_bell`), an
+independent check on the recursions; they are exact when their arguments
+are.  The exact references the test suite compares against (Stirling
+numbers, factorial powers, the reciprocal and logarithm series) live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,53 +37,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveConstantTerm, ZeroConstantTerm
-
-STIRLING_N_MAX = 512
-
-# triangular table, row n holds s(n, 0..n); grown on demand, never shrunk
-_stirling_rows = [[1]]
-
-
-def stirling1_unsigned(n: int, j: int, n_max: int = STIRLING_N_MAX) -> int:
-    """Unsigned Stirling number of the first kind s(n, j), exact.
-
-    Built once by the recurrence s(n+1, j) = n s(n, j) + s(n, j-1) and
-    memoized module-wide.  Raises for indices outside 0 <= j <= n <= n_max.
-    """
-    if n < 0 or j < 0 or j > n:
-        raise IndexError(f"need 0 <= j <= n, got (n, j) = ({n}, {j})")
-    if n > n_max:
-        raise IndexError(f"n = {n} exceeds table bound n_max = {n_max}")
-    while len(_stirling_rows) <= n:
-        prev = _stirling_rows[-1]
-        m = len(_stirling_rows) - 1  # previous row index
-        row = [0] * (m + 2)
-        for i in range(m + 1):
-            row[i] += m * prev[i]
-            row[i + 1] += prev[i]
-        _stirling_rows.append(row)
-    return _stirling_rows[n][j]
-
-
-def falling_factorial(x, m: int):
-    """x (x-1) ... (x-m+1); empty product is 1."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    out = 1
-    for i in range(m):
-        out = out * (x - i)
-    return out
-
-
-def rising_factorial(x, n: int):
-    """x (x+1) ... (x+n-1); empty product is 1."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = 1
-    for i in range(n):
-        out = out * (x + i)
-    return out
-
 
 def bell_partial_table(b, n: int):
     """Table B[m][k] of partial exponential Bell polynomials for m, k <= n.
@@ -104,15 +58,6 @@ def bell_partial_table(b, n: int):
                     tot += math.comb(m_ - 1, i - 1) * b[i - 1] * B[m_ - i][k - 1]
             B[m_][k] = tot
     return B
-
-
-def bell_partial(n: int, k: int, b):
-    """Partial exponential Bell polynomial B_{n,k}(b_1, ..., b_{n-k+1})."""
-    if not 1 <= k <= n:
-        raise IndexError(f"need 1 <= k <= n, got (n, k) = ({n}, {k})")
-    if len(b) < n - k + 1:
-        raise IndexError(f"need at least {n - k + 1} arguments, got {len(b)}")
-    return bell_partial_table(b, n)[n][k]
 
 
 def log_polynomials(coeffs):
@@ -146,11 +91,6 @@ class ExpSeries:
     def __getitem__(self, k: int):
         return self.coeffs[k]
 
-    @classmethod
-    def identity(cls, order: int, one=1) -> "ExpSeries":
-        """The multiplicative identity 1 + 0 t + ... up to the given order."""
-        return cls((one,) + (one * 0,) * order)
-
 
 def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
     """Cauchy product in exponential convention: c_n = sum C(n,k) a_k b_{n-k}."""
@@ -164,19 +104,11 @@ def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
     return ExpSeries(tuple(out))
 
 
-def series_reciprocal(A: ExpSeries) -> ExpSeries:
-    """Reciprocal series, the :func:`series_ratio` of the identity by A.
-
-    r_0 = 1/a_0,  r_n = (0 - sum_{j>=1} C(n,j) a_j r_{n-j}) / a_0.
-    """
-    return series_ratio(ExpSeries.identity(A.order), A)
-
-
 def series_reciprocal_bell(A: ExpSeries) -> ExpSeries:
     """Reciprocal series by the Bell-polynomial closed form.
 
     r_n = (1/a_0) sum_k (-1)^k k! B_{n,k}(a_1/a_0, ...).  Agrees with
-    :func:`series_reciprocal` to working precision.
+    :func:`series_ratio` of the identity by A to working precision.
     """
     a0 = A.coeffs[0]
     if a0 == 0:
@@ -212,17 +144,6 @@ def series_ratio(A: ExpSeries, B: ExpSeries) -> ExpSeries:
             tot -= math.comb(m_, k) * B.coeffs[k] * q[m_ - k]
         q.append(tot / B.coeffs[0])
     return ExpSeries(tuple(q))
-
-
-def series_log(A: ExpSeries) -> ExpSeries:
-    """Logarithm of a series with positive constant term."""
-    a0 = A.coeffs[0]
-    if not a0 > 0:
-        raise NonPositiveConstantTerm("log needs a positive constant term")
-    from mpmath import log as _mplog
-
-    c0 = _mplog(a0)
-    return ExpSeries((c0, *log_polynomials(A.coeffs)))
 
 
 def series_exp(A: ExpSeries) -> ExpSeries:

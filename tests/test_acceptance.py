@@ -15,16 +15,15 @@ from mpmath import mp, mpf
 from scipy import integrate
 
 from logifpt import (Direction, FptProblem, MomentMethod, SimConfig,
-                     build_approximant, cumulants_from_moments, fd_moments,
-                     fpt_cumulants, fpt_moments, kde, laplace_transform,
-                     match_gamma, mean_variance_closed_form, sample_fpt)
+                     build_approximant, cumulants_from_moments, fpt_cumulants,
+                     fpt_moments, kde, laplace_transform, match_gamma, sample_fpt)
 from logifpt.cli import main as cli_main
 from logifpt.errors import SingularOriginWarning
 from logifpt.inference import mc_study
-from logifpt.series import (ExpSeries, rising_factorial, series_exp, series_log,
-                            series_product, series_reciprocal,
-                            series_reciprocal_bell, stirling1_unsigned)
+from logifpt.series import ExpSeries, series_exp, series_product, series_reciprocal_bell
 from tests.conftest import FISHERIES
+from tests.oracles import (fd_moments, mean_variance_closed_form, rising_factorial,
+                           series_log, series_reciprocal, stirling1_unsigned)
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)

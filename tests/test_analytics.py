@@ -8,13 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
-                     cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments,
-                     gamma_consistency, mean_variance_closed_form)
+                     cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments)
 from logifpt.analytics import FLAG_RTOL
 from logifpt.errors import LogifptError
 from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
+from tests.oracles import fd_moments, gamma_consistency, mean_variance_closed_form
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -64,7 +64,6 @@ def test_flat_ratios_high_dispersion_scenario():
         assert abs(b - 0.04) < 0.005
     assert diag.flatness < 0.01
     assert float(cs.cumulants[3]) > 1e6
-    from logifpt import fd_moments
     fd = cumulants_from_moments(fd_moments(d, prob, 4))
     with mp.workprec(d.precision):
         assert abs(fd.cumulants[3] / cs.cumulants[3] - 1) < mpf("1e-6")
@@ -210,7 +209,7 @@ def test_error_bound_matches_the_recursion(name):
 def test_moment_set_invariants(fisheries):
     ms = fpt_moments(fisheries, UP4, 4)
     assert all(m > 0 for m in ms.moments)
-    assert ms.moment(2) >= ms.moment(1) ** 2  # Cauchy-Schwarz
+    assert ms.moments[1] >= ms.moments[0] ** 2  # Cauchy-Schwarz
     assert ms.moments_float[0] == pytest.approx(13.3483, abs=1e-3)
 
 
@@ -347,7 +346,7 @@ def test_gamma_consistency_needs_order_4(fisheries):
        st.floats(min_value=1.3, max_value=4.0))       # threshold / x0
 @settings(max_examples=10, deadline=None)
 def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
-    from logifpt import ModelParams, derive_params, fd_moments
+    from logifpt import ModelParams, derive_params
 
     sigma = math.sqrt(2 * r / (rho + 1))
     x0 = x0_frac * K
@@ -360,7 +359,7 @@ def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
     b = fpt_moments(d, prob, 4, method=MomentMethod.BELL_CLOSED_FORM)
     assert all(m > 0 for m in a.moments)
     with mp.workprec(d.precision):
-        assert a.moment(2) >= a.moment(1) ** 2
+        assert a.moments[1] >= a.moments[0] ** 2
         for x, y in zip(a.moments, b.moments):
             assert abs(x / y - 1) < mpf("1e-20")
         fd = fd_moments(d, prob, 2)

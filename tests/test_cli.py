@@ -154,6 +154,11 @@ def _input_error_argv(case, config, tmp_path):
                           "--moments-from", f"moments:{moments_exp}"],
         "horizon-inf": ["simulate", config, *up, "--paths", "4", "--dt", "0.01",
                         "--horizon", "inf", "--out", str(tmp_path / "sim.csv")],
+        "mle-estimate-twice": ["mle", "--samples", str(samples), "--estimate", "sigma,sigma",
+                               "--init", "sigma=0.2", "--fixed", str(fixed)],
+        "mle-init-nan": ["mle", "--samples", str(samples), "--estimate", "sigma",
+                         "--init", "sigma=nan", "--fixed", str(fixed)],
+        "mle-max-iter-negative": [*mle, "--fixed", str(fixed), "--max-iter", "-5"],
     }[case]
 
 
@@ -161,7 +166,8 @@ def _input_error_argv(case, config, tmp_path):
                                   "density-header-only", "precision-0", "mle-precision-0",
                                   "mle-nmax-1", "moments-null", "moments-bool", "fixed-null",
                                   "fixed-string", "fixed-huge-int", "order-negative",
-                                  "nmax-negative", "horizon-inf"])
+                                  "nmax-negative", "horizon-inf", "mle-estimate-twice",
+                                  "mle-init-nan", "mle-max-iter-negative"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli
@@ -228,6 +234,16 @@ def test_moments_table(config_path, capsys):
     assert abs(float(first[3]) - 2.98) <= 0.01
 
 
+def test_moments_beyond_the_double_range_exit_1(config_path, tmp_path, capsys):
+    # fisheries moments from U = 1e4 pass 1.8e308 at order 179
+    out = tmp_path / "m.csv"
+    code, stdout, err = run(capsys, "moments", config_path, "--direction", "up",
+                            "--threshold", "1e4", "--order", "180", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("input error: order 179: moment inf") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_moments_degenerate_zero(config_path, capsys):
     code, out, _ = run(capsys, "moments", config_path, "--direction", "up",
                        "--threshold", "100.0", "--order", "3")
@@ -257,7 +273,7 @@ def test_moments_down_diagnostics(config_path, tmp_path, capsys):
 
 
 def test_density_from_exact_gamma_moments(config_path, tmp_path, capsys):
-    from logifpt.series import rising_factorial
+    from tests.oracles import rising_factorial
 
     alpha, beta = 4.5, 0.8
     moments = [float(rising_factorial(alpha + 1, j)) / beta ** j for j in range(1, 7)]
@@ -379,6 +395,7 @@ def test_simulate_requires_out(config_path, capsys):
                        "--threshold", "1e4", "--paths", "10", "--dt", "0.01",
                        "--horizon", "1")
     assert code == 1 and "--out" in err
+    assert err.startswith("usage: logifpt simulate")  # refused by the parser
 
 
 def test_compare_self_consistency(config_path, tmp_path, capsys):

@@ -2,9 +2,10 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from logifpt import Direction, FptProblem, fd_moments, fpt_moments, laplace_transform
+from logifpt import Direction, FptProblem, fpt_moments, laplace_transform
 from logifpt.errors import StencilFailure
 from tests.conftest import FISHERIES, fisheries_at, scenario_grid
+from tests.oracles import fd_moments
 
 UP4 = FptProblem(Direction.UP, 1e4)
 

@@ -9,10 +9,9 @@ from logifpt import (KernelTable, ModelParams, derive_params, l_series,
                      lbar_series, q_series, t_series)
 from logifpt import kernels
 from logifpt.errors import NoConvergence
-from logifpt.kernels import asymptotic_sum, convergent_sum
-from logifpt.series import (ExpSeries, binomial_series, falling_factorial, series_exp,
-                            series_product, series_ratio)
+from logifpt.series import ExpSeries, binomial_series, series_exp, series_product, series_ratio
 from tests.conftest import FISHERIES, drift_at, fisheries_at, scenario_grid
+from tests.oracles import asymptotic_sum, convergent_sum, falling_factorial, mpf_row
 
 
 def dyadic_table(u_value=-2.625, precision=256, order=7):
@@ -58,50 +57,50 @@ def oracle_rows(u, n, order):
 
 def test_table_bounds():
     d, tab = dyadic_table(order=5)
-    tab.m_row(kernels.N_MAX_DEFAULT)
+    mpf_row(tab, "m", kernels.N_MAX_DEFAULT)
     with pytest.raises(IndexError):
-        tab.m_row(kernels.N_MAX_DEFAULT + 1)[0]
+        mpf_row(tab, "m", kernels.N_MAX_DEFAULT + 1)[0]
     with pytest.raises(IndexError):
-        tab.m_row(2)[6]
+        mpf_row(tab, "m", 2)[6]
     with pytest.raises(IndexError):
-        tab.m_row(-1)[0]
+        mpf_row(tab, "m", -1)[0]
 
 
 def test_m_coeff_examples_and_series_oracle(fisheries):
     d, tab = dyadic_table(order=6)
     u = d.u
-    assert tab.m_row(0)[0] == 1
+    assert mpf_row(tab, "m", 0)[0] == 1
     with mp.workprec(256):
         expect = -u / (2 * (1 - 2 * u))
-        assert abs(tab.m_row(1)[1] - expect) <= mpf("1e-70") * abs(expect)
+        assert abs(mpf_row(tab, "m", 1)[1] - expect) <= mpf("1e-70") * abs(expect)
     # the recurrence rounds once per step; 1e-65 bounds what 12 steps leave
     with mp.workprec(256):
         for n in range(0, 13):
             want, _ = oracle_rows(-2.625, n, 6)
             for m in range(7):
                 e = exact(want[m])
-                assert abs(tab.m_row(n)[m] - e) <= mpf("1e-65") * max(1, abs(e))
+                assert abs(mpf_row(tab, "m", n)[m] - e) <= mpf("1e-65") * max(1, abs(e))
     # entry 0 is <0>_n / <1-2u>_n: an exact zero at a u that is not dyadic too
     fish = KernelTable(fisheries, 2)
     for n in range(1, 13):
-        assert tab.m_row(n)[0] == 0
-        assert fish.m_row(n)[0] == 0
+        assert mpf_row(tab, "m", n)[0] == 0
+        assert mpf_row(fish, "m", n)[0] == 0
 
 
 def test_mbar_examples_and_series_oracle():
     d, tab = dyadic_table(order=6)
     u = d.u
-    assert tab.mbar_row(0)[0] == 1
-    assert tab.mbar_row(0)[3] == 0
+    assert mpf_row(tab, "mbar", 0)[0] == 1
+    assert mpf_row(tab, "mbar", 0)[3] == 0
     for n in range(1, 13):
-        assert tab.mbar_row(n)[0] == 0
-    assert abs(tab.mbar_row(1)[1] - (-u ** 2)) <= mpf("1e-70") * abs(u ** 2)
+        assert mpf_row(tab, "mbar", n)[0] == 0
+    assert abs(mpf_row(tab, "mbar", 1)[1] - (-u ** 2)) <= mpf("1e-70") * abs(u ** 2)
     with mp.workprec(256):
         for n in range(0, 13):
             _, want = oracle_rows(-2.625, n, 6)
             for m in range(7):
                 e = exact(want[m])
-                assert abs(tab.mbar_row(n)[m] - e) <= mpf("1e-65") * max(1, abs(e))
+                assert abs(mpf_row(tab, "mbar", n)[m] - e) <= mpf("1e-65") * max(1, abs(e))
 
 
 def test_mbar_degree_bound():
@@ -110,7 +109,7 @@ def test_mbar_degree_bound():
     d, tab = dyadic_table()
     for n in range(1, 6):
         for m in range(n + 1, 8):
-            assert tab.mbar_row(n)[m] == 0
+            assert mpf_row(tab, "mbar", n)[m] == 0
 
 
 def reference_rows(u, order, n_max, precision=600):
@@ -152,7 +151,8 @@ def test_rows_match_a_600_bit_reference_to_the_table_bound(u_value):
     want_m, want_mbar = reference_rows(d.u, order, kernels.N_MAX_DEFAULT)
     with mp.workprec(600):
         for n in range(1, kernels.N_MAX_DEFAULT + 1):
-            for got, want in ((tab.m_row(n), want_m[n]), (tab.mbar_row(n), want_mbar[n])):
+            for got, want in ((mpf_row(tab, "m", n), want_m[n]),
+                              (mpf_row(tab, "mbar", n), want_mbar[n])):
                 for x, e in zip(got.coeffs, want):
                     if e == 0:
                         assert x == 0
@@ -242,7 +242,7 @@ def test_l_series_invariant_under_doubled_truncation():
         vy = d.v * mpf(y)
         for k in range(1, 4):
             n2 = min(2 * diag.trunc_index[k], kernels.N_MAX_DEFAULT)
-            direct = sum(tab.m_row(n)[k] * vy ** n / mpmath.factorial(n)
+            direct = sum(mpf_row(tab, "m", n)[k] * vy ** n / mpmath.factorial(n)
                          for n in range(1, n2 + 1))
             direct *= d.a ** k
             assert abs(direct - ls.coeffs[k]) <= mpf("1e-25") * abs(direct)

@@ -12,11 +12,11 @@ from scipy import integrate, optimize, special, stats
 
 from logifpt import (Direction, FptProblem, GammaRef, LaguerreApproximant, ModelParams,
                      MomentMethod, MomentSet, build_approximant, derive_params, fpt_moments,
-                     laguerre_coeffs, laguerre_poly, match_gamma, select_order)
+                     laguerre_coeffs, match_gamma, select_order)
 from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                             LogifptError, SingularOriginWarning, ZeroVariance)
-from logifpt.series import rising_factorial
 from tests.conftest import FISHERIES, fisheries_at, fisheries_like, rel_err
+from tests.oracles import laguerre_poly, rising_factorial
 
 UP4 = FptProblem(Direction.UP, 1e4)
 
