@@ -85,6 +85,9 @@ class MleConfig:
         bad_init = [p for p in est if p not in self.init]
         if bad_init:
             raise InvalidParams(f"no initial value for: {bad_init}")
+        stray = [p for p in self.init if p not in est]
+        if stray:
+            raise InvalidParams(f"initial values for parameters not estimated: {stray}")
         nonfinite = [p for p in est if not math.isfinite(self.init[p])]
         if nonfinite:
             raise InvalidParams(f"initial values must be finite: {nonfinite}")
@@ -172,8 +175,10 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
 
     Box bounds are enforced by projection inside the optimizer; stopping is
     controlled by the simplex size (1e-4) and function spread (1e-6) or
-    the iteration cap.  An empty estimate list returns the initial point
-    unchanged and is reported as converged.
+    the iteration cap.  The initial point is evaluated once, to refuse an
+    infeasible start, and that value serves the simplex's first vertex, so
+    ``n_evals`` counts every likelihood evaluation.  An empty estimate list
+    returns the initial point unchanged and is reported as converged.
     """
     if data.n == 0:
         raise EmptySample("cannot fit an empty sample")
@@ -197,9 +202,12 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
         raise NoFeasibleStart(f"initial point {dict(zip(names, x_init))} is infeasible")
     trace = [] if keep_trace else None
     best = [-math.inf]
+    known = {tuple(x_init): ll_init}  # the simplex's first vertex is x_init
 
     def neg_ll(x):
-        val = log_likelihood(dict(zip(names, x)), data, cfg)
+        val = known.pop(tuple(x), None)
+        if val is None:
+            val = log_likelihood(dict(zip(names, x)), data, cfg)
         if val > best[0]:
             best[0] = val
         if trace is not None:

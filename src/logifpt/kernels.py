@@ -71,15 +71,26 @@ Every caller gets its table from :func:`ensure_table`, which keeps one
 nothing but ``(u, precision)``, so a moments or density scan over thresholds
 or starting states at fixed (r, K, q, E, sigma) builds its rows once.  The
 kept table serves any order up to its own; another u or precision, or a
-higher order, replaces it.  A likelihood fit moves u at every evaluation, so
-no larger cache would serve it.  Sums over n stop at N_MAX_DEFAULT, the last
-row a table holds, and the convergent ones are cut at the relative
+higher order, replaces it with an empty one.  Besides rows, a table keeps
+the ints that ``l_series`` and ``lbar_series`` return (partial sums,
+exponents, cuts and, going down, first omitted terms), keyed by the family
+and the exact ``mpf`` v y, at the highest order computed.  A lower order
+reads their prefix, which has the bits of a fresh call, since each order is
+summed and cut on its own.  The ``SumSeries`` and the ``mpf`` error
+estimates are formed from the caller's ``d.a`` on every call, so the same u
+and v y under another a share the sums.  A ``NoConvergence`` is not kept.
+ENDPOINT_SUMS_MAX bounds the entries, the least recently used going first.
+A scan from one starting state thus sums that state once; a likelihood fit,
+with a new u at every evaluation, builds a new table each time and gains
+from neither rows nor sums.  Sums over n stop at N_MAX_DEFAULT,
+the last row a table holds, and the convergent ones are cut at the relative
 tolerance L_SERIES_TOL.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -93,6 +104,8 @@ from .series import ExpSeries, binomial_series, series_exp, series_product
 
 # last row n of every table, hence the last term of every sum over n
 N_MAX_DEFAULT = 256
+# endpoint sums a table keeps, the least recently used dropped first
+ENDPOINT_SUMS_MAX = 64
 # relative size below which a term of a convergent sum is negligible
 L_SERIES_TOL = mpf("1e-30")
 # consecutive negligible terms required before a convergent sum is cut
@@ -246,8 +259,13 @@ class KernelTable:
     each from the one before, on first use, and kept as fixed-point integers
     at the precision of the derived parameters plus GUARD_BITS.  Entry 0 of
     either row is an exact zero for n >= 1, and so are the entries of
-    mbar_row(n) above n.  The table is immutable from the caller's
-    perspective and safe to share once built.
+    mbar_row(n) above n.
+
+    ``endpoint_sums`` keeps the int sums of :func:`l_series` and
+    :func:`lbar_series` at up to ENDPOINT_SUMS_MAX values of v y.  Rows and
+    sums are filled on read, so the table is not safe to share between
+    threads; between callers in one thread it gives the bits of a fresh
+    table.
     """
 
     def __init__(self, d: DerivedParams, order: int):
@@ -269,6 +287,7 @@ class KernelTable:
                               for k in range(1, m + 1)] for m in range(order + 1)]
         one = ([1 << self._wp] + [0] * order, -self._wp)
         self._rows = {"m": [one], "mbar": [one]}
+        self._sums = OrderedDict()
 
     def fixed_row(self, family: str, n: int) -> tuple:
         """Row n of family "m" or "mbar" as (mans, exp): entry m is
@@ -281,6 +300,26 @@ class KernelTable:
         while len(rows) <= n:
             rows.append(step(len(rows) - 1, *rows[-1]))
         return rows[n]
+
+    def endpoint_sums(self, sums_at, vy, order: int) -> list:
+        """The int lists ``sums_at(self, vy, order)`` returns, each cut to
+        ``order`` + 1 entries.
+
+        They are kept under (``sums_at``, the exact ``mpf`` vy).  A kept
+        entry of ``order`` or higher serves the request as a prefix: each
+        order's sum and cut are independent of the others.  Otherwise
+        ``sums_at`` runs, and its lists replace what the key kept; an
+        exception from it keeps nothing.  The least recently used key goes
+        once more than ENDPOINT_SUMS_MAX are kept.
+        """
+        sums, key = self._sums, (sums_at, vy._mpf_)
+        entry = sums.get(key)
+        if entry is None or len(entry[0]) <= order:
+            entry = sums[key] = sums_at(self, vy, order)
+        sums.move_to_end(key)
+        if len(sums) > ENDPOINT_SUMS_MAX:
+            sums.popitem(last=False)
+        return [x[:order + 1] for x in entry]
 
     def _m_next(self, i: int, prev: list, exp: int) -> tuple:
         """m_row(i+1) = (i + u(1-s)) D with D = m_row(i) / (1 + i - 2us).
@@ -327,7 +366,12 @@ def ensure_table(d: DerivedParams, order: int) -> KernelTable:
     One table is kept, the last one built.  Entry m of a row depends only on
     entries up to m, so it serves a request with its own ``(d.u,
     d.precision)`` and a degree up to its own unchanged; any other request
-    replaces it with a new table of degree ``order``.
+    replaces it with a new, empty table of degree ``order``.  Besides rows,
+    the table keeps the int endpoint sums of up to ENDPOINT_SUMS_MAX values
+    of (family, exact v y), each at the highest order computed and served to
+    lower orders as a prefix (:meth:`KernelTable.endpoint_sums`); no
+    ``NoConvergence`` is kept.  A likelihood fit, with a new u at every
+    evaluation, gains nothing from either.
     """
     global _table
     if (_table is None or (_table.u, _table.precision) != (d.u, d.precision)
@@ -451,44 +495,50 @@ def l_series(y, order: int, d: DerivedParams):
     Order k keeps its partial sum as one int at the exponent that gives its
     first term wp bits, and leaves the pass at its own cut; the stagnation
     test compares ints against the exact mantissa and exponent of
-    L_SERIES_TOL.
+    L_SERIES_TOL.  The ints and cuts are kept on the table under v y
+    (:meth:`KernelTable.endpoint_sums`), so a scan from one starting state
+    sums it once.
     """
     table = ensure_table(d, order)
-    wp = table._wp
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-        scale = _powers_over_factorials(vy, wp)
-        partial, acc, run = [0] * (order + 1), [None] * (order + 1), [0] * (order + 1)
-        cut = [0] * (order + 1)
-        open_orders = list(range(1, order + 1))
-        for n in range(1, N_MAX_DEFAULT + 1):
-            mans, e = table.fixed_row("m", n)
-            x, f = scale(n)
-            e += f
-            still_open = []
-            for k in open_orders:
-                p = mans[k] * x
-                if acc[k] is None:
-                    acc[k] = e + p.bit_length() - wp
-                term = _shift(p, e - acc[k])
-                partial[k] += term
-                ref = abs(partial[k]) if partial[k] else abs(term)
-                if abs(term) << -_TOL_EXP <= _TOL_MAN * ref:
-                    run[k] += 1
-                    if run[k] >= _STAGNATION_RUN:
-                        cut[k] = n
-                        continue
-                else:
-                    run[k] = 0
-                still_open.append(k)
-            open_orders = still_open
-            if not open_orders:
-                break
-        else:
-            raise NoConvergence(f"l-series order {open_orders[0]} at v*y = {float(vy)}: "
-                                f"sum still changing at n_max = {N_MAX_DEFAULT}")
+    partial, acc, cut = table.endpoint_sums(_l_sums, vy, order)
     diag = SeriesDiagnostics(trunc_index=cut, error_estimate=[mpf(0)] * (order + 1))
     return SumSeries(partial, acc, d), diag
+
+
+def _l_sums(table: KernelTable, vy, order: int) -> tuple:
+    """(partial sums, their exponents, cuts) of :func:`l_series` at v y."""
+    wp = table._wp
+    scale = _powers_over_factorials(vy, wp)
+    partial, acc, run = [0] * (order + 1), [None] * (order + 1), [0] * (order + 1)
+    cut = [0] * (order + 1)
+    open_orders = list(range(1, order + 1))
+    for n in range(1, N_MAX_DEFAULT + 1):
+        mans, e = table.fixed_row("m", n)
+        x, f = scale(n)
+        e += f
+        still_open = []
+        for k in open_orders:
+            p = mans[k] * x
+            if acc[k] is None:
+                acc[k] = e + p.bit_length() - wp
+            term = _shift(p, e - acc[k])
+            partial[k] += term
+            ref = abs(partial[k]) if partial[k] else abs(term)
+            if abs(term) << -_TOL_EXP <= _TOL_MAN * ref:
+                run[k] += 1
+                if run[k] >= _STAGNATION_RUN:
+                    cut[k] = n
+                    continue
+            else:
+                run[k] = 0
+            still_open.append(k)
+        open_orders = still_open
+        if not open_orders:
+            return partial, acc, cut
+    raise NoConvergence(f"l-series order {open_orders[0]} at v*y = {float(vy)}: "
+                        f"sum still changing at n_max = {N_MAX_DEFAULT}")
 
 
 def t_series(y, order: int, d: DerivedParams):
@@ -510,21 +560,32 @@ def lbar_series(y, order: int, d: DerivedParams):
     resolve to the smaller n), and the first omitted term is reported as
     the error estimate, in ``mpf``.  Returns (series, diagnostics); the
     series is a :class:`SumSeries`, whose ``mpf`` coefficients are formed on
-    first use.
+    first use.  The sums, cuts and first omitted terms are ints kept on the
+    table under v y, as in :func:`l_series`; the estimates, a^m times the
+    first omitted term, are formed from ``d.a`` on every call.
     """
     table = ensure_table(d, order)
-    mans, exps = [0], [0]
-    diag = SeriesDiagnostics(trunc_index=[0], error_estimate=[mpf(0)])
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-        scale = _powers_over_factorials(-1 / vy, table._wp)  # carries (-1)^n
-        apow = mpf(1)
-        for m_ in range(1, order + 1):
+        mans, exps, cut, omitted = table.endpoint_sums(_lbar_sums, vy, order)
+        apow, estimates = mpf(1), [mpf(0)]
+        for est, exp in zip(omitted[1:], exps[1:]):
             apow *= d.a
-            terms = _fixed_terms(table, "mbar", m_, scale, m_)
-            value, est, exp, best = _fixed_asymptotic_sum(terms, table._wp)
-            mans.append(value)
-            exps.append(exp)
-            diag.trunc_index.append(m_ + best)
-            diag.error_estimate.append(apow * _to_mpf(est, exp, d.precision))
-    return SumSeries(mans, exps, d), diag
+            estimates.append(apow * _to_mpf(est, exp, d.precision))
+    return SumSeries(mans, exps, d), SeriesDiagnostics(trunc_index=cut,
+                                                       error_estimate=estimates)
+
+
+def _lbar_sums(table: KernelTable, vy, order: int) -> tuple:
+    """(sums, their exponents, cuts, first omitted terms) of
+    :func:`lbar_series` at v y, the omitted terms at the sums' exponents."""
+    scale = _powers_over_factorials(-1 / vy, table._wp)  # carries (-1)^n
+    mans, exps, cut, omitted = [0], [0], [0], [0]
+    for m_ in range(1, order + 1):
+        terms = _fixed_terms(table, "mbar", m_, scale, m_)
+        value, est, exp, best = _fixed_asymptotic_sum(terms, table._wp)
+        mans.append(value)
+        exps.append(exp)
+        cut.append(m_ + best)
+        omitted.append(est)
+    return mans, exps, cut, omitted

@@ -377,19 +377,24 @@ WHERE = st.floats(min_value=0.0, max_value=1.0)         # where in its range
 @settings(max_examples=12, deadline=None)
 def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
     """Fisheries-like points (rho > 0 throughout): moments from the shared
-    kernel table equal those from a fresh table exactly, and the recursion
-    agrees with the Bell closed form to working precision."""
+    kernel table, the repeated call served from its kept endpoint sums, equal
+    those from a fresh table exactly, and the recursion agrees with the Bell
+    closed form to working precision."""
     from unittest import mock
 
     from logifpt import kernels
 
     d, prob = fisheries_like(r, sigma, up, at_x0, at_threshold)
     fpt_moments(d, prob, 6)
-    shared = fpt_moments(d, prob, 6)
+    with mock.patch.object(kernels, "_powers_over_factorials") as summed:
+        shared = fpt_moments(d, prob, 6)  # both endpoints from the kept sums
+    assert not summed.called
     with mock.patch.object(kernels, "_table", None):
         fresh = fpt_moments(d, prob, 6)  # from an empty slot: a fresh table
     assert shared.moments == fresh.moments
+    assert shared.cumulants.cumulants == fresh.cumulants.cumulants
     assert shared.error_estimates == fresh.error_estimates
+    assert shared.flagged == fresh.flagged
     assert shared.diagnostics.trunc_index == fresh.diagnostics.trunc_index
     bell = fpt_moments(d, prob, 6, method=MomentMethod.BELL_CLOSED_FORM)
     assert d.precision == 256

@@ -159,6 +159,10 @@ def _input_error_argv(case, config, tmp_path):
         "mle-init-nan": ["mle", "--samples", str(samples), "--estimate", "sigma",
                          "--init", "sigma=nan", "--fixed", str(fixed)],
         "mle-max-iter-negative": [*mle, "--fixed", str(fixed), "--max-iter", "-5"],
+        "mle-init-not-estimated": ["mle", "--samples", str(samples), "--estimate", "sigma",
+                                   "--init", "sigma=0.2,r=5", "--fixed", str(fixed)],
+        "mle-init-unknown": ["mle", "--samples", str(samples), "--estimate", "sigma",
+                             "--init", "sigma=0.2,bogus=1", "--fixed", str(fixed)],
     }[case]
 
 
@@ -167,7 +171,8 @@ def _input_error_argv(case, config, tmp_path):
                                   "mle-nmax-1", "moments-null", "moments-bool", "fixed-null",
                                   "fixed-string", "fixed-huge-int", "order-negative",
                                   "nmax-negative", "horizon-inf", "mle-estimate-twice",
-                                  "mle-init-nan", "mle-max-iter-negative"])
+                                  "mle-init-nan", "mle-max-iter-negative",
+                                  "mle-init-not-estimated", "mle-init-unknown"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli

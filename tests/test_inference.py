@@ -38,6 +38,9 @@ def test_config_validation():
                   init={"sigma": 0.2})
     with pytest.raises(InvalidParams):  # missing init
         cfg_for(["sigma"])
+    for stray in ({"r": 5.0}, {"bogus": 1.0}):  # a value the fit would ignore
+        with pytest.raises(InvalidParams, match="not estimated"):
+            cfg_for(["sigma"], init={"sigma": 0.2, **stray})
 
 
 @pytest.mark.parametrize("n_max", [1, 0])
@@ -184,9 +187,22 @@ def test_empty_sample_raises():
         log_likelihood({"sigma": 0.2}, empty, cfg)
 
 
-def test_fit_recovers_sigma(sample_1k):
+def test_fit_recovers_sigma(sample_1k, monkeypatch):
+    import logifpt.inference
+
+    evaluated = []
+    real = logifpt.inference.log_likelihood
+
+    def counting(theta, data, cfg):
+        evaluated.append(theta)
+        return real(theta, data, cfg)
+
+    monkeypatch.setattr(logifpt.inference, "log_likelihood", counting)
     cfg = cfg_for(["sigma"], init={"sigma": 0.26}, max_iter=60)
     res = mle_fit(sample_1k, cfg, keep_trace=True)
+    # the start is evaluated once, and serves the simplex's first vertex too
+    assert len(evaluated) == res.n_evals == len(res.trace)
+    assert res.trace[0][0] == [0.26]
     assert res.converged
     assert abs(res.estimates["sigma"] - FISHERIES["sigma"]) / FISHERIES["sigma"] < 0.10
     assert res.gamma_seed is not None

@@ -258,6 +258,14 @@ def test_l_series_no_convergence_beyond_table_bound():
 def test_l_series_names_the_smallest_open_order(y, first_open):
     # the lower orders converge before n = 256; the error names the first that does not
     d = fisheries_at(2.01e7)
+    messages = []
+    for _ in range(2):  # a failure is not kept: the repeat sums again and fails alike
+        with pytest.raises(NoConvergence, match=f"l-series order {first_open} at") as err:
+            l_series(y, 10, d)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    # the converged orders are kept, and do not serve the order that fails
+    l_series(y, first_open - 1, d)
     with pytest.raises(NoConvergence, match=f"l-series order {first_open} at"):
         l_series(y, 10, d)
 
@@ -325,6 +333,94 @@ def test_optimal_truncation_ties_resolve_to_the_smaller_n():
             best) == (6, 1, 2)
 
 
+def count_sums(monkeypatch) -> list:
+    """A list that grows by one entry per endpoint sum computed (one
+    (v y)^n / n! sequence each) rather than served from the kept sums."""
+    calls = []
+    real = kernels._powers_over_factorials
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_powers_over_factorials", counting)
+    return calls
+
+
+def numbers(ms) -> tuple:
+    """What a MomentSet reports: moments, cumulants, estimates, flags, cuts."""
+    return (ms.moments, ms.cumulants.cumulants, ms.error_estimates, ms.flagged,
+            ms.diagnostics.trunc_index, ms.diagnostics.error_estimate)
+
+
+@pytest.mark.parametrize("x0, thresholds", [(100.0, (1e4, 2e4, 5e4)),
+                                            (3.91e7, (2.8e7, 2.5e7, 2.01e7))],
+                         ids=["up", "down"])
+def test_a_threshold_scan_sums_its_starting_state_once(monkeypatch, x0, thresholds):
+    from logifpt import Direction, FptProblem, MomentMethod, fpt_moments
+
+    d = fisheries_at(x0)
+    direction = Direction.UP if thresholds[0] > x0 else Direction.DOWN
+    requests = [(FptProblem(direction, t), method)
+                for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM)
+                for t in thresholds]
+    fresh = []
+    for prob, method in requests:
+        monkeypatch.setattr(kernels, "_table", None)
+        fresh.append(numbers(fpt_moments(d, prob, 10, method=method)))
+    monkeypatch.setattr(kernels, "_table", None)
+    calls = count_sums(monkeypatch)
+    scan = [numbers(fpt_moments(d, prob, 10, method=method)) for prob, method in requests]
+    # x0 once and each threshold once, over both routes
+    assert len(calls) == 1 + len(thresholds)
+    assert scan == fresh
+
+
+def test_the_kept_sums_are_bounded(monkeypatch):
+    from logifpt import Direction, FptProblem, fpt_moments
+
+    d = fisheries_at(100.0)
+    monkeypatch.setattr(kernels, "_table", None)
+    calls = count_sums(monkeypatch)
+    thresholds = [1e3 * (1 + i / 100) for i in range(kernels.ENDPOINT_SUMS_MAX + 8)]
+    for t in thresholds:
+        fpt_moments(d, FptProblem(Direction.UP, t), 1)
+    kept = kernels.ensure_table(d, 1)._sums
+    assert len(calls) == 1 + len(thresholds)
+    assert len(kept) == kernels.ENDPOINT_SUMS_MAX
+    # x0, read by every request, stays; the oldest thresholds went first
+    with mp.workprec(d.precision):
+        assert (kernels._l_sums, (d.v * 100)._mpf_) in kept
+    fpt_moments(d, FptProblem(Direction.UP, thresholds[-1]), 1)
+    assert len(calls) == 1 + len(thresholds)
+    fpt_moments(d, FptProblem(Direction.UP, thresholds[0]), 1)
+    assert len(calls) == 2 + len(thresholds)
+    assert len(kept) == kernels.ENDPOINT_SUMS_MAX
+
+
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+@pytest.mark.parametrize("scaled, new_sums", [
+    ({"r": 4 * FISHERIES["r"], "sigma": 2 * FISHERIES["sigma"]}, 0),  # a / 4, u and v kept
+    ({"K": 2 * FISHERIES["K"]}, 2),                                    # v / 2, u and a kept
+], ids=["another_a", "another_v"])
+def test_kept_sums_are_keyed_by_v_y_alone(monkeypatch, scaled, new_sums, up):
+    from logifpt import Direction, FptProblem, fpt_moments
+
+    base = {**FISHERIES, "E": 0.0}
+    x0, prob = ((100.0, FptProblem(Direction.UP, 1e4)) if up
+                else (3.91e7, FptProblem(Direction.DOWN, 2.8e7)))
+    d1 = derive_params(ModelParams(**{**base, "x0": x0}))
+    d2 = derive_params(ModelParams(**{**base, **scaled, "x0": x0}))
+    assert d2.u == d1.u and (d2.v == d1.v) != (d2.a == d1.a)
+    monkeypatch.setattr(kernels, "_table", None)
+    fpt_moments(d1, prob, 10)
+    calls = count_sums(monkeypatch)
+    kept = fpt_moments(d2, prob, 10)
+    assert len(calls) == new_sums
+    monkeypatch.setattr(kernels, "_table", None)
+    assert numbers(kept) == numbers(fpt_moments(d2, prob, 10))
+
+
 def test_shared_table_serves_a_threshold_scan(monkeypatch):
     from logifpt import Direction, FptProblem, fpt_moments
 
@@ -376,6 +472,13 @@ def test_shared_tables_are_keyed_by_u_and_precision(monkeypatch):
         assert served.moments == fresh.moments
         assert served.error_estimates == fresh.error_estimates
         assert served.diagnostics.trunc_index == fresh.diagnostics.trunc_index
+        # likewise the order-10 sums kept at both endpoints serve order 4 as
+        # their prefix, summing nothing
+        fpt_moments(d, prob, 10)
+        calls = count_sums(monkeypatch)
+        prefix = fpt_moments(d, prob, 4)
+        assert not calls
+        assert numbers(prefix) == numbers(fresh)
 
     # a higher order replaces the kept table, which then serves both
     d = fisheries_at(100.0)
