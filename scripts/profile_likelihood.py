@@ -32,8 +32,8 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from logifpt import (Direction, FptProblem, ModelParams, MomentMethod, MomentSet, SimConfig,
-                     derive_params, kernels, sample_fpt)
+from logifpt import (Direction, FptProblem, ModelParams, MomentSet, SimConfig, derive_params,
+                     kernels, sample_fpt)
 from logifpt.errors import LogifptError
 from logifpt.inference import PENALTY, MleConfig, log_likelihood
 from logifpt.laguerre import (LaguerreApproximant, laguerre_coeffs, match_gamma,
@@ -73,8 +73,7 @@ def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
     def coeffs():
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
         ms = MomentSet(problem=FptProblem(Direction.UP, THRESHOLD), order=order,
-                       moments=moments, method=MomentMethod.RECURSION,
-                       precision=d.precision)
+                       moments=moments, precision=d.precision)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             gamma = match_gamma(ms)

@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .analytics import (CumulantSet, MomentMethod, MomentSet, cumulants_from_moments,
-                        fpt_cumulants, fpt_moments)
+from .analytics import (CumulantSet, MomentSet, cumulants_from_moments, fpt_cumulants,
+                        fpt_moments)
 from .hypergeom import HypEvalConfig, laplace_transform
 from .kernels import KernelTable, l_series, lbar_series, q_series, t_series
 from .laguerre import (GammaRef, LaguerreApproximant, build_approximant,
@@ -18,7 +18,7 @@ from .inference import MleConfig, MleResult, StudyReport, log_likelihood, mc_stu
 __all__ = [
     "CumulantSet", "DerivedParams", "Direction", "FptProblem", "FptSample",
     "GammaRef", "HypEvalConfig", "KernelTable", "LaguerreApproximant",
-    "MleConfig", "MleResult", "ModelParams", "MomentMethod", "MomentSet",
+    "MleConfig", "MleResult", "ModelParams", "MomentSet",
     "SimConfig", "StudyReport", "DEFAULT_PRECISION", "build_approximant",
     "cumulants_from_moments", "derive_params", "empirical_moments",
     "fpt_cumulants", "fpt_moments", "kde", "l_series", "laguerre_coeffs",

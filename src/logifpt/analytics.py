@@ -1,14 +1,13 @@
 """Crossing-time moments and cumulants.
 
-Moments come from the coefficient recursion of the transform ratio (default)
-or, equivalently, from the Bell-polynomial closed form of the reciprocal
-denominator series; the two routes are cross-checked in the test suite to
-high precision.  The recursion runs in fixed-point Python ints, the Bell
-route in ``mpf`` (see :mod:`logifpt.kernels`); at 256 bits and order 10
-both keep upcrossing moments within 1.1e-75 of a 700-bit evaluation on the
-benchmark scenarios, the int route within 4.9e-76.  The recursion reads the
-building-block sums as ints, and its first ``mpf`` is each moment.  The
-error bounds and the cumulants stay in ``mpf``.  A :class:`MomentSet` from
+Moments come from the coefficient recursion of the transform ratio, run in
+fixed-point Python ints (see :mod:`logifpt.kernels`): it reads the
+building-block sums as ints, and its first ``mpf`` is each moment.  At 256
+bits and order 10 it keeps upcrossing moments within 4.9e-76 of a 700-bit
+evaluation on the benchmark scenarios.  The test suite checks it against
+the Bell-polynomial closed form of the reciprocal denominator series, an
+independent route in ``mpf`` kept in ``tests/oracles.py``.  The error
+bounds and the cumulants stay in ``mpf``.  A :class:`MomentSet` from
 :func:`fpt_moments` keeps its two endpoint building-block series, whose
 ``mpf`` coefficients are formed on first use, and its
 ``cumulants`` property (computed on first use, then cached) takes the
@@ -25,25 +24,16 @@ whose estimate exceeds FLAG_RTOL are flagged rather than silently returned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import mpmath
 from mpmath import mp, mpf
 
-from .kernels import SeriesDiagnostics, _fixed_quotient, l_series, lbar_series, q_series
+from .kernels import SeriesDiagnostics, _fixed_quotient, l_series, lbar_series
 from .model import DerivedParams, Direction, FptProblem, validate_problem
-from .series import (ExpSeries, binomial_series, log_polynomials, series_product,
-                     series_ratio, series_reciprocal_bell)
+from .series import ExpSeries, binomial_series, log_polynomials, series_product, series_ratio
 
 FLAG_RTOL = 1e-8
-
-
-class MomentMethod(Enum):
-    RECURSION = "recursion"
-    BELL_CLOSED_FORM = "bell"
-    FINITE_DIFFERENCE = "fd"
-    EMPIRICAL = "empirical"
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,6 @@ class MomentSet:
     problem: FptProblem
     order: int
     moments: tuple
-    method: MomentMethod
     precision: int
     degenerate: bool = False
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
@@ -142,8 +131,7 @@ def _propagate_errors(s1, e, g):
     return series_ratio(series_product(ExpSeries(tuple(e)), one_plus_g), one_minus_s1).coeffs
 
 
-def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
-                method: MomentMethod = MomentMethod.RECURSION) -> MomentSet:
+def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     """Moments E[T^k], k = 1..order, of the crossing time.
 
     The building blocks -- the l-series upcrossing, the lbar-series
@@ -153,10 +141,8 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
     Upcrossing, that is q(x0) l(x0) / (q(U) l(U)); it is taken as
     q(x0/U) l(x0) / l(U), since q(x0)/q(U) = q(x0/U) exactly (see
     :mod:`logifpt.kernels`).  One q-series and no ``t_series`` enter, and
-    nothing cancels between two q-series.  ``method`` selects the quotient
-    recursion (default, cheaper: in fixed-point ints, on the int partial
-    sums of the blocks) or the Bell-polynomial closed form (in ``mpf``, with
-    x0/U formed at working precision); both agree to working precision.
+    nothing cancels between two q-series.  The quotient recursion runs in
+    fixed-point ints, on the int partial sums of the blocks.
     For downcrossing problems the per-order relative error estimates of the
     asymptotic sums are attached and orders above FLAG_RTOL are flagged.
     Upcrossing sums are convergent, their estimates are 0, and the relative
@@ -166,24 +152,18 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
         raise ValueError("order must be >= 1")
     if validate_problem(d, prob):
         return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
-                         method=method, precision=d.precision, degenerate=True,
+                         precision=d.precision, degenerate=True,
                          error_estimates=(mpf(0),) * order, flagged=(False,) * order)
     block = l_series if prob.direction is Direction.UP else lbar_series
     b0, g0 = block(d.params.x0, order, d)
     b1, g1 = block(prob.threshold, order, d)
     diag = SeriesDiagnostics.merge(g0, g1)
-    up = prob.direction is Direction.UP
     with mp.workprec(d.precision):
-        if method is MomentMethod.BELL_CLOSED_FORM:
-            s0 = b0
-            if up:  # q(x0) l(x0) / (q(U) l(U))
-                s0 = series_product(q_series(mpf(d.params.x0) / mpf(prob.threshold), order, d), b0)
-            g = series_product(s0, series_reciprocal_bell(b1)).coeffs
-        else:
-            q_log = None
-            if up:  # log(q(x0) / q(U)) = u log(U/x0) (1/2)_k a^k at k >= 1
-                q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))
-            g = _fixed_quotient(b0, b1, q_log)
+        q_log = None
+        if prob.direction is Direction.UP:
+            # log(q(x0) / q(U)) = u log(U/x0) (1/2)_k a^k at k >= 1
+            q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))
+        g = _fixed_quotient(b0, b1, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
         rel, flagged = (mpf(0),) * order, (False,) * order
         if any(diag.error_estimate):  # convergent sums, all upcrossing ones, have none
@@ -191,7 +171,7 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int,
             rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
                         for k, m in enumerate(moments, 1))
             flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
-    return MomentSet(problem=prob, order=order, moments=moments, method=method,
+    return MomentSet(problem=prob, order=order, moments=moments,
                      precision=d.precision, error_estimates=rel,
                      flagged=flagged, diagnostics=diag, endpoints=(d, b0, b1))
 

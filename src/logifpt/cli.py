@@ -20,7 +20,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from . import __version__
-from .analytics import MomentMethod, MomentSet, fpt_moments
+from .analytics import MomentSet, fpt_moments
 from .errors import (InvalidParams, LogifptError, NoConvergence, NonPersistentRegime,
                      InvalidHarvest, NoFeasibleStart, QuadratureFailure, StencilFailure,
                      WrongSide)
@@ -117,9 +117,7 @@ def cmd_moments(args) -> int:
     params = ModelParams.from_json(args.config)
     d = derive_params(params, precision=args.precision)
     prob = _problem(args)
-    method = (MomentMethod.BELL_CLOSED_FORM if args.method == "bell"
-              else MomentMethod.RECURSION)
-    ms = fpt_moments(d, prob, args.order, method=method)
+    ms = fpt_moments(d, prob, args.order)
     m, c = ms.moments_float, ms.cumulants.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
@@ -169,8 +167,7 @@ def _moments_for_density(args, d, prob) -> MomentSet:
         if len(vals) < args.nmax:
             raise InvalidParams(
                 f"moments file holds {len(vals)} moments, need {args.nmax}")
-        return MomentSet(problem=prob, order=len(vals), moments=tuple(vals),
-                         method=MomentMethod.EMPIRICAL, precision=113)
+        return MomentSet(problem=prob, order=len(vals), moments=tuple(vals), precision=113)
     raise InvalidParams(f"--moments-from must be theory, samples:FILE or moments:FILE, got {src!r}")
 
 
@@ -243,8 +240,15 @@ def _load_density_csv(path):
                 rows.append((float(t), float(v)))
     if not rows:
         raise InvalidParams(f"{path} holds no density rows")
-    arr = np.array(rows)
-    return arr[:, 0], arr[:, 1]
+    t, f = np.array(rows).T
+    ok = np.isfinite(t) & np.isfinite(f) & (f >= 0)
+    ok[1:] &= t[1:] > t[:-1]
+    if not ok.all():
+        i = int(np.argmin(ok))
+        hint = "; start the grid above 0" if t[i] == 0 and np.isinf(f[i]) else ""
+        raise InvalidParams(f"{path} line {i + 2} (t = {t[i]}, density = {f[i]}): t must be "
+                            f"finite and strictly increasing, the density finite and >= 0{hint}")
+    return t, f
 
 
 def cmd_compare(args) -> int:
@@ -371,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     _add_problem(p)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--method", choices=["recursion", "bell"], default="recursion")
     p.add_argument("--diagnostics", action="store_true",
                    help="emit truncation/error diagnostics")
     _add_common(p)

@@ -15,9 +15,9 @@ penalty instead of raising, keeping the simplex inside the analyzable
 region.
 
 Only what callers vary is configurable (:class:`MleConfig`).  The rest is
-fixed: the simplex stays inside DEFAULT_BOUNDS, the order is selected at
-the tolerance ``laguerre.ORDER_TOL``, and densities are floored at
-1e-300 before the logarithm.
+fixed: the simplex stays inside DEFAULT_BOUNDS, where its initial point
+must lie, the order is selected at the tolerance ``laguerre.ORDER_TOL``,
+and densities are floored at 1e-300 before the logarithm.
 Right-censored paths (no crossing by the end of the simulated horizon)
 enter through the survival function of the approximant.
 """
@@ -88,9 +88,11 @@ class MleConfig:
         stray = [p for p in self.init if p not in est]
         if stray:
             raise InvalidParams(f"initial values for parameters not estimated: {stray}")
-        nonfinite = [p for p in est if not math.isfinite(self.init[p])]
-        if nonfinite:
-            raise InvalidParams(f"initial values must be finite: {nonfinite}")
+        outside = [f"{p} = {self.init[p]} not in {list(DEFAULT_BOUNDS[p])}" for p in est
+                   if not DEFAULT_BOUNDS[p][0] <= self.init[p] <= DEFAULT_BOUNDS[p][1]]
+        if outside:  # NaN and inf included
+            raise InvalidParams(f"initial values must be finite and in DEFAULT_BOUNDS: "
+                                f"{', '.join(outside)}")
         if self.max_iter < 1:
             raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
         if self.n_max < 2:  # the likelihood reads the variance

@@ -52,19 +52,20 @@ quotient is q(x0) l(x0) / (q(U) l(U)), and since q(y) = y^(u (1 - s)),
 q(x0) / q(U) = q(x0 / U) exactly: :func:`logifpt.analytics.fpt_moments`
 forms one q-series, of exponent u log(U / x0) (1/2)_k a^k, and divides
 q(x0 / U) l(x0) by l(U).  Dividing by a second q-series instead loses up to
-16 digits to cancellation at order 10.  On the default route the quotient
-runs in the same fixed point as the rows (``_fixed_quotient``): it takes
-the partial sums of the two :class:`SumSeries` as ints, with a^k folded in
-as a fixed-point int at precision + GUARD_BITS bits, and the exponent, the
+16 digits to cancellation at order 10.  The quotient runs in the same
+fixed point as the rows (``_fixed_quotient``): it takes the partial sums
+of the two :class:`SumSeries` as ints, with a^k folded in as a
+fixed-point int at precision + GUARD_BITS bits, and the exponent, the
 exp recurrence, the product and the ratio are Python ints at one binary
 exponent.  No ``mpf`` is formed between the kernel rows and the moments:
 the first one is each moment, rounded once.  Going down the quotient is
-lbar(x0) / lbar(L), in the same ints.  The Bell route (``q_series``,
-``series_product`` and ``series_reciprocal_bell``), the error bound and the
-cumulants read the ``mpf`` series and stay in ``mpf``, as the independent
-check.  At 256 bits and order 10, the int route keeps the upcrossing
-moments of the seven benchmark scenarios within 4.9e-76 of a 700-bit
-evaluation, and within 8e-77 at u = -1e4 and -0.01.
+lbar(x0) / lbar(L), in the same ints.  The error bound and the cumulants
+read the ``mpf`` series and stay in ``mpf``.  So does the independent check
+in ``tests/oracles.py``, the Bell-polynomial closed form, which multiplies
+``q_series`` into the l-series at x0; in the library only ``t_series``
+calls ``q_series``.  At 256 bits and order 10, the int route keeps the
+upcrossing moments of the seven benchmark scenarios within 4.9e-76 of a
+700-bit evaluation, and within 8e-77 at u = -1e4 and -0.01.
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
 :class:`KernelTable` per process, the last one built.  Rows depend on

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mpf
 
-from .analytics import MomentMethod, MomentSet
+from .analytics import MomentSet
 from .errors import EmptySample, InvalidParams
 from .model import DerivedParams, Direction, FptProblem, ModelParams, validate_problem
 
@@ -208,8 +208,7 @@ def empirical_moments(s: FptSample, order: int) -> MomentSet:
     if s.n == 0:
         raise EmptySample("no crossing times observed")
     moments = tuple(mpf(float(np.mean(s.times ** k))) for k in range(1, order + 1))
-    return MomentSet(problem=s.config.problem, order=order, moments=moments,
-                     method=MomentMethod.EMPIRICAL, precision=53)
+    return MomentSet(problem=s.config.problem, order=order, moments=moments, precision=53)
 
 
 def silverman_bandwidth(times: np.ndarray) -> float:

@@ -23,12 +23,10 @@ power-series recurrences (Knuth, TAOCP vol. 2, sec. 4.7):
 The exp and log recurrences follow from differentiating e^A and
 A = e^(log A).
 
-The partial exponential Bell polynomials (:func:`bell_partial_table`) serve
-the Bell-polynomial moment route (:func:`series_reciprocal_bell`), an
-independent check on the recursions; they are exact when their arguments
-are.  The exact references the test suite compares against (Stirling
-numbers, factorial powers, the reciprocal and logarithm series) live in
-``tests/oracles.py``.
+The exact references the test suite compares against (Stirling numbers,
+factorial powers, partial Bell polynomials, the reciprocal series by its
+Bell-polynomial closed form and by the ratio recursion, and the logarithm
+series) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,27 +35,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonPositiveConstantTerm, ZeroConstantTerm
-
-def bell_partial_table(b, n: int):
-    """Table B[m][k] of partial exponential Bell polynomials for m, k <= n.
-
-    b is the sequence (b_1, b_2, ...); entries beyond len(b) are treated as
-    absent (only b_1..b_{m-k+1} enter B_{m,k}).  Uses the recurrence
-
-        B_{m,k} = sum_i C(m-1, i-1) b_i B_{m-i, k-1},
-
-    which avoids enumerating partitions.
-    """
-    B = [[0] * (n + 1) for _ in range(n + 1)]
-    B[0][0] = 1
-    for m_ in range(1, n + 1):
-        for k in range(1, m_ + 1):
-            tot = 0
-            for i in range(1, m_ - k + 2):
-                if i <= len(b):
-                    tot += math.comb(m_ - 1, i - 1) * b[i - 1] * B[m_ - i][k - 1]
-            B[m_][k] = tot
-    return B
 
 
 def log_polynomials(coeffs):
@@ -101,31 +78,6 @@ def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
         for k in range(m_ + 1):
             tot += math.comb(m_, k) * A.coeffs[k] * B.coeffs[m_ - k]
         out.append(tot)
-    return ExpSeries(tuple(out))
-
-
-def series_reciprocal_bell(A: ExpSeries) -> ExpSeries:
-    """Reciprocal series by the Bell-polynomial closed form.
-
-    r_n = (1/a_0) sum_k (-1)^k k! B_{n,k}(a_1/a_0, ...).  Agrees with
-    :func:`series_ratio` of the identity by A to working precision.
-    """
-    a0 = A.coeffs[0]
-    if a0 == 0:
-        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-    n = A.order
-    scaled = [c / a0 for c in A.coeffs[1:]]
-    B = bell_partial_table(scaled, n)
-    out = []
-    for m_ in range(n + 1):
-        tot = 0
-        sign = 1
-        fact = 1
-        for k in range(m_ + 1):
-            tot += sign * fact * B[m_][k]
-            sign = -sign
-            fact *= k + 1
-        out.append(tot / a0)
     return ExpSeries(tuple(out))
 
 

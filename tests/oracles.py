@@ -9,8 +9,9 @@ rule or formula that the library computes another way:
 - the two truncation rules on ``mpf`` terms and the ``mpf`` view of a
   kernel row, against the fixed-point sums and rows of
   :mod:`logifpt.kernels`;
-- the closed-form mean and variance and the Gamma-consistency ratios,
-  against :mod:`logifpt.analytics`;
+- the moments by the Bell-polynomial closed form of the reciprocal
+  series, the closed-form mean and variance and the Gamma-consistency
+  ratios, against :mod:`logifpt.analytics`;
 - the Laguerre polynomials one at a time, against the coefficient sums of
   :mod:`logifpt.laguerre`;
 - the long-run simulated mean, against the stationary Gamma law;
@@ -20,21 +21,23 @@ rule or formula that the library computes another way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from logifpt.analytics import CumulantSet, MomentMethod, MomentSet
-from logifpt.errors import NonPositiveConstantTerm, NoConvergence, QuadratureFailure, StencilFailure
+from logifpt.analytics import FLAG_RTOL, CumulantSet, MomentSet, _propagate_errors, fpt_moments
+from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, QuadratureFailure,
+                            StencilFailure, ZeroConstantTerm)
 from logifpt.hypergeom import HypEvalConfig, laplace_transform
 from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_DEFAULT,
-                             KernelTable, _to_mpf, ensure_table)
+                             KernelTable, _to_mpf, ensure_table, q_series)
 from logifpt.laguerre import _coeff_sum
 from logifpt.model import DerivedParams, Direction, FptProblem, validate_problem
 from logifpt.montecarlo import _MASK64, lie_trotter_step, step_constants
-from logifpt.series import ExpSeries, bell_partial_table, log_polynomials, series_ratio
+from logifpt.series import ExpSeries, log_polynomials, series_product, series_ratio
 
 # ---------------------------------------------------------------- series
 
@@ -85,6 +88,28 @@ def rising_factorial(x, n: int):
     return out
 
 
+def bell_partial_table(b, n: int):
+    """Table B[m][k] of partial exponential Bell polynomials for m, k <= n.
+
+    b is the sequence (b_1, b_2, ...); entries beyond len(b) are treated as
+    absent (only b_1..b_{m-k+1} enter B_{m,k}).  Uses the recurrence
+
+        B_{m,k} = sum_i C(m-1, i-1) b_i B_{m-i, k-1},
+
+    which avoids enumerating partitions.
+    """
+    B = [[0] * (n + 1) for _ in range(n + 1)]
+    B[0][0] = 1
+    for m_ in range(1, n + 1):
+        for k in range(1, m_ + 1):
+            tot = 0
+            for i in range(1, m_ - k + 2):
+                if i <= len(b):
+                    tot += math.comb(m_ - 1, i - 1) * b[i - 1] * B[m_ - i][k - 1]
+            B[m_][k] = tot
+    return B
+
+
 def bell_partial(n: int, k: int, b):
     """Partial exponential Bell polynomial B_{n,k}(b_1, ..., b_{n-k+1})."""
     if not 1 <= k <= n:
@@ -105,6 +130,31 @@ def series_reciprocal(A: ExpSeries) -> ExpSeries:
     r_0 = 1/a_0,  r_n = (0 - sum_{j>=1} C(n,j) a_j r_{n-j}) / a_0.
     """
     return series_ratio(identity(A.order), A)
+
+
+def series_reciprocal_bell(A: ExpSeries) -> ExpSeries:
+    """Reciprocal series by the Bell-polynomial closed form.
+
+    r_n = (1/a_0) sum_k (-1)^k k! B_{n,k}(a_1/a_0, ...).  Agrees with
+    :func:`series_ratio` of the identity by A to working precision.
+    """
+    a0 = A.coeffs[0]
+    if a0 == 0:
+        raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
+    n = A.order
+    scaled = [c / a0 for c in A.coeffs[1:]]
+    B = bell_partial_table(scaled, n)
+    out = []
+    for m_ in range(n + 1):
+        tot = 0
+        sign = 1
+        fact = 1
+        for k in range(m_ + 1):
+            tot += sign * fact * B[m_][k]
+            sign = -sign
+            fact *= k + 1
+        out.append(tot / a0)
+    return ExpSeries(tuple(out))
 
 
 def series_log(A: ExpSeries) -> ExpSeries:
@@ -180,6 +230,37 @@ def asymptotic_sum(term_fn, n_start: int, n_max: int):
 
 
 # ---------------------------------------------------------------- analytics
+
+def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
+    """Moments by the Bell-polynomial closed form, against :func:`fpt_moments`.
+
+    The endpoint series are those of ``fpt_moments(d, prob, order)``; the
+    quotient is formed in ``mpf`` with :func:`series_reciprocal_bell` instead
+    of the fixed-point recursion: q(x0/U) l(x0) / l(U) upcrossing, with x0/U
+    at working precision, and lbar(x0) / lbar(L) downcrossing.  The relative
+    error estimates and flags are recomputed from this quotient; the
+    endpoint series, diagnostics and cumulants are those of the recursion's
+    set.  A degenerate set comes back unchanged.
+    """
+    ms = fpt_moments(d, prob, order)
+    if ms.degenerate:
+        return ms
+    _, b0, b1 = ms.endpoints
+    e = ms.diagnostics.error_estimate
+    with mp.workprec(d.precision):
+        s0 = b0
+        if prob.direction is Direction.UP:  # q(x0) l(x0) / (q(U) l(U))
+            s0 = series_product(q_series(mpf(d.params.x0) / mpf(prob.threshold), order, d), b0)
+        g = series_product(s0, series_reciprocal_bell(b1)).coeffs
+        moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
+        rel, flagged = (mpf(0),) * order, (False,) * order
+        if any(e):
+            dg = _propagate_errors(b1, e, g)
+            rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
+                        for k, m in enumerate(moments, 1))
+            flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
+    return replace(ms, moments=moments, error_estimates=rel, flagged=flagged)
+
 
 def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):
     """Crossing-time mean and variance from the explicit coefficient sums.
@@ -341,7 +422,6 @@ def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:
     degenerate = validate_problem(d, prob)
     if degenerate:
         return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
-                         method=MomentMethod.FINITE_DIFFERENCE,
                          precision=HypEvalConfig.precision, degenerate=True)
     with mp.workprec(HypEvalConfig.precision):
         base_h = mpf(FD_STEP) / d.a
@@ -371,7 +451,6 @@ def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:
                                 / (4 ** i - 1))
                     moments.append((-1) ** k * rows[-1][-1])
                 return MomentSet(problem=prob, order=order, moments=tuple(moments),
-                                 method=MomentMethod.FINITE_DIFFERENCE,
                                  precision=HypEvalConfig.precision)
             except (StencilFailure, QuadratureFailure):
                 continue

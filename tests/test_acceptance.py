@@ -14,16 +14,17 @@ import pytest
 from mpmath import mp, mpf
 from scipy import integrate
 
-from logifpt import (Direction, FptProblem, MomentMethod, SimConfig,
-                     build_approximant, cumulants_from_moments, fpt_cumulants,
-                     fpt_moments, kde, laplace_transform, match_gamma, sample_fpt)
+from logifpt import (Direction, FptProblem, SimConfig, build_approximant,
+                     cumulants_from_moments, fpt_cumulants, fpt_moments, kde,
+                     laplace_transform, match_gamma, sample_fpt)
 from logifpt.cli import main as cli_main
 from logifpt.errors import SingularOriginWarning
 from logifpt.inference import mc_study
-from logifpt.series import ExpSeries, series_exp, series_product, series_reciprocal_bell
+from logifpt.series import ExpSeries, series_exp, series_product
 from tests.conftest import FISHERIES
-from tests.oracles import (fd_moments, mean_variance_closed_form, rising_factorial,
-                           series_log, series_reciprocal, stirling1_unsigned)
+from tests.oracles import (bell_moments, fd_moments, mean_variance_closed_form,
+                           rising_factorial, series_log, series_reciprocal,
+                           series_reciprocal_bell, stirling1_unsigned)
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -84,8 +85,8 @@ def test_criterion_03_oracle_equivalence(scenarios):
 
 def test_criterion_04_dual_method_equality(scenarios):
     for name, d, prob in scenarios:
-        a = fpt_moments(d, prob, 16, method=MomentMethod.RECURSION)
-        b = fpt_moments(d, prob, 16, method=MomentMethod.BELL_CLOSED_FORM)
+        a = fpt_moments(d, prob, 16)
+        b = bell_moments(d, prob, 16)
         with mp.workprec(d.precision):
             for x, y in zip(a.moments, b.moments):
                 assert abs(x / y - 1) < mpf("1e-20"), name
@@ -199,8 +200,8 @@ def test_criterion_09_mle_recovery(fisheries_params):
 
 def test_criterion_10_degenerate_and_regime_guards(fisheries, tmp_path, capsys):
     prob = FptProblem(Direction.UP, FISHERIES["x0"])
-    for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM):
-        ms = fpt_moments(fisheries, prob, 4, method=method)
+    for route in (fpt_moments, bell_moments):
+        ms = route(fisheries, prob, 4)
         assert ms.degenerate and all(m == 0 for m in ms.moments)
     for lam in (0.0, 0.03, 0.7):
         assert laplace_transform(fisheries, prob, lam) == 1

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from logifpt import (CumulantSet, Direction, FptProblem, MomentMethod,
-                     cumulants_from_moments, derive_params, fpt_cumulants, fpt_moments)
+from logifpt import (CumulantSet, Direction, FptProblem, cumulants_from_moments,
+                     derive_params, fpt_cumulants, fpt_moments)
 from logifpt.analytics import FLAG_RTOL
 from logifpt.errors import LogifptError
 from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
-from tests.oracles import fd_moments, gamma_consistency, mean_variance_closed_form
+from tests.oracles import bell_moments, fd_moments, gamma_consistency, mean_variance_closed_form
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -94,11 +94,11 @@ def test_upcrossing_moments_match_700_bits(name):
     d = fisheries_at(x0)
     prob = FptProblem(Direction.UP, threshold)
     hi = fpt_moments(derive_params(d.params, precision=700), prob, 10)
-    for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM):
-        ms = fpt_moments(d, prob, 10, method=method)
+    for route in (fpt_moments, bell_moments):
+        ms = route(d, prob, 10)
         with mp.workprec(700):
             for got, want in zip(ms.moments, hi.moments):
-                assert abs(got - want) <= mpf("1e-72") * abs(want), method
+                assert abs(got - want) <= mpf("1e-72") * abs(want), route.__name__
 
 
 # (u, x0, U) at the drift corners of the kernel-row tests.  The inputs to the
@@ -109,18 +109,20 @@ def test_upcrossing_moments_at_the_drift_corners_match_700_bits(u_value, x0, thr
     d = drift_at(u_value, x0=x0)
     prob = FptProblem(Direction.UP, threshold)
     hi = fpt_moments(derive_params(d.params, precision=700), prob, 10)
-    for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM):
-        ms = fpt_moments(d, prob, 10, method=method)
+    for route in (fpt_moments, bell_moments):
+        ms = route(d, prob, 10)
         with mp.workprec(700):
             for got, want in zip(ms.moments, hi.moments):
-                assert abs(got - want) <= mpf("1e-70") * abs(want), method
+                assert abs(got - want) <= mpf("1e-70") * abs(want), route.__name__
 
 
 def count_calls(monkeypatch, names):
-    """Wrap every logifpt module's binding of each name in a call counter."""
+    """Wrap every logifpt module's and the oracles' binding of each name in a
+    call counter."""
     calls = dict.fromkeys(names, 0)
     for module in list(sys.modules.values()):
-        if not getattr(module, "__name__", "").startswith("logifpt."):
+        modname = getattr(module, "__name__", "")
+        if not (modname.startswith("logifpt.") or modname == "tests.oracles"):
             continue
         for name in names:
             original = vars(module).get(name)
@@ -149,11 +151,11 @@ def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
     calls = count_calls(monkeypatch, ("series_product", "series_ratio", "q_series"))
     assert log_likelihood({"sigma": 0.21, "r": 0.7}, sample, cfg) > -1e300
     assert calls == {"series_product": 0, "series_ratio": 0, "q_series": 0}
-    fpt_moments(fisheries, UP4, 10, method=MomentMethod.BELL_CLOSED_FORM)
+    bell_moments(fisheries, UP4, 10)
     assert calls["series_product"] > 0 and calls["q_series"] > 0
     # downcrossing, both routes bound their errors by one mpf product and ratio
     _, d, prob = next(s for s in scenario_grid() if s[0] == "down_mid")
-    fpt_moments(d, prob, 10, method=MomentMethod.BELL_CLOSED_FORM)
+    bell_moments(d, prob, 10)
     assert calls["series_ratio"] > 0
 
 
@@ -215,8 +217,8 @@ def test_moment_set_invariants(fisheries):
 
 def test_degenerate_problem_all_zero(fisheries):
     prob = FptProblem(Direction.UP, FISHERIES["x0"])
-    for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM):
-        ms = fpt_moments(fisheries, prob, 5, method=method)
+    for route in (fpt_moments, bell_moments):
+        ms = route(fisheries, prob, 5)
         assert ms.degenerate and all(m == 0 for m in ms.moments)
     cs = fpt_cumulants(fisheries, prob, 4)
     assert cs.degenerate and all(c == 0 for c in cs.cumulants)
@@ -238,8 +240,8 @@ def test_degenerate_recursion_collapses_by_induction():
 
 def test_methods_agree(fisheries):
     for prob in (UP4, UP5):
-        a = fpt_moments(fisheries, prob, 8, method=MomentMethod.RECURSION)
-        b = fpt_moments(fisheries, prob, 8, method=MomentMethod.BELL_CLOSED_FORM)
+        a = fpt_moments(fisheries, prob, 8)
+        b = bell_moments(fisheries, prob, 8)
         with mp.workprec(fisheries.precision):
             for x, y in zip(a.moments, b.moments):
                 assert abs(x / y - 1) < mpf("1e-20")
@@ -355,8 +357,8 @@ def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
         return
     d = derive_params(ModelParams(r=r, K=K, q=0.0, E=0.0, sigma=sigma, x0=x0))
     prob = FptProblem(Direction.UP, threshold)
-    a = fpt_moments(d, prob, 4, method=MomentMethod.RECURSION)
-    b = fpt_moments(d, prob, 4, method=MomentMethod.BELL_CLOSED_FORM)
+    a = fpt_moments(d, prob, 4)
+    b = bell_moments(d, prob, 4)
     assert all(m > 0 for m in a.moments)
     with mp.workprec(d.precision):
         assert a.moments[1] >= a.moments[0] ** 2
@@ -396,7 +398,7 @@ def test_shared_tables_match_fresh_and_bell(r, sigma, up, at_x0, at_threshold):
     assert shared.error_estimates == fresh.error_estimates
     assert shared.flagged == fresh.flagged
     assert shared.diagnostics.trunc_index == fresh.diagnostics.trunc_index
-    bell = fpt_moments(d, prob, 6, method=MomentMethod.BELL_CLOSED_FORM)
+    bell = bell_moments(d, prob, 6)
     assert d.precision == 256
     with mp.workprec(d.precision):
         for x, y in zip(shared.moments, bell.moments):

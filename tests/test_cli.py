@@ -114,6 +114,13 @@ def _input_error_argv(case, config, tmp_path):
     fixed.write_text(json.dumps({**FISHERIES, "U": 1e4}))
     header_only = tmp_path / "d.csv"
     header_only.write_text("t,density\n")
+    unmeasurable = {}  # density files compare cannot integrate
+    for name, rows in [("nan", "0.0,0.1\n0.5,nan\n1.0,0.2\n"),
+                       ("inf-t", "0.0,0.1\ninf,0.3\n1.0,0.2\n"),
+                       ("decreasing", "0.0,0.1\n1.0,0.3\n0.5,0.2\n"),
+                       ("inf-at-0", "0.0,inf\n0.5,0.1\n1.0,0.2\n")]:
+        unmeasurable[name] = tmp_path / f"d-{name}.csv"
+        unmeasurable[name].write_text("t,density\n" + rows)
     moments_null = tmp_path / "null.json"
     moments_null.write_text('{"moments": [null, 1, 2]}')
     moments_bool = tmp_path / "bool.json"
@@ -138,6 +145,8 @@ def _input_error_argv(case, config, tmp_path):
         "lambda-grid-inf": ["oracle", config, *up, "--lambda-grid", "0:inf:0.01"],
         "density-header-only": ["compare", "--density", str(header_only),
                                 "--samples", str(samples)],
+        **{f"density-{name}": ["compare", "--density", str(path), "--samples", str(samples)]
+           for name, path in unmeasurable.items()},
         "precision-0": ["moments", config, *up, "--precision", "0"],
         "mle-precision-0": [*mle, "--fixed", str(fixed), "--precision", "0"],
         "mle-nmax-1": [*mle, "--fixed", str(fixed), "--nmax", "1"],
@@ -163,6 +172,8 @@ def _input_error_argv(case, config, tmp_path):
                                    "--init", "sigma=0.2,r=5", "--fixed", str(fixed)],
         "mle-init-unknown": ["mle", "--samples", str(samples), "--estimate", "sigma",
                              "--init", "sigma=0.2,bogus=1", "--fixed", str(fixed)],
+        "mle-init-out-of-bounds": ["mle", "--samples", str(samples), "--estimate", "sigma,r",
+                                   "--init", "sigma=0.2,r=12", "--fixed", str(fixed)],
     }[case]
 
 
@@ -172,7 +183,9 @@ def _input_error_argv(case, config, tmp_path):
                                   "fixed-string", "fixed-huge-int", "order-negative",
                                   "nmax-negative", "horizon-inf", "mle-estimate-twice",
                                   "mle-init-nan", "mle-max-iter-negative",
-                                  "mle-init-not-estimated", "mle-init-unknown"])
+                                  "mle-init-not-estimated", "mle-init-unknown",
+                                  "mle-init-out-of-bounds", "density-nan", "density-inf-t",
+                                  "density-decreasing", "density-inf-at-0"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli
@@ -184,6 +197,15 @@ def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, caps
     code, out, err = run(capsys, *_input_error_argv(case, config_path, tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_compare_names_the_first_row_it_cannot_measure(tmp_path, capsys):
+    # what `density` writes at t = 0 when the matched Gamma shape offset is negative
+    density = tmp_path / "d.csv"
+    density.write_text("t,density\n0.0,inf\n0.5,0.1\n1.0,0.2\n")
+    code, out, err = run(capsys, "compare", "--density", str(density), "--samples", "s.csv")
+    assert (code, out) == (1, "")
+    assert "line 2 (t = 0.0, density = inf)" in err and "start the grid above 0" in err
 
 
 def test_bad_usage_exits_1(capsys):
@@ -199,6 +221,7 @@ def test_bad_usage_exits_1(capsys):
     ["compare", "--density", "d.csv", "--samples", "s.csv", "--precision", "128"],
     ["density", "config.json", "--direction", "up", "--threshold", "1e4",
      "--grid", "0:30:0.5", "--tol", "1e-6"],
+    ["moments", "config.json", "--direction", "up", "--threshold", "1e4", "--method", "bell"],
 ])
 def test_switches_a_command_never_read_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -41,6 +41,10 @@ def test_config_validation():
     for stray in ({"r": 5.0}, {"bogus": 1.0}):  # a value the fit would ignore
         with pytest.raises(InvalidParams, match="not estimated"):
             cfg_for(["sigma"], init={"sigma": 0.2, **stray})
+    hi = DEFAULT_BOUNDS["r"][1]  # a start the simplex would clip, after one evaluation
+    with pytest.raises(InvalidParams, match="r = 12.0 not in"):
+        cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": hi + 2})
+    cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": hi})
 
 
 @pytest.mark.parametrize("n_max", [1, 0])

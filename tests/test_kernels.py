@@ -357,20 +357,20 @@ def numbers(ms) -> tuple:
                                             (3.91e7, (2.8e7, 2.5e7, 2.01e7))],
                          ids=["up", "down"])
 def test_a_threshold_scan_sums_its_starting_state_once(monkeypatch, x0, thresholds):
-    from logifpt import Direction, FptProblem, MomentMethod, fpt_moments
+    from logifpt import Direction, FptProblem, fpt_moments
+    from tests.oracles import bell_moments
 
     d = fisheries_at(x0)
     direction = Direction.UP if thresholds[0] > x0 else Direction.DOWN
-    requests = [(FptProblem(direction, t), method)
-                for method in (MomentMethod.RECURSION, MomentMethod.BELL_CLOSED_FORM)
-                for t in thresholds]
+    requests = [(FptProblem(direction, t), route)
+                for route in (fpt_moments, bell_moments) for t in thresholds]
     fresh = []
-    for prob, method in requests:
+    for prob, route in requests:
         monkeypatch.setattr(kernels, "_table", None)
-        fresh.append(numbers(fpt_moments(d, prob, 10, method=method)))
+        fresh.append(numbers(route(d, prob, 10)))
     monkeypatch.setattr(kernels, "_table", None)
     calls = count_sums(monkeypatch)
-    scan = [numbers(fpt_moments(d, prob, 10, method=method)) for prob, method in requests]
+    scan = [numbers(route(d, prob, 10)) for prob, route in requests]
     # x0 once and each threshold once, over both routes
     assert len(calls) == 1 + len(thresholds)
     assert scan == fresh

@@ -11,12 +11,12 @@ from mpmath import mp, mpf
 from scipy import integrate, optimize, special, stats
 
 from logifpt import (Direction, FptProblem, GammaRef, LaguerreApproximant, ModelParams,
-                     MomentMethod, MomentSet, build_approximant, derive_params, fpt_moments,
+                     MomentSet, build_approximant, derive_params, fpt_moments,
                      laguerre_coeffs, match_gamma, select_order)
 from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                             LogifptError, SingularOriginWarning, ZeroVariance)
 from tests.conftest import FISHERIES, fisheries_at, fisheries_like, rel_err
-from tests.oracles import laguerre_poly, rising_factorial
+from tests.oracles import bell_moments, laguerre_poly, rising_factorial
 
 UP4 = FptProblem(Direction.UP, 1e4)
 
@@ -25,7 +25,7 @@ def moment_set(values, precision=256, order=None):
     with mp.workprec(precision):
         vals = tuple(mpf(v) for v in values)
     return MomentSet(problem=UP4, order=order or len(vals), moments=vals,
-                     method=MomentMethod.EMPIRICAL, precision=precision)
+                     precision=precision)
 
 
 def gamma_moment_set(alpha, beta, order):
@@ -359,8 +359,7 @@ def test_noise_coefficients_leave_no_negative_mass():
     negative mass of -1.0."""
     params = {k: FISHERIES[k] for k in ("K", "q", "E")}
     d = derive_params(ModelParams(**params, r=6.63, sigma=0.577, x0=4e7))
-    ms = fpt_moments(d, FptProblem(Direction.DOWN, 2.5e7), 10,
-                     method=MomentMethod.BELL_CLOSED_FORM)
+    ms = bell_moments(d, FptProblem(Direction.DOWN, 2.5e7), 10)
     assert all(ms.flagged)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -476,8 +475,7 @@ def test_coeffs_round_as_the_mpf_chain(precision, alpha, beta, moments, negative
         for j, m in enumerate((mpf(1),) + mu):
             c.append(scale * m)
             scale *= -g.beta_mp / (g.alpha_mp + j + 1)
-    ms = MomentSet(problem=UP4, order=len(mu), moments=mu, method=MomentMethod.EMPIRICAL,
-                   precision=precision)
+    ms = MomentSet(problem=UP4, order=len(mu), moments=mu, precision=precision)
     got = laguerre_coeffs(ms, g, len(mu))
     with mp.workprec(8192):  # wide enough to hold every sum exactly
         exact = [mpmath.fsum(math.comb(k, j) * c[j] for j in range(k + 1))

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from logifpt.errors import NonPositiveConstantTerm, ZeroConstantTerm
-from logifpt.series import (ExpSeries, bell_partial_table, binomial_series,
-                            log_polynomials, series_exp, series_product, series_ratio,
-                            series_reciprocal_bell)
-from tests.oracles import (bell_partial, falling_factorial, identity, rising_factorial,
-                           series_log, series_reciprocal, stirling1_unsigned)
+from logifpt.series import (ExpSeries, binomial_series, log_polynomials, series_exp,
+                            series_product, series_ratio)
+from tests.oracles import (bell_partial, bell_partial_table, falling_factorial, identity,
+                           rising_factorial, series_log, series_reciprocal,
+                           series_reciprocal_bell, stirling1_unsigned)
 
 PREC = 256
 
