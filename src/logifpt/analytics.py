@@ -29,7 +29,8 @@ from functools import cached_property
 import mpmath
 from mpmath import mp, mpf
 
-from .kernels import SeriesDiagnostics, _fixed_quotient, l_series, lbar_series
+from .errors import InvalidParams
+from .kernels import N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient, l_series, lbar_series
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 from .series import ExpSeries, binomial_series, log_polynomials, series_product, series_ratio
 
@@ -147,9 +148,12 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     asymptotic sums are attached and orders above FLAG_RTOL are flagged.
     Upcrossing sums are convergent, their estimates are 0, and the relative
     error estimates are exact zeros with no order flagged.
+    An order outside 1..N_MAX_DEFAULT, the kernel table bound, raises
+    InvalidParams before any table is built.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= N_MAX_DEFAULT:
+        raise InvalidParams(f"order must be in 1..{N_MAX_DEFAULT} (the kernel table bound), "
+                            f"got {order}")
     if validate_problem(d, prob):
         return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
                          precision=d.precision, degenerate=True,

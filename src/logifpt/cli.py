@@ -1,9 +1,12 @@
 """Command-line interface: file-based, reproducible workflows.
 
-Subcommands compose through files (simulate -> compare -> mle); every
-output file is accompanied or embedded with a manifest sufficient to
-reproduce it.  Exit codes: 0 success (possibly with warnings on stderr),
-1 input error, 2 infeasible model regime, 3 numerical non-convergence.
+Subcommands compose through files (simulate -> compare -> mle).  Every
+output carries a manifest sufficient to reproduce it: a JSON output embeds
+it under ``manifest``, and a CSV written with ``--out X`` gets one sidecar,
+``X.json``, holding the command's diagnostics and the manifest (a CSV
+written to stdout gets none).  Exit codes: 0 success (possibly with
+warnings on stderr), 1 input error, 2 infeasible model regime, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (InvalidParams, LogifptError, NoConvergence, NonPersistentRe
 from .hypergeom import HypEvalConfig, laplace_transform
 from .inference import MleConfig, mle_fit
 from .laguerre import build_approximant
-from .model import (DEFAULT_PRECISION, Direction, FptProblem, ModelParams,
+from .model import (DEFAULT_PRECISION, DerivedParams, Direction, FptProblem, ModelParams,
                     derive_params, validate_problem)
 from .montecarlo import (SimConfig, empirical_moments, kde, read_samples_csv,
                          sample_fpt, write_samples_csv)
@@ -36,6 +39,8 @@ _INPUT_ERRORS = (InvalidParams, FileNotFoundError, IsADirectoryError,
                  PermissionError, json.JSONDecodeError, KeyError, ValueError)
 _REGIME_ERRORS = (NonPersistentRegime, InvalidHarvest, WrongSide, NoFeasibleStart)
 _NUMERIC_ERRORS = (NoConvergence, StencilFailure, QuadratureFailure)
+# the most points a --grid, --kde-grid or --lambda-grid may hold
+MAX_GRID_POINTS = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,9 +63,10 @@ def _manifest(args, extra=None) -> dict:
     return out
 
 
-def _write_manifest(path, manifest) -> None:
-    with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_sidecar(args, doc: dict, extra=None) -> None:
+    """Write OUT.json: the command's diagnostics ``doc`` and its manifest."""
+    with open(str(args.out) + ".json", "w") as fh:
+        json.dump({**doc, "manifest": _manifest(args, extra)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -71,8 +77,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise InvalidParams(f"grid must be start:stop:step, got {spec!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise InvalidParams(f"bad grid {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:  # inf included; nothing is allocated yet
+        raise InvalidParams(f"grid {spec!r} holds more than {MAX_GRID_POINTS} points")
+    return start + step * np.arange(int(math.floor(span)) + 1)
 
 
 def _json_number(value, what: str) -> float:
@@ -85,6 +93,11 @@ def _json_number(value, what: str) -> float:
         return float(value)
     except OverflowError as exc:
         raise InvalidParams(f"{what} is beyond the range of a float") from exc
+
+
+def _derived(args) -> DerivedParams:
+    """The config file's parameters, derived at --precision."""
+    return derive_params(ModelParams.from_json(args.config), precision=args.precision)
 
 
 def _problem(args) -> FptProblem:
@@ -100,10 +113,9 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_derive(args) -> int:
-    params = ModelParams.from_json(args.config)
-    d = derive_params(params, precision=args.precision)
+    d = _derived(args)
     doc = {
-        "params": params.to_dict(),
+        "params": d.params.to_dict(),
         "derived": d.floats(),
         "precision": args.precision,
         "regime": "persistent",
@@ -114,8 +126,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    params = ModelParams.from_json(args.config)
-    d = derive_params(params, precision=args.precision)
+    d = _derived(args)
     prob = _problem(args)
     ms = fpt_moments(d, prob, args.order)
     m, c = ms.moments_float, ms.cumulants.cumulants_float
@@ -132,19 +143,11 @@ def cmd_moments(args) -> int:
         lines.append(f"{k},{m[k - 1]!r},{c[k - 1]!r},{ratio},{est!r},{flag}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
-        _write_manifest(args.out, _manifest(args, {"params": params.to_dict(),
-                                                   "problem": prob.threshold,
-                                                   "direction": args.direction}))
-    if args.diagnostics:
         diag = ms.diagnostics.to_dict() if ms.diagnostics else {}
         diag["error_estimates"] = [float(e) for e in ms.error_estimates]
         diag["flagged"] = list(ms.flagged)
-        text = json.dumps(diag, indent=2) + "\n"
-        if args.out:
-            with open(str(args.out) + ".diagnostics.json", "w") as fh:
-                fh.write(text)
-        else:
-            sys.stderr.write(text)
+        _write_sidecar(args, diag, {"params": d.params.to_dict(), "problem": prob.threshold,
+                                    "direction": args.direction})
     return 0
 
 
@@ -172,8 +175,7 @@ def _moments_for_density(args, d, prob) -> MomentSet:
 
 
 def cmd_density(args) -> int:
-    params = ModelParams.from_json(args.config)
-    d = derive_params(params, precision=args.precision)
+    d = _derived(args)
     prob = _problem(args)
     validate_problem(d, prob)
     grid = _parse_grid(args.grid)
@@ -183,23 +185,19 @@ def cmd_density(args) -> int:
     lines = ["t,density"]
     lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), np.asarray(dens).tolist())]
     _emit("\n".join(lines) + "\n", args.out)
-    sidecar = {
-        "alpha": apx.gamma.alpha,
-        "beta": apx.gamma.beta,
-        "order": apx.order,
-        "coefficients": [float(c) for c in apx.coeffs],
-        "clip_applied": apx.clip_applied,
-        "renorm_factor": apx.renorm_factor,
-        "norm_residual": apx.norm_residual,
-        "negative_mass": apx.negative_mass,
-        "converged": apx.converged,
-        "moments_from": args.moments_from,
-        "manifest": _manifest(args, {"params": params.to_dict()}),
-    }
     if args.out:
-        with open(str(args.out) + ".json", "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_sidecar(args, {
+            "alpha": apx.gamma.alpha,
+            "beta": apx.gamma.beta,
+            "order": apx.order,
+            "coefficients": [float(c) for c in apx.coeffs],
+            "clip_applied": apx.clip_applied,
+            "renorm_factor": apx.renorm_factor,
+            "norm_residual": apx.norm_residual,
+            "negative_mass": apx.negative_mass,
+            "converged": apx.converged,
+            "moments_from": args.moments_from,
+        }, {"params": d.params.to_dict()})
     if not apx.converged:
         sys.stderr.write("warning: order selection did not converge; "
                          f"using n = {apx.order} (see sidecar diagnostics)\n")
@@ -207,18 +205,14 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = ModelParams.from_json(args.config)
-    d = derive_params(params, precision=args.precision)
-    prob = _problem(args)
-    cfg = SimConfig(problem=prob, paths=args.paths, dt=args.dt,
-                    horizon=args.horizon, seed=args.seed,
-                    interpolate_crossing=not args.no_interpolate)
+    d = _derived(args)
+    cfg = SimConfig(problem=_problem(args), paths=args.paths, dt=args.dt,
+                    horizon=args.horizon, seed=args.seed)
+    grid = _parse_grid(args.kde_grid) if args.kde_grid else None
     sample = sample_fpt(d, cfg)
     write_samples_csv(sample, args.out)
-    _write_manifest(args.out, _manifest(args, {"params": params.to_dict(),
-                                               "sim": cfg.to_dict()}))
-    if args.kde_grid:
-        grid = _parse_grid(args.kde_grid)
+    _write_sidecar(args, {}, {"params": d.params.to_dict(), "sim": cfg.to_dict()})
+    if grid is not None:
         dens = kde(sample, grid)
         lines = ["t,density"]
         lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), dens.tolist())]
@@ -302,11 +296,8 @@ def cmd_mle(args) -> int:
     direction = Direction(fixed_doc.pop("direction", "up"))
     init = _parse_init(args.init)
     for p in estimate:
-        if p not in init:
-            if p in fixed_doc:
-                init[p] = _json_number(fixed_doc[p], f"--fixed {p}")
-            else:
-                raise InvalidParams(f"no initial value for estimated parameter {p!r}")
+        if p not in init and p in fixed_doc:
+            init[p] = _json_number(fixed_doc[p], f"--fixed {p}")
     fixed = {k: _json_number(v, f"--fixed {k}") for k, v in fixed_doc.items()
              if k not in estimate}
     cfg = MleConfig(estimate=estimate, fixed=fixed, init=init, direction=direction,
@@ -324,8 +315,7 @@ def cmd_mle(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = ModelParams.from_json(args.config)
-    d = derive_params(params, precision=args.precision)
+    d = _derived(args)
     prob = _problem(args)
     validate_problem(d, prob)
     grid = _parse_grid(args.lambda_grid)
@@ -342,7 +332,7 @@ def cmd_oracle(args) -> int:
                          f"{abs(float(direct - acc))!r}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
-        _write_manifest(args.out, _manifest(args, {"params": params.to_dict()}))
+        _write_sidecar(args, {}, {"params": d.params.to_dict()})
     return 0
 
 
@@ -375,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     _add_problem(p)
     p.add_argument("--order", type=int, default=4)
-    p.add_argument("--diagnostics", action="store_true",
-                   help="emit truncation/error diagnostics")
     _add_common(p)
     p.set_defaults(func=cmd_moments)
 
@@ -397,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, required=True)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--no-interpolate", action="store_true",
-                   help="record crossings at grid points only")
     p.add_argument("--kde-grid", default=None,
                    help="also write a kernel-density curve on start:stop:step "
                         "to OUT.kde.csv")

@@ -34,6 +34,7 @@ from scipy import optimize
 from .analytics import fpt_moments
 from .errors import (EmptySample, ExpansionConditionWarning, InvalidParams,
                      LogifptError, NoFeasibleStart, SingularOriginWarning)
+from .kernels import N_MAX_DEFAULT
 from .laguerre import build_approximant, match_gamma
 from .model import MIN_PRECISION, Direction, FptProblem, ModelParams, derive_params
 from .montecarlo import FptSample, SimConfig, empirical_moments, sample_fpt
@@ -95,8 +96,8 @@ class MleConfig:
                                 f"{', '.join(outside)}")
         if self.max_iter < 1:
             raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_max < 2:  # the likelihood reads the variance
-            raise InvalidParams(f"n_max must be >= 2, got {self.n_max}")
+        if not 2 <= self.n_max <= N_MAX_DEFAULT:  # the likelihood reads the variance
+            raise InvalidParams(f"n_max must be in 2..{N_MAX_DEFAULT}, got {self.n_max}")
         if self.precision < MIN_PRECISION:
             raise InvalidParams(f"precision must be >= {MIN_PRECISION} bits, "
                                 f"got {self.precision}")

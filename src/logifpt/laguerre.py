@@ -9,15 +9,14 @@ The n-th approximant, in normalized form, is
 with generalized Laguerre polynomials L_k and the paper's Fourier
 coefficients B_k.  So b_0 = 1, the n = 0 truncation is the Gamma density,
 and matching (alpha, beta) to two moments makes b_1 and b_2 vanish.  The
-moments and the matched (alpha, beta) are ``mpf``; the terms c_j of the b_k
-are formed from their mantissas in Python ints, rounded as the ``mpf``
-chain rounds them, and the b_k are summed exactly, as integers at one binary
-exponent, and rounded once to the working precision (the sums alternate
-violently once moments span many decades): the b_k are the first ``mpf``
-this layer forms.  Evaluation runs in double precision through the
-three-term recurrence, with f_alpha taken through logarithms so that it is
-finite for every alpha > -1; at a float x (p(0), the sign of p between
-roots) the same operations run in Python floats and give the same double.
+moments, the matched (alpha, beta) and the terms c_j of the b_k are ``mpf``
+values; the b_k are summed exactly, as integers at one binary exponent,
+and rounded once to the working precision (the sums alternate violently
+once moments span many decades).  Evaluation runs in double precision
+through the three-term recurrence, with f_alpha taken through logarithms
+so that it is finite for every alpha > -1; at a float x (p(0), the sign of
+p between roots) the same operations run in Python floats and give the
+same double.
 
 Integrals are closed form.  By DLMF 18.9, d/dx [x^(alpha+1) e^-x
 L_(k-1)^(alpha+1)(x)] = k x^alpha e^-x L_k^(alpha)(x), so the raw
@@ -47,12 +46,12 @@ from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_neg, round_nearest
 from scipy import linalg, special
 
 from .analytics import MomentSet
 from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
                      SingularOriginWarning, ZeroVariance)
-from .kernels import _man_exp
 
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
@@ -112,62 +111,36 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
 
     b_k = Gamma(alpha + 1) B_k, where B_k are the paper's Fourier-Laguerre
     coefficients, so b_0 = 1.  The terms c_j = s_j mu_j, with the scale
-    s_j = (-beta)^j / (alpha + 1)_j a running product, are formed in Python
-    ints with the roundings of the ``mpf`` chain s_(j+1) = s_j (-beta /
-    ((alpha + j) + 1)): each step is exact and then rounded to nearest at the
-    working precision, the quotient by one floor division whose remainder
-    decides the rounding.  No Gamma function is evaluated.  The c_j are
-    brought to one binary exponent as exact ints, so each alternating sum
-    b_k = sum_j C(k, j) c_j is exact and rounded once.
+    s_j = (-beta)^j / (alpha + 1)_j a running product, follow the ``mpf``
+    chain s_(j+1) = s_j (-beta / ((alpha + j) + 1)), run on ``_mpf_`` tuples
+    through the ``mpmath.libmp`` functions that ``mpf``'s operators call, each
+    rounded to nearest at the working precision.  No Gamma function is
+    evaluated.  The c_j are brought to one binary exponent as exact ints, so
+    each alternating sum b_k = sum_j C(k, j) c_j is exact and rounded once.
     """
     if n < 0:
         raise InvalidParams(f"order must be >= 0, got {n}")
     if ms.order < n:
         raise InsufficientMoments(f"need {n} moments, MomentSet carries {ms.order}")
-    mu = [_man_exp(m) for m in ms.moments[:n]]
-    if any(not man and exp for man, exp in mu):  # mpf inf and nan: mantissa 0, exponent not 0
+    if not all(map(mp.isfinite, ms.moments[:n])):
         raise InvalidParams(f"moments must be finite, got {ms.moments_float[:n]}")
-    prec = ms.precision
-    b_man, b_exp = _rounded(*_man_exp(g.beta_mp), prec)  # as mpf negation rounds -beta
-    a_man, a_exp = _man_exp(g.alpha_mp)
-    s_man, s_exp = 1, 0
-    parts = [(1, 0)]
-    for j, (m_man, m_exp) in enumerate(mu):
-        # s_(j+1) = s_j (-beta / ((alpha + j) + 1)), rounded after each operation
-        t_man, t_exp = _rounded(*_plus_int(a_man, a_exp, j), prec)
-        t_man, t_exp = _rounded(*_plus_int(t_man, t_exp, 1), prec)
-        by = prec + 3 + t_man.bit_length() - b_man.bit_length()  # >= prec + 2 bits
-        q, r = divmod(b_man << by, t_man)
-        q_man, q_exp = _rounded(-((q << 1) | (r != 0)), b_exp - t_exp - by - 1, prec)
-        s_man, s_exp = _rounded(s_man * q_man, s_exp + q_exp, prec)
-        parts.append(_rounded(s_man * m_man, s_exp + m_exp, prec))
-    low = min(e for _, e in parts)
-    row = [m << (e - low) for m, e in parts]
+    prec, rnd = ms.precision, round_nearest
+    one = from_int(1)
+    neg_beta = mpf_neg(g.beta_mp._mpf_, prec, rnd)
+    s = one
+    parts = [one]
+    for j, m in enumerate(ms.moments[:n]):
+        t = mpf_add(mpf_add(g.alpha_mp._mpf_, from_int(j), prec, rnd), one, prec, rnd)
+        s = mpf_mul(s, mpf_div(neg_beta, t, prec, rnd), prec, rnd)
+        parts.append(mpf_mul(s, m._mpf_, prec, rnd))
+    low = min(e for _, _, e, _ in parts)
+    row = [(-m if sign else m) << (e - low) for sign, m, e, _ in parts]
     b = []
     for _ in range(n + 1):  # b_k = sum_j C(k, j) c_j, by Pascal's rule in k
         b.append(row[0])
         row = [x + y for x, y in zip(row, row[1:])]
     with mp.workprec(prec):
         return [mpf((x, low)) for x in b]
-
-
-def _plus_int(man: int, exp: int, k: int) -> tuple:
-    """man 2^exp + k, exactly."""
-    low = min(exp, 0)
-    return (man << (exp - low)) + (k << -low), low
-
-
-def _rounded(man: int, exp: int, prec: int) -> tuple:
-    """man 2^exp rounded to nearest at prec bits, ties to even: the rounding
-    of an ``mpf`` operation at precision prec."""
-    mag = abs(man)
-    n = mag.bit_length() - prec
-    if n <= 0:
-        return man, exp
-    q, rem, half = mag >> n, mag & ((1 << n) - 1), 1 << (n - 1)
-    if rem > half or (rem == half and q & 1):
-        q += 1
-    return (q if man > 0 else -q), exp + n
 
 
 def _gamma_pdf(alpha: float, x):

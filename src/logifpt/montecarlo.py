@@ -41,12 +41,13 @@ CSV_MAGIC = "# logifpt fpt-sample v1"
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation run's settings; ``to_dict`` is its sample file's config line."""
+
     problem: FptProblem
     paths: int
     dt: float
     horizon: float
     seed: int
-    interpolate_crossing: bool = True
 
     def __post_init__(self):
         if self.paths < 1:
@@ -74,16 +75,15 @@ class SimConfig:
             "dt": self.dt,
             "horizon": self.horizon,
             "seed": self.seed,
-            "interpolate_crossing": self.interpolate_crossing,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """Inverse of ``to_dict``; other keys (older files' interpolate_crossing) are ignored."""
         return cls(
             problem=FptProblem(Direction(d["direction"]), float(d["threshold"])),
             paths=int(d["paths"]), dt=float(d["dt"]), horizon=float(d["horizon"]),
             seed=int(d["seed"]),
-            interpolate_crossing=bool(d.get("interpolate_crossing", True)),
         )
 
 
@@ -143,10 +143,10 @@ def _path_generators(seed: int, ids) -> list:
 def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
     """Simulate cfg.paths trajectories and collect first-crossing times.
 
-    The crossing is recorded at the first grid point past the threshold or,
-    with interpolate_crossing, linearly interpolated between the bracketing
-    grid values (removes most of the O(dt) grid bias).  Raises WrongSide
-    when x0 lies past the threshold; at x0 == threshold every time is 0.
+    The crossing time is linearly interpolated between the grid values that
+    bracket the threshold, which removes most of the O(dt) bias of recording
+    the first grid point past it.  Raises WrongSide when x0 lies past the
+    threshold; at x0 == threshold every time is 0.
     """
     if validate_problem(d, cfg.problem):
         return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg,
@@ -184,12 +184,8 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
             done = crossed_at >= 0
             if done.any():
                 jc = crossed_at[done].astype(float)
-                if cfg.interpolate_crossing:
-                    frac = (threshold - x_before[done]) / (x_after[done] - x_before[done])
-                    t_cross = (base + jc) * dt + dt * frac
-                else:
-                    t_cross = (base + jc + 1.0) * dt
-                all_times.append(t_cross)
+                frac = (threshold - x_before[done]) / (x_after[done] - x_before[done])
+                all_times.append((base + jc) * dt + dt * frac)
             keep = ~done
             x = cur[keep]
             gens = [g for g, k in zip(gens, keep) if k]

@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 from logifpt import (CumulantSet, Direction, FptProblem, cumulants_from_moments,
                      derive_params, fpt_cumulants, fpt_moments)
 from logifpt.analytics import FLAG_RTOL
-from logifpt.errors import LogifptError
+from logifpt.errors import InvalidParams, LogifptError
 from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
@@ -223,6 +223,22 @@ def test_degenerate_problem_all_zero(fisheries):
     cs = fpt_cumulants(fisheries, prob, 4)
     assert cs.degenerate and all(c == 0 for c in cs.cumulants)
     assert mean_variance_closed_form(fisheries, prob) == (0, 0)
+
+
+@pytest.mark.parametrize("order", [0, 257])
+@pytest.mark.parametrize("direction, x0, threshold", [("up", 100.0, 1e4),
+                                                      ("down", 6e7, 3.91e7)])
+def test_orders_outside_the_kernel_table_are_refused(monkeypatch, order, direction, x0,
+                                                     threshold):
+    import logifpt.kernels as kernels
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a kernel table was built for an order it cannot serve")
+
+    monkeypatch.setattr(kernels, "ensure_table", not_reached)
+    d = fisheries_at(x0)
+    with pytest.raises(InvalidParams, match=f"1..{kernels.N_MAX_DEFAULT}.*got {order}"):
+        fpt_moments(d, FptProblem(Direction(direction), threshold), order)
 
 
 def test_degenerate_recursion_collapses_by_induction():

@@ -143,6 +143,13 @@ def _input_error_argv(case, config, tmp_path):
         "fixed-list": [*mle, "--fixed", str(listed)],
         "grid-inf": ["density", config, *up, "--grid", "0:inf:0.5"],
         "lambda-grid-inf": ["oracle", config, *up, "--lambda-grid", "0:inf:0.01"],
+        # (stop - start) / step overflows to inf, or asks for 1e15 points
+        "grid-overflow": ["density", config, *up, "--grid", "0:1e300:1e-300"],
+        "grid-too-many": ["density", config, *up, "--grid", "0:1e12:1e-3"],
+        "lambda-grid-too-many": ["oracle", config, *up, "--lambda-grid", "0:1e12:1e-3"],
+        "kde-grid-too-many": ["simulate", config, *up, "--paths", "4", "--dt", "0.01",
+                              "--horizon", "1", "--kde-grid", "0:1e12:1e-3",
+                              "--out", str(tmp_path / "sim.csv")],
         "density-header-only": ["compare", "--density", str(header_only),
                                 "--samples", str(samples)],
         **{f"density-{name}": ["compare", "--density", str(path), "--samples", str(samples)]
@@ -150,6 +157,7 @@ def _input_error_argv(case, config, tmp_path):
         "precision-0": ["moments", config, *up, "--precision", "0"],
         "mle-precision-0": [*mle, "--fixed", str(fixed), "--precision", "0"],
         "mle-nmax-1": [*mle, "--fixed", str(fixed), "--nmax", "1"],
+        "mle-nmax-257": [*mle, "--fixed", str(fixed), "--nmax", "257"],
         "moments-null": ["density", config, *up, "--grid", "0:1:0.5",
                          "--moments-from", f"moments:{moments_null}"],
         "moments-bool": ["density", config, *up, "--grid", "0:1:0.5",
@@ -178,11 +186,13 @@ def _input_error_argv(case, config, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["moments-list", "fixed-list", "grid-inf", "lambda-grid-inf",
-                                  "density-header-only", "precision-0", "mle-precision-0",
-                                  "mle-nmax-1", "moments-null", "moments-bool", "fixed-null",
-                                  "fixed-string", "fixed-huge-int", "order-negative",
-                                  "nmax-negative", "horizon-inf", "mle-estimate-twice",
-                                  "mle-init-nan", "mle-max-iter-negative",
+                                  "grid-overflow", "grid-too-many", "lambda-grid-too-many",
+                                  "kde-grid-too-many", "density-header-only", "precision-0",
+                                  "mle-precision-0", "mle-nmax-1", "mle-nmax-257",
+                                  "moments-null", "moments-bool", "fixed-null", "fixed-string",
+                                  "fixed-huge-int", "order-negative", "nmax-negative",
+                                  "horizon-inf", "mle-estimate-twice", "mle-init-nan",
+                                  "mle-max-iter-negative",
                                   "mle-init-not-estimated", "mle-init-unknown",
                                   "mle-init-out-of-bounds", "density-nan", "density-inf-t",
                                   "density-decreasing", "density-inf-at-0"])
@@ -194,9 +204,22 @@ def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, caps
         raise AssertionError("moments computed before the input was checked")
 
     monkeypatch.setattr(logifpt.cli, "fpt_moments", not_reached)
+    monkeypatch.setattr(logifpt.cli, "sample_fpt", not_reached)
     code, out, err = run(capsys, *_input_error_argv(case, config_path, tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("direction, x0, threshold", [("up", 100.0, "1e4"),
+                                                      ("down", 6e7, "3.91e7")])
+def test_moments_beyond_the_kernel_table_exit_1(tmp_path, capsys, direction, x0, threshold):
+    # a downcrossing sum of order m starts at n = m, past the table's last n = 256
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**FISHERIES, "x0": x0}))
+    code, out, err = run(capsys, "moments", str(path), "--direction", direction,
+                         "--threshold", threshold, "--order", "257")
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: order must be in 1..256") and "Traceback" not in err
 
 
 def test_compare_names_the_first_row_it_cannot_measure(tmp_path, capsys):
@@ -222,6 +245,9 @@ def test_bad_usage_exits_1(capsys):
     ["density", "config.json", "--direction", "up", "--threshold", "1e4",
      "--grid", "0:30:0.5", "--tol", "1e-6"],
     ["moments", "config.json", "--direction", "up", "--threshold", "1e4", "--method", "bell"],
+    ["moments", "config.json", "--direction", "up", "--threshold", "1e4", "--diagnostics"],
+    ["simulate", "config.json", "--direction", "up", "--threshold", "1e4", "--paths", "10",
+     "--dt", "0.01", "--horizon", "1", "--out", "s.csv", "--no-interpolate"],
 ])
 def test_switches_a_command_never_read_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -287,17 +313,71 @@ def test_moments_down_diagnostics(config_path, tmp_path, capsys):
     p2.write_text(json.dumps(cfg))
     out_path = tmp_path / "m.csv"
     code, _, _ = run(capsys, "moments", str(p2), "--direction", "down",
-                     "--threshold", "3.91e7", "--order", "4",
-                     "--out", str(out_path), "--diagnostics")
+                     "--threshold", "3.91e7", "--order", "4", "--out", str(out_path))
     assert code == 0
     rows = out_path.read_text().strip().splitlines()
     assert len(rows) == 5
     est = float(rows[1].split(",")[4])
     assert est > 0
-    diag = json.loads((tmp_path / "m.csv.diagnostics.json").read_text())
-    assert len(diag["trunc_index"]) == 5
-    manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
-    assert manifest["command"] == "moments"
+    sidecar = json.loads((tmp_path / "m.csv.json").read_text())
+    assert len(sidecar["trunc_index"]) == 5
+    assert sidecar["manifest"]["command"] == "moments"
+
+
+def test_each_csv_output_gets_one_json_sidecar(tmp_path, capsys):
+    from logifpt import Direction, FptProblem, ModelParams, derive_params, fpt_moments
+
+    down = tmp_path / "down.json"
+    down.write_text(json.dumps({**FISHERIES, "x0": 6.0e7}))
+    runs = {
+        "moments": [str(down), "--direction", "down", "--threshold", "3.91e7",
+                    "--order", "4"],
+        "density": [str(down), "--direction", "down", "--threshold", "3.91e7",
+                    "--grid", "0.5:20:0.5"],
+        "simulate": [str(down), "--direction", "down", "--threshold", "3.91e7",
+                     "--paths", "50", "--dt", "0.01", "--horizon", "80", "--seed", "2",
+                     "--kde-grid", "0:40:0.5"],
+        "oracle": [str(down), "--direction", "down", "--threshold", "3.91e7",
+                   "--lambda-grid", "0:0.02:0.01", "--order", "4"],
+    }
+    for command, argv in runs.items():
+        outdir = tmp_path / command
+        outdir.mkdir()
+        out = outdir / "X"
+        code, _, _ = run(capsys, command, *argv, "--out", str(out))
+        assert code == 0
+        extra = {"X.kde.csv"} if command == "simulate" else set()
+        assert {f.name for f in outdir.iterdir()} == {"X", "X.json"} | extra
+        sidecar = json.loads((outdir / "X.json").read_text())
+        assert sidecar["manifest"]["command"] == command
+        if command == "moments":
+            ms = fpt_moments(derive_params(ModelParams(**{**FISHERIES, "x0": 6.0e7})),
+                             FptProblem(Direction.DOWN, 3.91e7), 4)
+            assert sidecar["trunc_index"] == list(ms.diagnostics.trunc_index)
+            assert sidecar["error_estimates"] == [float(e) for e in ms.error_estimates]
+            assert sidecar["flagged"] == list(ms.flagged)
+            assert sidecar["manifest"]["direction"] == "down"
+
+
+def test_readme_lists_every_switch():
+    import re
+    from pathlib import Path
+
+    from logifpt.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = build_parser()._subparsers._group_actions[0].choices
+    switches = {name: {o for a in p._actions for o in a.option_strings}
+                - {"-h", "--help"} for name, p in commands.items()}
+    missing = sorted(f"{name} {o}" for name, opts in switches.items() for o in opts
+                     if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme))
+    assert missing == []
+    # each `logifpt <cmd>` line of README, with its continuation lines
+    usages = re.findall(r"^logifpt (\w+)((?:.*\\\n)*.*)$", readme, flags=re.M)
+    assert {name for name, _ in usages} == set(commands)
+    stale = sorted(f"{name} {o}" for name, line in usages
+                   for o in re.findall(r"--[\w-]+", line) if o not in switches[name])
+    assert stale == []
 
 
 def test_density_from_exact_gamma_moments(config_path, tmp_path, capsys):

@@ -55,6 +55,14 @@ def test_config_refuses_an_order_cap_below_two(n_max):
     cfg_for(["sigma"], init={"sigma": 0.2}, n_max=2)
 
 
+def test_config_refuses_an_order_cap_beyond_the_kernel_table():
+    from logifpt.kernels import N_MAX_DEFAULT
+
+    with pytest.raises(InvalidParams, match=f"n_max must be in 2..{N_MAX_DEFAULT}"):
+        cfg_for(["sigma"], init={"sigma": 0.2}, n_max=N_MAX_DEFAULT + 1)
+    cfg_for(["sigma"], init={"sigma": 0.2}, n_max=N_MAX_DEFAULT)
+
+
 def test_truth_beats_perturbation(sample_1k):
     cfg = cfg_for(["sigma"], init={"sigma": FISHERIES["sigma"]})
     ll_truth = log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg)

@@ -124,16 +124,6 @@ def test_downcrossing_sampling():
     assert abs(observed - target) < 4 * se
 
 
-def test_interpolation_reduces_grid_bias(fisheries):
-    base = dict(problem=UP4, paths=1500, dt=5e-3, horizon=60.0, seed=3)
-    interp = sample_fpt(fisheries, SimConfig(**base, interpolate_crossing=True))
-    grid = sample_fpt(fisheries, SimConfig(**base, interpolate_crossing=False))
-    target = float(fpt_moments(fisheries, UP4, 1).mean)
-    # grid detection always overshoots by up to one step
-    assert np.all(grid.times >= interp.times - 1e-12)
-    assert abs(np.mean(interp.times) - target) < abs(np.mean(grid.times) - target)
-
-
 def test_dt_refinement(fisheries, fisheries_mc_sample):
     # halving the step (2e-3 -> the benchmark's 1e-3) moves the sample mean
     # by less than one standard error at 1e5 paths
@@ -217,6 +207,20 @@ def test_config_validation():
     for dt, horizon in ((1e-3, math.inf), (math.inf, 1.0), (math.inf, math.inf)):
         with pytest.raises(InvalidParams, match="finite"):
             SimConfig(problem=UP4, paths=1, dt=dt, horizon=horizon, seed=0)
+
+
+def test_sample_file_from_before_the_grid_point_mode_is_read(tmp_path, fisheries):
+    """Older files name interpolate_crossing in their config; it is ignored."""
+    cfg = SimConfig(problem=UP4, paths=4, dt=1e-2, horizon=60.0, seed=17)
+    path = tmp_path / "sample.csv"
+    s = sample_fpt(fisheries, cfg)
+    write_samples_csv(s, path)
+    text = path.read_text()
+    assert "interpolate_crossing" not in text
+    path.write_text(text.replace('"horizon": 60.0',
+                                 '"horizon": 60.0, "interpolate_crossing": true'))
+    back = read_samples_csv(path)
+    assert back.config == cfg and np.array_equal(back.times, s.times)
 
 
 def test_sample_file_with_an_infinite_horizon_rejected(tmp_path, fisheries):
