@@ -4,11 +4,13 @@ Moments come from the coefficient recursion of the transform ratio, run in
 fixed-point Python ints (see :mod:`logifpt.kernels`): it reads the
 building-block sums as ints, and its first ``mpf`` is each moment.  At 256
 bits and order 10 it keeps upcrossing moments within 4.9e-76 of a 700-bit
-evaluation on the benchmark scenarios.  The test suite checks it against
-the Bell-polynomial closed form of the reciprocal denominator series, an
-independent route in ``mpf`` kept in ``tests/oracles.py``.  The error
-bounds and the cumulants stay in ``mpf``.  A :class:`MomentSet` from
-:func:`fpt_moments` keeps its two endpoint building-block series, whose
+evaluation of the same truncated sums on the benchmark scenarios, which
+measures rounding only; their accuracy, up to 8.5e-33 relative, is set by
+the cut of the l-sums at ``kernels.L_SERIES_TOL``.  The test suite checks
+it against the Bell-polynomial closed form of the reciprocal denominator
+series, an independent route in ``mpf`` kept in ``tests/oracles.py``.
+The error bounds and the cumulants stay in ``mpf``.  A :class:`MomentSet`
+from :func:`fpt_moments` keeps its two endpoint building-block series, whose
 ``mpf`` coefficients are formed on first use, and its
 ``cumulants`` property (computed on first use, then cached) takes the
 logarithmic polynomials of them, which is cheaper and better conditioned
@@ -19,6 +21,7 @@ All values are held in arbitrary precision and downcast only through the
 ``*_float`` accessors.  Downcrossing results carry per-order relative error
 estimates inherited from the optimally-truncated asymptotic sums; orders
 whose estimate exceeds FLAG_RTOL are flagged rather than silently returned.
+Upcrossing estimates are 0, which means "not estimated", not "exact".
 """
 
 from __future__ import annotations

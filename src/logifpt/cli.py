@@ -199,8 +199,9 @@ def cmd_density(args) -> int:
             "moments_from": args.moments_from,
         }, {"params": d.params.to_dict()})
     if not apx.converged:
+        see = f" (see {args.out}.json)" if args.out else ""
         sys.stderr.write("warning: order selection did not converge; "
-                         f"using n = {apx.order} (see sidecar diagnostics)\n")
+                         f"using n = {apx.order}{see}\n")
     return 0
 
 

@@ -20,6 +20,8 @@ must lie, the order is selected at the tolerance ``laguerre.ORDER_TOL``,
 and densities are floored at 1e-300 before the logarithm.
 Right-censored paths (no crossing by the end of the simulated horizon)
 enter through the survival function of the approximant.
+``scipy.optimize`` is imported inside :func:`mle_fit`, its one caller, so that
+importing the package, and every command but ``mle``, does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .analytics import fpt_moments
 from .errors import (EmptySample, ExpansionConditionWarning, InvalidParams,
@@ -183,6 +184,8 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
     ``n_evals`` counts every likelihood evaluation.  An empty estimate list
     returns the initial point unchanged and is reported as converged.
     """
+    from scipy import optimize
+
     if data.n == 0:
         raise EmptySample("cannot fit an empty sample")
     gamma_seed = None

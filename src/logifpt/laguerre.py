@@ -35,6 +35,9 @@ always reported.
 By orthogonality the raw expansion integrates to exactly 1, so
 ``norm_residual`` (Gauss-Laguerre quadrature of p, computed on first use)
 reports only how well p is conditioned in double precision.
+scipy is imported inside the three functions that call it (``_gamma_pdf``,
+``_raw_cdf``, ``_norm_residual``): at module level it would be most of the
+start-up time of every command, and most commands never evaluate a density.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from functools import cached_property
 import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_neg, round_nearest
-from scipy import linalg, special
 
 from .analytics import MomentSet
 from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
@@ -145,6 +147,8 @@ def laguerre_coeffs(ms: MomentSet, g: GammaRef, n: int):
 
 def _gamma_pdf(alpha: float, x):
     """f_alpha(x); at x = 0 it is 0, 1 or inf as alpha is > 0, = 0 or < 0."""
+    from scipy import special
+
     return np.exp(special.xlogy(alpha, x) - x - special.gammaln(alpha + 1))
 
 
@@ -165,6 +169,8 @@ def _coeff_sum(coeffs, alpha: float, x):
 
 def _raw_cdf(coeffs: np.ndarray, alpha: float, x):
     """F(x), the integral of f_alpha p over (0, x), by the DLMF 18.9 antiderivative."""
+    from scipy import special
+
     k = np.arange(1, len(coeffs))
     with np.errstate(invalid="ignore"):
         # x^(alpha+1) e^-x / Gamma(alpha+1): NaN at x = inf, where the term is 0
@@ -213,6 +219,8 @@ def _norm_residual(coeffs: np.ndarray, alpha: float) -> float:
     matrix, the weights (normalized to sum to 1) the squared first
     components of its eigenvectors.
     """
+    from scipy import linalg
+
     m = max(2 * len(coeffs) + 8, 24)
     k = np.arange(1, m)
     nodes, vecs = linalg.eigh_tridiagonal(2 * np.arange(m) + alpha + 1.0,

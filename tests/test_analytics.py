@@ -101,6 +101,30 @@ def test_upcrossing_moments_match_700_bits(name):
                 assert abs(got - want) <= mpf("1e-72") * abs(want), route.__name__
 
 
+def test_l_series_cut_sets_the_upcrossing_accuracy(monkeypatch):
+    """The 700-bit match above holds the truncation rule fixed, so it measures
+    rounding only.  What limits upcrossing moments is the cut at L_SERIES_TOL:
+    on up_large, cutting the l-sums at 1e-70 moves orders 1-10 by up to 8.5e-33
+    (relative).  L_SERIES_TOL = 1e-27, or a cut after three stagnant terms
+    instead of five, fails here."""
+    from logifpt import kernels
+
+    x0, threshold = BENCH_UP["up_large"]
+    d = fisheries_at(x0)
+    prob = FptProblem(Direction.UP, threshold)
+    monkeypatch.setattr(kernels, "_table", None)
+    default = fpt_moments(d, prob, 10)
+    tol_man, tol_exp = kernels._man_exp(mpf("1e-70"))
+    monkeypatch.setattr(kernels, "_TOL_MAN", tol_man)
+    monkeypatch.setattr(kernels, "_TOL_EXP", tol_exp)
+    monkeypatch.setattr(kernels, "_table", None)
+    tight = fpt_moments(d, prob, 10)
+    assert max(tight.diagnostics.trunc_index) > max(default.diagnostics.trunc_index)
+    with mp.workprec(d.precision):
+        for got, want in zip(default.moments, tight.moments):
+            assert abs(got - want) <= mpf("1e-31") * abs(want)
+
+
 # (u, x0, U) at the drift corners of the kernel-row tests.  The inputs to the
 # quotient span 2^238 at u = -1e4 (a = 2e-8) and 2^153 at u = -0.01 (a = 2e4)
 @pytest.mark.parametrize("u_value, x0, threshold", [(-1e4, 1.0, 5.0), (-0.01, 10.0, 500.0)],

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +437,22 @@ def test_density_theory_warns_when_unstable(config_path, tmp_path, capsys):
     assert (not sidecar["converged"]) or sidecar["clip_applied"] or sidecar["negative_mass"] > 0
 
 
+def test_density_warning_names_a_sidecar_only_with_out(config_path, tmp_path, capsys):
+    # up to 110 from 100 at nmax 8: order selection does not converge
+    argv = ["density", config_path, "--direction", "up", "--threshold", "110",
+            "--nmax", "8", "--grid", "0:2:0.5"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith("t,density\n")
+    assert "warning: order selection did not converge; using n = 8\n" in err
+    assert "(see" not in err
+    out_path = tmp_path / "d.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert ("warning: order selection did not converge; "
+            f"using n = 8 (see {out_path}.json)\n") in err
+    assert json.loads((tmp_path / "d.csv.json").read_text())["converged"] is False
+
+
 def test_density_down_high_writes_sidecar(tmp_path, capsys):
     # a clipped approximant: clip_applied must reach the sidecar as a JSON bool
     path = tmp_path / "high.json"
@@ -620,3 +640,64 @@ def test_oracle_cli_past_the_pole_exits_3(tmp_path, capsys):
                          "--order", "4")
     assert (code, out) == (3, "")
     assert "lam = -0.25" in err
+
+
+# Run in a fresh interpreter; prints, after each stage, the scipy modules loaded.
+SCIPY_PROBE = """
+import contextlib, io, json, math, sys
+from pathlib import Path
+
+work = Path(sys.argv[1])
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = {}
+import logifpt
+import logifpt.cli
+stages["import"] = scipy_loaded()
+
+def main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert logifpt.cli.main([str(a) for a in argv]) == 0, argv
+
+config = work / "config.json"
+up = ("--direction", "up", "--threshold", "1e4")
+main("derive", config)
+main("moments", config, *up, "--order", "4")
+main("oracle", config, *up, "--lambda-grid", "0:0.04:0.02", "--order", "4")
+main("simulate", config, *up, "--paths", "40", "--dt", "0.01", "--horizon", "60",
+     "--seed", "5", "--kde-grid", "0:40:0.5", "--out", work / "s.csv")
+rows = [f"{t!r},{t * t * math.exp(-t) / 2!r}" for t in (0.05 * i for i in range(801))]
+(work / "g.csv").write_text("t,density\\n" + "\\n".join(rows) + "\\n")
+main("compare", "--density", work / "g.csv", "--samples", work / "s.csv")
+stages["no-scipy commands"] = scipy_loaded()
+main("density", config, *up, "--order", "4", "--grid", "0:40:0.5")
+stages["density"] = scipy_loaded()
+main("density", config, *up, "--order", "4", "--grid", "0:40:0.5", "--out", work / "d.csv")
+stages["density --out"] = scipy_loaded()
+main("mle", "--samples", work / "s.csv", "--estimate", "sigma", "--fixed", work / "fixed.json",
+     "--init", "sigma=0.22", "--max-iter", "2")
+stages["mle"] = scipy_loaded()
+print(json.dumps(stages))
+"""
+
+
+def test_each_command_loads_only_the_scipy_it_calls(tmp_path):
+    """scipy is imported inside the functions that call it: the package, and
+    the commands that evaluate no density and fit nothing, load none of it."""
+    (tmp_path / "config.json").write_text(json.dumps(FISHERIES))
+    (tmp_path / "fixed.json").write_text(json.dumps({**FISHERIES, "U": 1e4, "direction": "up"}))
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    stages = json.loads(done.stdout)
+    assert stages["import"] == []
+    assert stages["no-scipy commands"] == []
+    assert "scipy.special" in stages["density"]
+    assert not {"scipy.linalg", "scipy.optimize"} & set(stages["density"])
+    assert "scipy.linalg" in stages["density --out"]
+    assert "scipy.optimize" in stages["mle"]
