@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .analytics import (CumulantSet, MomentSet, cumulants_from_moments, fpt_cumulants,
                         fpt_moments)
-from .hypergeom import HypEvalConfig, laplace_transform
+from .hypergeom import laplace_transform
 from .kernels import KernelTable, l_series, lbar_series, q_series, t_series
 from .laguerre import (GammaRef, LaguerreApproximant, build_approximant,
                        laguerre_coeffs, match_gamma, select_order)
@@ -17,7 +17,7 @@ from .inference import MleConfig, MleResult, StudyReport, log_likelihood, mc_stu
 
 __all__ = [
     "CumulantSet", "DerivedParams", "Direction", "FptProblem", "FptSample",
-    "GammaRef", "HypEvalConfig", "KernelTable", "LaguerreApproximant",
+    "GammaRef", "KernelTable", "LaguerreApproximant",
     "MleConfig", "MleResult", "ModelParams", "MomentSet",
     "SimConfig", "StudyReport", "DEFAULT_PRECISION", "build_approximant",
     "cumulants_from_moments", "derive_params", "empirical_moments",

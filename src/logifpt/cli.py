@@ -6,7 +6,8 @@ it under ``manifest``, and a CSV written with ``--out X`` gets one sidecar,
 ``X.json``, holding the command's diagnostics and the manifest (a CSV
 written to stdout gets none).  Exit codes: 0 success (possibly with
 warnings on stderr), 1 input error, 2 infeasible model regime, 3 numerical
-non-convergence.
+non-convergence; each package error carries its own as
+``LogifptError.exit_code``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .analytics import MomentSet, fpt_moments
-from .errors import (InvalidParams, LogifptError, NoConvergence, NonPersistentRegime,
-                     InvalidHarvest, NoFeasibleStart, QuadratureFailure, StencilFailure,
-                     WrongSide)
-from .hypergeom import HypEvalConfig, laplace_transform
+from .errors import InvalidParams, LogifptError
+from .hypergeom import PRECISION as ORACLE_PRECISION, laplace_transform
 from .inference import MleConfig, mle_fit
 from .laguerre import build_approximant
 from .model import (DEFAULT_PRECISION, DerivedParams, Direction, FptProblem, ModelParams,
@@ -35,10 +34,10 @@ from .model import (DEFAULT_PRECISION, DerivedParams, Direction, FptProblem, Mod
 from .montecarlo import (SimConfig, empirical_moments, kde, read_samples_csv,
                          sample_fpt, write_samples_csv)
 
-_INPUT_ERRORS = (InvalidParams, FileNotFoundError, IsADirectoryError,
-                 PermissionError, json.JSONDecodeError, KeyError, ValueError)
-_REGIME_ERRORS = (NonPersistentRegime, InvalidHarvest, WrongSide, NoFeasibleStart)
-_NUMERIC_ERRORS = (NoConvergence, StencilFailure, QuadratureFailure)
+_INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
+                 json.JSONDecodeError, KeyError, ValueError)
+# the stderr label of each exit code a LogifptError carries
+_EXIT_LABELS = {1: "input error", 2: "infeasible regime", 3: "numerical non-convergence"}
 # the most points a --grid, --kde-grid or --lambda-grid may hold
 MAX_GRID_POINTS = 10 ** 6
 
@@ -206,7 +205,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    d = _derived(args)
+    d = derive_params(ModelParams.from_json(args.config))  # the simulator runs in doubles
     cfg = SimConfig(problem=_problem(args), paths=args.paths, dt=args.dt,
                     horizon=args.horizon, seed=args.seed)
     grid = _parse_grid(args.kde_grid) if args.kde_grid else None
@@ -322,7 +321,7 @@ def cmd_oracle(args) -> int:
     grid = _parse_grid(args.lambda_grid)
     ms = fpt_moments(d, prob, order=args.order)
     lines = ["lambda,direct,series,abs_diff"]
-    with mp.workprec(HypEvalConfig.precision):
+    with mp.workprec(ORACLE_PRECISION):
         for lam in grid:
             direct = laplace_transform(d, prob, lam)
             acc = mpf(1)
@@ -337,11 +336,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _add_common(p, out_required=False):
+def _add_common(p):
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                    help="working precision in bits")
-    p.add_argument("--out", required=out_required,
-                   help="output file" if out_required else "output file (default: stdout)")
+    p.add_argument("--out", help="output file (default: stdout)")
 
 
 def _add_problem(p):
@@ -389,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kde-grid", default=None,
                    help="also write a kernel-density curve on start:stop:step "
                         "to OUT.kde.csv")
-    _add_common(p, out_required=True)  # simulate writes a sample file, not stdout
+    p.add_argument("--out", required=True, help="output file")  # a sample file, not stdout
     p.add_argument("--seed", type=int, default=0, help="RNG seed (64-bit)")
     p.set_defaults(func=cmd_simulate)
 
@@ -430,17 +428,11 @@ def main(argv=None) -> int:
     args.raw_argv = list(argv) if argv is not None else sys.argv[1:]
     try:
         return args.func(args)
-    except _REGIME_ERRORS as exc:
-        sys.stderr.write(f"infeasible regime: {exc}\n")
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        sys.stderr.write(f"numerical non-convergence: {exc}\n")
-        return 3
+    except LogifptError as exc:
+        sys.stderr.write(f"{_EXIT_LABELS[exc.exit_code]}: {exc}\n")
+        return exc.exit_code
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"input error: {exc}\n")
-        return 1
-    except LogifptError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 1
 
 

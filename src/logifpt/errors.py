@@ -2,7 +2,10 @@
 
 
 class LogifptError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; ``exit_code`` is the CLI's
+    exit status for it: 1 input, 2 infeasible regime, 3 non-convergence."""
+
+    exit_code = 1
 
 
 class InvalidParams(LogifptError):
@@ -12,16 +15,22 @@ class InvalidParams(LogifptError):
 class InvalidHarvest(InvalidParams):
     """Harvesting mortality q*E is at least the intrinsic growth rate r."""
 
+    exit_code = 2
+
 
 class NonPersistentRegime(LogifptError):
     """The persistence index is non-positive; interior thresholds are not
     guaranteed to be reached in finite time and the moment machinery of
     this package does not apply."""
 
+    exit_code = 2
+
 
 class WrongSide(LogifptError):
     """Threshold lies on the wrong side of the initial state for the
     requested crossing direction."""
+
+    exit_code = 2
 
 
 class ZeroConstantTerm(LogifptError):
@@ -36,6 +45,8 @@ class NoConvergence(LogifptError):
     """A convergent coefficient sum failed to satisfy its truncation rule
     within the table bound (``kernels.N_MAX_DEFAULT`` terms)."""
 
+    exit_code = 3
+
 
 class ZeroVariance(LogifptError):
     """Gamma moment matching needs a strictly positive variance."""
@@ -49,18 +60,17 @@ class EmptySample(LogifptError):
     """Operation requires at least one observed crossing time."""
 
 
-class QuadratureFailure(LogifptError):
-    """The oracle could not evaluate a confluent hypergeometric function
-    (mpmath's ``hyp1f1`` or ``hyperu`` raised its NoConvergence)."""
+class TransformFailure(LogifptError):
+    """The oracle's transform has no valid value at a lam: lam <= -1/a, the
+    value is not E[exp(-lam T)], or ``hyp1f1``/``hyperu`` did not converge."""
 
-
-class StencilFailure(LogifptError):
-    """Finite-difference stencil could not be evaluated, even after
-    shrinking the step."""
+    exit_code = 3
 
 
 class NoFeasibleStart(LogifptError):
     """Likelihood optimisation started from an infeasible parameter point."""
+
+    exit_code = 2
 
 
 class SingularOriginWarning(UserWarning):

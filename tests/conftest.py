@@ -1,3 +1,6 @@
+import time
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,22 @@ def scenario_grid():
 @pytest.fixture(scope="session")
 def scenarios():
     return scenario_grid()
+
+
+@dataclass(frozen=True)
+class OracleRun:
+    moments: dict    # golden scenario name -> its Cauchy-integral MomentSet, orders 1-10
+    seconds: float   # wall time to compute all six
+
+
+@pytest.fixture(scope="session")
+def oracle_moments(scenarios) -> OracleRun:
+    """The oracle moments of the golden scenarios, computed once per session."""
+    from tests.oracles import cauchy_moments
+
+    t0 = time.monotonic()
+    sets = {name: cauchy_moments(d, prob, 10) for name, d, prob in scenarios}
+    return OracleRun(sets, time.monotonic() - t0)
 
 
 @pytest.fixture(scope="session")

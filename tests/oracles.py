@@ -15,8 +15,8 @@ rule or formula that the library computes another way:
 - the Laguerre polynomials one at a time, against the coefficient sums of
   :mod:`logifpt.laguerre`;
 - the long-run simulated mean, against the stationary Gamma law;
-- moments by finite differences of the hypergeometric transform, against
-  the series moments.
+- moments of any order by Cauchy integrals of the hypergeometric
+  transform (the trapezoidal rule on a circle), against the series moments.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 from mpmath import mp, mpf
 
 from logifpt.analytics import FLAG_RTOL, CumulantSet, MomentSet, _propagate_errors, fpt_moments
-from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, QuadratureFailure,
-                            StencilFailure, ZeroConstantTerm)
-from logifpt.hypergeom import HypEvalConfig, laplace_transform
+from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, TransformFailure,
+                            ZeroConstantTerm)
+from logifpt.hypergeom import PRECISION, laplace_transform
 from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_DEFAULT,
                              KernelTable, _to_mpf, ensure_table, q_series)
 from logifpt.laguerre import _coeff_sum
@@ -395,63 +395,59 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
 
 # ---------------------------------------------------------------- hypergeom
 
-# central-difference stencils of second-order accuracy, offsets in units of h
-_STENCILS = {
-    1: ((-1, 1), ("-1/2", "1/2")),
-    2: ((-1, 0, 1), ("1", "-2", "1")),
-    3: ((-2, -1, 1, 2), ("-1/2", "1", "-1", "1/2")),
-    4: ((-2, -1, 0, 1, 2), ("1", "-4", "6", "-4", "1")),
-}
-# first difference step, in units of 1/a (the natural scale of the Laplace variable)
-FD_STEP = 1e-6
-# depth of the Richardson table
-FD_LEVELS = 4
+# trapezoidal nodes on the circle |lam| = rho, and rho as a fraction of the
+# distance R from 0 to the transform's nearest singularity
+CAUCHY_NODES = 48
+CAUCHY_RADIUS = 1 / 16
 
 
-def fd_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:
-    """Moments extracted from derivatives of the transform at the origin.
+def singularity_distance(d: DerivedParams, prob: FptProblem):
+    """R, the distance from 0 to the transform's nearest singularity, to a factor 2.
 
-    The k-th moment is (-1)^k times the k-th derivative, estimated with
-    second-order central stencils refined through a Richardson table of
-    FD_LEVELS levels.  Negative-lam evaluations stay inside the
-    analyticity region; on evaluation failure the step is halved a few
-    times before StencilFailure is raised.
+    Scans lam = -(1/a) 2^-j, j = 40, ..., 0, up to the first lam that
+    ``laplace_transform`` refuses or whose value does not exceed the last
+    one: short of the branch point -1/a and the first pole, E[exp(-lam T)]
+    grows as lam falls.  Raises TransformFailure when the first lam is refused.
     """
-    if not 1 <= order <= 4:
-        raise ValueError("finite-difference oracle supports orders 1..4")
+    accepted, previous = None, None
+    with mp.workprec(PRECISION):
+        for j in range(40, -1, -1):
+            lam = -mpf(2) ** -j / d.a
+            try:
+                value = laplace_transform(d, prob, lam)
+            except TransformFailure:
+                break
+            if previous is not None and not value > previous:
+                break
+            accepted, previous = lam, value
+    if accepted is None:
+        raise TransformFailure(f"the transform has no valid value even at lam = {float(lam)}")
+    return -accepted
+
+
+def cauchy_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> MomentSet:
+    """Moments from the Taylor coefficients of the transform phi at 0, by the
+    trapezoidal rule on the circle |lam| = rho (Bornemann 2011):
+
+        m_k = (-1)^k k! (1/N) sum_j phi(rho w^j) w^(-jk) rho^(-k),   w = e^(2 pi i / N),
+
+    with N = CAUCHY_NODES and rho = CAUCHY_RADIUS :func:`singularity_distance`.
+    The error falls as (rho/R)^N.  phi is real on the real axis, so
+    phi(conj lam) = conj phi(lam) and N/2 + 1 samples suffice.
+    """
     degenerate = validate_problem(d, prob)
     if degenerate:
         return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
-                         precision=HypEvalConfig.precision, degenerate=True)
-    with mp.workprec(HypEvalConfig.precision):
-        base_h = mpf(FD_STEP) / d.a
-        for attempt in range(6):
-            h = base_h / 2 ** attempt
-            cache = {}
-
-            def g(x):
-                if x not in cache:
-                    cache[x] = laplace_transform(d, prob, x)
-                return cache[x]
-
-            try:
-                moments = []
-                for k in range(1, order + 1):
-                    offs, coefs = _STENCILS[k]
-                    coefs = [mpf(c) for c in coefs]
-                    rows = []
-                    for lev in range(FD_LEVELS):
-                        hh = h / 2 ** lev
-                        val = sum(c * g(o * hh) for o, c in zip(offs, coefs)) / hh ** k
-                        rows.append([val])
-                    for i in range(1, FD_LEVELS):
-                        for lev in range(i, FD_LEVELS):
-                            rows[lev].append(
-                                (4 ** i * rows[lev][i - 1] - rows[lev - 1][i - 1])
-                                / (4 ** i - 1))
-                    moments.append((-1) ** k * rows[-1][-1])
-                return MomentSet(problem=prob, order=order, moments=tuple(moments),
-                                 precision=HypEvalConfig.precision)
-            except (StencilFailure, QuadratureFailure):
-                continue
-    raise StencilFailure("transform could not be evaluated on any usable stencil")
+                         precision=PRECISION, degenerate=True)
+    rho = singularity_distance(d, prob) * CAUCHY_RADIUS
+    half = CAUCHY_NODES // 2
+    with mp.workprec(PRECISION):
+        phi = [laplace_transform(d, prob, rho * mpmath.expjpi(mpf(2 * j) / CAUCHY_NODES))
+               for j in range(half + 1)]
+        moments = []
+        for k in range(1, order + 1):
+            total = phi[0] + (-1) ** k * phi[half] + 2 * mpmath.fsum(
+                mpmath.re(phi[j] * mpmath.expjpi(mpf(-2 * j * k) / CAUCHY_NODES))
+                for j in range(1, half))
+            moments.append((-1) ** k * mpmath.factorial(k) * total / (CAUCHY_NODES * rho ** k))
+    return MomentSet(problem=prob, order=order, moments=tuple(moments), precision=PRECISION)

@@ -14,7 +14,7 @@ from logifpt.errors import InvalidParams, LogifptError
 from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
-from tests.oracles import bell_moments, fd_moments, gamma_consistency, mean_variance_closed_form
+from tests.oracles import bell_moments, cauchy_moments, gamma_consistency, mean_variance_closed_form
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -64,9 +64,9 @@ def test_flat_ratios_high_dispersion_scenario():
         assert abs(b - 0.04) < 0.005
     assert diag.flatness < 0.01
     assert float(cs.cumulants[3]) > 1e6
-    fd = cumulants_from_moments(fd_moments(d, prob, 4))
+    oracle = cumulants_from_moments(cauchy_moments(d, prob, 4))
     with mp.workprec(d.precision):
-        assert abs(fd.cumulants[3] / cs.cumulants[3] - 1) < mpf("1e-6")
+        assert abs(oracle.cumulants[3] / cs.cumulants[3] - 1) < mpf("1e-6")
 
 
 @pytest.mark.parametrize("name", ["up_1e4", "down_deep"])
@@ -404,8 +404,8 @@ def test_random_upcrossing_against_oracle(r, rho, K, x0_frac, mult):
         assert a.moments[1] >= a.moments[0] ** 2
         for x, y in zip(a.moments, b.moments):
             assert abs(x / y - 1) < mpf("1e-20")
-        fd = fd_moments(d, prob, 2)
-        for x, y in zip(fd.moments, a.moments):
+        oracle = cauchy_moments(d, prob, 2)
+        for x, y in zip(oracle.moments, a.moments):
             assert abs(x / y - 1) < mpf("1e-6")
 
 

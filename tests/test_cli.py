@@ -61,8 +61,7 @@ EXIT_CODES = {
     errors.InsufficientMoments: 1, errors.EmptySample: 1,
     errors.InvalidHarvest: 2, errors.NonPersistentRegime: 2, errors.WrongSide: 2,
     errors.NoFeasibleStart: 2,
-    errors.NoConvergence: 3, errors.QuadratureFailure: 3,
-    errors.StencilFailure: 3,
+    errors.NoConvergence: 3, errors.TransformFailure: 3,
 }
 
 
@@ -71,6 +70,8 @@ def test_every_package_error_has_an_exit_code():
         return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
 
     assert subclasses(errors.LogifptError) == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        assert cls.exit_code == code, cls.__name__
 
 
 @pytest.mark.parametrize("error, code", EXIT_CODES.items(), ids=lambda v: getattr(v, "__name__", str(v)))
@@ -84,7 +85,8 @@ def test_moments_errors_map_to_exit_codes(config_path, capsys, monkeypatch, erro
     got, out, err = run(capsys, "moments", config_path, "--direction", "up",
                         "--threshold", "1e4")
     assert (got, out) == (code, "")
-    assert "injected" in err
+    label = {1: "input error", 2: "infeasible regime", 3: "numerical non-convergence"}[code]
+    assert err == f"{label}: injected\n"
 
 
 @pytest.mark.parametrize("field,value", [("q", math.nan), ("E", math.nan),
@@ -252,6 +254,8 @@ def test_bad_usage_exits_1(capsys):
     ["moments", "config.json", "--direction", "up", "--threshold", "1e4", "--diagnostics"],
     ["simulate", "config.json", "--direction", "up", "--threshold", "1e4", "--paths", "10",
      "--dt", "0.01", "--horizon", "1", "--out", "s.csv", "--no-interpolate"],
+    ["simulate", "config.json", "--direction", "up", "--threshold", "1e4", "--paths", "10",
+     "--dt", "0.01", "--horizon", "1", "--out", "s.csv", "--precision", "128"],
 ])
 def test_switches_a_command_never_read_are_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -640,6 +644,20 @@ def test_oracle_cli_past_the_pole_exits_3(tmp_path, capsys):
                          "--order", "4")
     assert (code, out) == (3, "")
     assert "lam = -0.25" in err
+
+
+def test_oracle_transform_failure_exits_3(config_path, capsys, monkeypatch):
+    import logifpt.cli
+
+    def raising(*args, **kwargs):
+        raise errors.TransformFailure("injected")
+
+    monkeypatch.setattr(logifpt.cli, "laplace_transform", raising)
+    code, out, err = run(capsys, "oracle", config_path, "--direction", "up",
+                         "--threshold", "1e4", "--lambda-grid", "0:0.02:0.01",
+                         "--order", "4")
+    assert (code, out) == (3, "")
+    assert err == "numerical non-convergence: injected\n"
 
 
 # Run in a fresh interpreter; prints, after each stage, the scipy modules loaded.
