@@ -1,21 +1,20 @@
 """Crossing-time moments and cumulants.
 
-Moments come from the coefficient recursion of the transform ratio, run in
-fixed-point Python ints (see :mod:`logifpt.kernels`): it reads the
-building-block sums as ints, and its first ``mpf`` is each moment.  At 256
-bits and order 10 it keeps upcrossing moments within 4.9e-76 of a 700-bit
-evaluation of the same truncated sums on the benchmark scenarios, which
-measures rounding only; their accuracy, up to 8.5e-33 relative, is set by
-the cut of the l-sums at ``kernels.L_SERIES_TOL``.  The test suite checks
-it against the Bell-polynomial closed form of the reciprocal denominator
-series, an independent route in ``mpf`` kept in ``tests/oracles.py``.
-The error bounds and the cumulants stay in ``mpf``.  A :class:`MomentSet`
-from :func:`fpt_moments` keeps its two endpoint building-block series, whose
-``mpf`` coefficients are formed on first use, and its
-``cumulants`` property (computed on first use, then cached) takes the
-logarithmic polynomials of them, which is cheaper and better conditioned
-than the generic moment-to-cumulant conversion (also provided, as an
-oracle, and the fallback for moment sets from other sources).
+Moments and cumulants come from one pass over the building-block sums, run
+in fixed-point Python ints (see :mod:`logifpt.kernels`): it takes the log of
+the transform ratio, whose coefficients are the cumulants, then its exp,
+whose coefficients are the moments, and its first ``mpf`` is each of them,
+rounded once.  At 256 bits and order 10 it keeps upcrossing moments within
+4.9e-76 of a 700-bit evaluation of the same truncated sums on the benchmark
+scenarios, which measures rounding only; their accuracy, up to 8.5e-33
+relative, is set by the cut of the l-sums at ``kernels.L_SERIES_TOL``.  The
+test suite checks it against the Bell-polynomial closed form of the
+reciprocal denominator series, an independent route in ``mpf`` kept in
+``tests/oracles.py``.  The error bounds stay in ``mpf``.  A
+:class:`MomentSet` from :func:`fpt_moments` keeps its cumulants; one from
+another source (empirical, read from a file) converts its moments with
+:func:`cumulants_from_moments`, which loses the digits the moments cancel:
+at sigma 1e-3 it is 1.2e-15 off where the series route is within 1e-60.
 
 All values are held in arbitrary precision and downcast only through the
 ``*_float`` accessors.  Downcrossing results carry per-order relative error
@@ -35,7 +34,7 @@ from mpmath import mp, mpf
 from .errors import InvalidParams
 from .kernels import N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient, l_series, lbar_series
 from .model import DerivedParams, Direction, FptProblem, validate_problem
-from .series import ExpSeries, binomial_series, log_polynomials, series_product, series_ratio
+from .series import ExpSeries, log_polynomials, series_product, series_ratio
 
 FLAG_RTOL = 1e-8
 
@@ -52,9 +51,8 @@ class MomentSet:
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
     flagged: tuple | None = None
     diagnostics: object = None  # SeriesDiagnostics of the building blocks
-    # (derived params, block series at x0, at the threshold) from fpt_moments;
-    # the series are kernels.SumSeries, rounded to mpf when first read
-    endpoints: tuple | None = field(default=None, compare=False, repr=False)
+    # c_1..c_order from the log of the transform series, set by fpt_moments
+    series_cumulants: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def moments_float(self) -> tuple:
@@ -74,29 +72,22 @@ class MomentSet:
     def cumulants(self) -> "CumulantSet":
         """Cumulants c_1..c_order of the crossing time.
 
-        From the endpoint series, by logarithmic polynomials:
+        A set from :func:`fpt_moments` carries them: c_k = (-1)^k L_k, with L
+        the log of the transform series that its moments exponentiate,
 
-            upcrossing:   c_k = (-1)^k [ u log(U/x0) (1/2)_k a^k + Lx0_k - LU_k ]
-            downcrossing: c_k = (-1)^k [ Lx0_k - LL_k ]
+            upcrossing:   L_k = u log(U/x0) (1/2)_k a^k + Lx0_k - LU_k
+            downcrossing: L_k = Lx0_k - LL_k
 
-        where L*_k are the order-k logarithmic polynomials of the building-block
-        series (l-series up, lbar-series down) at the two states, and the
-        upcrossing term is log q(x0) - log q(U).  A set without endpoint
-        series (degenerate, empirical, finite-difference or read from a file)
-        goes through :func:`cumulants_from_moments`.
+        where L*_k are the coefficients of the log of the building-block
+        series (l-series up, lbar-series down) at the two states, all in the
+        fixed point of :mod:`logifpt.kernels`.  A set without them
+        (degenerate, empirical or read from a file) goes through
+        :func:`cumulants_from_moments`.
         """
-        if self.endpoints is None:
+        if self.series_cumulants is None:
             return cumulants_from_moments(self)
-        d, b0, b1 = self.endpoints
-        with mp.workprec(self.precision):
-            logq = [0] * (self.order + 1)
-            if self.problem.direction is Direction.UP:
-                pre = d.u * mpmath.log(mpf(self.problem.threshold) / mpf(d.params.x0))
-                logq = [pre * c for c in binomial_series(mpf(1) / 2, d.a, self.order).coeffs]
-            lp = zip(log_polynomials(b0.coeffs), log_polynomials(b1.coeffs))
-            cum = tuple((-1) ** k * (logq[k] + l0 - l1) for k, (l0, l1) in enumerate(lp, 1))
-        return CumulantSet(problem=self.problem, order=self.order, cumulants=cum,
-                           precision=self.precision)
+        return CumulantSet(problem=self.problem, order=self.order,
+                           cumulants=self.series_cumulants, precision=self.precision)
 
 
 @dataclass(frozen=True)
@@ -139,14 +130,14 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     """Moments E[T^k], k = 1..order, of the crossing time.
 
     The building blocks -- the l-series upcrossing, the lbar-series
-    downcrossing -- are expanded at x0 and at the threshold and kept in the
-    result, whose ``cumulants`` are formed from them on first use.  The
-    moments are the coefficients of the quotient of the two expansions.
+    downcrossing -- are expanded at x0 and at the threshold.  The moments
+    are the coefficients of the quotient of the two expansions.
     Upcrossing, that is q(x0) l(x0) / (q(U) l(U)); it is taken as
     q(x0/U) l(x0) / l(U), since q(x0)/q(U) = q(x0/U) exactly (see
     :mod:`logifpt.kernels`).  One q-series and no ``t_series`` enter, and
-    nothing cancels between two q-series.  The quotient recursion runs in
-    fixed-point ints, on the int partial sums of the blocks.
+    nothing cancels between two q-series.  The quotient runs in fixed-point
+    ints, on the int partial sums of the blocks, as the exp of the log of
+    the quotient; that log gives the cumulants, kept in the result.
     For downcrossing problems the per-order relative error estimates of the
     asymptotic sums are attached and orders above FLAG_RTOL are flagged.
     Upcrossing sums are convergent, their estimates are 0, and the relative
@@ -170,8 +161,9 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
         if prob.direction is Direction.UP:
             # log(q(x0) / q(U)) = u log(U/x0) (1/2)_k a^k at k >= 1
             q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))
-        g = _fixed_quotient(b0, b1, q_log)
+        g, logs = _fixed_quotient(b0, b1, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
+        cumulants = tuple((-1) ** k * logs[k] for k in range(1, order + 1))
         rel, flagged = (mpf(0),) * order, (False,) * order
         if any(diag.error_estimate):  # convergent sums, all upcrossing ones, have none
             dg = _propagate_errors(b1, diag.error_estimate, g)
@@ -180,7 +172,7 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
             flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
     return MomentSet(problem=prob, order=order, moments=moments,
                      precision=d.precision, error_estimates=rel,
-                     flagged=flagged, diagnostics=diag, endpoints=(d, b0, b1))
+                     flagged=flagged, diagnostics=diag, series_cumulants=cumulants)
 
 
 def cumulants_from_moments(ms: MomentSet) -> CumulantSet:
@@ -194,6 +186,5 @@ def cumulants_from_moments(ms: MomentSet) -> CumulantSet:
 
 def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet:
     """Cumulants of the crossing time: ``fpt_moments(d, prob, order).cumulants``,
-    by logarithmic polynomials of the building-block series (see
-    :attr:`MomentSet.cumulants`)."""
+    the log of the transform series (see :attr:`MomentSet.cumulants`)."""
     return fpt_moments(d, prob, order).cumulants

@@ -37,11 +37,11 @@ from .errors import (EmptySample, ExpansionConditionWarning, InvalidParams,
                      LogifptError, NoFeasibleStart, SingularOriginWarning)
 from .kernels import N_MAX_DEFAULT
 from .laguerre import build_approximant, match_gamma
-from .model import MIN_PRECISION, Direction, FptProblem, ModelParams, derive_params
+from .model import (DEFAULT_PRECISION, MIN_PRECISION, Direction, FptProblem, ModelParams,
+                    derive_params)
 from .montecarlo import FptSample, SimConfig, empirical_moments, sample_fpt
 
 PARAM_NAMES = ("sigma", "r", "x0", "U", "K", "q", "E")
-_MODEL_KEYS = ("r", "K", "q", "E", "sigma", "x0")
 
 PENALTY = -1e300
 # largest relative error estimate of a moment the likelihood accepts
@@ -68,7 +68,7 @@ class MleConfig:
     init: dict
     direction: Direction = Direction.UP
     n_max: int = 10
-    precision: int = 256
+    precision: int = DEFAULT_PRECISION
     max_iter: int = 250
 
     def __post_init__(self):
@@ -130,7 +130,7 @@ class MleResult:
 def _assemble(theta: dict, cfg: MleConfig):
     """Candidate point -> (ModelParams, FptProblem); raises on bad values."""
     full = {**cfg.fixed, **theta}
-    params = ModelParams(**{k: float(full[k]) for k in _MODEL_KEYS})
+    params = ModelParams.from_dict(full)
     problem = FptProblem(cfg.direction, float(full["U"]))
     return params, problem
 

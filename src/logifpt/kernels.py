@@ -53,25 +53,24 @@ q(x0) / q(U) = q(x0 / U) exactly: :func:`logifpt.analytics.fpt_moments`
 forms one q-series, of exponent u log(U / x0) (1/2)_k a^k, and divides
 q(x0 / U) l(x0) by l(U).  Dividing by a second q-series instead loses up to
 16 digits to cancellation at order 10.  The quotient runs in the same
-fixed point as the rows (``_fixed_quotient``): it takes the partial sums
-of the two :class:`SumSeries` as ints, with a^k folded in as a
-fixed-point int at precision + GUARD_BITS bits, and the exponent, the
-exp recurrence, the product and the ratio are Python ints at one binary
-exponent.  No ``mpf`` is formed between the kernel rows and the moments:
-the first one is each moment, rounded once.  Going down the quotient is
-lbar(x0) / lbar(L), in the same ints.  The error bound and the cumulants
-read the ``mpf`` series and stay in ``mpf``.  So does the independent check
-in ``tests/oracles.py``, the Bell-polynomial closed form, which multiplies
-``q_series`` into the l-series at x0; in the library only ``t_series``
-calls ``q_series``.  At 256 bits and order 10, the int route keeps the
-upcrossing moments of the seven benchmark scenarios within 4.9e-76 of a
-700-bit evaluation of the same truncated sums, and within 8e-77 at
-u = -1e4 and -0.01.  That measures rounding only.  What limits the
-upcrossing moments is the truncation rule, the cut of the l-sums once five
-terms in a row fall below L_SERIES_TOL = 1e-30 of the partial sum: cutting
-at 1e-70 instead moves orders 1-10 by up to 8.5e-33 (relative) on up_large
-and 8.3e-33 on up_high, 1.2e-33 on up_mid, 9.2e-49 on up_1e5 and 3.6e-54
-on up_1e4.
+fixed point as the rows (``_fixed_quotient``): the partial sums of the two
+:class:`SumSeries`, with a^k folded in at precision + GUARD_BITS bits, and
+the exponent A of q(x0 / U) come to Python ints at one binary exponent, in
+which L = A + log l(x0) - log l(U), the cumulant series, and exp(L), the
+moment series, are formed.  The first ``mpf`` is each moment and cumulant,
+rounded once.  Going down the quotient is lbar(x0) / lbar(L), in the same
+ints.  The downcrossing error bound reads the ``mpf`` series and stays in
+``mpf``.  So does the independent check in ``tests/oracles.py``, the
+Bell-polynomial closed form, which multiplies ``q_series`` into the
+l-series at x0; in the library only ``t_series`` calls ``q_series``.  At
+256 bits and order 10, the int route keeps the upcrossing moments of the
+seven benchmark scenarios within 4.9e-76 of a 700-bit evaluation of the
+same truncated sums, and within 8e-77 at u = -1e4 and -0.01.  That
+measures rounding only.  What limits the upcrossing moments is the
+truncation rule, the cut of the l-sums once five terms in a row fall below
+L_SERIES_TOL = 1e-30 of the partial sum: cutting at 1e-70 instead moves
+orders 1-10 by up to 8.5e-33 (relative) on up_large and 8.3e-33 on up_high,
+1.2e-33 on up_mid, 9.2e-49 on up_1e5 and 3.6e-54 on up_1e4.
 
 Every caller gets its table from :func:`ensure_table`, which keeps one
 :class:`KernelTable` per process, the last one built.  Rows depend on
@@ -158,9 +157,9 @@ def _fixed_powers(x, order: int, wp: int) -> list:
 
 
 def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
-    """Coefficients of q num / den, or of num / den when ``q_log`` is None,
-    for two building-block series of :func:`l_series` or :func:`lbar_series`,
-    each rounded once to the precision.
+    """(g, L = log g) for g = q num / den, or num / den when ``q_log`` is
+    None, and two building-block series of :func:`l_series` or
+    :func:`lbar_series`, each coefficient rounded once to the precision.
 
     q = exp(A) with A_0 = 0 and A_k = c (1/2)_k a^k for ``q_log`` = c, the
     falling factorial (1/2)_k as in :func:`q_series`.  The int partial sums
@@ -168,10 +167,10 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
     + GUARD_BITS bits, and each A_k is one exact product of c, (1/2)_k 2^k
     and a^k.  Everything then comes to the one binary exponent that gives
     the smallest nonzero input entry precision + GUARD_BITS bits, the rule
-    of the kernel rows, and the exp recurrence, the product and the ratio of
-    :mod:`logifpt.series` run on Python ints: each output entry sums its
-    terms exactly and is floored once to the shared exponent.  den_0 = 1, so
-    the ratio divides by nothing.
+    of the kernel rows.  The log and exp recurrences of :mod:`logifpt.series`
+    then run on Python ints, L = A + log num - log den and g = exp(L), each
+    entry summed exactly and floored once to the shared exponent.
+    num_0 = den_0 = 1, so the logs divide by nothing, and L_0 = 0.
     """
     precision = num.d.precision
     wp = precision + GUARD_BITS
@@ -187,30 +186,27 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
     exp = min(e + m.bit_length() for m, e in parts if m) - wp
     ints = [_shift(m, e - exp) for m, e in parts]
     sh = -exp  # num_0 = 1 carries at least wp bits, so the unit 1 << sh is exact
-    top, bottom = ints[:order + 1], ints[order + 1:2 * order + 2]
-    log_q = [0, *ints[2 * order + 2:]]
-    pascal = [[math.comb(n, k) for k in range(n + 1)] for n in range(order + 1)]
-    if q_log is not None:
-        q = [1 << sh]
+    pascal = [[math.comb(n - 1, k - 1) for k in range(1, n + 1)] for n in range(order + 1)]
+
+    def log(b):
+        out = [0]
         for n in range(1, order + 1):
-            row, tot = pascal[n - 1], 0
-            for k in range(1, n + 1):
-                tot += row[k - 1] * log_q[k] * q[n - k]
-            q.append(tot >> sh)
-        prod = []
-        for n in range(order + 1):
-            row, tot = pascal[n], 0
-            for k in range(n + 1):
-                tot += row[k] * q[k] * top[n - k]
-            prod.append(tot >> sh)
-        top = prod
-    g = []
-    for n in range(order + 1):
-        row, tot = pascal[n], top[n] << sh
+            row, tot = pascal[n], b[n] << sh
+            for k in range(1, n):
+                tot -= row[k - 1] * out[k] * b[n - k]
+            out.append(tot >> sh)
+        return out
+
+    logs = [x - y for x, y in zip(log(ints[:order + 1]), log(ints[order + 1:2 * order + 2]))]
+    for k, a in enumerate(ints[2 * order + 2:], 1):
+        logs[k] += a
+    g = [1 << sh]
+    for n in range(1, order + 1):
+        row, tot = pascal[n], 0
         for k in range(1, n + 1):
-            tot -= row[k] * bottom[k] * g[n - k]
+            tot += row[k - 1] * logs[k] * g[n - k]
         g.append(tot >> sh)
-    return tuple(_to_mpf(x, exp, precision) for x in g)
+    return tuple(tuple(_to_mpf(x, exp, precision) for x in s) for s in (g, logs))
 
 
 def _normalize(mans: list, exp: int, wp: int) -> tuple:

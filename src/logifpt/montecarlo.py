@@ -78,13 +78,19 @@ class SimConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SimConfig":
-        """Inverse of ``to_dict``; other keys (older files' interpolate_crossing) are ignored."""
-        return cls(
-            problem=FptProblem(Direction(d["direction"]), float(d["threshold"])),
-            paths=int(d["paths"]), dt=float(d["dt"]), horizon=float(d["horizon"]),
-            seed=int(d["seed"]),
-        )
+    def from_dict(cls, d) -> "SimConfig":
+        """Inverse of ``to_dict``; other keys (older files' interpolate_crossing) are
+        ignored.  Anything else, a paths or seed that is not an integer
+        included, raises InvalidParams."""
+        try:
+            problem = FptProblem(Direction(d["direction"]), float(d["threshold"]))
+            paths, seed, dt, horizon = d["paths"], d["seed"], float(d["dt"]), float(d["horizon"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParams(f"bad sim config {d!r}: {exc}") from exc
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (paths, seed)):
+            raise InvalidParams(f"sim config paths and seed must be integers, got {paths!r}, "
+                                f"{seed!r}")
+        return cls(problem=problem, paths=paths, dt=dt, horizon=horizon, seed=seed)
 
 
 @dataclass
@@ -263,11 +269,13 @@ def read_samples_csv(path) -> FptSample:
     if len(lines) < 4 or lines[0] != CSV_MAGIC:
         raise InvalidParams(f"{path} is not a crossing-time sample file")
     meta = json.loads(lines[1].removeprefix("# config: "))
+    if not isinstance(meta, dict) or not isinstance(meta.get("model"), (dict, type(None))):
+        raise InvalidParams(f"{path}: malformed config line")
     censored = int(lines[2].removeprefix("# censored: "))
     if lines[3] != "time":
         raise InvalidParams("malformed sample file header")
     times = np.array([float(x) for x in lines[4:] if x], dtype=float)
-    config = SimConfig.from_dict(meta["sim"])
+    config = SimConfig.from_dict(meta.get("sim"))
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise InvalidParams(f"{path}: crossing times must be finite and >= 0")
     if censored < 0 or len(times) + censored > config.paths:

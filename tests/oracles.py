@@ -33,7 +33,8 @@ from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, TransformFai
                             ZeroConstantTerm)
 from logifpt.hypergeom import PRECISION, laplace_transform
 from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_DEFAULT,
-                             KernelTable, _to_mpf, ensure_table, q_series)
+                             KernelTable, _to_mpf, ensure_table, l_series, lbar_series,
+                             q_series)
 from logifpt.laguerre import _coeff_sum
 from logifpt.model import DerivedParams, Direction, FptProblem, validate_problem
 from logifpt.montecarlo import _MASK64, lie_trotter_step, step_constants
@@ -234,18 +235,20 @@ def asymptotic_sum(term_fn, n_start: int, n_max: int):
 def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     """Moments by the Bell-polynomial closed form, against :func:`fpt_moments`.
 
-    The endpoint series are those of ``fpt_moments(d, prob, order)``; the
-    quotient is formed in ``mpf`` with :func:`series_reciprocal_bell` instead
-    of the fixed-point recursion: q(x0/U) l(x0) / l(U) upcrossing, with x0/U
-    at working precision, and lbar(x0) / lbar(L) downcrossing.  The relative
-    error estimates and flags are recomputed from this quotient; the
-    endpoint series, diagnostics and cumulants are those of the recursion's
-    set.  A degenerate set comes back unchanged.
+    The endpoint series are those ``fpt_moments(d, prob, order)`` reads,
+    from :func:`l_series` (:func:`lbar_series` going down) at x0 and at the
+    threshold; the quotient is formed in ``mpf`` with
+    :func:`series_reciprocal_bell` instead of the fixed-point recursion:
+    q(x0/U) l(x0) / l(U) upcrossing, with x0/U at working precision, and
+    lbar(x0) / lbar(L) downcrossing.  The relative error estimates and flags
+    are recomputed from this quotient; the diagnostics and cumulants are
+    those of the recursion's set.  A degenerate set comes back unchanged.
     """
     ms = fpt_moments(d, prob, order)
     if ms.degenerate:
         return ms
-    _, b0, b1 = ms.endpoints
+    block = l_series if prob.direction is Direction.UP else lbar_series
+    b0, b1 = (block(y, order, d)[0] for y in (d.params.x0, prob.threshold))
     e = ms.diagnostics.error_estimate
     with mp.workprec(d.precision):
         s0 = b0

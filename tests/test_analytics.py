@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from logifpt import (CumulantSet, Direction, FptProblem, cumulants_from_moments,
+from logifpt import (CumulantSet, Direction, FptProblem, ModelParams, cumulants_from_moments,
                      derive_params, fpt_cumulants, fpt_moments)
 from logifpt.analytics import FLAG_RTOL
 from logifpt.errors import InvalidParams, LogifptError
+from logifpt.kernels import lbar_series
 from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
@@ -140,6 +141,26 @@ def test_upcrossing_moments_at_the_drift_corners_match_700_bits(u_value, x0, thr
                 assert abs(got - want) <= mpf("1e-70") * abs(want), route.__name__
 
 
+def test_cumulants_at_small_sigma_match_700_bits():
+    """At sigma 1e-3 the crossing time is nearly deterministic: c_10 is 1e-61
+    against a mean of 0.76.  The cumulants come from the log of the transform
+    series in the quotient's fixed point and stay within 1e-60 of a 700-bit
+    evaluation; the logs of the endpoint series rounded to mpf give 1.8e-52.
+    Converting the moments instead loses the digits the moments cancel: more
+    than 5e-16 off, one double missed, so it cannot stand in for the series
+    route."""
+    params = ModelParams(**{**FISHERIES, "sigma": 1e-3, "r": 6.367, "x0": 761.38})
+    prob = FptProblem(Direction.UP, 76138.36)
+    ms = fpt_moments(derive_params(params), prob, 10)
+    want = fpt_moments(derive_params(params, precision=700), prob, 10).cumulants.cumulants
+    via_moments = cumulants_from_moments(ms).cumulants
+    with mp.workprec(700):
+        assert max(abs(c / w - 1) for c, w in zip(ms.cumulants.cumulants, want)) < mpf("1e-60")
+        assert max(abs(c / w - 1) for c, w in zip(via_moments, want)) > mpf("5e-16")
+    assert ms.cumulants.cumulants_float == tuple(float(w) for w in want)
+    assert sum(float(c) != float(w) for c, w in zip(via_moments, want)) == 1
+
+
 def count_calls(monkeypatch, names):
     """Wrap every logifpt module's and the oracles' binding of each name in a
     call counter."""
@@ -184,25 +205,34 @@ def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
 
 
 @pytest.mark.parametrize("name", ["up_1e4", "up_large", "down_mid"])
-def test_endpoints_are_the_block_series_once_read(name):
-    """The recursion route keeps its endpoint sums as ints; read, its endpoint
+def test_endpoints_are_the_block_series_once_read(monkeypatch, name):
+    """The quotient reads its endpoint sums as ints; read, its endpoint
     series are those of l_series (lbar_series going down) at x0 and at the
     threshold, bit for bit.  Upcrossing, nothing reads them before; going
     down, the error bound reads the threshold's."""
-    from logifpt.kernels import l_series, lbar_series
-    from logifpt.series import ExpSeries
+    import logifpt.analytics as analytics
+    from logifpt.kernels import SumSeries, l_series, lbar_series
 
+    seen, fixed_quotient = [], analytics._fixed_quotient
+
+    def quotient(num, den, q_log=None):
+        seen.append((num, den))
+        return fixed_quotient(num, den, q_log)
+
+    monkeypatch.setattr(analytics, "_fixed_quotient", quotient)
     _, d, prob = next(s for s in scenario_grid() if s[0] == name)
     ms = fpt_moments(d, prob, 10)
+    [(b0, b1)] = seen
     block = l_series if prob.direction is Direction.UP else lbar_series
-    d_, b0, b1 = ms.endpoints
-    assert d_ is d and isinstance(b0, ExpSeries) and isinstance(b1, ExpSeries)
+    assert isinstance(b0, SumSeries) and isinstance(b1, SumSeries)
+    assert b0.d is d and b1.d is d
     assert "coeffs" not in vars(b0)
     assert ("coeffs" in vars(b1)) is (prob.direction is Direction.DOWN)
     for got, y in ((b0, d.params.x0), (b1, prob.threshold)):
         want = block(y, 10, d)[0].coeffs
         assert got.order == 10 and len(got.coeffs) == 11
         assert [c._mpf_ for c in got.coeffs] == [c._mpf_ for c in want]
+    assert len(ms.series_cumulants) == 10
 
 
 def reference_error_bound(s1, e, g, order):
@@ -221,7 +251,7 @@ def reference_error_bound(s1, e, g, order):
 def test_error_bound_matches_the_recursion(name):
     _, d, prob = next(s for s in scenario_grid() if s[0] == name)
     ms = fpt_moments(d, prob, 10)
-    _, b0, b1 = ms.endpoints
+    b0, b1 = (lbar_series(y, 10, d)[0] for y in (d.params.x0, prob.threshold))
     e = ms.diagnostics.error_estimate
     with mp.workprec(d.precision):
         g = series_ratio(b0, b1).coeffs
@@ -297,14 +327,15 @@ def test_cumulant_duality(fisheries):
 
 
 def test_moment_set_cumulants(fisheries):
-    """fpt_moments keeps its endpoint series out of == and repr; its cumulants
-    are computed once and are those of fpt_cumulants, and a set without
-    endpoint series converts its moments."""
+    """fpt_moments keeps its series cumulants out of == and repr; its
+    cumulants are read once and are those of fpt_cumulants, and a set
+    without series cumulants converts its moments."""
     ms = fpt_moments(fisheries, UP4, 4)
     assert ms.cumulants is ms.cumulants
     assert ms.cumulants == fpt_cumulants(fisheries, UP4, 4)
-    assert "endpoints" not in repr(ms)
-    bare = dataclasses.replace(ms, endpoints=None)
+    assert ms.cumulants.cumulants == ms.series_cumulants
+    assert "series_cumulants" not in repr(ms)
+    bare = dataclasses.replace(ms, series_cumulants=None)
     assert bare == ms
     assert bare.cumulants == cumulants_from_moments(ms)
 

@@ -118,8 +118,20 @@ def _input_error_argv(case, config, tmp_path):
         samples)
     fixed = tmp_path / "fixed.json"
     fixed.write_text(json.dumps({**FISHERIES, "U": 1e4}))
+    bad_samples = {}  # sample files whose config line holds no valid run
+    for name, edit in [("config-list", lambda meta: []),
+                       ("paths-null", lambda meta: {**meta, "sim": {**meta["sim"], "paths": None}}),
+                       ("paths-float", lambda meta: {**meta, "sim": {**meta["sim"], "paths": 5.7}}),
+                       ("seed-float", lambda meta: {**meta, "sim": {**meta["sim"], "seed": 1.5}})]:
+        lines = samples.read_text().splitlines()
+        meta = json.loads(lines[1].removeprefix("# config: "))
+        lines[1] = "# config: " + json.dumps(edit(meta))
+        bad_samples[name] = tmp_path / f"s-{name}.csv"
+        bad_samples[name].write_text("\n".join(lines) + "\n")
     header_only = tmp_path / "d.csv"
     header_only.write_text("t,density\n")
+    density = tmp_path / "d-ok.csv"
+    density.write_text("t,density\n0.0,0.1\n0.5,0.2\n1.0,0.1\n")
     unmeasurable = {}  # density files compare cannot integrate
     for name, rows in [("nan", "0.0,0.1\n0.5,nan\n1.0,0.2\n"),
                        ("inf-t", "0.0,0.1\ninf,0.3\n1.0,0.2\n"),
@@ -188,6 +200,14 @@ def _input_error_argv(case, config, tmp_path):
                              "--init", "sigma=0.2,bogus=1", "--fixed", str(fixed)],
         "mle-init-out-of-bounds": ["mle", "--samples", str(samples), "--estimate", "sigma,r",
                                    "--init", "sigma=0.2,r=12", "--fixed", str(fixed)],
+        "samples-config-list": ["compare", "--density", str(density),
+                                "--samples", str(bad_samples["config-list"])],
+        "samples-paths-null": ["mle", "--samples", str(bad_samples["paths-null"]),
+                               "--estimate", "sigma", "--init", "sigma=0.2", "--fixed", str(fixed)],
+        "samples-paths-float": ["density", config, *up, "--grid", "0:1:0.5", "--moments-from",
+                                f"samples:{bad_samples['paths-float']}"],
+        "samples-seed-float": ["compare", "--density", str(density),
+                               "--samples", str(bad_samples["seed-float"])],
     }[case]
 
 
@@ -201,7 +221,9 @@ def _input_error_argv(case, config, tmp_path):
                                   "mle-max-iter-negative",
                                   "mle-init-not-estimated", "mle-init-unknown",
                                   "mle-init-out-of-bounds", "density-nan", "density-inf-t",
-                                  "density-decreasing", "density-inf-at-0"])
+                                  "density-decreasing", "density-inf-at-0",
+                                  "samples-config-list", "samples-paths-null",
+                                  "samples-paths-float", "samples-seed-float"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli

@@ -276,15 +276,17 @@ def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1
     """An upcrossing evaluation whose p has no negative interval calls
     _raw_cdf no time and forms neither endpoint series in mpf; one with a
     negative interval integrates it, and never evaluates F at inf (it is b_0)."""
+    import logifpt.analytics as analytics
     import logifpt.inference as inference
     import logifpt.laguerre as laguerre
 
     seen, calls = {}, []
     raw_cdf = laguerre._raw_cdf
+    fixed_quotient = analytics._fixed_quotient
 
-    def moments(*args, **kwargs):
-        seen["ms"] = fpt_moments(*args, **kwargs)
-        return seen["ms"]
+    def quotient(num, den, q_log=None):
+        seen["blocks"] = num, den
+        return fixed_quotient(num, den, q_log)
 
     def approximant(*args, **kwargs):
         seen["apx"] = build_approximant(*args, **kwargs)
@@ -294,14 +296,14 @@ def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1
         calls.append(args)
         return raw_cdf(*args)
 
-    monkeypatch.setattr(inference, "fpt_moments", moments)
+    monkeypatch.setattr(analytics, "_fixed_quotient", quotient)
     monkeypatch.setattr(inference, "build_approximant", approximant)
     monkeypatch.setattr(laguerre, "_raw_cdf", counted)
     cfg = cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": 0.71})
     assert log_likelihood({"sigma": 0.22, "r": 0.71}, sample_1k, cfg) > PENALTY
     assert seen["apx"].negative_mass == 0.0 and not np.size(seen["apx"]._neg)
     assert calls == []
-    _, b0, b1 = seen["ms"].endpoints
+    b0, b1 = seen["blocks"]
     assert "coeffs" not in vars(b0) and "coeffs" not in vars(b1)
     # p < 0 on one interval at sigma 0.15, r 0.8: its mass is integrated
     assert log_likelihood({"sigma": 0.15, "r": 0.8}, sample_1k, cfg) > PENALTY

@@ -184,6 +184,18 @@ def test_csv_round_trip(tmp_path, fisheries):
         read_samples_csv(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda good: [], lambda good: None, lambda good: {k: good[k] for k in good if k != "seed"},
+    *(lambda good, change=change: {**good, **change} for change in (
+        {"paths": None}, {"paths": 5.7}, {"paths": True}, {"seed": 1.5},
+        {"threshold": "far"}, {"dt": None}, {"direction": "sideways"}))])
+def test_sim_config_from_dict_refuses_what_to_dict_never_writes(edit):
+    good = SimConfig(problem=UP4, paths=25, dt=1e-2, horizon=60.0, seed=17).to_dict()
+    assert SimConfig.from_dict(good).to_dict() == good
+    with pytest.raises(InvalidParams):
+        SimConfig.from_dict(edit(good))
+
+
 @pytest.mark.parametrize("line, value", [(4, "nan"), (4, "-1.5"), (4, "inf"),
                                          (2, "# censored: -1"), (2, "# censored: 999999")])
 def test_invalid_sample_file_rejected(tmp_path, fisheries, line, value):
