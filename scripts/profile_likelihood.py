@@ -8,7 +8,8 @@ points, stage by stage, as ``inference.log_likelihood`` runs them:
     derive     derive_params
     rows       the kernel-table rows the two l-sums read, on a fresh table
     l-sums     kernels.l_series at x0 and at U, on the built table
-    quotient   the moments and cumulants in ints, kernels._fixed_quotient
+    quotient   the moments and cumulants in ints, kernels._fixed_quotient,
+               which returns no error bound: upcrossing sums omit no terms
     c_j/b_k    the moments, match_gamma and laguerre_coeffs, rounded to floats
     order      select_order
     approx     LaguerreApproximant: roots, negative intervals and mass
@@ -68,7 +69,7 @@ def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
                                              for y in (x0, THRESHOLD)])
     with mp.workprec(d.precision):
         q_log = d.u * mpmath.log(mpf(THRESHOLD) / mpf(x0))
-    g, _ = timed(times, "quotient", kernels._fixed_quotient, b0, b1, q_log)
+    g, *_ = timed(times, "quotient", kernels._fixed_quotient, b0, b1, q_log)
 
     def coeffs():
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))

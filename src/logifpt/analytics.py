@@ -10,9 +10,10 @@ scenarios, which measures rounding only; their accuracy, up to 8.5e-33
 relative, is set by the cut of the l-sums at ``kernels.L_SERIES_TOL``.  The
 test suite checks it against the Bell-polynomial closed form of the
 reciprocal denominator series, an independent route in ``mpf`` kept in
-``tests/oracles.py``.  The error bounds stay in ``mpf``.  A
-:class:`MomentSet` from :func:`fpt_moments` keeps its cumulants; one from
-another source (empirical, read from a file) converts its moments with
+``tests/oracles.py``.  Going down, the same pass bounds the moments' error
+from the first omitted terms of the asymptotic sums.  A :class:`MomentSet`
+from :func:`fpt_moments` keeps its cumulants; one from another source
+(empirical, read from a file) converts its moments with
 :func:`cumulants_from_moments`, which loses the digits the moments cancel:
 at sigma 1e-3 it is 1.2e-15 off where the series route is within 1e-60.
 
@@ -34,7 +35,7 @@ from mpmath import mp, mpf
 from .errors import InvalidParams
 from .kernels import N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient, l_series, lbar_series
 from .model import DerivedParams, Direction, FptProblem, validate_problem
-from .series import ExpSeries, log_polynomials, series_product, series_ratio
+from .series import log_polynomials
 
 FLAG_RTOL = 1e-8
 
@@ -50,7 +51,7 @@ class MomentSet:
     degenerate: bool = False
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
     flagged: tuple | None = None
-    diagnostics: object = None  # SeriesDiagnostics of the building blocks
+    diagnostics: object = None  # SeriesDiagnostics: both endpoints' max cut, summed estimate
     # c_1..c_order from the log of the transform series, set by fpt_moments
     series_cumulants: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -114,18 +115,6 @@ class CumulantSet:
         return (c[0] / c[1], 2 * c[1] / c[2], 3 * c[2] / c[3])
 
 
-def _propagate_errors(s1, e, g):
-    """First-order error bound dg on the quotient g = s0/s1, given the summed
-    error estimates e of the two building-block series (e_0 = 0, s1_0 = 1).
-
-    dg = e (1 + |g|) / (1 - |s1|+), with |g| and |s1| taken entrywise and
-    |s1|+ the series |s1| with its constant term set to 0.
-    """
-    one_plus_g = ExpSeries((1 + abs(g[0]),) + tuple(abs(c) for c in g[1:]))
-    one_minus_s1 = ExpSeries((mpf(1),) + tuple(-abs(c) for c in s1[1:]))
-    return series_ratio(series_product(ExpSeries(tuple(e)), one_plus_g), one_minus_s1).coeffs
-
-
 def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     """Moments E[T^k], k = 1..order, of the crossing time.
 
@@ -138,8 +127,9 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     nothing cancels between two q-series.  The quotient runs in fixed-point
     ints, on the int partial sums of the blocks, as the exp of the log of
     the quotient; that log gives the cumulants, kept in the result.
-    For downcrossing problems the per-order relative error estimates of the
-    asymptotic sums are attached and orders above FLAG_RTOL are flagged.
+    For downcrossing problems the quotient also bounds its error; the
+    per-order relative error estimates are attached and orders above
+    FLAG_RTOL are flagged.
     Upcrossing sums are convergent, their estimates are 0, and the relative
     error estimates are exact zeros with no order flagged.
     An order outside 1..N_MAX_DEFAULT, the kernel table bound, raises
@@ -155,21 +145,21 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     block = l_series if prob.direction is Direction.UP else lbar_series
     b0, g0 = block(d.params.x0, order, d)
     b1, g1 = block(prob.threshold, order, d)
-    diag = SeriesDiagnostics.merge(g0, g1)
     with mp.workprec(d.precision):
         q_log = None
         if prob.direction is Direction.UP:
             # log(q(x0) / q(U)) = u log(U/x0) (1/2)_k a^k at k >= 1
             q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))
-        g, logs = _fixed_quotient(b0, b1, q_log)
+        g, logs, e, dg = _fixed_quotient(b0, b1, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
         cumulants = tuple((-1) ** k * logs[k] for k in range(1, order + 1))
         rel, flagged = (mpf(0),) * order, (False,) * order
-        if any(diag.error_estimate):  # convergent sums, all upcrossing ones, have none
-            dg = _propagate_errors(b1, diag.error_estimate, g)
+        if dg is not None:  # convergent sums, all upcrossing ones, have no bound
             rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
                         for k, m in enumerate(moments, 1))
             flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
+    diag = SeriesDiagnostics(trunc_index=list(map(max, g0.trunc_index, g1.trunc_index)),
+                             error_estimate=list(e or (mpf(0),) * (order + 1)))
     return MomentSet(problem=prob, order=order, moments=moments,
                      precision=d.precision, error_estimates=rel,
                      flagged=flagged, diagnostics=diag, series_cumulants=cumulants)

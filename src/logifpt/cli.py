@@ -280,9 +280,12 @@ def _parse_init(spec: str) -> dict:
     if spec:
         for item in spec.split(","):
             name, _, val = item.partition("=")
+            name = name.strip()
             if not val:
                 raise InvalidParams(f"--init items must be name=value, got {item!r}")
-            out[name.strip()] = float(val)
+            if name in out:
+                raise InvalidParams(f"--init gives {name!r} twice")
+            out[name] = float(val)
     return out
 
 

@@ -44,8 +44,8 @@ int, and both truncation rules compare ints exactly.  ``l_series`` advances
 all its orders in one pass over n, each to its own cut.  Both return the
 partial sums as ints, in a :class:`SumSeries`: an :class:`ExpSeries` whose
 ``mpf`` coefficients (each sum rounded to the precision, then times a^k)
-are formed on first use.  Only the downcrossing error estimates are formed
-in ``mpf`` right away.
+are formed on first use; ``lbar_series`` keeps its first omitted terms
+there too.
 
 The moments do not go through ``t_series`` = q(y) l(y).  The upcrossing
 quotient is q(x0) l(x0) / (q(U) l(U)), and since q(y) = y^(u (1 - s)),
@@ -58,11 +58,11 @@ fixed point as the rows (``_fixed_quotient``): the partial sums of the two
 the exponent A of q(x0 / U) come to Python ints at one binary exponent, in
 which L = A + log l(x0) - log l(U), the cumulant series, and exp(L), the
 moment series, are formed.  The first ``mpf`` is each moment and cumulant,
-rounded once.  Going down the quotient is lbar(x0) / lbar(L), in the same
-ints.  The downcrossing error bound reads the ``mpf`` series and stays in
-``mpf``.  So does the independent check in ``tests/oracles.py``, the
-Bell-polynomial closed form, which multiplies ``q_series`` into the
-l-series at x0; in the library only ``t_series`` calls ``q_series``.  At
+rounded once.  Going down the quotient is lbar(x0) / lbar(L), and its
+error bound too runs in the same ints, so no ``mpf`` endpoint series is
+formed in either direction.  The independent check in ``tests/oracles.py``,
+the Bell-polynomial closed form, forms them in ``mpf``; in the library only
+``t_series`` calls ``q_series``.  At
 256 bits and order 10, the int route keeps the upcrossing moments of the
 seven benchmark scenarios within 4.9e-76 of a 700-bit evaluation of the
 same truncated sums, and within 8e-77 at u = -1e4 and -0.01.  That
@@ -157,34 +157,47 @@ def _fixed_powers(x, order: int, wp: int) -> list:
 
 
 def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
-    """(g, L = log g) for g = q num / den, or num / den when ``q_log`` is
-    None, and two building-block series of :func:`l_series` or
+    """(g, L = log g, e, dg) for g = q num / den, or num / den when ``q_log``
+    is None, and two building-block series of :func:`l_series` or
     :func:`lbar_series`, each coefficient rounded once to the precision.
 
     q = exp(A) with A_0 = 0 and A_k = c (1/2)_k a^k for ``q_log`` = c, the
     falling factorial (1/2)_k as in :func:`q_series`.  The int partial sums
-    come in with a^k folded in (``SumSeries.fixed``), a^k taken at precision
-    + GUARD_BITS bits, and each A_k is one exact product of c, (1/2)_k 2^k
-    and a^k.  Everything then comes to the one binary exponent that gives
-    the smallest nonzero input entry precision + GUARD_BITS bits, the rule
-    of the kernel rows.  The log and exp recurrences of :mod:`logifpt.series`
-    then run on Python ints, L = A + log num - log den and g = exp(L), each
-    entry summed exactly and floored once to the shared exponent.
-    num_0 = den_0 = 1, so the logs divide by nothing, and L_0 = 0.
+    come in with a^k folded in, a^k taken at precision + GUARD_BITS bits,
+    and each A_k is one exact product of c, (1/2)_k 2^k and a^k.  Everything
+    then comes to the one binary exponent that gives the smallest nonzero
+    input entry precision + GUARD_BITS bits, the rule of the kernel rows.
+    The log and exp recurrences of :mod:`logifpt.series` then run on Python
+    ints, L = A + log num - log den and g = exp(L), each entry summed
+    exactly and floored once to the shared exponent.  num_0 = den_0 = 1, so
+    the logs divide by nothing, and L_0 = 0.
+
+    Going down, e_k is a^k times the sum of the two endpoints' first omitted
+    terms, at its own exponent by the same rule (the moments' exponent does
+    not move), and dg the first-order bound
+    dg_m = e_m + sum_{k=1..m} C(m, k) (e_k |g_{m-k}| + |den_k| dg_{m-k}) on
+    the ints of g and den.  Convergent sums omit none: e and dg are None.
     """
     precision = num.d.precision
     wp = precision + GUARD_BITS
     order = num.order
     apow = _fixed_powers(num.d.a, order, wp)
-    parts = num.fixed(apow) + den.fixed(apow)
+
+    def scaled(mans, exps):  # a^k mans[k] 2^exps[k], k = 1..order, as exact pairs
+        return [(m * p, e + f) for m, e, (p, f) in zip(mans[1:], exps[1:], apow[1:])]
+
+    def common(parts):  # ints at the exponent that gives the smallest nonzero one wp bits
+        exp = min((e + m.bit_length() for m, e in parts if m), default=wp) - wp
+        return [_shift(m, e - exp) for m, e in parts], exp
+
+    parts = [(1, 0), *scaled(num.mans, num.exps), (1, 0), *scaled(den.mans, den.exps)]
     if q_log is not None:
         c_man, c_exp = _man_exp(q_log)
         half = 1  # (1/2)_k 2^k
         for k, (man, e) in enumerate(apow[1:]):
             half *= 1 - 2 * k
             parts.append((c_man * half * man, c_exp + e - k - 1))
-    exp = min(e + m.bit_length() for m, e in parts if m) - wp
-    ints = [_shift(m, e - exp) for m, e in parts]
+    ints, exp = common(parts)
     sh = -exp  # num_0 = 1 carries at least wp bits, so the unit 1 << sh is exact
     pascal = [[math.comb(n - 1, k - 1) for k in range(1, n + 1)] for n in range(order + 1)]
 
@@ -197,7 +210,8 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
             out.append(tot >> sh)
         return out
 
-    logs = [x - y for x, y in zip(log(ints[:order + 1]), log(ints[order + 1:2 * order + 2]))]
+    den_ints = ints[order + 1:2 * order + 2]
+    logs = [x - y for x, y in zip(log(ints[:order + 1]), log(den_ints))]
     for k, a in enumerate(ints[2 * order + 2:], 1):
         logs[k] += a
     g = [1 << sh]
@@ -206,7 +220,18 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
         for k in range(1, n + 1):
             tot += row[k - 1] * logs[k] * g[n - k]
         g.append(tot >> sh)
-    return tuple(tuple(_to_mpf(x, exp, precision) for x in s) for s in (g, logs))
+    out = [tuple(_to_mpf(x, exp, precision) for x in s) for s in (g, logs)]
+    if den.omitted is None:
+        return (*out, None, None)
+    e, e_exp = common(scaled(num.omitted, num.exps) + scaled(den.omitted, den.exps))
+    e = [0] + [x + y for x, y in zip(e[:order], e[order:])]
+    dg = [0]
+    for m_ in range(1, order + 1):
+        tot = e[m_] << sh
+        for k in range(1, m_ + 1):
+            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(den_ints[k]) * dg[m_ - k])
+        dg.append(tot >> sh)
+    return (*out, *(tuple(_to_mpf(x, e_exp, precision) for x in s) for s in (e, dg)))
 
 
 def _normalize(mans: list, exp: int, wp: int) -> tuple:
@@ -221,16 +246,19 @@ def _normalize(mans: list, exp: int, wp: int) -> tuple:
 class SumSeries(ExpSeries):
     """A building-block series held as its partial sums over n, one int per
     order: coefficient k >= 1 is a^k mans[k] 2^exps[k], coefficient 0 is 1.
+    An asymptotic sum also keeps its first omitted terms, ``omitted[k]
+    2^exps[k]`` before the a^k; a convergent one has ``omitted`` None.
 
-    :func:`_fixed_quotient` reads the ints (``fixed``).  ``coeffs``, the
-    ``mpf`` series, is formed on first use: each sum rounded to the
-    precision, then times a^k in ``mpf``.
+    :func:`_fixed_quotient` reads the ints.  ``coeffs``, the ``mpf`` series,
+    is formed on first use: each sum rounded to the precision, then times
+    a^k in ``mpf``.
     """
 
-    def __init__(self, mans: list, exps: list, d: DerivedParams):
+    def __init__(self, mans: list, exps: list, d: DerivedParams, omitted: list | None = None):
         object.__setattr__(self, "mans", mans)
         object.__setattr__(self, "exps", exps)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "omitted", omitted)
 
     @property
     def order(self) -> int:
@@ -245,12 +273,6 @@ class SumSeries(ExpSeries):
                 apow *= d.a
                 out.append(apow * _to_mpf(man, exp, d.precision))
         return tuple(out)
-
-    def fixed(self, apow: list) -> list:
-        """The coefficients as exact (man, exp) pairs, given a^k as the pair
-        ``apow[k]``."""
-        return [(1, 0)] + [(m * p, e + f) for m, e, (p, f)
-                           in zip(self.mans[1:], self.exps[1:], apow[1:])]
 
 
 class KernelTable:
@@ -401,15 +423,6 @@ class SeriesDiagnostics:
             "trunc_index": list(self.trunc_index),
             "error_estimate": [float(e) for e in self.error_estimate],
         }
-
-    @staticmethod
-    def merge(a: "SeriesDiagnostics", b: "SeriesDiagnostics") -> "SeriesDiagnostics":
-        """Entrywise max of the cut points and sum of the error estimates of
-        two diagnostics of the same order."""
-        return SeriesDiagnostics(
-            trunc_index=[max(x, y) for x, y in zip(a.trunc_index, b.trunc_index)],
-            error_estimate=[x + y for x, y in zip(a.error_estimate, b.error_estimate)],
-        )
 
 
 def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
@@ -576,8 +589,8 @@ def lbar_series(y, order: int, d: DerivedParams):
         for est, exp in zip(omitted[1:], exps[1:]):
             apow *= d.a
             estimates.append(apow * _to_mpf(est, exp, d.precision))
-    return SumSeries(mans, exps, d), SeriesDiagnostics(trunc_index=cut,
-                                                       error_estimate=estimates)
+    return SumSeries(mans, exps, d, omitted), SeriesDiagnostics(trunc_index=cut,
+                                                                error_estimate=estimates)
 
 
 def _lbar_sums(table: KernelTable, vy, order: int) -> tuple:

@@ -15,7 +15,6 @@ exact test oracles -- the algebra only needs +, *, /.
 Every operation is one coefficient recursion of O(n^2) steps, the standard
 power-series recurrences (Knuth, TAOCP vol. 2, sec. 4.7):
 
-    ratio   A/B:     q_n = (a_n - sum_{k>=1} C(n, k) b_k q_{n-k}) / b_0
     exp     e^A:     c_n = sum_{k>=1} C(n-1, k-1) a_k c_{n-k}
     log     log A:   L_n = b_n - sum_{0<k<n} C(n-1, k-1) L_k b_{n-k},  b = a/a_0
     binomial (1 + a t)^p:  c_k = c_{k-1} (p - k + 1) a
@@ -24,9 +23,9 @@ The exp and log recurrences follow from differentiating e^A and
 A = e^(log A).
 
 The exact references the test suite compares against (Stirling numbers,
-factorial powers, partial Bell polynomials, the reciprocal series by its
-Bell-polynomial closed form and by the ratio recursion, and the logarithm
-series) live in ``tests/oracles.py``.
+factorial powers, partial Bell polynomials, the ratio series by its
+recursion, the reciprocal series by it and by its Bell-polynomial closed
+form, and the logarithm series) live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveConstantTerm, ZeroConstantTerm
+from .errors import NonPositiveConstantTerm
 
 
 def log_polynomials(coeffs):
@@ -79,23 +78,6 @@ def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
             tot += math.comb(m_, k) * A.coeffs[k] * B.coeffs[m_ - k]
         out.append(tot)
     return ExpSeries(tuple(out))
-
-
-def series_ratio(A: ExpSeries, B: ExpSeries) -> ExpSeries:
-    """Quotient series A/B by the direct recursion.
-
-    q_0 = a_0/b_0,  q_n = (a_n - sum C(n,k) b_k q_{n-k}) / b_0.
-    """
-    if B.coeffs[0] == 0:
-        raise ZeroConstantTerm("ratio needs a nonzero denominator constant term")
-    n = min(A.order, B.order)
-    q = [A.coeffs[0] / B.coeffs[0]]
-    for m_ in range(1, n + 1):
-        tot = A.coeffs[m_]
-        for k in range(1, m_ + 1):
-            tot -= math.comb(m_, k) * B.coeffs[k] * q[m_ - k]
-        q.append(tot / B.coeffs[0])
-    return ExpSeries(tuple(q))
 
 
 def series_exp(A: ExpSeries) -> ExpSeries:

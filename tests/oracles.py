@@ -5,13 +5,16 @@ rule or formula that the library computes another way:
 
 - exact combinatorics and series operations (Stirling numbers, factorial
   powers, partial Bell polynomials, the reciprocal and logarithm series),
-  against :mod:`logifpt.series`;
+  against :mod:`logifpt.series`, and the quotient series, against the
+  fixed-point rows and quotient of :mod:`logifpt.kernels`;
 - the two truncation rules on ``mpf`` terms and the ``mpf`` view of a
   kernel row, against the fixed-point sums and rows of
   :mod:`logifpt.kernels`;
 - the moments by the Bell-polynomial closed form of the reciprocal
   series, the closed-form mean and variance and the Gamma-consistency
-  ratios, against :mod:`logifpt.analytics`;
+  ratios, against :mod:`logifpt.analytics`, and the first-order error
+  bound on the downcrossing moments as an ``mpf`` recursion, against the
+  one :func:`logifpt.kernels._fixed_quotient` runs on its ints;
 - the Laguerre polynomials one at a time, against the coefficient sums of
   :mod:`logifpt.laguerre`;
 - the long-run simulated mean, against the stationary Gamma law;
@@ -28,7 +31,7 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from logifpt.analytics import FLAG_RTOL, CumulantSet, MomentSet, _propagate_errors, fpt_moments
+from logifpt.analytics import FLAG_RTOL, CumulantSet, MomentSet, fpt_moments
 from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, TransformFailure,
                             ZeroConstantTerm)
 from logifpt.hypergeom import PRECISION, laplace_transform
@@ -38,7 +41,7 @@ from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_
 from logifpt.laguerre import _coeff_sum
 from logifpt.model import DerivedParams, Direction, FptProblem, validate_problem
 from logifpt.montecarlo import _MASK64, lie_trotter_step, step_constants
-from logifpt.series import ExpSeries, log_polynomials, series_product, series_ratio
+from logifpt.series import ExpSeries, log_polynomials, series_product
 
 # ---------------------------------------------------------------- series
 
@@ -123,6 +126,23 @@ def bell_partial(n: int, k: int, b):
 def identity(order: int, one=1) -> ExpSeries:
     """The multiplicative identity 1 + 0 t + ... up to the given order."""
     return ExpSeries((one,) + (one * 0,) * order)
+
+
+def series_ratio(A: ExpSeries, B: ExpSeries) -> ExpSeries:
+    """Quotient series A/B by the direct recursion.
+
+    q_0 = a_0/b_0,  q_n = (a_n - sum C(n,k) b_k q_{n-k}) / b_0.
+    """
+    if B.coeffs[0] == 0:
+        raise ZeroConstantTerm("ratio needs a nonzero denominator constant term")
+    n = min(A.order, B.order)
+    q = [A.coeffs[0] / B.coeffs[0]]
+    for m_ in range(1, n + 1):
+        tot = A.coeffs[m_]
+        for k in range(1, m_ + 1):
+            tot -= math.comb(m_, k) * B.coeffs[k] * q[m_ - k]
+        q.append(tot / B.coeffs[0])
+    return ExpSeries(tuple(q))
 
 
 def series_reciprocal(A: ExpSeries) -> ExpSeries:
@@ -241,8 +261,10 @@ def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     :func:`series_reciprocal_bell` instead of the fixed-point recursion:
     q(x0/U) l(x0) / l(U) upcrossing, with x0/U at working precision, and
     lbar(x0) / lbar(L) downcrossing.  The relative error estimates and flags
-    are recomputed from this quotient; the diagnostics and cumulants are
-    those of the recursion's set.  A degenerate set comes back unchanged.
+    are recomputed from this quotient by :func:`reference_error_bound`, on
+    the summed estimates of the recursion's set; the diagnostics and
+    cumulants are those of the recursion's set.  A degenerate set comes back
+    unchanged.
     """
     ms = fpt_moments(d, prob, order)
     if ms.degenerate:
@@ -258,11 +280,30 @@ def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
         rel, flagged = (mpf(0),) * order, (False,) * order
         if any(e):
-            dg = _propagate_errors(b1, e, g)
+            dg = reference_error_bound(b1, e, g, order)
             rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
                         for k, m in enumerate(moments, 1))
             flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
     return replace(ms, moments=moments, error_estimates=rel, flagged=flagged)
+
+
+def reference_error_bound(den, e, g, order):
+    """First-order error bound dg on the quotient g = num / den, given the
+    summed error estimates e of the two building-block series (e_0 = 0,
+    den_0 = 1), as the direct ``mpf`` recursion
+
+        dg_m = e_m + sum_{k=1..m} C(m, k) (e_k |g_{m-k}| + |den_k| dg_{m-k}),
+
+    the coefficients of e (1 + |g|) / (1 - |den|+), with |den|+ the series
+    |den| without its constant term.  The library runs it on its ints.
+    """
+    dg = [mpf(0)]
+    for m_ in range(1, order + 1):
+        tot = e[m_]
+        for k in range(1, m_ + 1):
+            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(den[k]) * dg[m_ - k])
+        dg.append(tot)
+    return dg
 
 
 def mean_variance_closed_form(d: DerivedParams, prob: FptProblem):

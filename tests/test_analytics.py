@@ -12,10 +12,10 @@ from logifpt import (CumulantSet, Direction, FptProblem, ModelParams, cumulants_
 from logifpt.analytics import FLAG_RTOL
 from logifpt.errors import InvalidParams, LogifptError
 from logifpt.kernels import lbar_series
-from logifpt.series import series_ratio
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
-from tests.oracles import bell_moments, cauchy_moments, gamma_consistency, mean_variance_closed_form
+from tests.oracles import (bell_moments, cauchy_moments, gamma_consistency,
+                           mean_variance_closed_form, reference_error_bound, series_ratio)
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -184,7 +184,8 @@ def count_calls(monkeypatch, names):
 
 def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
     """One upcrossing likelihood evaluation runs its quotient in ints and calls
-    none of the mpf series algebra; the Bell route still goes through it."""
+    none of the mpf series algebra, nor do downcrossing moments with their
+    error bound; the Bell route still goes through it."""
     from logifpt import SimConfig, log_likelihood, sample_fpt
     from logifpt.inference import MleConfig
 
@@ -193,23 +194,25 @@ def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
     fixed = {k: FISHERIES[k] for k in ("x0", "K", "q", "E")}
     cfg = MleConfig(estimate=("sigma", "r"), fixed={**fixed, "U": 1e4},
                     init={"sigma": 0.2, "r": 0.71})
-    calls = count_calls(monkeypatch, ("series_product", "series_ratio", "q_series"))
+    names = ("series_product", "series_ratio", "q_series", "reference_error_bound")
+    calls = count_calls(monkeypatch, names)
     assert log_likelihood({"sigma": 0.21, "r": 0.7}, sample, cfg) > -1e300
-    assert calls == {"series_product": 0, "series_ratio": 0, "q_series": 0}
+    _, d, prob = next(s for s in scenario_grid() if s[0] == "down_mid")
+    assert any(fpt_moments(d, prob, 10).error_estimates)
+    assert calls == dict.fromkeys(names, 0)
     bell_moments(fisheries, UP4, 10)
     assert calls["series_product"] > 0 and calls["q_series"] > 0
-    # downcrossing, both routes bound their errors by one mpf product and ratio
-    _, d, prob = next(s for s in scenario_grid() if s[0] == "down_mid")
+    # going down, the Bell route bounds its error by the mpf recursion
     bell_moments(d, prob, 10)
-    assert calls["series_ratio"] > 0
+    assert calls["reference_error_bound"] == 1
 
 
 @pytest.mark.parametrize("name", ["up_1e4", "up_large", "down_mid"])
 def test_endpoints_are_the_block_series_once_read(monkeypatch, name):
     """The quotient reads its endpoint sums as ints; read, its endpoint
     series are those of l_series (lbar_series going down) at x0 and at the
-    threshold, bit for bit.  Upcrossing, nothing reads them before; going
-    down, the error bound reads the threshold's."""
+    threshold, bit for bit.  In neither direction does anything read them
+    before, the error bound included."""
     import logifpt.analytics as analytics
     from logifpt.kernels import SumSeries, l_series, lbar_series
 
@@ -226,25 +229,12 @@ def test_endpoints_are_the_block_series_once_read(monkeypatch, name):
     block = l_series if prob.direction is Direction.UP else lbar_series
     assert isinstance(b0, SumSeries) and isinstance(b1, SumSeries)
     assert b0.d is d and b1.d is d
-    assert "coeffs" not in vars(b0)
-    assert ("coeffs" in vars(b1)) is (prob.direction is Direction.DOWN)
+    assert "coeffs" not in vars(b0) and "coeffs" not in vars(b1)
     for got, y in ((b0, d.params.x0), (b1, prob.threshold)):
         want = block(y, 10, d)[0].coeffs
         assert got.order == 10 and len(got.coeffs) == 11
         assert [c._mpf_ for c in got.coeffs] == [c._mpf_ for c in want]
     assert len(ms.series_cumulants) == 10
-
-
-def reference_error_bound(s1, e, g, order):
-    """The first-order error bound as a direct recursion:
-    dg_m = e_m + sum_{k=1..m} C(m, k) (e_k |g_{m-k}| + |s1_k| dg_{m-k})."""
-    dg = [mpf(0)]
-    for m_ in range(1, order + 1):
-        tot = e[m_]
-        for k in range(1, m_ + 1):
-            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(s1[k]) * dg[m_ - k])
-        dg.append(tot)
-    return dg
 
 
 @pytest.mark.parametrize("name", ["down_deep", "down_mid", "down_high"])
@@ -260,6 +250,20 @@ def test_error_bound_matches_the_recursion(name):
             assert abs(ms.error_estimates[k - 1] * abs(ms.moments[k - 1]) - want[k]) \
                 <= mpf("1e-70") * want[k]
             assert ms.flagged[k - 1] == (want[k] / abs(ms.moments[k - 1]) > FLAG_RTOL)
+
+
+@pytest.mark.parametrize("name", ["down_deep", "down_mid", "down_high"])
+def test_error_estimates_are_the_summed_omitted_terms(name):
+    """Estimate k of a downcrossing set is a^k times the sum of the two
+    endpoints' first omitted terms, om0_k 2^exp0_k + om1_k 2^exp1_k, rounded
+    once: within 1e-60 of that sum at 1000 bits."""
+    _, d, prob = next(s for s in scenario_grid() if s[0] == name)
+    ms = fpt_moments(d, prob, 10)
+    ends = [lbar_series(y, 10, d)[0] for y in (d.params.x0, prob.threshold)]
+    with mp.workprec(1000):
+        for k in range(1, 11):
+            want = d.a ** k * sum(mpf(b.omitted[k]) * mpf(2) ** b.exps[k] for b in ends)
+            assert abs(ms.diagnostics.error_estimate[k] / want - 1) < mpf("1e-60")
 
 
 def test_moment_set_invariants(fisheries):
@@ -299,7 +303,6 @@ def test_degenerate_recursion_collapses_by_induction():
     # same series at numerator and threshold position: coefficients cancel
     d = fisheries_at(100.0)
     from logifpt.kernels import t_series
-    from logifpt.series import series_ratio
     s, _ = t_series(100.0, 5, d)
     with mp.workprec(d.precision):
         g = series_ratio(s, s).coeffs

@@ -196,6 +196,8 @@ def _input_error_argv(case, config, tmp_path):
         "mle-max-iter-negative": [*mle, "--fixed", str(fixed), "--max-iter", "-5"],
         "mle-init-not-estimated": ["mle", "--samples", str(samples), "--estimate", "sigma",
                                    "--init", "sigma=0.2,r=5", "--fixed", str(fixed)],
+        "mle-init-twice": ["mle", "--samples", str(samples), "--estimate", "sigma",
+                           "--init", "sigma=0.25,sigma=0.15", "--fixed", str(fixed)],
         "mle-init-unknown": ["mle", "--samples", str(samples), "--estimate", "sigma",
                              "--init", "sigma=0.2,bogus=1", "--fixed", str(fixed)],
         "mle-init-out-of-bounds": ["mle", "--samples", str(samples), "--estimate", "sigma,r",
@@ -219,7 +221,8 @@ def _input_error_argv(case, config, tmp_path):
                                   "fixed-huge-int", "order-negative", "nmax-negative",
                                   "horizon-inf", "mle-estimate-twice", "mle-init-nan",
                                   "mle-max-iter-negative",
-                                  "mle-init-not-estimated", "mle-init-unknown",
+                                  "mle-init-not-estimated", "mle-init-twice",
+                                  "mle-init-unknown",
                                   "mle-init-out-of-bounds", "density-nan", "density-inf-t",
                                   "density-decreasing", "density-inf-at-0",
                                   "samples-config-list", "samples-paths-null",

@@ -9,9 +9,10 @@ from logifpt import (KernelTable, ModelParams, derive_params, l_series,
                      lbar_series, q_series, t_series)
 from logifpt import kernels
 from logifpt.errors import NoConvergence
-from logifpt.series import ExpSeries, binomial_series, series_exp, series_product, series_ratio
+from logifpt.series import ExpSeries, binomial_series, series_exp, series_product
 from tests.conftest import FISHERIES, drift_at, fisheries_at, scenario_grid
-from tests.oracles import asymptotic_sum, convergent_sum, falling_factorial, mpf_row
+from tests.oracles import (asymptotic_sum, convergent_sum, falling_factorial, mpf_row,
+                           series_ratio)
 
 
 def dyadic_table(u_value=-2.625, precision=256, order=7):

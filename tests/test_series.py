@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from logifpt.errors import NonPositiveConstantTerm, ZeroConstantTerm
-from logifpt.series import (ExpSeries, binomial_series, log_polynomials, series_exp,
-                            series_product, series_ratio)
+from logifpt.series import ExpSeries, binomial_series, log_polynomials, series_exp, series_product
 from tests.oracles import (bell_partial, bell_partial_table, falling_factorial, identity,
-                           rising_factorial, series_log, series_reciprocal,
+                           rising_factorial, series_log, series_ratio, series_reciprocal,
                            series_reciprocal_bell, stirling1_unsigned)
 
 PREC = 256
