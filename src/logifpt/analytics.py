@@ -33,7 +33,8 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import InvalidParams
-from .kernels import N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient, l_series, lbar_series
+from .kernels import (N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient, _to_mpf, l_series,
+                      lbar_series)
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 from .series import log_polynomials
 
@@ -52,7 +53,8 @@ class MomentSet:
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
     flagged: tuple | None = None
     diagnostics: object = None  # SeriesDiagnostics: both endpoints' max cut, summed estimate
-    # c_1..c_order from the log of the transform series, set by fpt_moments
+    # c_1..c_order from the log of the transform series, set by fpt_moments as
+    # exact (int, exponent) pairs; ``cumulants`` rounds them to the precision
     series_cumulants: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -81,14 +83,15 @@ class MomentSet:
 
         where L*_k are the coefficients of the log of the building-block
         series (l-series up, lbar-series down) at the two states, all in the
-        fixed point of :mod:`logifpt.kernels`.  A set without them
-        (degenerate, empirical or read from a file) goes through
-        :func:`cumulants_from_moments`.
+        fixed point of :mod:`logifpt.kernels`, kept as ints and rounded here,
+        on first read, once each.  A set without them (degenerate, empirical
+        or read from a file) goes through :func:`cumulants_from_moments`.
         """
         if self.series_cumulants is None:
             return cumulants_from_moments(self)
-        return CumulantSet(problem=self.problem, order=self.order,
-                           cumulants=self.series_cumulants, precision=self.precision)
+        cumulants = tuple(_to_mpf(man, exp, self.precision) for man, exp in self.series_cumulants)
+        return CumulantSet(problem=self.problem, order=self.order, cumulants=cumulants,
+                           precision=self.precision)
 
 
 @dataclass(frozen=True)
@@ -152,14 +155,14 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
             q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))
         g, logs, e, dg = _fixed_quotient(b0, b1, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
-        cumulants = tuple((-1) ** k * logs[k] for k in range(1, order + 1))
+        cumulants = tuple(((-1) ** k * man, exp) for k, (man, exp) in enumerate(logs[1:], 1))
         rel, flagged = (mpf(0),) * order, (False,) * order
         if dg is not None:  # convergent sums, all upcrossing ones, have no bound
             rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
                         for k, m in enumerate(moments, 1))
             flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
     diag = SeriesDiagnostics(trunc_index=list(map(max, g0.trunc_index, g1.trunc_index)),
-                             error_estimate=list(e or (mpf(0),) * (order + 1)))
+                             estimates=list(e or (mpf(0),) * (order + 1)))
     return MomentSet(problem=prob, order=order, moments=moments,
                      precision=d.precision, error_estimates=rel,
                      flagged=flagged, diagnostics=diag, series_cumulants=cumulants)

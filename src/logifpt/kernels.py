@@ -83,8 +83,8 @@ exponents, cuts and, going down, first omitted terms), keyed by the family
 and the exact ``mpf`` v y, at the highest order computed.  A lower order
 reads their prefix, which has the bits of a fresh call, since each order is
 summed and cut on its own.  The ``SumSeries`` and the ``mpf`` error
-estimates are formed from the caller's ``d.a`` on every call, so the same u
-and v y under another a share the sums.  A ``NoConvergence`` is not kept.
+estimates (on first read) are formed from the caller's ``d.a``, so the same
+u and v y under another a share the sums.  A ``NoConvergence`` is not kept.
 ENDPOINT_SUMS_MAX bounds the entries, the least recently used going first.
 A scan from one starting state thus sums that state once; a likelihood fit,
 with a new u at every evaluation, builds a new table each time and gains
@@ -159,7 +159,9 @@ def _fixed_powers(x, order: int, wp: int) -> list:
 def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
     """(g, L = log g, e, dg) for g = q num / den, or num / den when ``q_log``
     is None, and two building-block series of :func:`l_series` or
-    :func:`lbar_series`, each coefficient rounded once to the precision.
+    :func:`lbar_series`.  g, e and dg come each coefficient rounded once to
+    the precision; L comes as exact (int, exponent) pairs, for the caller
+    to round when it reads them (:attr:`logifpt.analytics.MomentSet.cumulants`).
 
     q = exp(A) with A_0 = 0 and A_k = c (1/2)_k a^k for ``q_log`` = c, the
     falling factorial (1/2)_k as in :func:`q_series`.  The int partial sums
@@ -220,7 +222,7 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
         for k in range(1, n + 1):
             tot += row[k - 1] * logs[k] * g[n - k]
         g.append(tot >> sh)
-    out = [tuple(_to_mpf(x, exp, precision) for x in s) for s in (g, logs)]
+    out = tuple(_to_mpf(x, exp, precision) for x in g), tuple((x, exp) for x in logs)
     if den.omitted is None:
         return (*out, None, None)
     e, e_exp = common(scaled(num.omitted, num.exps) + scaled(den.omitted, den.exps))
@@ -413,10 +415,17 @@ class SeriesDiagnostics:
     error_estimate[k] is the magnitude of the first omitted term for
     asymptotic sums.  For convergent sums it is zero, which means "not
     estimated", not "exact": their error is set by the cut at L_SERIES_TOL.
+    ``estimates`` is that list, or a function that forms it, called on the
+    first read of ``error_estimate``: :func:`lbar_series` passes one, so a
+    caller that reads only the cuts forms no ``mpf`` estimate.
     """
 
     trunc_index: list = field(default_factory=list)
-    error_estimate: list = field(default_factory=list)
+    estimates: object = field(default_factory=list)
+
+    @cached_property
+    def error_estimate(self) -> list:
+        return self.estimates() if callable(self.estimates) else self.estimates
 
     def to_dict(self) -> dict:
         return {
@@ -520,7 +529,7 @@ def l_series(y, order: int, d: DerivedParams):
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
     partial, acc, cut = table.endpoint_sums(_l_sums, vy, order)
-    diag = SeriesDiagnostics(trunc_index=cut, error_estimate=[mpf(0)] * (order + 1))
+    diag = SeriesDiagnostics(trunc_index=cut, estimates=[mpf(0)] * (order + 1))
     return SumSeries(partial, acc, d), diag
 
 
@@ -579,18 +588,24 @@ def lbar_series(y, order: int, d: DerivedParams):
     series is a :class:`SumSeries`, whose ``mpf`` coefficients are formed on
     first use.  The sums, cuts and first omitted terms are ints kept on the
     table under v y, as in :func:`l_series`; the estimates, a^m times the
-    first omitted term, are formed from ``d.a`` on every call.
+    first omitted term, are formed from ``d.a`` on the first read of the
+    diagnostics' ``error_estimate``.
     """
     table = ensure_table(d, order)
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         mans, exps, cut, omitted = table.endpoint_sums(_lbar_sums, vy, order)
-        apow, estimates = mpf(1), [mpf(0)]
-        for est, exp in zip(omitted[1:], exps[1:]):
-            apow *= d.a
-            estimates.append(apow * _to_mpf(est, exp, d.precision))
+
+    def estimates():
+        with mp.workprec(d.precision):
+            apow, out = mpf(1), [mpf(0)]
+            for est, exp in zip(omitted[1:], exps[1:]):
+                apow *= d.a
+                out.append(apow * _to_mpf(est, exp, d.precision))
+        return out
+
     return SumSeries(mans, exps, d, omitted), SeriesDiagnostics(trunc_index=cut,
-                                                                error_estimate=estimates)
+                                                                estimates=estimates)
 
 
 def _lbar_sums(table: KernelTable, vy, order: int) -> tuple:

@@ -17,6 +17,15 @@ step, so the sample is bit-identical for a given (seed, config) regardless
 of how paths are batched internally.  Batches are merged associatively
 (crossing times concatenated, then sorted), keeping the result independent
 of scheduling.
+
+Memory is bounded whatever the number of paths and steps.  ``sample_fpt``
+draws each chunk of _CHUNK = 512 steps into one normal buffer of
+min(paths, _BATCH = 4096) x 512 doubles, at most 16 MiB, allocated once per
+call; besides it, it holds about 1 KB of generator state per path of the
+current batch, and the crossing times.  ``kde`` evaluates the grid in
+blocks of _KDE_BLOCK doubles (512 KiB) per temporary, whatever the grid
+size; a block holds at least one grid point, so a sample larger than
+_KDE_BLOCK takes one row of n doubles instead.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from .model import DerivedParams, Direction, FptProblem, ModelParams, validate_p
 _MASK64 = (1 << 64) - 1
 _BATCH = 4096
 _CHUNK = 512
+# doubles in each kde temporary: grid points per block times sample size
+_KDE_BLOCK = 1 << 16
 
 CSV_MAGIC = "# logifpt fpt-sample v1"
 
@@ -153,6 +164,9 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
     bracket the threshold, which removes most of the O(dt) bias of recording
     the first grid point past it.  Raises WrongSide when x0 lies past the
     threshold; at x0 == threshold every time is 0.
+
+    Each chunk's normals go into the rows of one buffer, allocated once;
+    the surviving paths of a chunk fill its top-left corner.
     """
     if validate_problem(d, cfg.problem):
         return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg,
@@ -164,6 +178,7 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
     max_steps = cfg.steps
     all_times = []
     censored = 0
+    buf = np.empty((min(cfg.paths, _BATCH), min(_CHUNK, max_steps)))
     for start in range(0, cfg.paths, _BATCH):
         ids = range(start, min(start + _BATCH, cfg.paths))
         gens = _path_generators(cfg.seed, ids)
@@ -171,7 +186,7 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
         base = 0
         while len(x) and base < max_steps:
             span = min(_CHUNK, max_steps - base)
-            z = np.empty((len(x), span))
+            z = buf[:len(x), :span]
             for g, row in zip(gens, z):
                 g.standard_normal(out=row)
             crossed_at = np.full(len(x), -1, dtype=np.int64)
@@ -232,6 +247,9 @@ def kde(s: FptSample, grid) -> np.ndarray:
 
     The bandwidth is Silverman's rule.  Mass leaking below t = 0 is
     reflected back, so the estimate integrates to one on the half line.
+    The grid runs in blocks of _KDE_BLOCK // n points (at least one), and
+    each point's kernel sum reduces one row over all n times, so the
+    block size does not change a bit of the result.
     """
     if s.n == 0:
         raise EmptySample("no crossing times observed")
@@ -240,7 +258,7 @@ def kde(s: FptSample, grid) -> np.ndarray:
     times = s.times
     norm = 1.0 / (s.n * h * math.sqrt(2 * math.pi))
     out = np.empty_like(grid)
-    step = max(1, int(2e6 // max(len(times), 1)))
+    step = max(1, _KDE_BLOCK // len(times))
     for i in range(0, len(grid), step):
         g = grid[i:i + step, None]
         direct = np.exp(-0.5 * ((g - times[None, :]) / h) ** 2)
@@ -264,17 +282,22 @@ def write_samples_csv(s: FptSample, path) -> None:
 
 
 def read_samples_csv(path) -> FptSample:
+    """Inverse of :func:`write_samples_csv`; a file it could not have
+    written raises InvalidParams naming the file."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if len(lines) < 4 or lines[0] != CSV_MAGIC:
         raise InvalidParams(f"{path} is not a crossing-time sample file")
-    meta = json.loads(lines[1].removeprefix("# config: "))
+    try:  # a bad number or config line; JSONDecodeError is a ValueError
+        meta = json.loads(lines[1].removeprefix("# config: "))
+        censored = int(lines[2].removeprefix("# censored: "))
+        times = np.array([float(x) for x in lines[4:] if x], dtype=float)
+    except ValueError as exc:
+        raise InvalidParams(f"{path}: malformed sample file: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("model"), (dict, type(None))):
         raise InvalidParams(f"{path}: malformed config line")
-    censored = int(lines[2].removeprefix("# censored: "))
     if lines[3] != "time":
-        raise InvalidParams("malformed sample file header")
-    times = np.array([float(x) for x in lines[4:] if x], dtype=float)
+        raise InvalidParams(f"{path}: malformed sample file header")
     config = SimConfig.from_dict(meta.get("sim"))
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise InvalidParams(f"{path}: crossing times must be finite and >= 0")

@@ -17,7 +17,9 @@ rule or formula that the library computes another way:
   one :func:`logifpt.kernels._fixed_quotient` runs on its ints;
 - the Laguerre polynomials one at a time, against the coefficient sums of
   :mod:`logifpt.laguerre`;
-- the long-run simulated mean, against the stationary Gamma law;
+- the long-run simulated mean, against the stationary Gamma law, and the
+  simulator that allocates a fresh normal array per chunk, against the one
+  buffer :func:`logifpt.montecarlo.sample_fpt` reuses;
 - moments of any order by Cauchy integrals of the hypergeometric
   transform (the trapezoidal rule on a circle), against the series moments.
 """
@@ -40,7 +42,9 @@ from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_
                              q_series)
 from logifpt.laguerre import _coeff_sum
 from logifpt.model import DerivedParams, Direction, FptProblem, validate_problem
-from logifpt.montecarlo import _MASK64, lie_trotter_step, step_constants
+from logifpt import montecarlo
+from logifpt.montecarlo import (_MASK64, FptSample, SimConfig, _path_generators,
+                                lie_trotter_step, step_constants)
 from logifpt.series import ExpSeries, log_polynomials, series_product
 
 # ---------------------------------------------------------------- series
@@ -435,6 +439,48 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
         "steps": steps,
         "dt": dt,
     }
+
+
+def reference_sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
+    """:func:`logifpt.montecarlo.sample_fpt` with a new normal array per
+    chunk: each chunk draws into an array of (surviving paths) x (chunk
+    steps) instead of the rows of one reused buffer.  Batches and chunks
+    follow the module's ``_BATCH`` and ``_CHUNK``."""
+    if validate_problem(d, cfg.problem):
+        return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg, model=d.params)
+    threshold = cfg.problem.threshold
+    up = cfg.problem.direction is Direction.UP
+    dt, consts, max_steps = cfg.dt, step_constants(d, cfg.dt), cfg.steps
+    all_times, censored = [], 0
+    for start in range(0, cfg.paths, montecarlo._BATCH):
+        gens = _path_generators(cfg.seed, range(start, min(start + montecarlo._BATCH,
+                                                           cfg.paths)))
+        x = np.full(len(gens), float(d.params.x0))
+        base = 0
+        while len(x) and base < max_steps:
+            span = min(montecarlo._CHUNK, max_steps - base)
+            z = np.empty((len(x), span))
+            for g, row in zip(gens, z):
+                g.standard_normal(out=row)
+            crossed_at = np.full(len(x), -1, dtype=np.int64)
+            x_before, x_after = np.empty(len(x)), np.empty(len(x))
+            cur = x
+            for j in range(span):
+                nxt = lie_trotter_step(cur, z[:, j], *consts)
+                newly = (crossed_at < 0) & (nxt > threshold if up else nxt < threshold)
+                crossed_at[newly] = j
+                x_before[newly] = cur[newly]
+                x_after[newly] = nxt[newly]
+                cur = nxt
+            done = crossed_at >= 0
+            frac = (threshold - x_before[done]) / (x_after[done] - x_before[done])
+            all_times.append((base + crossed_at[done].astype(float)) * dt + dt * frac)
+            x = cur[~done]
+            gens = [g for g, k in zip(gens, ~done) if k]
+            base += span
+        censored += len(x)
+    times = np.sort(np.concatenate(all_times)) if all_times else np.empty(0)
+    return FptSample(times=times, censored=censored, config=cfg, model=d.params)
 
 
 # ---------------------------------------------------------------- hypergeom

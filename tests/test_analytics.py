@@ -330,13 +330,18 @@ def test_cumulant_duality(fisheries):
 
 
 def test_moment_set_cumulants(fisheries):
-    """fpt_moments keeps its series cumulants out of == and repr; its
-    cumulants are read once and are those of fpt_cumulants, and a set
-    without series cumulants converts its moments."""
+    """fpt_moments keeps its series cumulants out of == and repr, as exact
+    (int, exponent) pairs; its cumulants are those pairs rounded once to the
+    precision on first read, are those of fpt_cumulants, and a set without
+    series cumulants converts its moments."""
     ms = fpt_moments(fisheries, UP4, 4)
+    assert "cumulants" not in vars(ms)
+    assert all(type(man) is int and type(exp) is int for man, exp in ms.series_cumulants)
+    with mp.workprec(ms.precision):
+        rounded = tuple(mpmath.ldexp(mpf(man), exp) for man, exp in ms.series_cumulants)
     assert ms.cumulants is ms.cumulants
     assert ms.cumulants == fpt_cumulants(fisheries, UP4, 4)
-    assert ms.cumulants.cumulants == ms.series_cumulants
+    assert ms.cumulants.cumulants == rounded
     assert "series_cumulants" not in repr(ms)
     bare = dataclasses.replace(ms, series_cumulants=None)
     assert bare == ms

@@ -274,8 +274,9 @@ def test_mc_study_bit_reproducible(fisheries_params):
 def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1k,
                                                                         monkeypatch):
     """An upcrossing evaluation whose p has no negative interval calls
-    _raw_cdf no time and forms neither endpoint series in mpf; one with a
-    negative interval integrates it, and never evaluates F at inf (it is b_0)."""
+    _raw_cdf no time and forms neither endpoint series nor the cumulants in
+    mpf; one with a negative interval integrates it, and never evaluates F
+    at inf (it is b_0)."""
     import logifpt.analytics as analytics
     import logifpt.inference as inference
     import logifpt.laguerre as laguerre
@@ -283,10 +284,15 @@ def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1
     seen, calls = {}, []
     raw_cdf = laguerre._raw_cdf
     fixed_quotient = analytics._fixed_quotient
+    fpt_moments = inference.fpt_moments
 
     def quotient(num, den, q_log=None):
         seen["blocks"] = num, den
         return fixed_quotient(num, den, q_log)
+
+    def moments(*args, **kwargs):
+        seen["ms"] = fpt_moments(*args, **kwargs)
+        return seen["ms"]
 
     def approximant(*args, **kwargs):
         seen["apx"] = build_approximant(*args, **kwargs)
@@ -299,12 +305,14 @@ def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1
     monkeypatch.setattr(analytics, "_fixed_quotient", quotient)
     monkeypatch.setattr(inference, "build_approximant", approximant)
     monkeypatch.setattr(laguerre, "_raw_cdf", counted)
+    monkeypatch.setattr(inference, "fpt_moments", moments)
     cfg = cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": 0.71})
     assert log_likelihood({"sigma": 0.22, "r": 0.71}, sample_1k, cfg) > PENALTY
     assert seen["apx"].negative_mass == 0.0 and not np.size(seen["apx"]._neg)
     assert calls == []
     b0, b1 = seen["blocks"]
     assert "coeffs" not in vars(b0) and "coeffs" not in vars(b1)
+    assert "cumulants" not in vars(seen["ms"])
     # p < 0 on one interval at sigma 0.15, r 0.8: its mass is integrated
     assert log_likelihood({"sigma": 0.15, "r": 0.8}, sample_1k, cfg) > PENALTY
     assert seen["apx"].negative_mass > 0 and len(calls) == 2

@@ -307,6 +307,31 @@ def test_lbar_series_leading_term_and_estimates():
         assert diag.error_estimate[k] < mpf("1e-10") * abs(bs.coeffs[k])
 
 
+def test_lbar_estimates_are_formed_on_first_read(monkeypatch):
+    """lbar_series rounds no estimate until its diagnostics' error_estimate
+    is read, and downcrossing fpt_moments, which reads only the cuts, reads
+    neither endpoint's; read, they are a^k times the first omitted terms."""
+    import logifpt.analytics as analytics
+    from logifpt import Direction, FptProblem, fpt_moments
+
+    d = fisheries_at(3.91e7)
+    seen = []
+
+    def block(*args):
+        seen.append(lbar_series(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(analytics, "lbar_series", block)
+    fpt_moments(d, FptProblem(Direction.DOWN, 2.8e7), 10)
+    assert len(seen) == 2 and all("error_estimate" not in vars(diag) for _, diag in seen)
+    bs, diag = seen[0]
+    with mp.workprec(d.precision):
+        want = [mpf(0)] + [d.a ** k * abs(mpmath.ldexp(bs.omitted[k], bs.exps[k]))
+                           for k in range(1, 11)]
+    assert all(abs(e / w - 1) < mpf("1e-70") for e, w in zip(diag.error_estimate[1:], want[1:]))
+    assert diag.error_estimate[0] == 0 and diag.error_estimate is diag.error_estimate
+
+
 def test_sum_helpers():
     with mp.workprec(128):
         val, n = convergent_sum(lambda k: mpf(2) ** (-k), mpf("1e-20"), 500)

@@ -1,16 +1,18 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from logifpt import (Direction, FptProblem, ModelParams, SimConfig, derive_params,
+from logifpt import (Direction, FptProblem, FptSample, ModelParams, SimConfig, derive_params,
                      empirical_moments, fpt_moments, kde, lie_trotter_step,
                      read_samples_csv, sample_fpt, step_constants,
                      write_samples_csv)
 from logifpt.errors import EmptySample, InvalidParams, WrongSide
 from logifpt.montecarlo import silverman_bandwidth
 from tests.conftest import FISHERIES, rel_err
-from tests.oracles import stationary_check
+from tests.oracles import reference_sample_fpt, stationary_check
 
 UP4 = FptProblem(Direction.UP, 1e4)
 
@@ -69,6 +71,45 @@ def test_batching_does_not_change_results(fisheries, monkeypatch):
     shuffled = sample_fpt(fisheries, cfg)
     assert np.array_equal(reference.times, shuffled.times)
     assert reference.censored == shuffled.censored
+
+
+@pytest.mark.parametrize("x0, threshold, paths, dt, horizon, batch", [
+    (100.0, 1e4, 300, 1e-2, 13.37, None),   # censored paths, chunks of 512, 512, 313
+    (6.0e7, 3.91e7, 200, 1e-2, 5.3, None),  # downcrossing, censored, 530 steps
+    (100.0, 1e4, 60, 1e-2, 13.37, 7),       # batches of 7, 7, ..., 4
+], ids=["up", "down", "batches"])
+def test_sample_matches_the_per_chunk_sampler(monkeypatch, x0, threshold, paths, dt,
+                                              horizon, batch):
+    """One buffer reused for every chunk draws and steps what a fresh array
+    per chunk did, bit for bit."""
+    import logifpt.montecarlo as mc
+
+    if batch:
+        monkeypatch.setattr(mc, "_BATCH", batch)
+    d = derive_params(ModelParams(**{**FISHERIES, "x0": x0}))
+    direction = Direction.UP if threshold > x0 else Direction.DOWN
+    cfg = SimConfig(problem=FptProblem(direction, threshold), paths=paths, dt=dt,
+                    horizon=horizon, seed=31)
+    s, ref = sample_fpt(d, cfg), reference_sample_fpt(d, cfg)
+    assert np.array_equal(s.times, ref.times)
+    assert s.censored == ref.censored
+    assert 0 < s.censored < paths and cfg.steps % mc._CHUNK
+
+
+def test_sample_holds_one_normal_buffer(fisheries):
+    """2048 paths over 4 chunks, all censored: the peak is the one buffer of
+    2048 x 512 doubles (8 MiB) and about 1 KB of generator per path, below
+    the two buffers that a chunk would hold drawing into a new array."""
+    cfg = SimConfig(problem=UP4, paths=2048, dt=1e-3, horizon=1.6, seed=1)
+    buffer = 2048 * 512 * 8
+    tracemalloc.start()
+    try:
+        s = sample_fpt(fisheries, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.censored == 2048 and cfg.steps > 3 * 512
+    assert peak < 1.5 * buffer
 
 
 def test_degenerate_threshold(fisheries):
@@ -161,6 +202,44 @@ def test_kde_integrates_to_one(fisheries):
     assert h == pytest.approx(0.9 * min(sd, iqr / 1.34) * s.n ** -0.2)
 
 
+def _synthetic_sample(n: int) -> FptSample:
+    cfg = SimConfig(problem=UP4, paths=n, dt=1e-2, horizon=60.0, seed=0)
+    return FptSample(times=np.random.default_rng(n).gamma(4.0, 2.0, n), censored=0,
+                     config=cfg)
+
+
+@pytest.mark.parametrize("n, block", [(1000, None), (1000, 3000), (1000, 256)],
+                         ids=["default", "uneven", "below-n"])
+def test_kde_blocks_do_not_change_a_bit(monkeypatch, n, block):
+    """The grid in blocks of _KDE_BLOCK // n points, or one point when n
+    exceeds the block, gives the one-block evaluation exactly."""
+    import logifpt.montecarlo as mc
+
+    s = _synthetic_sample(n)
+    grid = np.linspace(-2.0, 38.0, 801)
+    if block:
+        monkeypatch.setattr(mc, "_KDE_BLOCK", block)
+    blocked = kde(s, grid)
+    monkeypatch.setattr(mc, "_KDE_BLOCK", len(grid) * n)
+    whole = kde(s, grid)
+    assert np.array_equal(blocked, whole)
+    assert np.all(blocked[grid < 0] == 0) and np.all(blocked[grid > 0] > 0)
+
+
+def test_kde_memory_is_bounded():
+    """1e5 times on 801 points: a block is one grid point, so each temporary
+    is one row of 1e5 doubles (0.8 MB) and the peak a few of them."""
+    s = _synthetic_sample(100_000)
+    grid = np.linspace(0.0, 40.0, 801)
+    tracemalloc.start()
+    try:
+        kde(s, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
+
+
 def test_stationary_check(fisheries):
     out = stationary_check(fisheries, paths=64, steps=20000, dt=0.01, seed=3)
     assert out["rel_deviation"] < 0.05
@@ -196,8 +275,10 @@ def test_sim_config_from_dict_refuses_what_to_dict_never_writes(edit):
         SimConfig.from_dict(edit(good))
 
 
-@pytest.mark.parametrize("line, value", [(4, "nan"), (4, "-1.5"), (4, "inf"),
-                                         (2, "# censored: -1"), (2, "# censored: 999999")])
+@pytest.mark.parametrize("line, value", [(4, "nan"), (4, "-1.5"), (4, "inf"), (4, "abc"),
+                                         (2, "# censored: -1"), (2, "# censored: 999999"),
+                                         (2, "# censored: 1.5"), (2, "# censored: x"),
+                                         (1, "# config: {bad")])
 def test_invalid_sample_file_rejected(tmp_path, fisheries, line, value):
     cfg = SimConfig(problem=UP4, paths=25, dt=1e-2, horizon=60.0, seed=17)
     path = tmp_path / "sample.csv"
@@ -205,7 +286,7 @@ def test_invalid_sample_file_rejected(tmp_path, fisheries, line, value):
     lines = path.read_text().splitlines()
     lines[line] = value
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=re.escape(str(path))):
         read_samples_csv(path)
 
 
