@@ -58,14 +58,14 @@ def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
     d = timed(times, "derive", derive_params, params, cfg.precision)
     order, x0 = cfg.n_max, params.x0
     kernels._table = None  # a first pass finds the last row the sums read
-    cut = max(max(kernels.l_series(y, order, d)[1].trunc_index) for y in (x0, THRESHOLD))
+    cut = max(max(kernels.l_series(y, order, d).cut) for y in (x0, THRESHOLD))
     kernels._table = None
 
     def rows():
         kernels.ensure_table(d, order).fixed_row("m", cut)
 
     timed(times, "rows", rows)
-    b0, b1 = timed(times, "l-sums", lambda: [kernels.l_series(y, order, d)[0]
+    b0, b1 = timed(times, "l-sums", lambda: [kernels.l_series(y, order, d)
                                              for y in (x0, THRESHOLD)])
     with mp.workprec(d.precision):
         q_log = d.u * mpmath.log(mpf(THRESHOLD) / mpf(x0))

@@ -19,8 +19,9 @@ at sigma 1e-3 it is 1.2e-15 off where the series route is within 1e-60.
 
 All values are held in arbitrary precision and downcast only through the
 ``*_float`` accessors.  Downcrossing results carry per-order relative error
-estimates inherited from the optimally-truncated asymptotic sums; orders
-whose estimate exceeds FLAG_RTOL are flagged rather than silently returned.
+estimates inherited from the optimally-truncated asymptotic sums (one
+:class:`~logifpt.kernels.SumSeries` per endpoint); ``flagged`` marks the
+orders whose estimate exceeds FLAG_RTOL rather than silently returning them.
 Upcrossing estimates are 0, which means "not estimated", not "exact".
 """
 
@@ -33,8 +34,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .errors import InvalidParams
-from .kernels import (N_MAX_DEFAULT, SeriesDiagnostics, _fixed_quotient, _to_mpf, l_series,
-                      lbar_series)
+from .kernels import N_MAX_DEFAULT, _fixed_quotient, _to_mpf, l_series, lbar_series
 from .model import DerivedParams, Direction, FptProblem, validate_problem
 from .series import log_polynomials
 
@@ -51,8 +51,7 @@ class MomentSet:
     precision: int
     degenerate: bool = False
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
-    flagged: tuple | None = None
-    diagnostics: object = None  # SeriesDiagnostics: both endpoints' max cut, summed estimate
+    diagnostics: dict | None = None  # "trunc_index" and "error_estimate", see fpt_moments
     # c_1..c_order from the log of the transform series, set by fpt_moments as
     # exact (int, exponent) pairs; ``cumulants`` rounds them to the precision
     series_cumulants: tuple | None = field(default=None, compare=False, repr=False)
@@ -70,6 +69,13 @@ class MomentSet:
         if self.order < 2:
             raise IndexError("variance needs order >= 2")
         return self.moments[1] - self.moments[0] ** 2
+
+    @cached_property
+    def flagged(self) -> tuple | None:
+        """error_estimates > FLAG_RTOL per order; None for a set without estimates."""
+        if self.error_estimates is None:
+            return None
+        return tuple(bool(r > FLAG_RTOL) for r in self.error_estimates)
 
     @cached_property
     def cumulants(self) -> "CumulantSet":
@@ -128,13 +134,14 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     q(x0/U) l(x0) / l(U), since q(x0)/q(U) = q(x0/U) exactly (see
     :mod:`logifpt.kernels`).  One q-series and no ``t_series`` enter, and
     nothing cancels between two q-series.  The quotient runs in fixed-point
-    ints, on the int partial sums of the blocks, as the exp of the log of
-    the quotient; that log gives the cumulants, kept in the result.
-    For downcrossing problems the quotient also bounds its error; the
-    per-order relative error estimates are attached and orders above
-    FLAG_RTOL are flagged.
-    Upcrossing sums are convergent, their estimates are 0, and the relative
-    error estimates are exact zeros with no order flagged.
+    ints, on the int partial sums of the two :class:`~logifpt.kernels.SumSeries`,
+    as the exp of the log of the quotient; that log gives the cumulants, kept
+    in the result.  Going down the quotient also bounds its error; the
+    per-order relative error estimates are attached, ``flagged`` reads them
+    against FLAG_RTOL, and ``diagnostics`` holds the larger endpoint cut
+    ("trunc_index") and the summed ``mpf`` estimate ("error_estimate") per
+    order.  Upcrossing sums are convergent: the relative error estimates are
+    exact zeros, with no order flagged.
     An order outside 1..N_MAX_DEFAULT, the kernel table bound, raises
     InvalidParams before any table is built.
     """
@@ -144,10 +151,9 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     if validate_problem(d, prob):
         return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
                          precision=d.precision, degenerate=True,
-                         error_estimates=(mpf(0),) * order, flagged=(False,) * order)
+                         error_estimates=(mpf(0),) * order)
     block = l_series if prob.direction is Direction.UP else lbar_series
-    b0, g0 = block(d.params.x0, order, d)
-    b1, g1 = block(prob.threshold, order, d)
+    b0, b1 = block(d.params.x0, order, d), block(prob.threshold, order, d)
     with mp.workprec(d.precision):
         q_log = None
         if prob.direction is Direction.UP:
@@ -156,16 +162,15 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
         g, logs, e, dg = _fixed_quotient(b0, b1, q_log)
         moments = tuple((-1) ** m_ * g[m_] for m_ in range(1, order + 1))
         cumulants = tuple(((-1) ** k * man, exp) for k, (man, exp) in enumerate(logs[1:], 1))
-        rel, flagged = (mpf(0),) * order, (False,) * order
+        rel = (mpf(0),) * order
         if dg is not None:  # convergent sums, all upcrossing ones, have no bound
             rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
                         for k, m in enumerate(moments, 1))
-            flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
-    diag = SeriesDiagnostics(trunc_index=list(map(max, g0.trunc_index, g1.trunc_index)),
-                             estimates=list(e or (mpf(0),) * (order + 1)))
+    diagnostics = {"trunc_index": list(map(max, b0.cut, b1.cut)),
+                   "error_estimate": list(e or (mpf(0),) * (order + 1))}
     return MomentSet(problem=prob, order=order, moments=moments,
                      precision=d.precision, error_estimates=rel,
-                     flagged=flagged, diagnostics=diag, series_cumulants=cumulants)
+                     diagnostics=diagnostics, series_cumulants=cumulants)
 
 
 def cumulants_from_moments(ms: MomentSet) -> CumulantSet:

@@ -52,6 +52,14 @@ class ZeroVariance(LogifptError):
     """Gamma moment matching needs a strictly positive variance."""
 
 
+class UnreliableMoments(LogifptError):
+    """Moment matching got a variance that is not > 0 from a series set that
+    flags its first or second moment: their error estimates exceed
+    ``analytics.FLAG_RTOL``, so the sums cannot give a Gamma reference."""
+
+    exit_code = 3
+
+
 class InsufficientMoments(LogifptError):
     """More moments are required than the supplied MomentSet carries."""
 

@@ -41,11 +41,11 @@ omitted term as the error estimate).  ``l_series`` and ``lbar_series`` run
 their n-sums in the same integers, on the rows as ints: (v y)^n / n! and
 (v y)^-n / n! are fixed-point sequences, each order's partial sum is one
 int, and both truncation rules compare ints exactly.  ``l_series`` advances
-all its orders in one pass over n, each to its own cut.  Both return the
-partial sums as ints, in a :class:`SumSeries`: an :class:`ExpSeries` whose
-``mpf`` coefficients (each sum rounded to the precision, then times a^k)
-are formed on first use; ``lbar_series`` keeps its first omitted terms
-there too.
+all its orders in one pass over n, each to its own cut.  Each returns one
+record, a :class:`SumSeries`: the partial sums as ints with their exponents,
+the cut of each order and, going down, the first omitted terms (None for the
+convergent l-sums).  Its ``mpf`` coefficients and error estimates (each int
+rounded to the precision, then times a^k) are formed on first read.
 
 The moments do not go through ``t_series`` = q(y) l(y).  The upcrossing
 quotient is q(x0) l(x0) / (q(U) l(U)), and since q(y) = y^(u (1 - s)),
@@ -82,9 +82,9 @@ the ints that ``l_series`` and ``lbar_series`` return (partial sums,
 exponents, cuts and, going down, first omitted terms), keyed by the family
 and the exact ``mpf`` v y, at the highest order computed.  A lower order
 reads their prefix, which has the bits of a fresh call, since each order is
-summed and cut on its own.  The ``SumSeries`` and the ``mpf`` error
-estimates (on first read) are formed from the caller's ``d.a``, so the same
-u and v y under another a share the sums.  A ``NoConvergence`` is not kept.
+summed and cut on its own.  A ``SumSeries`` forms its ``mpf`` coefficients
+and error estimates from the caller's ``d.a``, so the same u and v y under
+another a share the sums.  A ``NoConvergence`` is not kept.
 ENDPOINT_SUMS_MAX bounds the entries, the least recently used going first.
 A scan from one starting state thus sums that state once; a likelihood fit,
 with a new u at every evaluation, builds a new table each time and gains
@@ -245,36 +245,49 @@ def _normalize(mans: list, exp: int, wp: int) -> tuple:
     return [_shift(x, wp - low) for x in mans], exp - (wp - low)
 
 
-class SumSeries(ExpSeries):
-    """A building-block series held as its partial sums over n, one int per
-    order: coefficient k >= 1 is a^k mans[k] 2^exps[k], coefficient 0 is 1.
-    An asymptotic sum also keeps its first omitted terms, ``omitted[k]
-    2^exps[k]`` before the a^k; a convergent one has ``omitted`` None.
+@dataclass(frozen=True)
+class SumSeries:
+    """One endpoint sum of :func:`l_series` or :func:`lbar_series`: per order
+    k >= 1 its partial sum over n, a^k mans[k] 2^exps[k] (coefficient 0 is
+    1), its cut, the last n-term included, and for an asymptotic sum its
+    first omitted term, a^k omitted[k] 2^exps[k]; a convergent one has
+    ``omitted`` None.
 
     :func:`_fixed_quotient` reads the ints.  ``coeffs``, the ``mpf`` series,
-    is formed on first use: each sum rounded to the precision, then times
-    a^k in ``mpf``.
+    and ``error_estimate`` (zeros for a convergent sum: "not estimated", not
+    "exact") are formed on first read, each int rounded to the precision,
+    then times a^k.
     """
 
-    def __init__(self, mans: list, exps: list, d: DerivedParams, omitted: list | None = None):
-        object.__setattr__(self, "mans", mans)
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "omitted", omitted)
+    mans: list
+    exps: list
+    cut: list
+    omitted: list | None
+    d: DerivedParams = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
         return len(self.mans) - 1
 
-    @cached_property
-    def coeffs(self) -> tuple:
+    def _times_apow(self, first, ints) -> list:
+        """[first, a^k ints[k] 2^exps[k] for k = 1..order], in ``mpf``."""
         d = self.d
         with mp.workprec(d.precision):
-            out, apow = [mpf(1)], mpf(1)
-            for man, exp in zip(self.mans[1:], self.exps[1:]):
+            out, apow = [first], mpf(1)
+            for man, exp in zip(ints[1:], self.exps[1:]):
                 apow *= d.a
                 out.append(apow * _to_mpf(man, exp, d.precision))
-        return tuple(out)
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        return tuple(self._times_apow(mpf(1), self.mans))
+
+    @cached_property
+    def error_estimate(self) -> list:
+        if self.omitted is None:
+            return [mpf(0)] * (self.order + 1)
+        return self._times_apow(mpf(0), self.omitted)
 
 
 class KernelTable:
@@ -330,7 +343,7 @@ class KernelTable:
 
     def endpoint_sums(self, sums_at, vy, order: int) -> list:
         """The int lists ``sums_at(self, vy, order)`` returns, each cut to
-        ``order`` + 1 entries.
+        ``order`` + 1 entries (a None stays None).
 
         They are kept under (``sums_at``, the exact ``mpf`` vy).  A kept
         entry of ``order`` or higher serves the request as a prefix: each
@@ -346,7 +359,7 @@ class KernelTable:
         sums.move_to_end(key)
         if len(sums) > ENDPOINT_SUMS_MAX:
             sums.popitem(last=False)
-        return [x[:order + 1] for x in entry]
+        return [None if x is None else x[:order + 1] for x in entry]
 
     def _m_next(self, i: int, prev: list, exp: int) -> tuple:
         """m_row(i+1) = (i + u(1-s)) D with D = m_row(i) / (1 + i - 2us).
@@ -405,33 +418,6 @@ def ensure_table(d: DerivedParams, order: int) -> KernelTable:
             or _table.order < order):
         _table = KernelTable(d, order)
     return _table
-
-
-@dataclass
-class SeriesDiagnostics:
-    """Per-coefficient truncation bookkeeping.
-
-    trunc_index[k] is the last n-term included for coefficient k;
-    error_estimate[k] is the magnitude of the first omitted term for
-    asymptotic sums.  For convergent sums it is zero, which means "not
-    estimated", not "exact": their error is set by the cut at L_SERIES_TOL.
-    ``estimates`` is that list, or a function that forms it, called on the
-    first read of ``error_estimate``: :func:`lbar_series` passes one, so a
-    caller that reads only the cuts forms no ``mpf`` estimate.
-    """
-
-    trunc_index: list = field(default_factory=list)
-    estimates: object = field(default_factory=list)
-
-    @cached_property
-    def error_estimate(self) -> list:
-        return self.estimates() if callable(self.estimates) else self.estimates
-
-    def to_dict(self) -> dict:
-        return {
-            "trunc_index": list(self.trunc_index),
-            "error_estimate": [float(e) for e in self.error_estimate],
-        }
 
 
 def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
@@ -506,15 +492,15 @@ def _fixed_asymptotic_sum(terms, wp: int):
     return sum(kept[: best + 1]), abs(kept[best + 1]), acc, best
 
 
-def l_series(y, order: int, d: DerivedParams):
+def l_series(y, order: int, d: DerivedParams) -> SumSeries:
     """Expansion coefficients l_k(y) of the regular hypergeometric factor.
 
     l_0 = 1 and l_k = a^k sum_{n>=1} m_row(n)[k] (v y)^n / n!.  The n-sum
     converges factorially; it is cut once five consecutive terms fall below
     L_SERIES_TOL times the running partial sum.  Raises NoConvergence, for
     the smallest order still open, if the table bound N_MAX_DEFAULT is hit
-    first.  Returns (series, diagnostics); the series is a :class:`SumSeries`,
-    whose ``mpf`` coefficients are formed on first use.
+    first.  Returns a :class:`SumSeries` with the partial sums and the cuts,
+    no omitted terms; its ``mpf`` coefficients are formed on first read.
 
     The sums run in fixed point on the table's integer rows, all orders in
     one pass over n, so each row and each (v y)^n / n! is fetched once.
@@ -528,13 +514,11 @@ def l_series(y, order: int, d: DerivedParams):
     table = ensure_table(d, order)
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-    partial, acc, cut = table.endpoint_sums(_l_sums, vy, order)
-    diag = SeriesDiagnostics(trunc_index=cut, estimates=[mpf(0)] * (order + 1))
-    return SumSeries(partial, acc, d), diag
+    return SumSeries(*table.endpoint_sums(_l_sums, vy, order), d)
 
 
 def _l_sums(table: KernelTable, vy, order: int) -> tuple:
-    """(partial sums, their exponents, cuts) of :func:`l_series` at v y."""
+    """(partial sums, their exponents, cuts, None) of :func:`l_series` at v y."""
     wp = table._wp
     scale = _powers_over_factorials(vy, wp)
     partial, acc, run = [0] * (order + 1), [None] * (order + 1), [0] * (order + 1)
@@ -562,20 +546,20 @@ def _l_sums(table: KernelTable, vy, order: int) -> tuple:
             still_open.append(k)
         open_orders = still_open
         if not open_orders:
-            return partial, acc, cut
+            return partial, acc, cut, None
     raise NoConvergence(f"l-series order {open_orders[0]} at v*y = {float(vy)}: "
                         f"sum still changing at n_max = {N_MAX_DEFAULT}")
 
 
-def t_series(y, order: int, d: DerivedParams):
+def t_series(y, order: int, d: DerivedParams) -> ExpSeries:
     """Upcrossing coefficients t_m(y): Cauchy product of l- and q-series."""
-    ls, diag = l_series(y, order, d)
+    ls = l_series(y, order, d)
     qs = q_series(y, order, d)
     with mp.workprec(d.precision):
-        return series_product(qs, ls), diag
+        return series_product(qs, ls)
 
 
-def lbar_series(y, order: int, d: DerivedParams):
+def lbar_series(y, order: int, d: DerivedParams) -> SumSeries:
     """Downcrossing coefficients lbar_m(y) with per-order error estimates.
 
     lbar_0 = 1 and lbar_m = a^m sum_{n>=m} (-1)^n mbar_row(n)[m]
@@ -583,35 +567,23 @@ def lbar_series(y, order: int, d: DerivedParams):
     optimal truncation: terms are generated until their magnitude envelope
     has clearly turned upward, the cut n* minimizes the envelope
     max(|T_n|, |T_{n+1}|) (robust to the structural zeros at small n; ties
-    resolve to the smaller n), and the first omitted term is reported as
-    the error estimate, in ``mpf``.  Returns (series, diagnostics); the
-    series is a :class:`SumSeries`, whose ``mpf`` coefficients are formed on
-    first use.  The sums, cuts and first omitted terms are ints kept on the
-    table under v y, as in :func:`l_series`; the estimates, a^m times the
-    first omitted term, are formed from ``d.a`` on the first read of the
-    diagnostics' ``error_estimate``.
+    resolve to the smaller n), and the first omitted term is the error
+    estimate.  Returns a :class:`SumSeries` with the sums, the cuts and the
+    first omitted terms as ints, kept on the table under v y as in
+    :func:`l_series`; its ``mpf`` coefficients and estimates, a^m times the
+    first omitted term, are formed from ``d.a`` on first read.
     """
     table = ensure_table(d, order)
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
-        mans, exps, cut, omitted = table.endpoint_sums(_lbar_sums, vy, order)
-
-    def estimates():
-        with mp.workprec(d.precision):
-            apow, out = mpf(1), [mpf(0)]
-            for est, exp in zip(omitted[1:], exps[1:]):
-                apow *= d.a
-                out.append(apow * _to_mpf(est, exp, d.precision))
-        return out
-
-    return SumSeries(mans, exps, d, omitted), SeriesDiagnostics(trunc_index=cut,
-                                                                estimates=estimates)
+    return SumSeries(*table.endpoint_sums(_lbar_sums, vy, order), d)
 
 
 def _lbar_sums(table: KernelTable, vy, order: int) -> tuple:
     """(sums, their exponents, cuts, first omitted terms) of
     :func:`lbar_series` at v y, the omitted terms at the sums' exponents."""
-    scale = _powers_over_factorials(-1 / vy, table._wp)  # carries (-1)^n
+    with mp.workprec(table.precision):  # not the caller's: the sums are kept under v y
+        scale = _powers_over_factorials(-1 / vy, table._wp)  # carries (-1)^n
     mans, exps, cut, omitted = [0], [0], [0], [0]
     for m_ in range(1, order + 1):
         terms = _fixed_terms(table, "mbar", m_, scale, m_)

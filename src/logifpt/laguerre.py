@@ -53,7 +53,7 @@ from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_mul, mpf_neg, round_nea
 
 from .analytics import MomentSet
 from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
-                     SingularOriginWarning, ZeroVariance)
+                     SingularOriginWarning, UnreliableMoments, ZeroVariance)
 
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
@@ -82,7 +82,8 @@ def match_gamma(ms: MomentSet) -> GammaRef:
     Warns (does not fail) when the matched shape is singular at the origin
     (alpha < 0, i.e. coefficient of variation above one) and when the
     sufficient expansion condition beta < 2/mean is violated; the expansion
-    is applied regardless in both cases.
+    is applied regardless in both cases.  A variance not > 0 raises
+    UnreliableMoments if the set flags its first or second moment, else ZeroVariance.
     """
     if ms.order < 2:
         raise InsufficientMoments("moment matching needs order >= 2")
@@ -92,6 +93,8 @@ def match_gamma(ms: MomentSet) -> GammaRef:
         if not mp.isfinite(var):  # a non-finite mean or second moment
             raise InvalidParams(f"moments must be finite, got {ms.moments_float[:2]}")
         if not var > 0:
+            if ms.flagged and any(ms.flagged[:2]):
+                raise UnreliableMoments(f"flagged moments give a variance of {float(var)}, not > 0")
             raise ZeroVariance(f"variance must be > 0, got {float(var)}")
         alpha = mean ** 2 / var - 1
         beta = mean / var

@@ -33,7 +33,7 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from logifpt.analytics import FLAG_RTOL, CumulantSet, MomentSet, fpt_moments
+from logifpt.analytics import CumulantSet, MomentSet, fpt_moments
 from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, TransformFailure,
                             ZeroConstantTerm)
 from logifpt.hypergeom import PRECISION, laplace_transform
@@ -264,31 +264,30 @@ def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     threshold; the quotient is formed in ``mpf`` with
     :func:`series_reciprocal_bell` instead of the fixed-point recursion:
     q(x0/U) l(x0) / l(U) upcrossing, with x0/U at working precision, and
-    lbar(x0) / lbar(L) downcrossing.  The relative error estimates and flags
-    are recomputed from this quotient by :func:`reference_error_bound`, on
-    the summed estimates of the recursion's set; the diagnostics and
-    cumulants are those of the recursion's set.  A degenerate set comes back
-    unchanged.
+    lbar(x0) / lbar(L) downcrossing.  The relative error estimates, and with
+    them the flags, are recomputed from this quotient by
+    :func:`reference_error_bound`, on the summed estimates of the
+    recursion's set; the diagnostics and cumulants are those of the
+    recursion's set.  A degenerate set comes back unchanged.
     """
     ms = fpt_moments(d, prob, order)
     if ms.degenerate:
         return ms
     block = l_series if prob.direction is Direction.UP else lbar_series
-    b0, b1 = (block(y, order, d)[0] for y in (d.params.x0, prob.threshold))
-    e = ms.diagnostics.error_estimate
+    b0, b1 = (block(y, order, d) for y in (d.params.x0, prob.threshold))
+    e = ms.diagnostics["error_estimate"]
     with mp.workprec(d.precision):
         s0 = b0
         if prob.direction is Direction.UP:  # q(x0) l(x0) / (q(U) l(U))
             s0 = series_product(q_series(mpf(d.params.x0) / mpf(prob.threshold), order, d), b0)
         g = series_product(s0, series_reciprocal_bell(b1)).coeffs
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
-        rel, flagged = (mpf(0),) * order, (False,) * order
+        rel = (mpf(0),) * order
         if any(e):
             dg = reference_error_bound(b1, e, g, order)
             rel = tuple(dg[k] / abs(m) if m else (mpf("inf") if dg[k] else mpf(0))
                         for k, m in enumerate(moments, 1))
-            flagged = tuple(bool(r > FLAG_RTOL) for r in rel)
-    return replace(ms, moments=moments, error_estimates=rel, flagged=flagged)
+    return replace(ms, moments=moments, error_estimates=rel)
 
 
 def reference_error_bound(den, e, g, order):
@@ -305,7 +304,7 @@ def reference_error_bound(den, e, g, order):
     for m_ in range(1, order + 1):
         tot = e[m_]
         for k in range(1, m_ + 1):
-            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(den[k]) * dg[m_ - k])
+            tot += math.comb(m_, k) * (e[k] * abs(g[m_ - k]) + abs(den.coeffs[k]) * dg[m_ - k])
         dg.append(tot)
     return dg
 

@@ -61,7 +61,7 @@ EXIT_CODES = {
     errors.InsufficientMoments: 1, errors.EmptySample: 1,
     errors.InvalidHarvest: 2, errors.NonPersistentRegime: 2, errors.WrongSide: 2,
     errors.NoFeasibleStart: 2,
-    errors.NoConvergence: 3, errors.TransformFailure: 3,
+    errors.NoConvergence: 3, errors.TransformFailure: 3, errors.UnreliableMoments: 3,
 }
 
 
@@ -362,9 +362,12 @@ def test_each_csv_output_gets_one_json_sidecar(tmp_path, capsys):
 
     down = tmp_path / "down.json"
     down.write_text(json.dumps({**FISHERIES, "x0": 6.0e7}))
+    up = tmp_path / "up.json"
+    up.write_text(json.dumps(FISHERIES))
     runs = {
         "moments": [str(down), "--direction", "down", "--threshold", "3.91e7",
                     "--order", "4"],
+        "moments-up": [str(up), "--direction", "up", "--threshold", "1e4", "--order", "4"],
         "density": [str(down), "--direction", "down", "--threshold", "3.91e7",
                     "--grid", "0.5:20:0.5"],
         "simulate": [str(down), "--direction", "down", "--threshold", "3.91e7",
@@ -377,19 +380,25 @@ def test_each_csv_output_gets_one_json_sidecar(tmp_path, capsys):
         outdir = tmp_path / command
         outdir.mkdir()
         out = outdir / "X"
-        code, _, _ = run(capsys, command, *argv, "--out", str(out))
+        code, _, _ = run(capsys, command.partition("-")[0], *argv, "--out", str(out))
         assert code == 0
         extra = {"X.kde.csv"} if command == "simulate" else set()
         assert {f.name for f in outdir.iterdir()} == {"X", "X.json"} | extra
         sidecar = json.loads((outdir / "X.json").read_text())
-        assert sidecar["manifest"]["command"] == command
-        if command == "moments":
-            ms = fpt_moments(derive_params(ModelParams(**{**FISHERIES, "x0": 6.0e7})),
-                             FptProblem(Direction.DOWN, 3.91e7), 4)
-            assert sidecar["trunc_index"] == list(ms.diagnostics.trunc_index)
+        assert sidecar["manifest"]["command"] == command.partition("-")[0]
+        if command.startswith("moments"):
+            x0, direction, threshold = ((100.0, "up", 1e4) if command == "moments-up"
+                                        else (6.0e7, "down", 3.91e7))
+            ms = fpt_moments(derive_params(ModelParams(**{**FISHERIES, "x0": x0})),
+                             FptProblem(Direction(direction), threshold), 4)
+            assert sidecar["trunc_index"] == ms.diagnostics["trunc_index"]
+            assert sidecar["error_estimate"] == [float(e)
+                                                 for e in ms.diagnostics["error_estimate"]]
             assert sidecar["error_estimates"] == [float(e) for e in ms.error_estimates]
             assert sidecar["flagged"] == list(ms.flagged)
-            assert sidecar["manifest"]["direction"] == "down"
+            assert sidecar["manifest"]["direction"] == direction
+            # going down the summed estimates are positive, going up zeros
+            assert all((e > 0) == (direction == "down") for e in sidecar["error_estimate"][1:])
 
 
 def test_readme_lists_every_switch():
@@ -464,6 +473,32 @@ def test_density_theory_warns_when_unstable(config_path, tmp_path, capsys):
     sidecar = json.loads((out_path.parent / "dens110.csv.json").read_text())
     assert sidecar["alpha"] < 0
     assert (not sidecar["converged"]) or sidecar["clip_applied"] or sidecar["negative_mass"] > 0
+
+
+@pytest.mark.parametrize("case, code, message", [
+    # every moment flagged: the series give a zero variance on a valid input
+    ("flagged", 3, "numerical non-convergence: flagged moments give a variance of 0.0"),
+    # a moments file carries no estimates, so nothing is flagged
+    ("file", 1, "input error: variance must be > 0"),
+    ("degenerate", 1, "input error: variance must be > 0"),
+])
+def test_density_zero_variance_exit_codes(tmp_path, capsys, case, code, message):
+    """The case of the flagged set: fisheries K, q and E at sigma 0.577,
+    r 6.63, from 4e7 down to 2.5e7."""
+    config = tmp_path / "config.json"
+    x0, argv = 4e7, ["--direction", "down", "--threshold", "2.5e7"]
+    if case == "flagged":
+        config.write_text(json.dumps({**FISHERIES, "sigma": 0.577, "r": 6.63, "x0": x0}))
+    else:
+        config.write_text(json.dumps({**FISHERIES, "x0": x0}))
+    if case == "file":
+        (tmp_path / "m.json").write_text(json.dumps({"moments": [2.0, 4.0]}))
+        argv += ["--nmax", "2", "--moments-from", f"moments:{tmp_path / 'm.json'}"]
+    if case == "degenerate":
+        argv[-1] = repr(x0)
+    got, out, err = run(capsys, "density", str(config), *argv, "--grid", "0.5:2:0.5")
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and "Traceback" not in err
 
 
 def test_density_warning_names_a_sidecar_only_with_out(config_path, tmp_path, capsys):

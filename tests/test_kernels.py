@@ -185,7 +185,7 @@ def test_cut_points_are_pinned(name, order):
 
     d, prob = {s[0]: s[1:] for s in scenario_grid()}[name]
     ms = fpt_moments(d, prob, order)
-    assert (ms.diagnostics.trunc_index, list(ms.flagged)) == CUTS[name, order]
+    assert (ms.diagnostics["trunc_index"], list(ms.flagged)) == CUTS[name, order]
 
 
 # ------------------------------------------------------------- series blocks
@@ -223,26 +223,26 @@ def test_q_series_matches_exp_of_log_expansion(fisheries):
 def test_l_series_basics(fisheries):
     d = fisheries
     y = 1e4
-    ls, diag = l_series(y, 3, d)
+    ls = l_series(y, 3, d)
     assert ls.coeffs[0] == 1
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         lead = d.a * (-d.u / (2 * (1 - 2 * d.u))) * vy
         # first coefficient is dominated by its n=1 term at small v*y
         assert abs(ls.coeffs[1] / lead - 1) < 0.01
-    assert diag.trunc_index[1] >= 1
-    assert all(e == 0 for e in diag.error_estimate)
+    assert ls.cut[1] >= 1
+    assert all(e == 0 for e in ls.error_estimate)
 
 
 def test_l_series_invariant_under_doubled_truncation():
     d = fisheries_at(2.01e7)
     y = 3.91e7
-    ls, diag = l_series(y, 3, d)
+    ls = l_series(y, 3, d)
     tab = kernels.ensure_table(d, 3)
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         for k in range(1, 4):
-            n2 = min(2 * diag.trunc_index[k], kernels.N_MAX_DEFAULT)
+            n2 = min(2 * ls.cut[k], kernels.N_MAX_DEFAULT)
             direct = sum(mpf_row(tab, "m", n)[k] * vy ** n / mpmath.factorial(n)
                          for n in range(1, n2 + 1))
             direct *= d.a ** k
@@ -275,8 +275,8 @@ def test_t_series_is_product_of_blocks(fisheries):
     d = fisheries
     y = 512.0
     order = 5
-    ts, _ = t_series(y, order, d)
-    ls, _ = l_series(y, order, d)
+    ts = t_series(y, order, d)
+    ls = l_series(y, order, d)
     qs = q_series(y, order, d)
     with mp.workprec(d.precision):
         prod = series_product(ls, qs)
@@ -285,8 +285,8 @@ def test_t_series_is_product_of_blocks(fisheries):
             assert abs(x - yv) <= mpf("1e-60") * scale
     assert ts.coeffs[0] == 1
     # y = 1 collapses the state factor: t_m = l_m
-    ts1, _ = t_series(1.0, order, d)
-    ls1, _ = l_series(1.0, order, d)
+    ts1 = t_series(1.0, order, d)
+    ls1 = l_series(1.0, order, d)
     assert ts1.coeffs == ls1.coeffs
 
 
@@ -294,22 +294,22 @@ def test_lbar_series_leading_term_and_estimates():
     d = fisheries_at(3.91e7)
     # far tail: v*y ~ 441 makes the n=1 term dominate the asymptotic sum
     y_far = 1e9
-    bs_far, _ = lbar_series(y_far, 1, d)
+    bs_far = lbar_series(y_far, 1, d)
     with mp.workprec(d.precision):
         lead = d.a * d.u ** 2 / (d.v * mpf(y_far))
         assert abs(bs_far.coeffs[1] / lead - 1) < 0.05
     y = 3.91e7
-    bs, diag = lbar_series(y, 4, d)
+    bs = lbar_series(y, 4, d)
     assert bs.coeffs[0] == 1
-    assert all(e > 0 for e in diag.error_estimate[1:])
+    assert all(e > 0 for e in bs.error_estimate[1:])
     # estimates are small relative to the coefficients at this v*y
     for k in range(1, 5):
-        assert diag.error_estimate[k] < mpf("1e-10") * abs(bs.coeffs[k])
+        assert bs.error_estimate[k] < mpf("1e-10") * abs(bs.coeffs[k])
 
 
 def test_lbar_estimates_are_formed_on_first_read(monkeypatch):
-    """lbar_series rounds no estimate until its diagnostics' error_estimate
-    is read, and downcrossing fpt_moments, which reads only the cuts, reads
+    """lbar_series rounds no estimate until its error_estimate is read, and
+    downcrossing fpt_moments, which reads only the ints and cuts, reads
     neither endpoint's; read, they are a^k times the first omitted terms."""
     import logifpt.analytics as analytics
     from logifpt import Direction, FptProblem, fpt_moments
@@ -323,13 +323,28 @@ def test_lbar_estimates_are_formed_on_first_read(monkeypatch):
 
     monkeypatch.setattr(analytics, "lbar_series", block)
     fpt_moments(d, FptProblem(Direction.DOWN, 2.8e7), 10)
-    assert len(seen) == 2 and all("error_estimate" not in vars(diag) for _, diag in seen)
-    bs, diag = seen[0]
+    assert len(seen) == 2 and all("error_estimate" not in vars(bs) for bs in seen)
+    bs = seen[0]
     with mp.workprec(d.precision):
         want = [mpf(0)] + [d.a ** k * abs(mpmath.ldexp(bs.omitted[k], bs.exps[k]))
                            for k in range(1, 11)]
-    assert all(abs(e / w - 1) < mpf("1e-70") for e, w in zip(diag.error_estimate[1:], want[1:]))
-    assert diag.error_estimate[0] == 0 and diag.error_estimate is diag.error_estimate
+    assert all(abs(e / w - 1) < mpf("1e-70") for e, w in zip(bs.error_estimate[1:], want[1:]))
+    assert bs.error_estimate[0] == 0 and bs.error_estimate is bs.error_estimate
+
+
+def test_lbar_sums_do_not_read_the_callers_precision():
+    """The table keeps the downcrossing sums under the exact v y alone, so
+    _lbar_sums rounds 1 / (v y) at the table's precision, not at whatever
+    precision its caller left."""
+    d = fisheries_at(3.91e7)
+    table = kernels.KernelTable(d, 10)
+    with mp.workprec(d.precision):
+        vy = d.v * mpf(2.8e7)
+    sums = []
+    for prec in (53, d.precision):
+        with mp.workprec(prec):
+            sums.append(kernels._lbar_sums(table, vy, 10))
+    assert sums[0] == sums[1]
 
 
 def test_sum_helpers():
@@ -376,7 +391,7 @@ def count_sums(monkeypatch) -> list:
 def numbers(ms) -> tuple:
     """What a MomentSet reports: moments, cumulants, estimates, flags, cuts."""
     return (ms.moments, ms.cumulants.cumulants, ms.error_estimates, ms.flagged,
-            ms.diagnostics.trunc_index, ms.diagnostics.error_estimate)
+            ms.diagnostics["trunc_index"], ms.diagnostics["error_estimate"])
 
 
 @pytest.mark.parametrize("x0, thresholds", [(100.0, (1e4, 2e4, 5e4)),
@@ -497,7 +512,7 @@ def test_shared_tables_are_keyed_by_u_and_precision(monkeypatch):
         assert kernels.ensure_table(d, 4).order == 4
         assert served.moments == fresh.moments
         assert served.error_estimates == fresh.error_estimates
-        assert served.diagnostics.trunc_index == fresh.diagnostics.trunc_index
+        assert served.diagnostics["trunc_index"] == fresh.diagnostics["trunc_index"]
         # likewise the order-10 sums kept at both endpoints serve order 4 as
         # their prefix, summing nothing
         fpt_moments(d, prob, 10)

@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import mpmath
@@ -14,7 +15,8 @@ from logifpt import (Direction, FptProblem, GammaRef, LaguerreApproximant, Model
                      MomentSet, build_approximant, derive_params, fpt_moments,
                      laguerre_coeffs, match_gamma, select_order)
 from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments, InvalidParams,
-                            LogifptError, SingularOriginWarning, ZeroVariance)
+                            LogifptError, SingularOriginWarning, UnreliableMoments,
+                            ZeroVariance)
 from tests.conftest import FISHERIES, fisheries_at, fisheries_like, rel_err
 from tests.oracles import bell_moments, laguerre_poly, rising_factorial
 
@@ -68,6 +70,29 @@ def test_match_gamma_warnings_and_errors():
         match_gamma(moment_set([2.0, 4.0]))  # var exactly zero
     with pytest.raises(InsufficientMoments):
         match_gamma(moment_set([2.0]))
+
+
+@pytest.mark.parametrize("second, flags, error", [
+    (4.0, (False, False, True), ZeroVariance),
+    (4.0, (False, True, False), UnreliableMoments),
+    (3.0, (True, False, False), UnreliableMoments),
+    (5.0, (True, True, True), None),
+])
+def test_a_flagged_zero_variance_is_unreliable(second, flags, error):
+    """A variance not > 0 from a set that flags its mean or second moment is
+    a numerical failure (exit 3); flags above order 2 leave it an input
+    error (exit 1), and a positive variance is matched whatever the flags."""
+    ms = replace(moment_set([2.0, second, 9.0]),
+                 error_estimates=tuple(mpf(f) for f in flags))
+    assert ms.flagged == flags
+    if error is None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert match_gamma(ms).beta == pytest.approx(2.0)
+        return
+    with pytest.raises(error) as err:
+        match_gamma(ms)
+    assert err.value.exit_code == (3 if error is UnreliableMoments else 1)
 
 
 def test_laguerre_poly_values():

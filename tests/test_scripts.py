@@ -3,7 +3,9 @@
 ``run_scenarios.py`` without ``--mc`` computes the moments of its nine
 scenarios through ``fpt_moments``; ``run_mle_study.py`` is only asked for its
 usage, since a study takes minutes.  ``profile_likelihood.py`` times a few
-points on a small sample.
+points on a small sample.  ``check_console_script.sh``, the console-script
+check of both CI jobs, runs against a ``logifpt`` shim that calls the
+checkout's ``logifpt.cli``.
 """
 
 import os
@@ -42,3 +44,21 @@ def test_profile_likelihood():
     stages = [line.split()[0] for line in done.stdout.strip().splitlines()[1:]]
     assert stages == ["derive", "rows", "l-sums", "quotient", "c_j/b_k", "order", "approx",
                       "density", "sum", "whole"]
+
+
+def test_check_console_script(tmp_path):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "logifpt"
+    shim.write_text('#!/bin/sh\nexec python -m logifpt.cli "$@"\n')
+    shim.chmod(0o755)
+    (bin_dir / "python").symlink_to(sys.executable)
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(["bash", str(ROOT / "scripts" / "check_console_script.sh")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    [workdir] = [p for p in tmp_path.iterdir() if p.name != "bin"]
+    assert {"m.csv.json", "md.csv.json", "s.csv.kde.csv", "d.csv.json"} <= {
+        p.name for p in workdir.iterdir()}
