@@ -7,13 +7,15 @@ whose coefficients are the moments, and its first ``mpf`` is each of them,
 rounded once.  At 256 bits and order 10 it keeps upcrossing moments within
 4.9e-76 of a 700-bit evaluation of the same truncated sums on the benchmark
 scenarios, which measures rounding only; their accuracy, up to 8.5e-33
-relative, is set by the cut of the l-sums at ``kernels.L_SERIES_TOL``.  The
-test suite checks it against the Bell-polynomial closed form of the
-reciprocal denominator series, an independent route in ``mpf`` kept in
-``tests/oracles.py``.  Going down, the same pass bounds the moments' error
-from the first omitted terms of the asymptotic sums.  A :class:`MomentSet`
-from :func:`fpt_moments` keeps its cumulants; one from another source
-(empirical, read from a file) converts its moments with
+relative, is set by the cut of the l-sums at ``kernels.L_SERIES_TOL``.  This
+pass is the library's one series algebra; ``kernels.q_series`` and
+``kernels.t_series`` run on it too.  The test suite checks it against the
+Bell-polynomial closed form of the reciprocal denominator series, an
+independent route in ``mpf`` kept in ``tests/oracles.py`` with the ``mpf``
+series operations it uses.  Going down, the same pass bounds the moments'
+error from the first omitted terms of the asymptotic sums.  A
+:class:`MomentSet` from :func:`fpt_moments` keeps its cumulants; one from
+another source (empirical, read from a file) converts its moments with
 :func:`cumulants_from_moments`, which loses the digits the moments cancel:
 at sigma 1e-3 it is 1.2e-15 off where the series route is within 1e-60.
 
@@ -141,7 +143,9 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     against FLAG_RTOL, and ``diagnostics`` holds the larger endpoint cut
     ("trunc_index") and the summed ``mpf`` estimate ("error_estimate") per
     order.  Upcrossing sums are convergent: the relative error estimates are
-    exact zeros, with no order flagged.
+    exact zeros, with no order flagged.  A degenerate problem (x0 at the
+    threshold) gives zero moments, and its diagnostics hold order + 1 zero
+    cuts and zero estimates, so every set has the same diagnostics.
     An order outside 1..N_MAX_DEFAULT, the kernel table bound, raises
     InvalidParams before any table is built.
     """
@@ -149,9 +153,11 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
         raise InvalidParams(f"order must be in 1..{N_MAX_DEFAULT} (the kernel table bound), "
                             f"got {order}")
     if validate_problem(d, prob):
-        return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
-                         precision=d.precision, degenerate=True,
-                         error_estimates=(mpf(0),) * order)
+        zeros = (mpf(0),) * order
+        return MomentSet(problem=prob, order=order, moments=zeros,
+                         precision=d.precision, degenerate=True, error_estimates=zeros,
+                         diagnostics={"trunc_index": [0] * (order + 1),
+                                      "error_estimate": [mpf(0)] * (order + 1)})
     block = l_series if prob.direction is Direction.UP else lbar_series
     b0, b1 = block(d.params.x0, order, d), block(prob.threshold, order, d)
     with mp.workprec(d.precision):

@@ -142,12 +142,10 @@ def cmd_moments(args) -> int:
         lines.append(f"{k},{m[k - 1]!r},{c[k - 1]!r},{ratio},{est!r},{flag}")
     _emit("\n".join(lines) + "\n", args.out)
     if args.out:
-        diag = {}
-        if ms.diagnostics:  # a degenerate set has none
-            diag = {**ms.diagnostics,
-                    "error_estimate": [float(e) for e in ms.diagnostics["error_estimate"]]}
-        diag["error_estimates"] = [float(e) for e in ms.error_estimates]
-        diag["flagged"] = list(ms.flagged)
+        diag = {**ms.diagnostics,
+                "error_estimate": [float(e) for e in ms.diagnostics["error_estimate"]],
+                "error_estimates": [float(e) for e in ms.error_estimates],
+                "flagged": list(ms.flagged)}
         _write_sidecar(args, diag, {"params": d.params.to_dict(), "problem": prob.threshold,
                                     "direction": args.direction})
     return 0

@@ -33,14 +33,6 @@ class WrongSide(LogifptError):
     exit_code = 2
 
 
-class ZeroConstantTerm(LogifptError):
-    """Series reciprocal/ratio requested for a series with zero constant term."""
-
-
-class NonPositiveConstantTerm(LogifptError):
-    """Series logarithm requested for a series whose constant term is <= 0."""
-
-
 class NoConvergence(LogifptError):
     """A convergent coefficient sum failed to satisfy its truncation rule
     within the table bound (``kernels.N_MAX_DEFAULT`` terms)."""

@@ -33,19 +33,18 @@ makes it linear in w: ``mbar_row(n)`` is a polynomial of degree n, so
 sums exploit.  Entry m of either row reads only entries up to m, so a row of
 degree ``order`` is the exact prefix of a row of any higher degree.
 
-The upcrossing building blocks (``q_series``, ``l_series``, ``t_series``)
-are convergent sums over n and are truncated by a stagnation rule; the
-downcrossing blocks (``lbar_series``) are asymptotic sums in ``1/(v y)``
-summed by optimal truncation (stop at the smallest term, report the first
-omitted term as the error estimate).  ``l_series`` and ``lbar_series`` run
-their n-sums in the same integers, on the rows as ints: (v y)^n / n! and
-(v y)^-n / n! are fixed-point sequences, each order's partial sum is one
-int, and both truncation rules compare ints exactly.  ``l_series`` advances
-all its orders in one pass over n, each to its own cut.  Each returns one
-record, a :class:`SumSeries`: the partial sums as ints with their exponents,
-the cut of each order and, going down, the first omitted terms (None for the
-convergent l-sums).  Its ``mpf`` coefficients and error estimates (each int
-rounded to the precision, then times a^k) are formed on first read.
+The upcrossing building block (``l_series``) is a convergent sum over n,
+truncated by a stagnation rule; the downcrossing block (``lbar_series``) is
+an asymptotic sum in ``1/(v y)``, summed by optimal truncation (stop at the
+smallest term, report the first omitted term as the error estimate).
+``l_series`` and ``lbar_series`` run their n-sums in the same integers, on
+the rows as ints: (v y)^n / n! and (v y)^-n / n! are fixed-point sequences,
+each order's partial sum is one int, and both truncation rules compare ints
+exactly.  ``l_series`` advances all its orders in one pass over n, each to
+its own cut.  Each returns one record, a :class:`SumSeries`: the partial
+sums as ints with their exponents, the cut of each order and, going down,
+the first omitted terms (None for the convergent l-sums).  Only the quotient
+reads them, so no ``mpf`` endpoint coefficient is ever formed.
 
 The moments do not go through ``t_series`` = q(y) l(y).  The upcrossing
 quotient is q(x0) l(x0) / (q(U) l(U)), and since q(y) = y^(u (1 - s)),
@@ -60,12 +59,16 @@ which L = A + log l(x0) - log l(U), the cumulant series, and exp(L), the
 moment series, are formed.  The first ``mpf`` is each moment and cumulant,
 rounded once.  Going down the quotient is lbar(x0) / lbar(L), and its
 error bound too runs in the same ints, so no ``mpf`` endpoint series is
-formed in either direction.  The independent check in ``tests/oracles.py``,
-the Bell-polynomial closed form, forms them in ``mpf``; in the library only
-``t_series`` calls ``q_series``.  At
-256 bits and order 10, the int route keeps the upcrossing moments of the
-seven benchmark scenarios within 4.9e-76 of a 700-bit evaluation of the
-same truncated sums, and within 8e-77 at u = -1e4 and -0.01.  That
+formed in either direction.  ``q_series`` and ``t_series`` are the same
+quotient over a unit denominator (:class:`SumSeries` with every int 0), with
+a unit numerator for q(y) and the l-sums for q(y) l(y); no library code
+calls either.  The one series algebra of the library is thus this int log
+and exp; the ``mpf`` series operations, and the Bell-polynomial closed form
+that checks the quotient against them, are test references in
+``tests/oracles.py``.  At 256 bits and order 10, the int route keeps the
+upcrossing moments of the seven benchmark scenarios within 4.9e-76 of a
+700-bit evaluation of the same truncated sums, and within 8e-77 at u = -1e4
+and -0.01.  That
 measures rounding only.  What limits the upcrossing moments is the
 truncation rule, the cut of the l-sums once five terms in a row fall below
 L_SERIES_TOL = 1e-30 of the partial sum: cutting at 1e-70 instead moves
@@ -82,9 +85,9 @@ the ints that ``l_series`` and ``lbar_series`` return (partial sums,
 exponents, cuts and, going down, first omitted terms), keyed by the family
 and the exact ``mpf`` v y, at the highest order computed.  A lower order
 reads their prefix, which has the bits of a fresh call, since each order is
-summed and cut on its own.  A ``SumSeries`` forms its ``mpf`` coefficients
-and error estimates from the caller's ``d.a``, so the same u and v y under
-another a share the sums.  A ``NoConvergence`` is not kept.
+summed and cut on its own.  The quotient folds in a^k from the caller's
+``d.a``, so the same u and v y under another a share the sums.  A
+``NoConvergence`` is not kept.
 ENDPOINT_SUMS_MAX bounds the entries, the least recently used going first.
 A scan from one starting state thus sums that state once; a likelihood fit,
 with a new u at every evaluation, builds a new table each time and gains
@@ -98,7 +101,6 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import mpmath
 from mpmath import mp, mpf
@@ -106,7 +108,6 @@ from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import NoConvergence
 from .model import DerivedParams
-from .series import ExpSeries, binomial_series, series_exp, series_product
 
 # last row n of every table, hence the last term of every sum over n
 N_MAX_DEFAULT = 256
@@ -158,10 +159,11 @@ def _fixed_powers(x, order: int, wp: int) -> list:
 
 def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
     """(g, L = log g, e, dg) for g = q num / den, or num / den when ``q_log``
-    is None, and two building-block series of :func:`l_series` or
-    :func:`lbar_series`.  g, e and dg come each coefficient rounded once to
-    the precision; L comes as exact (int, exponent) pairs, for the caller
-    to round when it reads them (:attr:`logifpt.analytics.MomentSet.cumulants`).
+    is None, and two :class:`SumSeries`: building-block series of
+    :func:`l_series` or :func:`lbar_series`, or the unit of :func:`_unit`.
+    g, e and dg come each coefficient rounded once to the precision; L
+    comes as exact (int, exponent) pairs, for the caller to round when it
+    reads them (:attr:`logifpt.analytics.MomentSet.cumulants`).
 
     q = exp(A) with A_0 = 0 and A_k = c (1/2)_k a^k for ``q_log`` = c, the
     falling factorial (1/2)_k as in :func:`q_series`.  The int partial sums
@@ -169,7 +171,8 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
     and each A_k is one exact product of c, (1/2)_k 2^k and a^k.  Everything
     then comes to the one binary exponent that gives the smallest nonzero
     input entry precision + GUARD_BITS bits, the rule of the kernel rows.
-    The log and exp recurrences of :mod:`logifpt.series` then run on Python
+    The log and exp recurrences (Knuth, TAOCP vol. 2, sec. 4.7; the log
+    one is :func:`logifpt.series.log_polynomials`) then run on Python
     ints, L = A + log num - log den and g = exp(L), each entry summed
     exactly and floored once to the shared exponent.  num_0 = den_0 = 1, so
     the logs divide by nothing, and L_0 = 0.
@@ -251,12 +254,8 @@ class SumSeries:
     k >= 1 its partial sum over n, a^k mans[k] 2^exps[k] (coefficient 0 is
     1), its cut, the last n-term included, and for an asymptotic sum its
     first omitted term, a^k omitted[k] 2^exps[k]; a convergent one has
-    ``omitted`` None.
-
-    :func:`_fixed_quotient` reads the ints.  ``coeffs``, the ``mpf`` series,
-    and ``error_estimate`` (zeros for a convergent sum: "not estimated", not
-    "exact") are formed on first read, each int rounded to the precision,
-    then times a^k.
+    ``omitted`` None.  :func:`_fixed_quotient` reads the ints; nothing in
+    the library rounds them one by one.
     """
 
     mans: list
@@ -268,26 +267,6 @@ class SumSeries:
     @property
     def order(self) -> int:
         return len(self.mans) - 1
-
-    def _times_apow(self, first, ints) -> list:
-        """[first, a^k ints[k] 2^exps[k] for k = 1..order], in ``mpf``."""
-        d = self.d
-        with mp.workprec(d.precision):
-            out, apow = [first], mpf(1)
-            for man, exp in zip(ints[1:], self.exps[1:]):
-                apow *= d.a
-                out.append(apow * _to_mpf(man, exp, d.precision))
-        return out
-
-    @cached_property
-    def coeffs(self) -> tuple:
-        return tuple(self._times_apow(mpf(1), self.mans))
-
-    @cached_property
-    def error_estimate(self) -> list:
-        if self.omitted is None:
-            return [mpf(0)] * (self.order + 1)
-        return self._times_apow(mpf(0), self.omitted)
 
 
 class KernelTable:
@@ -420,17 +399,30 @@ def ensure_table(d: DerivedParams, order: int) -> KernelTable:
     return _table
 
 
-def q_series(y, order: int, d: DerivedParams) -> ExpSeries:
-    """Expansion of y^(u (1 - s(z))) in the Laplace variable z.
+def _unit(order: int, d: DerivedParams) -> SumSeries:
+    """The series 1 as a :class:`SumSeries`: every partial sum and cut 0."""
+    zeros = [0] * (order + 1)
+    return SumSeries(zeros, zeros, zeros, None, d)
+
+
+def _times_q(num: SumSeries, y, d: DerivedParams) -> tuple:
+    """The coefficients of q(y) num, each rounded once: :func:`_fixed_quotient`
+    over the unit denominator, with the exponent -u log y rounded to the
+    precision."""
+    with mp.workprec(d.precision):
+        q_log = -d.u * mpmath.log(mpf(y))
+    return _fixed_quotient(num, _unit(num.order, d), q_log)[0]
+
+
+def q_series(y, order: int, d: DerivedParams) -> tuple:
+    """Expansion of q(y) = y^(u (1 - s(z))) in the Laplace variable z.
 
     The exponential of u log(y) (1 - s), where s = sqrt(1 + a z) has the
-    coefficients (1/2)_k a^k (falling factorial); collapses to the identity
-    series at y = 1.
+    coefficients (1/2)_k a^k (falling factorial), formed as the fixed-point
+    quotient of a unit numerator and denominator; collapses to the identity
+    series at y = 1.  Returns the ``mpf`` coefficients 0..order.
     """
-    with mp.workprec(d.precision):
-        ulogy = d.u * mpmath.log(mpf(y))
-        s = binomial_series(mpf(1) / 2, d.a, order)
-        return series_exp(ExpSeries((mpf(0),) + tuple(-ulogy * c for c in s.coeffs[1:])))
+    return _times_q(_unit(order, d), y, d)
 
 
 def _powers_over_factorials(x, wp: int):
@@ -500,7 +492,7 @@ def l_series(y, order: int, d: DerivedParams) -> SumSeries:
     L_SERIES_TOL times the running partial sum.  Raises NoConvergence, for
     the smallest order still open, if the table bound N_MAX_DEFAULT is hit
     first.  Returns a :class:`SumSeries` with the partial sums and the cuts,
-    no omitted terms; its ``mpf`` coefficients are formed on first read.
+    no omitted terms.
 
     The sums run in fixed point on the table's integer rows, all orders in
     one pass over n, so each row and each (v y)^n / n! is fetched once.
@@ -551,12 +543,11 @@ def _l_sums(table: KernelTable, vy, order: int) -> tuple:
                         f"sum still changing at n_max = {N_MAX_DEFAULT}")
 
 
-def t_series(y, order: int, d: DerivedParams) -> ExpSeries:
-    """Upcrossing coefficients t_m(y): Cauchy product of l- and q-series."""
-    ls = l_series(y, order, d)
-    qs = q_series(y, order, d)
-    with mp.workprec(d.precision):
-        return series_product(qs, ls)
+def t_series(y, order: int, d: DerivedParams) -> tuple:
+    """Upcrossing coefficients t_m(y) of q(y) l(y), the fixed-point quotient
+    of :func:`l_series` over a unit denominator; at y = 1 they are the
+    l-sums, each rounded once."""
+    return _times_q(l_series(y, order, d), y, d)
 
 
 def lbar_series(y, order: int, d: DerivedParams) -> SumSeries:
@@ -570,8 +561,8 @@ def lbar_series(y, order: int, d: DerivedParams) -> SumSeries:
     resolve to the smaller n), and the first omitted term is the error
     estimate.  Returns a :class:`SumSeries` with the sums, the cuts and the
     first omitted terms as ints, kept on the table under v y as in
-    :func:`l_series`; its ``mpf`` coefficients and estimates, a^m times the
-    first omitted term, are formed from ``d.a`` on first read.
+    :func:`l_series`; the estimate of order m is a^m times the first omitted
+    term.
     """
     table = ensure_table(d, order)
     with mp.workprec(d.precision):

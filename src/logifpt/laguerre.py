@@ -26,7 +26,9 @@ distribution function is, with P the regularized incomplete gamma function,
                              * sum_{k>=1} (b_k / k) L_(k-1)^(alpha+1)(x),
 
 and F(inf) = 1.  The roots of p are the eigenvalues of its comrade matrix:
-the Jacobi matrix of the recurrence with n b_k / b_n added to its last row.
+the Jacobi matrix of the recurrence with n b_k / b_n added to its last row,
+at a degree n that leaves out negligible last coefficients.  When it leaves
+some out, a scan of p for sign changes adds the roots the eigenvalues miss.
 The negative mass is a float sum of differences of F between roots, in
 which an error in a root enters only at second order; F(inf) = b_0 is not
 evaluated.  The corrected density is never negative; above CLIP_THRESHOLD
@@ -35,9 +37,10 @@ always reported.
 By orthogonality the raw expansion integrates to exactly 1, so
 ``norm_residual`` (Gauss-Laguerre quadrature of p, computed on first use)
 reports only how well p is conditioned in double precision.
-scipy is imported inside the three functions that call it (``_gamma_pdf``,
-``_raw_cdf``, ``_norm_residual``): at module level it would be most of the
-start-up time of every command, and most commands never evaluate a density.
+scipy is imported inside the functions that call it (``_gamma_pdf``,
+``_raw_cdf``, ``_norm_residual``, ``_roots``): at module level it would be
+most of the start-up time of every command, and most commands never evaluate
+a density.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidPara
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
 ORDER_TOL = 1e-6  # order selection accepts n only when |b_n| < ORDER_TOL |b_0|
+# sample points per degree of p where _roots checks the eigenvalues for sign changes
+_SCAN_POINTS_PER_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,16 @@ def _degree(coeffs) -> int:
 def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Real positive roots of p, ascending, as comrade-matrix eigenvalues at
     the :func:`_degree` of p: the matrix divides by b_n, and a b_n that is
-    rounding noise puts the roots anywhere."""
+    rounding noise puts the roots anywhere.
+
+    Below the last coefficient, a b_k under NEGLIGIBLE_COEFF |b_0| need not
+    be negligible in p: L_k^(alpha) reaches C(k + alpha, k), 1e18 at k = 20
+    and alpha = 58.  So when the degree drops terms, p itself is sampled on
+    _SCAN_POINTS_PER_DEGREE points per degree over [0, k + 12 sqrt(k) + 40],
+    k = alpha + n + 1 for p of degree n, beyond which f_alpha x^n holds no
+    mass that a double sees, and each sign change with no eigenvalue inside
+    is solved for.
+    """
     n = _degree(coeffs)
     if n < 1:
         return np.empty(0)
@@ -202,7 +216,21 @@ def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     jac.flat[n::n + 1] = -(k + alpha)
     jac[-1] += n * coeffs[:n] / coeffs[n]
     ev = np.linalg.eigvals(jac)
-    return np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
+    roots = np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
+    top = len(coeffs) - 1
+    if n == top:
+        return roots
+    from scipy import optimize
+
+    shape = alpha + top + 1
+    grid = np.linspace(0.0, shape + 12 * math.sqrt(shape) + 40,
+                       _SCAN_POINTS_PER_DEGREE * top + 1)
+    sign = np.sign(_coeff_sum(coeffs, alpha, grid))
+    floats = coeffs.tolist()
+    missed = [optimize.brentq(lambda x: _coeff_sum(floats, alpha, x), grid[i], grid[i + 1])
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)
+              if not np.any((roots > grid[i]) & (roots < grid[i + 1]))]
+    return np.sort(np.concatenate([roots, missed]))
 
 
 def _negative_intervals(coeffs: np.ndarray, alpha: float) -> list:

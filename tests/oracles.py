@@ -3,13 +3,16 @@
 Nothing in ``logifpt``'s commands runs this code.  Each function states a
 rule or formula that the library computes another way:
 
-- exact combinatorics and series operations (Stirling numbers, factorial
-  powers, partial Bell polynomials, the reciprocal and logarithm series),
-  against :mod:`logifpt.series`, and the quotient series, against the
-  fixed-point rows and quotient of :mod:`logifpt.kernels`;
-- the two truncation rules on ``mpf`` terms and the ``mpf`` view of a
-  kernel row, against the fixed-point sums and rows of
-  :mod:`logifpt.kernels`;
+- exact combinatorics and the series algebra in ``mpf`` or ``Fraction``
+  (Stirling numbers, factorial powers, partial Bell polynomials; the
+  :class:`ExpSeries` product, exp, binomial, ratio, reciprocal and
+  logarithm series), against :func:`logifpt.series.log_polynomials` and
+  the fixed-point rows and quotient of :mod:`logifpt.kernels`, and the
+  q-series as the exp of its ``mpf`` exponent, against
+  :func:`logifpt.kernels.q_series`;
+- the two truncation rules on ``mpf`` terms and the ``mpf`` views of a
+  kernel row and of an endpoint sum, against the fixed-point sums and rows
+  of :mod:`logifpt.kernels`;
 - the moments by the Bell-polynomial closed form of the reciprocal
   series, the closed-form mean and variance and the Gamma-consistency
   ratios, against :mod:`logifpt.analytics`, and the first-order error
@@ -34,18 +37,17 @@ import numpy as np
 from mpmath import mp, mpf
 
 from logifpt.analytics import CumulantSet, MomentSet, fpt_moments
-from logifpt.errors import (NonPositiveConstantTerm, NoConvergence, TransformFailure,
-                            ZeroConstantTerm)
+from logifpt.errors import NoConvergence, TransformFailure
 from logifpt.hypergeom import PRECISION, laplace_transform
 from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_DEFAULT,
-                             KernelTable, _to_mpf, ensure_table, l_series, lbar_series,
-                             q_series)
+                             KernelTable, SumSeries, _to_mpf, ensure_table, l_series,
+                             lbar_series)
 from logifpt.laguerre import _coeff_sum
 from logifpt.model import DerivedParams, Direction, FptProblem, validate_problem
 from logifpt import montecarlo
 from logifpt.montecarlo import (_MASK64, FptSample, SimConfig, _path_generators,
                                 lie_trotter_step, step_constants)
-from logifpt.series import ExpSeries, log_polynomials, series_product
+from logifpt.series import log_polynomials
 
 # ---------------------------------------------------------------- series
 
@@ -127,6 +129,74 @@ def bell_partial(n: int, k: int, b):
     return bell_partial_table(b, n)[n][k]
 
 
+class ZeroConstantTerm(ZeroDivisionError):
+    """Series reciprocal/ratio requested for a series with zero constant term."""
+
+
+class NonPositiveConstantTerm(ValueError):
+    """Series exp or logarithm requested outside its constant-term domain."""
+
+
+@dataclass(frozen=True)
+class ExpSeries:
+    """Truncated power series A(t) = sum_k c_k t^k / k! (exponential
+    convention) of order len(coeffs) - 1.  Coefficients may be ``mpf``,
+    float or ``Fraction``: the operations below need only +, * and /, and
+    each is one O(n^2) coefficient recursion (Knuth, TAOCP vol. 2, sec. 4.7);
+    binary operations return a series of the smaller input order."""
+
+    coeffs: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, k: int):
+        return self.coeffs[k]
+
+
+def series_product(A: ExpSeries, B: ExpSeries) -> ExpSeries:
+    """Cauchy product in exponential convention: c_n = sum C(n,k) a_k b_{n-k}."""
+    n = min(A.order, B.order)
+    out = []
+    for m_ in range(n + 1):
+        tot = 0
+        for k in range(m_ + 1):
+            tot += math.comb(m_, k) * A.coeffs[k] * B.coeffs[m_ - k]
+        out.append(tot)
+    return ExpSeries(tuple(out))
+
+
+def series_exp(A: ExpSeries) -> ExpSeries:
+    """Exponential of a series with zero constant term (result has c_0 = 1).
+
+    c_n = sum_{k=1}^n C(n-1, k-1) a_k c_{n-k}, the exp-convention form of
+    (e^A)' = A' e^A; c_n is the complete Bell polynomial of (a_1, ..., a_n).
+    """
+    a = A.coeffs
+    if a[0] != 0:
+        raise NonPositiveConstantTerm("exp is restricted to zero constant term")
+    c = [a[0] + 1]  # promotes to the coefficient type
+    for n in range(1, A.order + 1):
+        tot = 0
+        for k in range(1, n + 1):
+            tot += math.comb(n - 1, k - 1) * a[k] * c[n - k]
+        c.append(tot)
+    return ExpSeries(tuple(c))
+
+
+def binomial_series(p, a, order: int) -> ExpSeries:
+    """(1 + a t)^p to the given order: c_k = p (p-1) ... (p-k+1) a^k.
+
+    Each coefficient is the one before times (p - k + 1) a, a running
+    product in the type of p (so c_0 = p^0).
+    """
+    c = [p ** 0]
+    for k in range(order):
+        c.append(c[-1] * (p - k) * a)
+    return ExpSeries(tuple(c))
+
+
 def identity(order: int, one=1) -> ExpSeries:
     """The multiplicative identity 1 + 0 t + ... up to the given order."""
     return ExpSeries((one,) + (one * 0,) * order)
@@ -192,6 +262,44 @@ def series_log(A: ExpSeries) -> ExpSeries:
 
 
 # ---------------------------------------------------------------- kernels
+
+def _times_apow(s: SumSeries, first, ints) -> list:
+    """[first, a^k ints[k] 2^exps[k] for k = 1..order] in ``mpf``: each int
+    rounded to the precision, then times a^k, a running product."""
+    d = s.d
+    with mp.workprec(d.precision):
+        out, apow = [first], mpf(1)
+        for man, exp in zip(ints[1:], s.exps[1:]):
+            apow *= d.a
+            out.append(apow * _to_mpf(man, exp, d.precision))
+    return out
+
+
+def sum_coeffs(s: SumSeries) -> ExpSeries:
+    """The ``mpf`` series of an endpoint sum of :func:`logifpt.kernels.l_series`
+    or :func:`~logifpt.kernels.lbar_series`, rounded twice per coefficient
+    (the int, then its product with a^k), where the library's quotient
+    rounds each result once."""
+    return ExpSeries(tuple(_times_apow(s, mpf(1), s.mans)))
+
+
+def sum_error_estimate(s: SumSeries) -> list:
+    """Per order, a^k times the first omitted term of an endpoint sum, in
+    ``mpf`` as :func:`sum_coeffs`; zeros for a convergent sum ("not
+    estimated", not "exact")."""
+    if s.omitted is None:
+        return [mpf(0)] * (s.order + 1)
+    return _times_apow(s, mpf(0), s.omitted)
+
+
+def reference_q_series(y, order: int, d: DerivedParams) -> ExpSeries:
+    """q(y) = y^(u (1 - s)), s = sqrt(1 + a z), as the ``mpf`` exp of its
+    exponent -u log(y) (1/2)_k a^k, against :func:`logifpt.kernels.q_series`."""
+    with mp.workprec(d.precision):
+        ulogy = d.u * mpmath.log(mpf(y))
+        s = binomial_series(mpf(1) / 2, d.a, order)
+        return series_exp(ExpSeries((mpf(0),) + tuple(-ulogy * c for c in s.coeffs[1:])))
+
 
 def mpf_row(table: KernelTable, family: str, n: int) -> ExpSeries:
     """Row n of family "m" or "mbar" of a kernel table as ``mpf``, each
@@ -261,8 +369,9 @@ def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
 
     The endpoint series are those ``fpt_moments(d, prob, order)`` reads,
     from :func:`l_series` (:func:`lbar_series` going down) at x0 and at the
-    threshold; the quotient is formed in ``mpf`` with
-    :func:`series_reciprocal_bell` instead of the fixed-point recursion:
+    threshold, read as ``mpf`` by :func:`sum_coeffs`; the quotient is formed
+    in ``mpf`` with :func:`series_reciprocal_bell` and
+    :func:`reference_q_series` instead of the fixed-point recursion:
     q(x0/U) l(x0) / l(U) upcrossing, with x0/U at working precision, and
     lbar(x0) / lbar(L) downcrossing.  The relative error estimates, and with
     them the flags, are recomputed from this quotient by
@@ -274,12 +383,13 @@ def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     if ms.degenerate:
         return ms
     block = l_series if prob.direction is Direction.UP else lbar_series
-    b0, b1 = (block(y, order, d) for y in (d.params.x0, prob.threshold))
+    b0, b1 = (sum_coeffs(block(y, order, d)) for y in (d.params.x0, prob.threshold))
     e = ms.diagnostics["error_estimate"]
     with mp.workprec(d.precision):
         s0 = b0
         if prob.direction is Direction.UP:  # q(x0) l(x0) / (q(U) l(U))
-            s0 = series_product(q_series(mpf(d.params.x0) / mpf(prob.threshold), order, d), b0)
+            y = mpf(d.params.x0) / mpf(prob.threshold)
+            s0 = series_product(reference_q_series(y, order, d), b0)
         g = series_product(s0, series_reciprocal_bell(b1)).coeffs
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
         rel = (mpf(0),) * order

@@ -20,11 +20,10 @@ from logifpt import (Direction, FptProblem, SimConfig, build_approximant,
 from logifpt.cli import main as cli_main
 from logifpt.errors import SingularOriginWarning
 from logifpt.inference import mc_study
-from logifpt.series import ExpSeries, series_exp, series_product
 from tests.conftest import FISHERIES
-from tests.oracles import (bell_moments, mean_variance_closed_form,
-                           rising_factorial, series_log, series_reciprocal,
-                           series_reciprocal_bell, stirling1_unsigned)
+from tests.oracles import (ExpSeries, bell_moments, mean_variance_closed_form,
+                           rising_factorial, series_exp, series_log, series_product,
+                           series_reciprocal, series_reciprocal_bell, stirling1_unsigned)
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)

@@ -14,8 +14,9 @@ from logifpt.errors import InvalidParams, LogifptError
 from logifpt.kernels import lbar_series
 from tests.conftest import (FISHERIES, drift_at, fisheries_at, fisheries_like, rel_err,
                             scenario_grid)
-from tests.oracles import (bell_moments, cauchy_moments, gamma_consistency,
-                           mean_variance_closed_form, reference_error_bound, series_ratio)
+from tests.oracles import (ExpSeries, bell_moments, cauchy_moments, gamma_consistency,
+                           mean_variance_closed_form, reference_error_bound, series_ratio,
+                           sum_coeffs)
 
 UP4 = FptProblem(Direction.UP, 1e4)
 UP5 = FptProblem(Direction.UP, 1e5)
@@ -184,8 +185,9 @@ def count_calls(monkeypatch, names):
 
 def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
     """One upcrossing likelihood evaluation runs its quotient in ints and calls
-    none of the mpf series algebra, nor do downcrossing moments with their
-    error bound; the Bell route still goes through it."""
+    none of the mpf series algebra, nor q_series, nor do downcrossing moments
+    with their error bound; the Bell route still goes through the mpf
+    algebra and its own mpf q-series."""
     from logifpt import SimConfig, log_likelihood, sample_fpt
     from logifpt.inference import MleConfig
 
@@ -194,14 +196,16 @@ def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
     fixed = {k: FISHERIES[k] for k in ("x0", "K", "q", "E")}
     cfg = MleConfig(estimate=("sigma", "r"), fixed={**fixed, "U": 1e4},
                     init={"sigma": 0.2, "r": 0.71})
-    names = ("series_product", "series_ratio", "q_series", "reference_error_bound")
+    names = ("series_product", "series_ratio", "q_series", "reference_q_series",
+             "reference_error_bound")
     calls = count_calls(monkeypatch, names)
     assert log_likelihood({"sigma": 0.21, "r": 0.7}, sample, cfg) > -1e300
     _, d, prob = next(s for s in scenario_grid() if s[0] == "down_mid")
     assert any(fpt_moments(d, prob, 10).error_estimates)
     assert calls == dict.fromkeys(names, 0)
     bell_moments(fisheries, UP4, 10)
-    assert calls["series_product"] > 0 and calls["q_series"] > 0
+    assert calls["series_product"] > 0 and calls["reference_q_series"] > 0
+    assert calls["q_series"] == 0
     # going down, the Bell route bounds its error by the mpf recursion
     bell_moments(d, prob, 10)
     assert calls["reference_error_bound"] == 1
@@ -209,10 +213,8 @@ def test_the_recursion_route_leaves_the_mpf_guard_alone(monkeypatch, fisheries):
 
 @pytest.mark.parametrize("name", ["up_1e4", "up_large", "down_mid"])
 def test_endpoints_are_the_block_series_once_read(monkeypatch, name):
-    """The quotient reads its endpoint sums as ints; read, its endpoint
-    series are those of l_series (lbar_series going down) at x0 and at the
-    threshold, bit for bit.  In neither direction does anything read them
-    before, the error bound included."""
+    """The quotient reads its endpoint sums as ints: those of l_series
+    (lbar_series going down) at x0 and at the threshold, bit for bit."""
     import logifpt.analytics as analytics
     from logifpt.kernels import SumSeries, l_series, lbar_series
 
@@ -229,11 +231,11 @@ def test_endpoints_are_the_block_series_once_read(monkeypatch, name):
     block = l_series if prob.direction is Direction.UP else lbar_series
     assert isinstance(b0, SumSeries) and isinstance(b1, SumSeries)
     assert b0.d is d and b1.d is d
-    assert "coeffs" not in vars(b0) and "coeffs" not in vars(b1)
     for got, y in ((b0, d.params.x0), (b1, prob.threshold)):
-        want = block(y, 10, d).coeffs
-        assert got.order == 10 and len(got.coeffs) == 11
-        assert [c._mpf_ for c in got.coeffs] == [c._mpf_ for c in want]
+        want = block(y, 10, d)
+        assert got.order == 10 and len(got.mans) == 11
+        assert (got.mans, got.exps, got.cut, got.omitted) == (
+            want.mans, want.exps, want.cut, want.omitted)
     assert len(ms.series_cumulants) == 10
 
 
@@ -241,7 +243,7 @@ def test_endpoints_are_the_block_series_once_read(monkeypatch, name):
 def test_error_bound_matches_the_recursion(name):
     _, d, prob = next(s for s in scenario_grid() if s[0] == name)
     ms = fpt_moments(d, prob, 10)
-    b0, b1 = (lbar_series(y, 10, d) for y in (d.params.x0, prob.threshold))
+    b0, b1 = (sum_coeffs(lbar_series(y, 10, d)) for y in (d.params.x0, prob.threshold))
     e = ms.diagnostics["error_estimate"]
     with mp.workprec(d.precision):
         g = series_ratio(b0, b1).coeffs
@@ -303,7 +305,7 @@ def test_degenerate_recursion_collapses_by_induction():
     # same series at numerator and threshold position: coefficients cancel
     d = fisheries_at(100.0)
     from logifpt.kernels import t_series
-    s = t_series(100.0, 5, d)
+    s = ExpSeries(t_series(100.0, 5, d))
     with mp.workprec(d.precision):
         g = series_ratio(s, s).coeffs
         assert g[0] == 1

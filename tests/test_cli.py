@@ -56,8 +56,7 @@ def test_derive_input_errors(tmp_path, capsys):
 # the documented exit code of every package error: 1 input, 2 infeasible
 # regime, 3 numerical non-convergence
 EXIT_CODES = {
-    errors.LogifptError: 1, errors.InvalidParams: 1, errors.ZeroConstantTerm: 1,
-    errors.NonPositiveConstantTerm: 1, errors.ZeroVariance: 1,
+    errors.LogifptError: 1, errors.InvalidParams: 1, errors.ZeroVariance: 1,
     errors.InsufficientMoments: 1, errors.EmptySample: 1,
     errors.InvalidHarvest: 2, errors.NonPersistentRegime: 2, errors.WrongSide: 2,
     errors.NoFeasibleStart: 2,
@@ -337,6 +336,22 @@ def test_moments_degenerate_zero(config_path, capsys):
     assert code == 0
     for line in out.strip().splitlines()[1:]:
         assert float(line.split(",")[1]) == 0.0
+
+
+def test_degenerate_moments_sidecar_has_the_usual_keys(config_path, tmp_path, capsys):
+    """x0 at the threshold writes the sidecar keys of any other moments run,
+    with zero cuts and zero estimates."""
+    sidecars = {}
+    for threshold in ("100.0", "1e4"):
+        out = tmp_path / f"m{threshold}.csv"
+        code, _, _ = run(capsys, "moments", config_path, "--direction", "up",
+                         "--threshold", threshold, "--order", "3", "--out", str(out))
+        assert code == 0
+        sidecars[threshold] = json.loads((tmp_path / f"m{threshold}.csv.json").read_text())
+    degenerate = sidecars["100.0"]
+    assert set(degenerate) == set(sidecars["1e4"])
+    assert degenerate["trunc_index"] == [0] * 4 and degenerate["error_estimate"] == [0.0] * 4
+    assert degenerate["error_estimates"] == [0.0] * 3 and degenerate["flagged"] == [False] * 3
 
 
 def test_moments_down_diagnostics(config_path, tmp_path, capsys):

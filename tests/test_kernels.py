@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,10 +10,10 @@ from logifpt import (KernelTable, ModelParams, derive_params, l_series,
                      lbar_series, q_series, t_series)
 from logifpt import kernels
 from logifpt.errors import NoConvergence
-from logifpt.series import ExpSeries, binomial_series, series_exp, series_product
 from tests.conftest import FISHERIES, drift_at, fisheries_at, scenario_grid
-from tests.oracles import (asymptotic_sum, convergent_sum, falling_factorial, mpf_row,
-                           series_ratio)
+from tests.oracles import (ExpSeries, asymptotic_sum, binomial_series, convergent_sum,
+                           falling_factorial, mpf_row, reference_q_series, series_exp,
+                           series_product, series_ratio, sum_coeffs, sum_error_estimate)
 
 
 def dyadic_table(u_value=-2.625, precision=256, order=7):
@@ -193,13 +194,13 @@ def test_cut_points_are_pinned(name, order):
 def test_q_series_trivials_and_leading_term(fisheries):
     d = fisheries
     qs = q_series(1.0, 6, d)
-    assert qs.coeffs[0] == 1
-    assert all(c == 0 for c in qs.coeffs[1:])
+    assert qs[0] == 1
+    assert all(c == 0 for c in qs[1:])
     y = 123.0
     qs = q_series(y, 6, d)
     with mp.workprec(d.precision):
         expect = -d.u * mpmath.log(mpf(y)) * mpf(1) / 2 * d.a
-        assert abs(qs.coeffs[1] - expect) <= mpf("1e-70") * abs(expect)
+        assert abs(qs[1] - expect) <= mpf("1e-70") * abs(expect)
 
 
 def test_q_series_matches_exp_of_log_expansion(fisheries):
@@ -215,8 +216,8 @@ def test_q_series_matches_exp_of_log_expansion(fisheries):
             w.append(-d.u * logy * falling_factorial(mpf(1) / 2, j) * apow)
         via_exp = series_exp(ExpSeries(tuple(w)))
         qs = q_series(y, order, d)
-        scale = max(abs(c) for c in qs.coeffs)
-        for x, yv in zip(qs.coeffs, via_exp.coeffs):
+        scale = max(abs(c) for c in qs)
+        for x, yv in zip(qs, via_exp.coeffs):
             assert abs(x - yv) <= mpf("1e-60") * scale
 
 
@@ -224,14 +225,14 @@ def test_l_series_basics(fisheries):
     d = fisheries
     y = 1e4
     ls = l_series(y, 3, d)
-    assert ls.coeffs[0] == 1
+    assert sum_coeffs(ls)[0] == 1
     with mp.workprec(d.precision):
         vy = d.v * mpf(y)
         lead = d.a * (-d.u / (2 * (1 - 2 * d.u))) * vy
         # first coefficient is dominated by its n=1 term at small v*y
-        assert abs(ls.coeffs[1] / lead - 1) < 0.01
+        assert abs(sum_coeffs(ls)[1] / lead - 1) < 0.01
     assert ls.cut[1] >= 1
-    assert all(e == 0 for e in ls.error_estimate)
+    assert ls.omitted is None and all(e == 0 for e in sum_error_estimate(ls))
 
 
 def test_l_series_invariant_under_doubled_truncation():
@@ -246,7 +247,7 @@ def test_l_series_invariant_under_doubled_truncation():
             direct = sum(mpf_row(tab, "m", n)[k] * vy ** n / mpmath.factorial(n)
                          for n in range(1, n2 + 1))
             direct *= d.a ** k
-            assert abs(direct - ls.coeffs[k]) <= mpf("1e-25") * abs(direct)
+            assert abs(direct - sum_coeffs(ls)[k]) <= mpf("1e-25") * abs(direct)
 
 
 def test_l_series_no_convergence_beyond_table_bound():
@@ -279,15 +280,43 @@ def test_t_series_is_product_of_blocks(fisheries):
     ls = l_series(y, order, d)
     qs = q_series(y, order, d)
     with mp.workprec(d.precision):
-        prod = series_product(ls, qs)
-        scale = max(abs(c) for c in ts.coeffs)
-        for x, yv in zip(ts.coeffs, prod.coeffs):
+        prod = series_product(sum_coeffs(ls), ExpSeries(qs))
+        scale = max(abs(c) for c in ts)
+        for x, yv in zip(ts, prod.coeffs):
             assert abs(x - yv) <= mpf("1e-60") * scale
-    assert ts.coeffs[0] == 1
-    # y = 1 collapses the state factor: t_m = l_m
-    ts1 = t_series(1.0, order, d)
-    ls1 = l_series(1.0, order, d)
-    assert ts1.coeffs == ls1.coeffs
+    assert ts[0] == 1
+    # y = 1 collapses the state factor: t_m = l_m, a^m times the l-sum int,
+    # correctly rounded
+    for sigma, precision, order in ((0.2, 256, 5), (0.05, 64, 20), (0.5, 256, 20)):
+        d = derive_params(ModelParams(**{**FISHERIES, "sigma": sigma}), precision=precision)
+        ls1 = l_series(1.0, order, d)
+        a_man, a_exp = kernels._man_exp(d.a)
+        assert t_series(1.0, order, d) == (1, *(
+            kernels._to_mpf(a_man ** k * man, k * a_exp + exp, precision)
+            for k, (man, exp) in enumerate(zip(ls1.mans[1:], ls1.exps[1:]), 1)))
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+@pytest.mark.parametrize("y", [150.0, 1e4, 3.91e7, 6e7])
+def test_q_and_t_series_match_an_800_bit_evaluation(precision, y):
+    """At orders 1-20, every q_series coefficient is within 32 ulps of the
+    mpf series evaluated at 800 bits from the same rounded u and a, and every
+    t_series coefficient within 32 ulps of its largest one; their error is
+    that of -u log y, rounded to the precision (at most 25 ulps measured on
+    fisheries at 64 and 256 bits, y from 1 to 6e7)."""
+    d = derive_params(ModelParams(**FISHERIES), precision=precision)
+    wide = dataclasses.replace(d, precision=800)
+    with mp.workprec(800):
+        q_ref = reference_q_series(y, 20, wide)
+        t_ref = series_product(q_ref, sum_coeffs(l_series(y, 20, wide))).coeffs
+    for order in range(1, 21):
+        q, t = q_series(y, order, d), t_series(y, order, d)
+        assert len(q) == len(t) == order + 1
+        with mp.workprec(800):
+            t_ulp = mpf(2) ** (mpmath.mag(max(map(abs, t_ref[:order + 1]))) - precision)
+            for k in range(order + 1):
+                assert abs(q[k] - q_ref[k]) <= 32 * mpf(2) ** (mpmath.mag(q_ref[k]) - precision)
+                assert abs(t[k] - t_ref[k]) <= 32 * t_ulp
 
 
 def test_lbar_series_leading_term_and_estimates():
@@ -297,20 +326,20 @@ def test_lbar_series_leading_term_and_estimates():
     bs_far = lbar_series(y_far, 1, d)
     with mp.workprec(d.precision):
         lead = d.a * d.u ** 2 / (d.v * mpf(y_far))
-        assert abs(bs_far.coeffs[1] / lead - 1) < 0.05
+        assert abs(sum_coeffs(bs_far)[1] / lead - 1) < 0.05
     y = 3.91e7
     bs = lbar_series(y, 4, d)
-    assert bs.coeffs[0] == 1
-    assert all(e > 0 for e in bs.error_estimate[1:])
+    coeffs, estimates = sum_coeffs(bs), sum_error_estimate(bs)
+    assert coeffs[0] == 1
+    assert all(e > 0 for e in estimates[1:])
     # estimates are small relative to the coefficients at this v*y
     for k in range(1, 5):
-        assert bs.error_estimate[k] < mpf("1e-10") * abs(bs.coeffs[k])
+        assert estimates[k] < mpf("1e-10") * abs(coeffs[k])
 
 
 def test_lbar_estimates_are_formed_on_first_read(monkeypatch):
-    """lbar_series rounds no estimate until its error_estimate is read, and
-    downcrossing fpt_moments, which reads only the ints and cuts, reads
-    neither endpoint's; read, they are a^k times the first omitted terms."""
+    """The endpoint sums downcrossing fpt_moments reads carry first omitted
+    terms whose ``mpf`` conversion, the oracle's, is a^k times each term."""
     import logifpt.analytics as analytics
     from logifpt import Direction, FptProblem, fpt_moments
 
@@ -323,13 +352,14 @@ def test_lbar_estimates_are_formed_on_first_read(monkeypatch):
 
     monkeypatch.setattr(analytics, "lbar_series", block)
     fpt_moments(d, FptProblem(Direction.DOWN, 2.8e7), 10)
-    assert len(seen) == 2 and all("error_estimate" not in vars(bs) for bs in seen)
+    assert len(seen) == 2
     bs = seen[0]
+    estimates = sum_error_estimate(bs)
     with mp.workprec(d.precision):
         want = [mpf(0)] + [d.a ** k * abs(mpmath.ldexp(bs.omitted[k], bs.exps[k]))
                            for k in range(1, 11)]
-    assert all(abs(e / w - 1) < mpf("1e-70") for e, w in zip(bs.error_estimate[1:], want[1:]))
-    assert bs.error_estimate[0] == 0 and bs.error_estimate is bs.error_estimate
+    assert all(abs(e / w - 1) < mpf("1e-70") for e, w in zip(estimates[1:], want[1:]))
+    assert estimates[0] == 0
 
 
 def test_lbar_sums_do_not_read_the_callers_precision():

@@ -340,6 +340,33 @@ def test_negative_mass_matches_quadrature(x0, direction, threshold):
     assert apx.renorm_factor == 1.0 / (1.0 + apx.negative_mass)
 
 
+@pytest.mark.parametrize("threshold, order", [(1e5, 20), (1e4, 24)])
+def test_high_orders_find_the_roots_the_degree_drops(threshold, order):
+    """Fisheries up to 1e5 at order 20 and up to 1e4 at order 24: b_k below
+    NEGLIGIBLE_COEFF |b_0| are cut from the comrade matrix, yet shape p
+    (alpha is 59 and 39).  The eigenvalues alone put p < 0 on (0, 22.75) and
+    (0, 13.21), where it changes sign, and the negative mass came out
+    -4.6e-11 and -5.5e-11; with the sign changes of p itself it is not
+    negative, and it is the quadrature of the negative raw density."""
+    import logifpt.laguerre as laguerre
+
+    ms = fpt_moments(fisheries_at(100.0), FptProblem(Direction.UP, threshold), order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        apx = build_approximant(ms, n=order, n_max=order)
+    assert laguerre._degree(apx._coeff_arr) < order
+    assert apx.negative_mass >= 0
+    raw = functools.partial(apx.density, corrected=False)
+    ts = np.linspace(0.0, 200.0 / apx.gamma.beta, 200_001)[1:]
+    sign = np.sign(raw(ts))
+    changes = [optimize.brentq(raw, ts[i], ts[i + 1])
+               for i in np.flatnonzero(sign[1:] != sign[:-1])]
+    edges = np.concatenate([[0.0], changes, [np.inf]])
+    parts = [integrate.quad(raw, a, b, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+             for a, b in zip(edges[:-1], edges[1:])]
+    assert apx.negative_mass == pytest.approx(-sum(p for p in parts if p < 0), rel=1e-6)
+
+
 @given(st.floats(min_value=0.4, max_value=2.0),      # growth rate r
        st.floats(min_value=0.05, max_value=0.5),     # sigma
        st.floats(min_value=0.0, max_value=1.0),      # where x0 lies in its range

@@ -1,10 +1,11 @@
-"""The package exports only what its own code runs.
+"""The package holds only what its own code runs.
 
-Every name in ``logifpt.__all__`` must be referenced, outside its own
-definition, by the library (``src/``, apart from the ``__init__`` that
-exports it), ``scripts/`` or ``perfbench/``: as a name, an attribute, an
-imported name, or a string such as the benchmark's trace list.  Code that
-only tests reach belongs in ``tests/oracles.py``.
+Every name in ``logifpt.__all__``, and every public (not underscored)
+module-level function and class of ``src/logifpt/*.py``, must be referenced,
+outside its own definition, by the library (``src/``, apart from the
+``__init__`` that exports names), ``scripts/`` or ``perfbench/``: as a name,
+an attribute, an imported name, or a string such as the benchmark's trace
+list.  Code that only tests reach belongs in ``tests/oracles.py``.
 """
 
 import ast
@@ -63,7 +64,26 @@ def _referenced() -> set:
 REFERENCED = _referenced()
 
 
+def _public_definitions() -> list:
+    """(module, name) of every public module-level function and class."""
+    found = []
+    for path in sorted((ROOT / "src" / "logifpt").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                found.append(pytest.param(path.stem, node.name,
+                                          id=f"{path.stem}.{node.name}"))
+    return found
+
+
 @pytest.mark.parametrize("name", logifpt.__all__)
 def test_exported_name_is_run_outside_the_tests(name):
     assert name in REFERENCED, (
         f"logifpt.{name} is exported but only tests reach it; move it to tests/oracles.py")
+
+
+@pytest.mark.parametrize("module, name", _public_definitions())
+def test_public_definition_is_run_outside_the_tests(module, name):
+    assert name in REFERENCED, (
+        f"logifpt.{module}.{name} is defined but only tests reach it; "
+        "move it to tests/oracles.py")

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from logifpt.errors import NonPositiveConstantTerm, ZeroConstantTerm
-from logifpt.series import ExpSeries, binomial_series, log_polynomials, series_exp, series_product
-from tests.oracles import (bell_partial, bell_partial_table, falling_factorial, identity,
-                           rising_factorial, series_log, series_ratio, series_reciprocal,
-                           series_reciprocal_bell, stirling1_unsigned)
+from logifpt.series import log_polynomials
+from tests.oracles import (ExpSeries, NonPositiveConstantTerm, ZeroConstantTerm, bell_partial,
+                           bell_partial_table, binomial_series, falling_factorial, identity,
+                           rising_factorial, series_exp, series_log, series_product,
+                           series_ratio, series_reciprocal, series_reciprocal_bell,
+                           stirling1_unsigned)
 
 PREC = 256
 
