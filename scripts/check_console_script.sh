@@ -27,3 +27,7 @@ test -f s.csv.json
 test -f s.csv.kde.csv
 test -f d.csv.json
 logifpt compare --density d.csv --samples s.csv
+# the seeded-simulation contract: one seed, one sample, byte for byte
+logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded1.csv
+logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded2.csv
+cmp seeded1.csv seeded2.csv

@@ -19,13 +19,17 @@ of how paths are batched internally.  Batches are merged associatively
 of scheduling.
 
 Memory is bounded whatever the number of paths and steps.  ``sample_fpt``
-draws each chunk of _CHUNK = 512 steps into one normal buffer of
-min(paths, _BATCH = 4096) x 512 doubles, at most 16 MiB, allocated once per
-call; besides it, it holds about 1 KB of generator state per path of the
-current batch, and the crossing times.  ``kde`` evaluates the grid in
-blocks of _KDE_BLOCK doubles (512 KiB) per temporary, whatever the grid
-size; a block holds at least one grid point, so a sample larger than
-_KDE_BLOCK takes one row of n doubles instead.
+runs each chunk of _CHUNK = 512 steps time-major, in one buffer of
+512 x min(paths, _BATCH = 4096) doubles, at most 16 MiB, allocated once per
+call: row j holds step j of every path, first as its noise factor, then as
+its state.  The normals reach the buffer's columns through a path-major
+staging block of _STAGE = 16 paths x 512 steps (64 KiB), and the crossing
+scan compares _SCAN = 16 rows at a time in a bool mask of at most
+16 x 4096 (64 KiB).  Besides these, it holds about 1 KB of generator state
+per path of the current batch, and the crossing times.  ``kde`` evaluates
+the grid in blocks of _KDE_BLOCK doubles (512 KiB) per temporary, whatever
+the grid size; a block holds at least one grid point, so a sample larger
+than _KDE_BLOCK takes one row of n doubles instead.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from .model import DerivedParams, Direction, FptProblem, ModelParams, validate_p
 _MASK64 = (1 << 64) - 1
 _BATCH = 4096
 _CHUNK = 512
+# paths per staging block of normals, and rows per crossing-scan mask
+_STAGE = 16
+_SCAN = 16
 # doubles in each kde temporary: grid points per block times sample size
 _KDE_BLOCK = 1 << 16
 
@@ -70,8 +77,12 @@ class SimConfig:
 
     @property
     def steps(self) -> int:
-        """Steps per path: ceil(horizon / dt)."""
-        return math.ceil(self.horizon / self.dt)
+        """Steps per path: ceil(horizon / dt), where a quotient within 4 ulps
+        of a whole number counts as that number, so that the rounding of
+        horizon / dt (0.07 / 0.01 = 7.000000000000001) adds no step."""
+        ratio = self.horizon / self.dt
+        whole = round(ratio)
+        return whole if abs(ratio - whole) <= 4 * math.ulp(ratio) else math.ceil(ratio)
 
     @property
     def censor_time(self) -> float:
@@ -142,19 +153,77 @@ def step_constants(d: DerivedParams, dt: float) -> tuple:
     return K1, grow, grow - 1.0, -0.5 * sigma * sigma * dt, sigma * math.sqrt(dt)
 
 
+def _drift_flow(x, K1, grow, gm1, out=None, tmp=None):
+    """The drift sub-flow x* = K1 x e^(r1 dt) / (K1 + x (e^(r1 dt) - 1)).
+
+    Given out and tmp, arrays shaped like x, it writes x* to out and
+    allocates nothing; x must not be either of them.
+    """
+    den = np.add(K1, np.multiply(x, gm1, out=tmp), out=tmp)
+    num = np.multiply(np.multiply(K1, x, out=out), grow, out=out)
+    return np.divide(num, den, out=out)
+
+
+def _noise_factor(z, drift_corr, vol, out=None):
+    """The noise sub-flow's factor exp(-sigma^2 dt / 2 + sigma sqrt(dt) z); out may be z."""
+    return np.exp(np.add(drift_corr, np.multiply(vol, z, out=out), out=out), out=out)
+
+
 def lie_trotter_step(x, z, K1, grow, gm1, drift_corr, vol):
     """One splitting step from state x with standard-normal draw z.
 
     The constants come from :func:`step_constants`.  Works elementwise on
-    numpy arrays; always returns a positive state.
+    numpy arrays; always returns a positive state.  It is the drift
+    sub-flow times the noise factor, the two helpers that ``sample_fpt``
+    steps its chunks with.
     """
-    return (K1 * x * grow / (K1 + x * gm1)) * np.exp(drift_corr + vol * z)
+    return _drift_flow(x, K1, grow, gm1) * _noise_factor(z, drift_corr, vol)
 
 
 def _path_generators(seed: int, ids) -> list:
     return [np.random.Generator(np.random.Philox(key=np.array([seed & _MASK64, p],
                                                               dtype=np.uint64)))
             for p in ids]
+
+
+def _draw_normals(gens, z, stage) -> None:
+    """Generator p's next len(z) normals into column p of z (steps x paths).
+
+    Each path draws into a row of the path-major staging block, which goes
+    into z one block of len(stage) columns at a time.
+    """
+    block = stage[:, :len(z)]
+    for p in range(0, len(gens), len(block)):
+        rows = block[:len(gens) - p]
+        for g, row in zip(gens[p:p + len(rows)], rows):
+            g.standard_normal(out=row)
+        z[:, p:p + len(rows)] = rows.T
+
+
+def _step_rows(states, x, drift_consts, drift, tmp) -> None:
+    """Row j of states, the noise factors of step j, becomes the state after
+    it: the drift sub-flow of row j - 1 (of x for row 0) times the factor.
+    drift and tmp are temporaries shaped like x."""
+    prev = x
+    for row in states:
+        _drift_flow(prev, *drift_consts, out=drift, tmp=tmp)
+        np.multiply(drift, row, out=row)
+        prev = row
+
+
+def _first_crossings(states, past, threshold, mask) -> np.ndarray:
+    """Each column's first row whose state is past the threshold, or
+    len(states) where there is none; the rows are compared len(mask) at a
+    time in mask."""
+    span, n = states.shape
+    first = np.full(n, span)
+    for r in range(0, span, len(mask)):
+        m = mask[:min(len(mask), span - r), :n]
+        past(states[r:r + len(m)], threshold, out=m)
+        new = np.flatnonzero(m.any(axis=0) & (first == span))
+        if len(new):
+            first[new] = r + m[:, new].argmax(axis=0)
+    return first
 
 
 def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
@@ -165,50 +234,50 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
     the first grid point past it.  Raises WrongSide when x0 lies past the
     threshold; at x0 == threshold every time is 0.
 
-    Each chunk's normals go into the rows of one buffer, allocated once;
-    the surviving paths of a chunk fill its top-left corner.
+    A chunk runs time-major in one buffer of _CHUNK rows by _BATCH columns,
+    allocated once, whose top-left corner the chunk's surviving paths fill:
+    the normals go in through a staging block of _STAGE paths x _CHUNK
+    steps, become noise factors in place, and each step writes its state
+    over its own row.  One scan per chunk then finds the crossings,
+    _SCAN rows at a time in a bool mask of _SCAN x _BATCH.
     """
     if validate_problem(d, cfg.problem):
         return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg,
                          model=d.params)
     threshold = cfg.problem.threshold
-    up = cfg.problem.direction is Direction.UP
+    past = np.greater if cfg.problem.direction is Direction.UP else np.less
     dt = cfg.dt
-    consts = step_constants(d, dt)
+    K1, grow, gm1, drift_corr, vol = step_constants(d, dt)
     max_steps = cfg.steps
     all_times = []
     censored = 0
-    buf = np.empty((min(cfg.paths, _BATCH), min(_CHUNK, max_steps)))
+    width = min(cfg.paths, _BATCH)
+    buf = np.empty((min(_CHUNK, max_steps), width))
+    stage = np.empty((min(_STAGE, width), len(buf)))
+    mask = np.empty((min(_SCAN, len(buf)), width), dtype=bool)
+    drift, tmp = np.empty(width), np.empty(width)
     for start in range(0, cfg.paths, _BATCH):
-        ids = range(start, min(start + _BATCH, cfg.paths))
-        gens = _path_generators(cfg.seed, ids)
+        gens = _path_generators(cfg.seed, range(start, min(start + _BATCH, cfg.paths)))
         x = np.full(len(gens), float(d.params.x0))
         base = 0
         while len(x) and base < max_steps:
-            span = min(_CHUNK, max_steps - base)
-            z = buf[:len(x), :span]
-            for g, row in zip(gens, z):
-                g.standard_normal(out=row)
-            crossed_at = np.full(len(x), -1, dtype=np.int64)
-            x_before = np.empty(len(x))
-            x_after = np.empty(len(x))
-            cur = x
-            for j in range(span):
-                nxt = lie_trotter_step(cur, z[:, j], *consts)
-                hit = nxt > threshold if up else nxt < threshold
-                newly = (crossed_at < 0) & hit
-                if newly.any():
-                    crossed_at[newly] = j
-                    x_before[newly] = cur[newly]
-                    x_after[newly] = nxt[newly]
-                cur = nxt
-            done = crossed_at >= 0
-            if done.any():
-                jc = crossed_at[done].astype(float)
-                frac = (threshold - x_before[done]) / (x_after[done] - x_before[done])
-                all_times.append((base + jc) * dt + dt * frac)
-            keep = ~done
-            x = cur[keep]
+            n, span = len(x), min(_CHUNK, max_steps - base)
+            states = buf[:span, :n]
+            _draw_normals(gens, states, stage)
+            _noise_factor(states, drift_corr, vol, out=states)
+            _step_rows(states, x, (K1, grow, gm1), drift[:n], tmp[:n])
+            first = _first_crossings(states, past, threshold, mask)
+            crossed = np.flatnonzero(first < span)
+            if len(crossed):
+                jc = first[crossed]
+                x_after = states[jc, crossed]
+                x_before = x[crossed]
+                later = jc > 0
+                x_before[later] = states[jc[later] - 1, crossed[later]]
+                frac = (threshold - x_before) / (x_after - x_before)
+                all_times.append((base + jc.astype(float)) * dt + dt * frac)
+            keep = first == span
+            x = states[-1, keep]
             gens = [g for g, k in zip(gens, keep) if k]
             base += span
         censored += len(x)

@@ -551,10 +551,12 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
 
 
 def reference_sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
-    """:func:`logifpt.montecarlo.sample_fpt` with a new normal array per
-    chunk: each chunk draws into an array of (surviving paths) x (chunk
-    steps) instead of the rows of one reused buffer.  Batches and chunks
-    follow the module's ``_BATCH`` and ``_CHUNK``."""
+    """:func:`logifpt.montecarlo.sample_fpt` path-major and step by step:
+    each chunk draws into a new array of (surviving paths) x (chunk steps),
+    steps along its columns with :func:`lie_trotter_step` and tracks the
+    first crossing at every step, where the library steps a time-major
+    buffer row by row and scans for crossings once per chunk.  Batches and
+    chunks follow the module's ``_BATCH`` and ``_CHUNK``."""
     if validate_problem(d, cfg.problem):
         return FptSample(times=np.zeros(cfg.paths), censored=0, config=cfg, model=d.params)
     threshold = cfg.problem.threshold

@@ -10,7 +10,7 @@ from logifpt import (Direction, FptProblem, FptSample, ModelParams, SimConfig, d
                      read_samples_csv, sample_fpt, step_constants,
                      write_samples_csv)
 from logifpt.errors import EmptySample, InvalidParams, WrongSide
-from logifpt.montecarlo import silverman_bandwidth
+from logifpt.montecarlo import _drift_flow, _noise_factor, silverman_bandwidth
 from tests.conftest import FISHERIES, rel_err
 from tests.oracles import reference_sample_fpt, stationary_check
 
@@ -50,6 +50,26 @@ def test_step_positivity_and_vector(fisheries):
     assert np.all(out > 0)
 
 
+@pytest.mark.parametrize("x, z", [
+    (100.0, 0.0), (1e-6, -8.0), (1e8, 8.0),
+    (np.array([1e-6, 1.0, 1e8]), np.array([-8.0, 0.0, 8.0])),
+    (np.geomspace(1e-3, 1e9, 257), np.linspace(-6.0, 6.0, 257)),
+], ids=["scalar", "scalar-low", "scalar-high", "extremes", "vector"])
+def test_step_is_drift_then_noise(fisheries, x, z):
+    """lie_trotter_step is the drift sub-flow times the noise factor, bit for
+    bit, whether the helpers allocate or write into the arrays given."""
+    K1, grow, gm1, drift_corr, vol = consts = step_constants(fisheries, 1e-3)
+    step = lie_trotter_step(x, z, *consts)
+    closed_form = K1 * x * grow / (K1 + x * gm1) * np.exp(drift_corr + vol * z)
+    assert np.array_equal(step, _drift_flow(x, K1, grow, gm1) * _noise_factor(z, drift_corr, vol))
+    assert np.array_equal(step, closed_form)
+    if np.ndim(x):
+        drift, tmp, noise = np.empty_like(x), np.empty_like(x), z.copy()
+        _drift_flow(x, K1, grow, gm1, out=drift, tmp=tmp)
+        _noise_factor(noise, drift_corr, vol, out=noise)
+        assert np.array_equal(step, drift * noise)
+
+
 def test_sample_determinism_and_seed_sensitivity(fisheries):
     cfg = SimConfig(problem=UP4, paths=300, dt=2e-3, horizon=60.0, seed=99)
     s1 = sample_fpt(fisheries, cfg)
@@ -80,8 +100,8 @@ def test_batching_does_not_change_results(fisheries, monkeypatch):
 ], ids=["up", "down", "batches"])
 def test_sample_matches_the_per_chunk_sampler(monkeypatch, x0, threshold, paths, dt,
                                               horizon, batch):
-    """One buffer reused for every chunk draws and steps what a fresh array
-    per chunk did, bit for bit."""
+    """The time-major chunk draws, steps and finds crossings as the path-major
+    sampler stepping one column at a time did, bit for bit."""
     import logifpt.montecarlo as mc
 
     if batch:
@@ -96,10 +116,34 @@ def test_sample_matches_the_per_chunk_sampler(monkeypatch, x0, threshold, paths,
     assert 0 < s.censored < paths and cfg.steps % mc._CHUNK
 
 
+@pytest.mark.parametrize("x0, threshold", [(100.0, 101.0), (6.0e7, 5.94e7)],
+                         ids=["up", "down"])
+def test_crossings_at_chunk_edges(monkeypatch, x0, threshold):
+    """Chunks of 5 steps over 12, scanned 2 rows at a time, and 301 paths,
+    which no staging block of a power of two divides: paths cross on the
+    run's first step, where the state before is x0, on the first step of
+    each later chunk, where it is the previous chunk's last row, and on the
+    last step before censoring."""
+    import logifpt.montecarlo as mc
+
+    monkeypatch.setattr(mc, "_CHUNK", 5)
+    monkeypatch.setattr(mc, "_SCAN", 2)
+    d = derive_params(ModelParams(**{**FISHERIES, "x0": x0}))
+    direction = Direction.UP if threshold > x0 else Direction.DOWN
+    cfg = SimConfig(problem=FptProblem(direction, threshold), paths=301, dt=1e-2,
+                    horizon=0.12, seed=4)
+    s, ref = sample_fpt(d, cfg), reference_sample_fpt(d, cfg)
+    assert np.array_equal(s.times, ref.times)
+    assert s.censored == ref.censored > 0
+    step = np.floor(s.times / cfg.dt - 1e-9).astype(int)  # the step each path crossed on
+    assert cfg.steps == 12 and {0, 5, 10, 11} <= set(step.tolist())
+
+
 def test_sample_holds_one_normal_buffer(fisheries):
-    """2048 paths over 4 chunks, all censored: the peak is the one buffer of
-    2048 x 512 doubles (8 MiB) and about 1 KB of generator per path, below
-    the two buffers that a chunk would hold drawing into a new array."""
+    """2048 paths over 4 chunks, all censored: the peak is the one time-major
+    buffer of 512 x 2048 doubles (8 MiB), about 1 KB of generator per path
+    and the small staging block and mask, below the two buffers that a
+    chunk would hold drawing into a new array."""
     cfg = SimConfig(problem=UP4, paths=2048, dt=1e-3, horizon=1.6, seed=1)
     buffer = 2048 * 512 * 8
     tracemalloc.start()
@@ -300,6 +344,29 @@ def test_config_validation():
     for dt, horizon in ((1e-3, math.inf), (math.inf, 1.0), (math.inf, math.inf)):
         with pytest.raises(InvalidParams, match="finite"):
             SimConfig(problem=UP4, paths=1, dt=dt, horizon=horizon, seed=0)
+
+
+@pytest.mark.parametrize("horizon, dt, steps", [
+    (0.07, 0.01, 7), (2.1, 0.7, 3), (0.3001, 1e-3, 301), (60.0, 1e-3, 60000),
+    (20.0, 1e-3, 20000), (13.37, 1e-2, 1337), (0.105, 0.01, 11)])
+def test_steps_do_not_run_past_the_horizon(horizon, dt, steps):
+    """horizon / dt rounded a few ulps above a whole number adds no step
+    (0.07 / 0.01 = 7.000000000000001); a true fraction still rounds up."""
+    cfg = SimConfig(problem=UP4, paths=1, dt=dt, horizon=horizon, seed=0)
+    assert cfg.steps == steps
+    assert cfg.censor_time == steps * dt
+
+
+def test_steps_are_the_ceiling_of_the_decimal_quotient():
+    """On a grid of decimal horizons and steps, steps is the exact ceiling of
+    their quotient as decimals."""
+    from fractions import Fraction
+
+    for h in (f"{a}.{b:02d}" for a in range(12) for b in range(0, 100, 3)):
+        for dt in ("0.001", "0.003", "0.01", "0.07", "0.1", "0.3", "0.7"):
+            if float(dt) < float(h):
+                cfg = SimConfig(problem=UP4, paths=1, dt=float(dt), horizon=float(h), seed=0)
+                assert cfg.steps == math.ceil(Fraction(h) / Fraction(dt)), (h, dt)
 
 
 def test_sample_file_from_before_the_grid_point_mode_is_read(tmp_path, fisheries):

@@ -3,7 +3,8 @@
 ``run_scenarios.py`` without ``--mc`` computes the moments of its nine
 scenarios through ``fpt_moments``; ``run_mle_study.py`` is only asked for its
 usage, since a study takes minutes.  ``profile_likelihood.py`` times a few
-points on a small sample.  ``check_console_script.sh``, the console-script
+points on a small sample, and ``profile_simulator.py`` two chunks of a few
+paths.  ``check_console_script.sh``, the console-script
 check of both CI jobs, runs against a ``logifpt`` shim that calls the
 checkout's ``logifpt.cli``.
 """
@@ -46,6 +47,13 @@ def test_profile_likelihood():
                       "density", "sum", "whole"]
 
 
+def test_profile_simulator():
+    done = run_script("profile_simulator.py", "--paths", "37", "--chunks", "2")
+    assert done.returncode == 0, done.stderr
+    stages = [line.split()[0] for line in done.stdout.strip().splitlines()[1:]]
+    assert stages == ["draws", "noise", "steps", "scan", "chunk", "columns", "rows"]
+
+
 def test_check_console_script(tmp_path):
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
@@ -60,5 +68,5 @@ def test_check_console_script(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     [workdir] = [p for p in tmp_path.iterdir() if p.name != "bin"]
-    assert {"m.csv.json", "md.csv.json", "s.csv.kde.csv", "d.csv.json"} <= {
-        p.name for p in workdir.iterdir()}
+    assert {"m.csv.json", "md.csv.json", "s.csv.kde.csv", "d.csv.json", "seeded1.csv",
+            "seeded2.csv"} <= {p.name for p in workdir.iterdir()}
