@@ -27,6 +27,9 @@ test -f s.csv.json
 test -f s.csv.kde.csv
 test -f d.csv.json
 logifpt compare --density d.csv --samples s.csv
+# a forced order above the default --nmax computes its own moments
+logifpt density config.json --direction up --threshold 1e4 --grid 0.05:40:0.05 --order 12 --out d12.csv
+python -c 'import json; d = json.load(open("d12.csv.json")); assert d["order"] == 12, d["order"]'
 # the seeded-simulation contract: one seed, one sample, byte for byte
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded1.csv
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded2.csv

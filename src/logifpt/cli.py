@@ -72,7 +72,7 @@ def _write_sidecar(args, doc: dict, extra=None) -> None:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
-    except Exception as exc:
+    except ValueError as exc:
         raise InvalidParams(f"grid must be start:stop:step, got {spec!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise InvalidParams(f"bad grid {spec!r}")
@@ -153,12 +153,14 @@ def cmd_moments(args) -> int:
 
 def _moments_for_density(args, d, prob) -> MomentSet:
     src = args.moments_from
+    # a forced order needs that many moments (two at least, for the Gamma match)
+    order = args.nmax if args.order is None else max(args.order, 2)
     if src == "theory":
-        return fpt_moments(d, prob, order=args.nmax)
+        return fpt_moments(d, prob, order=order)
     kind, _, path = src.partition(":")
     if kind == "samples" and path:
         sample = read_samples_csv(path)
-        return empirical_moments(sample, order=args.nmax)
+        return empirical_moments(sample, order=order)
     if kind == "moments" and path:
         with open(path) as fh:
             data = json.load(fh)
@@ -167,9 +169,8 @@ def _moments_for_density(args, d, prob) -> MomentSet:
             raise InvalidParams(f'moments file {path} must hold a JSON object with a '
                                 f'list "moments"')
         vals = [mpf(_json_number(v, f"moment in {path}")) for v in moments]
-        if len(vals) < args.nmax:
-            raise InvalidParams(
-                f"moments file holds {len(vals)} moments, need {args.nmax}")
+        if len(vals) < order:
+            raise InvalidParams(f"moments file holds {len(vals)} moments, need {order}")
         return MomentSet(problem=prob, order=len(vals), moments=tuple(vals), precision=113)
     raise InvalidParams(f"--moments-from must be theory, samples:FILE or moments:FILE, got {src!r}")
 
@@ -229,20 +230,25 @@ def _load_density_csv(path):
         header = fh.readline().strip()
         if header != "t,density":
             raise InvalidParams(f"{path} is not a density CSV (header {header!r})")
-        for line in fh:
-            if line.strip():
-                t, v = line.split(",")
-                rows.append((float(t), float(v)))
+        for i, line in enumerate(fh, start=2):
+            row = line.strip()
+            if row:
+                try:
+                    t, v = row.split(",")
+                    rows.append((i, float(t), float(v)))
+                except ValueError as exc:
+                    raise InvalidParams(f"{path} line {i} ({row!r}): {exc}") from exc
     if not rows:
         raise InvalidParams(f"{path} holds no density rows")
-    t, f = np.array(rows).T
+    line_no, t, f = np.array(rows).T
     ok = np.isfinite(t) & np.isfinite(f) & (f >= 0)
     ok[1:] &= t[1:] > t[:-1]
     if not ok.all():
         i = int(np.argmin(ok))
         hint = "; start the grid above 0" if t[i] == 0 and np.isinf(f[i]) else ""
-        raise InvalidParams(f"{path} line {i + 2} (t = {t[i]}, density = {f[i]}): t must be "
-                            f"finite and strictly increasing, the density finite and >= 0{hint}")
+        raise InvalidParams(f"{path} line {int(line_no[i])} (t = {t[i]}, density = {f[i]}): "
+                            "t must be finite and strictly increasing, the density finite "
+                            f"and >= 0{hint}")
     return t, f
 
 

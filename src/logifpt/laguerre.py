@@ -27,8 +27,7 @@ distribution function is, with P the regularized incomplete gamma function,
 
 and F(inf) = 1.  The roots of p are the eigenvalues of its comrade matrix:
 the Jacobi matrix of the recurrence with n b_k / b_n added to its last row,
-at a degree n that leaves out negligible last coefficients.  When it leaves
-some out, a scan of p for sign changes adds the roots the eigenvalues miss.
+at the degree n of the last term b_k L_k^(alpha) not negligible in norm.
 The negative mass is a float sum of differences of F between roots, in
 which an error in a root enters only at second order; F(inf) = b_0 is not
 evaluated.  The corrected density is never negative; above CLIP_THRESHOLD
@@ -38,9 +37,8 @@ By orthogonality the raw expansion integrates to exactly 1, so
 ``norm_residual`` (Gauss-Laguerre quadrature of p, computed on first use)
 reports only how well p is conditioned in double precision.
 scipy is imported inside the functions that call it (``_gamma_pdf``,
-``_raw_cdf``, ``_norm_residual``, ``_roots``): at module level it would be
-most of the start-up time of every command, and most commands never evaluate
-a density.
+``_raw_cdf``, ``_norm_residual``): at module level it would be most of the
+start-up time of every command, and most commands never evaluate a density.
 """
 
 from __future__ import annotations
@@ -61,8 +59,6 @@ from .errors import (ExpansionConditionWarning, InsufficientMoments, InvalidPara
 CLIP_THRESHOLD = 1e-12
 NEGLIGIBLE_COEFF = 1e-13
 ORDER_TOL = 1e-6  # order selection accepts n only when |b_n| < ORDER_TOL |b_0|
-# sample points per degree of p where _roots checks the eigenvalues for sign changes
-_SCAN_POINTS_PER_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -187,26 +183,34 @@ def _raw_cdf(coeffs: np.ndarray, alpha: float, x):
     return coeffs[0] * special.gammainc(alpha + 1, x) + np.where(w > 0, tail, 0.0)
 
 
-def _degree(coeffs) -> int:
-    """Index of the last coefficient above NEGLIGIBLE_COEFF |b_0| (0 if none)."""
+def _degree(coeffs, alpha: float) -> int:
+    """Index of the last b_k with |b_k| ||L_k^(alpha)|| > NEGLIGIBLE_COEFF |b_0|
+    (0 if none), scanning down from the top: ||L_k^(alpha)||^2 = C(k + alpha, k),
+    its squared norm under f_alpha (DLMF 18.3), reaches 1e18 at k = 20 and
+    alpha = 59, so an unweighted cut drops terms that shape p.  In logarithms,
+    by lgamma, with alpha capped at 1e300, nothing overflows; past about 1e14
+    the alpha terms lose their digits, and past 1e18 they cancel to a weight of
+    1 / sqrt(k!), which keeps the rounding-noise b_k of a flagged moment set
+    negligible.  With b_0 = 0 every nonzero b_k counts; at alpha = -1, where
+    f_alpha vanishes, none does."""
     small = NEGLIGIBLE_COEFF * abs(coeffs[0])
-    return max((k for k, c in enumerate(coeffs) if abs(c) > small), default=0)
+    if not alpha > -1:
+        return 0
+    a = min(alpha, 1e300)
+    log_small = math.log(small) if small else -math.inf
+    for k in range(len(coeffs) - 1, 0, -1):
+        c = abs(coeffs[k])
+        log_norm2 = math.lgamma(k + a + 1) - math.lgamma(a + 1) - math.lgamma(k + 1)
+        if c and math.log(c) + log_norm2 / 2 > log_small:
+            return k
+    return 0
 
 
 def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     """Real positive roots of p, ascending, as comrade-matrix eigenvalues at
     the :func:`_degree` of p: the matrix divides by b_n, and a b_n that is
-    rounding noise puts the roots anywhere.
-
-    Below the last coefficient, a b_k under NEGLIGIBLE_COEFF |b_0| need not
-    be negligible in p: L_k^(alpha) reaches C(k + alpha, k), 1e18 at k = 20
-    and alpha = 58.  So when the degree drops terms, p itself is sampled on
-    _SCAN_POINTS_PER_DEGREE points per degree over [0, k + 12 sqrt(k) + 40],
-    k = alpha + n + 1 for p of degree n, beyond which f_alpha x^n holds no
-    mass that a double sees, and each sign change with no eigenvalue inside
-    is solved for.
-    """
-    n = _degree(coeffs)
+    rounding noise puts the roots anywhere."""
+    n = _degree(coeffs, alpha)
     if n < 1:
         return np.empty(0)
     k = np.arange(1.0, n)
@@ -216,21 +220,7 @@ def _roots(coeffs: np.ndarray, alpha: float) -> np.ndarray:
     jac.flat[n::n + 1] = -(k + alpha)
     jac[-1] += n * coeffs[:n] / coeffs[n]
     ev = np.linalg.eigvals(jac)
-    roots = np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
-    top = len(coeffs) - 1
-    if n == top:
-        return roots
-    from scipy import optimize
-
-    shape = alpha + top + 1
-    grid = np.linspace(0.0, shape + 12 * math.sqrt(shape) + 40,
-                       _SCAN_POINTS_PER_DEGREE * top + 1)
-    sign = np.sign(_coeff_sum(coeffs, alpha, grid))
-    floats = coeffs.tolist()
-    missed = [optimize.brentq(lambda x: _coeff_sum(floats, alpha, x), grid[i], grid[i + 1])
-              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)
-              if not np.any((roots > grid[i]) & (roots < grid[i + 1]))]
-    return np.sort(np.concatenate([roots, missed]))
+    return np.sort(ev.real[(ev.imag == 0) & (ev.real > 0)])
 
 
 def _negative_intervals(coeffs: np.ndarray, alpha: float) -> list:
@@ -330,9 +320,10 @@ def select_order(coeffs_all, alpha: float):
 
     ``coeffs_all`` holds the float coefficients b_0..b_{n_max} and alpha is
     the reference shape.  Accepts n when (i) p is positive at the origin
-    and the coefficient at its :func:`_degree` keeps the tail non-negative,
-    and (ii) |b_n| < ORDER_TOL |b_0|.  Returns (n_max, False) when no order
-    qualifies.  The concrete thresholds are this implementation's choices.
+    and b_k at its :func:`_degree`, the last term not negligible in norm,
+    keeps the tail non-negative, and (ii) |b_n| < ORDER_TOL |b_0|.  Returns
+    (n_max, False) when no order qualifies.  The concrete thresholds are this
+    implementation's choices.
     Normalization needs no rule: it holds exactly (see the module docstring).
     """
     n_max = len(coeffs_all) - 1
@@ -343,7 +334,7 @@ def select_order(coeffs_all, alpha: float):
             continue
         if not _coeff_sum(coeffs, alpha, 0.0) > 0:
             continue
-        lead = _degree(coeffs)
+        lead = _degree(coeffs, alpha)
         if lead and (-1) ** lead * coeffs[lead] < 0:
             continue
         return n, True

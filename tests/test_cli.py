@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logifpt import errors
+from logifpt import Direction, FptProblem, ModelParams, derive_params, errors, fpt_moments
 from logifpt.cli import main
 from logifpt.montecarlo import read_samples_csv
 from tests.conftest import FISHERIES
@@ -252,13 +252,19 @@ def test_moments_beyond_the_kernel_table_exit_1(tmp_path, capsys, direction, x0,
     assert err.startswith("input error: order must be in 1..256") and "Traceback" not in err
 
 
-def test_compare_names_the_first_row_it_cannot_measure(tmp_path, capsys):
+@pytest.mark.parametrize("rows, names", [
     # what `density` writes at t = 0 when the matched Gamma shape offset is negative
+    ("0.0,inf\n0.5,0.1\n1.0,0.2\n", ["line 2 (t = 0.0, density = inf)", "start the grid above 0"]),
+    ("0.1,0.2\n0.2,0.3,9\n", ["line 3 ('0.2,0.3,9')", "too many values"]),
+    ("0.1,0.2\n0.2,abc\n", ["line 3 ('0.2,abc')", "could not convert"]),
+    ("0.1,0.2\n\n0.05,0.3\n", ["line 4 (t = 0.05, density = 0.3)", "strictly increasing"]),
+], ids=["inf-at-0", "three-values", "not-a-number", "after-a-blank-line"])
+def test_compare_names_the_first_row_it_cannot_measure(tmp_path, capsys, rows, names):
     density = tmp_path / "d.csv"
-    density.write_text("t,density\n0.0,inf\n0.5,0.1\n1.0,0.2\n")
+    density.write_text("t,density\n" + rows)
     code, out, err = run(capsys, "compare", "--density", str(density), "--samples", "s.csv")
     assert (code, out) == (1, "")
-    assert "line 2 (t = 0.0, density = inf)" in err and "start the grid above 0" in err
+    assert err.startswith(f"input error: {density} line ") and all(n in err for n in names)
 
 
 def test_bad_usage_exits_1(capsys):
@@ -476,6 +482,34 @@ def test_density_from_sample_moments(config_path, tmp_path, capsys):
     # empirical matching lands near the theoretical reference (38.7, 2.98)
     assert abs(sidecar["alpha"] - 38.7) < 8.0
     assert abs(sidecar["beta"] - 2.98) < 0.5
+
+
+@pytest.mark.parametrize("source", ["theory", "samples", "moments"])
+def test_density_order_alone_computes_its_moments(config_path, tmp_path, capsys, source):
+    """--order 12 without --nmax, past the default of 10: theory and sample
+    moments are computed to order 12, and a moments file must hold 12."""
+    argv = ["density", config_path, "--direction", "up", "--threshold", "1e4",
+            "--order", "12", "--grid", "0.5:30:0.5", "--out", str(tmp_path / "d.csv")]
+    if source == "samples":
+        spath = tmp_path / "s.csv"
+        code, _, _ = run(capsys, "simulate", config_path, "--direction", "up",
+                         "--threshold", "1e4", "--paths", "200", "--dt", "0.01",
+                         "--horizon", "60", "--seed", "5", "--out", str(spath))
+        assert code == 0
+        argv += ["--moments-from", f"samples:{spath}"]
+    if source == "moments":
+        ms = fpt_moments(derive_params(ModelParams(**FISHERIES)), FptProblem(Direction.UP, 1e4), 12)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({"moments": ms.moments_float[:11]}))
+        code, out, err = run(capsys, *argv, "--moments-from", f"moments:{mpath}")
+        assert (code, out) == (1, "")
+        assert err == "input error: moments file holds 11 moments, need 12\n"
+        mpath.write_text(json.dumps({"moments": ms.moments_float}))
+        argv += ["--moments-from", f"moments:{mpath}"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and "need 12 moments" not in err
+    sidecar = json.loads((tmp_path / "d.csv.json").read_text())
+    assert sidecar["order"] == 12 and len(sidecar["coefficients"]) == 13
 
 
 def test_density_theory_warns_when_unstable(config_path, tmp_path, capsys):

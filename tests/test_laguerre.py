@@ -340,21 +340,30 @@ def test_negative_mass_matches_quadrature(x0, direction, threshold):
     assert apx.renorm_factor == 1.0 / (1.0 + apx.negative_mass)
 
 
-@pytest.mark.parametrize("threshold, order", [(1e5, 20), (1e4, 24)])
+def _toward(threshold, factor=0.9):
+    """The threshold at `factor` times its log-distance from x0 = 100."""
+    return 100.0 * math.exp(factor * math.log(threshold / 100.0))
+
+
+@pytest.mark.parametrize("threshold, order", [
+    (1e5, 20), (1e4, 24), (_toward(1e4), 20), (_toward(1e4), 30), (_toward(1e5), 20)])
 def test_high_orders_find_the_roots_the_degree_drops(threshold, order):
-    """Fisheries up to 1e5 at order 20 and up to 1e4 at order 24: b_k below
-    NEGLIGIBLE_COEFF |b_0| are cut from the comrade matrix, yet shape p
-    (alpha is 59 and 39).  The eigenvalues alone put p < 0 on (0, 22.75) and
-    (0, 13.21), where it changes sign, and the negative mass came out
-    -4.6e-11 and -5.5e-11; with the sign changes of p itself it is not
-    negative, and it is the quadrature of the negative raw density."""
+    """Fisheries up to 1e5 at order 20 and up to 1e4 at order 24 (alpha is 59
+    and 39), and at 0.9 of the log-distance to 1e4 (orders 20 and 30) and to
+    1e5 (order 20): b_k below NEGLIGIBLE_COEFF |b_0| shape p, since
+    ||L_k^(alpha)|| reaches 1e9.  Cut from the comrade matrix, they moved its
+    roots: the negative mass of the first two came out negative, and a sign
+    scan of p that made up for it reported extra roots on the last three,
+    1.4e-5 to 1.0e-4 off.  Weighted by the norm, the degree is the full order,
+    and the negative mass is the quadrature of the negative raw density to
+    1e-6, with no absolute floor, since the masses go down to 3.8e-12."""
     import logifpt.laguerre as laguerre
 
     ms = fpt_moments(fisheries_at(100.0), FptProblem(Direction.UP, threshold), order)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         apx = build_approximant(ms, n=order, n_max=order)
-    assert laguerre._degree(apx._coeff_arr) < order
+    assert laguerre._degree(apx._coeff_arr, apx.gamma.alpha) == order
     assert apx.negative_mass >= 0
     raw = functools.partial(apx.density, corrected=False)
     ts = np.linspace(0.0, 200.0 / apx.gamma.beta, 200_001)[1:]
@@ -364,7 +373,7 @@ def test_high_orders_find_the_roots_the_degree_drops(threshold, order):
     edges = np.concatenate([[0.0], changes, [np.inf]])
     parts = [integrate.quad(raw, a, b, limit=400, epsabs=0.0, epsrel=1e-12)[0]
              for a, b in zip(edges[:-1], edges[1:])]
-    assert apx.negative_mass == pytest.approx(-sum(p for p in parts if p < 0), rel=1e-6)
+    assert apx.negative_mass == pytest.approx(-sum(p for p in parts if p < 0), rel=1e-6, abs=0)
 
 
 @given(st.floats(min_value=0.4, max_value=2.0),      # growth rate r
@@ -491,12 +500,13 @@ def test_scalar_p_is_the_array_sum(coeffs, alpha, x):
         assert _same_double(_coeff_sum(np.asarray(coeffs), alpha, at), want)
 
 
-@pytest.mark.parametrize("tail, degree", [(-1e-13, 4), (-1.5e-13, 5)])
+@pytest.mark.parametrize("tail, degree", [(-2e-14, 4), (-2.5e-14, 5)])
 def test_select_order_and_roots_agree_on_the_degree(monkeypatch, tail, degree):
-    """b_5 at NEGLIGIBLE_COEFF |b_0| is dropped in both places, and just
-    above it kept in both: _roots forms its comrade matrix at that degree,
-    and the tail rule of select_order reads the sign of that coefficient
-    (b_4 < 0 fails the rule at degree 4, b_5 < 0 passes it at degree 5)."""
+    """At alpha = 2, b_5 below NEGLIGIBLE_COEFF |b_0| / ||L_5^(2)||, which is
+    1e-13 / sqrt(C(7, 5)) = 2.18e-14, is dropped in both places, and above it
+    kept in both: _roots forms its comrade matrix at that degree, and the
+    tail rule of select_order reads the sign of that coefficient (b_4 < 0
+    fails the rule at degree 4, b_5 < 0 passes it at degree 5)."""
     import logifpt.laguerre as laguerre
 
     coeffs = [1.0, 0.0, 0.0, 1e-3, -1e-8, tail]  # |b_3| >= 1e-6: order 3 is refused
@@ -505,6 +515,18 @@ def test_select_order_and_roots_agree_on_the_degree(monkeypatch, tail, degree):
     laguerre._roots(np.asarray(coeffs), 2.0)
     assert sizes == [degree]
     assert select_order(coeffs, 2.0) == (5, degree == 5)
+
+
+@pytest.mark.parametrize("alpha, degree", [
+    (-1.0, 0), (-1 + 1e-15, 1), (0.0, 1), (59.0, 1), (1e15, 1), (1e306, 1), (math.inf, 1)])
+def test_degree_is_defined_at_every_alpha(alpha, degree):
+    """Neither lgamma's pole at alpha = -1 nor its overflow past 2.5e305
+    raises, and b_3 = 1e-300 stays negligible; with b_0 = 0 every nonzero
+    b_k counts, except at alpha = -1, where f_alpha vanishes."""
+    import logifpt.laguerre as laguerre
+
+    assert laguerre._degree([1.0, 0.5, 0.0, 1e-300], alpha) == degree
+    assert laguerre._degree([0.0, 0.5, 0.0, 1e-300], alpha) == (3 if degree else 0)
 
 
 @given(st.sampled_from([53, 64, 113, 256, 300]),
