@@ -30,6 +30,11 @@ logifpt compare --density d.csv --samples s.csv
 # a forced order above the default --nmax computes its own moments
 logifpt density config.json --direction up --threshold 1e4 --grid 0.05:40:0.05 --order 12 --out d12.csv
 python -c 'import json; d = json.load(open("d12.csv.json")); assert d["order"] == 12, d["order"]'
+# a library warning (a Gamma reference singular at the origin, up to 110)
+# reaches stderr as one "warning:" line, with no source path or code line
+logifpt density config.json --direction up --threshold 110 --grid 0.05:1:0.05 --out d110.csv 2> d110.err
+grep -q '^warning: matched shape offset' d110.err
+if grep -v '^warning:' d110.err; then echo "density wrote a stderr line that is not a warning" >&2; exit 1; fi
 # the seeded-simulation contract: one seed, one sample, byte for byte
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded1.csv
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded2.csv

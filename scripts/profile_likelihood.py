@@ -73,8 +73,8 @@ def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
 
     def coeffs():
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
-        ms = MomentSet(problem=FptProblem(Direction.UP, THRESHOLD), order=order,
-                       moments=moments, precision=d.precision)
+        ms = MomentSet(problem=FptProblem(Direction.UP, THRESHOLD), moments=moments,
+                       precision=d.precision)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             gamma = match_gamma(ms)
@@ -83,7 +83,7 @@ def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
     gamma, b = timed(times, "c_j/b_k", coeffs)
     n, converged = timed(times, "order", select_order, b, gamma.alpha)
     apx = timed(times, "approx", lambda: LaguerreApproximant(
-        gamma=gamma, order=n, coeffs=tuple(b[: n + 1]), converged=converged))
+        gamma=gamma, coeffs=tuple(b[: n + 1]), converged=converged))
     timed(times, "density", lambda: float(np.sum(np.log(np.maximum(
         apx.density(sample.times), 1e-300)))))
     return times

@@ -53,9 +53,8 @@ def main(argv=None) -> int:
         d = derive_params(ModelParams(**BASE, x0=x0))
         prob = FptProblem(direction, threshold)
         ms = fpt_moments(d, prob, 4)
-        cs = ms.cumulants
-        c = cs.cumulants_float
-        r = [float(x) for x in cs.ratios]
+        c = ms.cumulants_float
+        r = [float(x) for x in ms.ratios]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g = match_gamma(ms)

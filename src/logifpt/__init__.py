@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .analytics import (CumulantSet, MomentSet, cumulants_from_moments, fpt_cumulants,
-                        fpt_moments)
+from .analytics import MomentSet, cumulants_from_moments, fpt_cumulants, fpt_moments
 from .hypergeom import laplace_transform
 from .kernels import KernelTable, l_series, lbar_series, q_series, t_series
 from .laguerre import (GammaRef, LaguerreApproximant, build_approximant,
@@ -16,7 +15,7 @@ from .montecarlo import (FptSample, SimConfig, empirical_moments, kde,
 from .inference import MleConfig, MleResult, StudyReport, log_likelihood, mc_study, mle_fit
 
 __all__ = [
-    "CumulantSet", "DerivedParams", "Direction", "FptProblem", "FptSample",
+    "DerivedParams", "Direction", "FptProblem", "FptSample",
     "GammaRef", "KernelTable", "LaguerreApproximant",
     "MleConfig", "MleResult", "ModelParams", "MomentSet",
     "SimConfig", "StudyReport", "DEFAULT_PRECISION", "build_approximant",

@@ -13,11 +13,16 @@ pass is the library's one series algebra; ``kernels.q_series`` and
 Bell-polynomial closed form of the reciprocal denominator series, an
 independent route in ``mpf`` kept in ``tests/oracles.py`` with the ``mpf``
 series operations it uses.  Going down, the same pass bounds the moments'
-error from the first omitted terms of the asymptotic sums.  A
-:class:`MomentSet` from :func:`fpt_moments` keeps its cumulants; one from
+error from the first omitted terms of the asymptotic sums.
+
+One record holds a moment set and its cumulants: :class:`MomentSet`.  A set
+from :func:`fpt_moments` keeps the cumulants of the series pass; one from
 another source (empirical, read from a file) converts its moments with
 :func:`cumulants_from_moments`, which loses the digits the moments cancel:
 at sigma 1e-3 it is 1.2e-15 off where the series route is within 1e-60.
+Either way ``cumulants`` is the tuple c_1..c_order, and ``ratios`` reads the
+Gamma-structure diagnostic off it.  The order is the number of moments the
+set holds, not a stored count.
 
 All values are held in arbitrary precision and downcast only through the
 ``*_float`` accessors.  Downcrossing results carry per-order relative error
@@ -45,10 +50,10 @@ FLAG_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Raw moments E[T^k] for k = 1..order (index 0 of ``moments`` is k=1)."""
+    """Raw moments E[T^k] for k = 1..order (index 0 of ``moments`` is k=1),
+    with the cumulants of the same law; ``order`` is ``len(moments)``."""
 
     problem: FptProblem
-    order: int
     moments: tuple
     precision: int
     degenerate: bool = False
@@ -57,6 +62,10 @@ class MomentSet:
     # c_1..c_order from the log of the transform series, set by fpt_moments as
     # exact (int, exponent) pairs; ``cumulants`` rounds them to the precision
     series_cumulants: tuple | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def order(self) -> int:
+        return len(self.moments)
 
     @property
     def moments_float(self) -> tuple:
@@ -80,8 +89,8 @@ class MomentSet:
         return tuple(bool(r > FLAG_RTOL) for r in self.error_estimates)
 
     @cached_property
-    def cumulants(self) -> "CumulantSet":
-        """Cumulants c_1..c_order of the crossing time.
+    def cumulants(self) -> tuple:
+        """Cumulants c_1..c_order of the crossing time, as ``mpf``.
 
         A set from :func:`fpt_moments` carries them: c_k = (-1)^k L_k, with L
         the log of the transform series that its moments exponentiate,
@@ -97,20 +106,7 @@ class MomentSet:
         """
         if self.series_cumulants is None:
             return cumulants_from_moments(self)
-        cumulants = tuple(_to_mpf(man, exp, self.precision) for man, exp in self.series_cumulants)
-        return CumulantSet(problem=self.problem, order=self.order, cumulants=cumulants,
-                           precision=self.precision)
-
-
-@dataclass(frozen=True)
-class CumulantSet:
-    """Cumulants c_1..c_n with the Gamma-structure diagnostic ratios."""
-
-    problem: FptProblem
-    order: int
-    cumulants: tuple
-    precision: int
-    degenerate: bool = False
+        return tuple(_to_mpf(man, exp, self.precision) for man, exp in self.series_cumulants)
 
     @property
     def cumulants_float(self) -> tuple:
@@ -119,7 +115,7 @@ class CumulantSet:
     @property
     def ratios(self) -> tuple | None:
         """(c1/c2, 2 c2/c3, 3 c3/c4); each equals the Gamma rate for an
-        exactly Gamma-distributed crossing time."""
+        exactly Gamma-distributed crossing time.  None below order 4."""
         if self.order < 4:
             return None
         c = self.cumulants
@@ -154,7 +150,7 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
                             f"got {order}")
     if validate_problem(d, prob):
         zeros = (mpf(0),) * order
-        return MomentSet(problem=prob, order=order, moments=zeros,
+        return MomentSet(problem=prob, moments=zeros,
                          precision=d.precision, degenerate=True, error_estimates=zeros,
                          diagnostics={"trunc_index": [0] * (order + 1),
                                       "error_estimate": [mpf(0)] * (order + 1)})
@@ -174,21 +170,19 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
                         for k, m in enumerate(moments, 1))
     diagnostics = {"trunc_index": list(map(max, b0.cut, b1.cut)),
                    "error_estimate": list(e or (mpf(0),) * (order + 1))}
-    return MomentSet(problem=prob, order=order, moments=moments,
+    return MomentSet(problem=prob, moments=moments,
                      precision=d.precision, error_estimates=rel,
                      diagnostics=diagnostics, series_cumulants=cumulants)
 
 
-def cumulants_from_moments(ms: MomentSet) -> CumulantSet:
+def cumulants_from_moments(ms: MomentSet) -> tuple:
     """Standard conversion: the logarithmic polynomials of (1, m_1, ..., m_n),
-    c_n = m_n - sum C(n-1, k-1) c_k m_{n-k}."""
+    c_n = m_n - sum C(n-1, k-1) c_k m_{n-k}, as a tuple of ``mpf``."""
     with mp.workprec(ms.precision):
-        c = log_polynomials((mpf(1),) + tuple(ms.moments))
-    return CumulantSet(problem=ms.problem, order=ms.order, cumulants=tuple(c),
-                       precision=ms.precision, degenerate=ms.degenerate)
+        return tuple(log_polynomials((mpf(1),) + tuple(ms.moments)))
 
 
-def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> CumulantSet:
-    """Cumulants of the crossing time: ``fpt_moments(d, prob, order).cumulants``,
-    the log of the transform series (see :attr:`MomentSet.cumulants`)."""
-    return fpt_moments(d, prob, order).cumulants
+def fpt_cumulants(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
+    """``fpt_moments(d, prob, order)``, whose set carries the cumulants (see
+    :attr:`MomentSet.cumulants`); kept as the name the benchmark traces."""
+    return fpt_moments(d, prob, order)

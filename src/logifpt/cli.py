@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -30,12 +31,13 @@ from .hypergeom import PRECISION as ORACLE_PRECISION, laplace_transform
 from .inference import MleConfig, mle_fit
 from .laguerre import build_approximant
 from .model import (DEFAULT_PRECISION, DerivedParams, Direction, FptProblem, ModelParams,
-                    derive_params, validate_problem)
+                    _json_number, derive_params, validate_problem)
 from .montecarlo import (SimConfig, empirical_moments, kde, read_samples_csv,
                          sample_fpt, write_samples_csv)
 
-_INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError,
-                 json.JSONDecodeError, KeyError, ValueError)
+# what reading an input file raises that no package code turns into an
+# InvalidParams; any other exception inside a command is a bug and propagates
+_INPUT_ERRORS = (OSError, json.JSONDecodeError, UnicodeDecodeError)
 # the stderr label of each exit code a LogifptError carries
 _EXIT_LABELS = {1: "input error", 2: "infeasible regime", 3: "numerical non-convergence"}
 # the most points a --grid, --kde-grid or --lambda-grid may hold
@@ -82,18 +84,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return start + step * np.arange(int(math.floor(span)) + 1)
 
 
-def _json_number(value, what: str) -> float:
-    """A number read from a JSON file, as a float.  null, booleans, strings,
-    lists and objects are input errors, and so is an integer beyond the
-    range of a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParams(f"{what} must be a number, got {json.dumps(value)}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise InvalidParams(f"{what} is beyond the range of a float") from exc
-
-
 def _derived(args) -> DerivedParams:
     """The config file's parameters, derived at --precision."""
     return derive_params(ModelParams.from_json(args.config), precision=args.precision)
@@ -128,7 +118,7 @@ def cmd_moments(args) -> int:
     d = _derived(args)
     prob = _problem(args)
     ms = fpt_moments(d, prob, args.order)
-    m, c = ms.moments_float, ms.cumulants.cumulants_float
+    m, c = ms.moments_float, ms.cumulants_float
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
         if not (math.isfinite(m[k - 1]) and math.isfinite(c[k - 1])):  # nothing written yet
@@ -171,7 +161,7 @@ def _moments_for_density(args, d, prob) -> MomentSet:
         vals = [mpf(_json_number(v, f"moment in {path}")) for v in moments]
         if len(vals) < order:
             raise InvalidParams(f"moments file holds {len(vals)} moments, need {order}")
-        return MomentSet(problem=prob, order=len(vals), moments=tuple(vals), precision=113)
+        return MomentSet(problem=prob, moments=tuple(vals), precision=113)
     raise InvalidParams(f"--moments-from must be theory, samples:FILE or moments:FILE, got {src!r}")
 
 
@@ -292,7 +282,10 @@ def _parse_init(spec: str) -> dict:
                 raise InvalidParams(f"--init items must be name=value, got {item!r}")
             if name in out:
                 raise InvalidParams(f"--init gives {name!r} twice")
-            out[name] = float(val)
+            try:
+                out[name] = float(val)
+            except ValueError as exc:
+                raise InvalidParams(f"--init {name} must be a number, got {val!r}") from exc
     return out
 
 
@@ -303,7 +296,10 @@ def cmd_mle(args) -> int:
     if not isinstance(fixed_doc, dict):
         raise InvalidParams(f"--fixed file {args.fixed} must hold a JSON object")
     estimate = tuple(p.strip() for p in args.estimate.split(",") if p.strip())
-    direction = Direction(fixed_doc.pop("direction", "up"))
+    try:
+        direction = Direction(fixed_doc.pop("direction", "up"))
+    except ValueError as exc:
+        raise InvalidParams(f"--fixed direction: {exc}") from exc
     init = _parse_init(args.init)
     for p in estimate:
         if p not in init and p in fixed_doc:
@@ -429,6 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A library warning as one stderr line, in the form of the CLI's own."""
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -437,7 +438,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.raw_argv = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except LogifptError as exc:
         sys.stderr.write(f"{_EXIT_LABELS[exc.exit_code]}: {exc}\n")
         return exc.exit_code

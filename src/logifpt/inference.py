@@ -38,7 +38,7 @@ from .errors import (EmptySample, ExpansionConditionWarning, InvalidParams,
 from .kernels import N_MAX_DEFAULT
 from .laguerre import build_approximant, match_gamma
 from .model import (DEFAULT_PRECISION, MIN_PRECISION, Direction, FptProblem, ModelParams,
-                    derive_params)
+                    _json_number, derive_params)
 from .montecarlo import FptSample, SimConfig, empirical_moments, sample_fpt
 
 PARAM_NAMES = ("sigma", "r", "x0", "U", "K", "q", "E")
@@ -84,6 +84,8 @@ class MleConfig:
         missing = [p for p in PARAM_NAMES if p not in est and p not in self.fixed]
         if missing:
             raise InvalidParams(f"parameters neither estimated nor fixed: {missing}")
+        for p, v in self.fixed.items():  # else every candidate would be a penalty
+            _json_number(v, f"fixed {p}")
         bad_init = [p for p in est if p not in self.init]
         if bad_init:
             raise InvalidParams(f"no initial value for: {bad_init}")

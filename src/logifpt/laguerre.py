@@ -258,7 +258,6 @@ class LaguerreApproximant:
     """
 
     gamma: GammaRef
-    order: int
     coeffs: tuple            # float b_0..b_n used by evaluation
     converged: bool          # order-selection verdict
     negative_mass: float = field(init=False)   # mass below zero before correction
@@ -276,6 +275,10 @@ class LaguerreApproximant:
         self.negative_mass = float(sum(F(a) - F(b) for a, b in self._neg))
         self.clip_applied = self.negative_mass > CLIP_THRESHOLD
         self.renorm_factor = 1.0 / (1.0 + self.negative_mass) if self.clip_applied else 1.0
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     @cached_property
     def norm_residual(self) -> float:
@@ -356,5 +359,4 @@ def build_approximant(ms: MomentSet, n: int | None = None,
         n, converged = select_order(coeffs, g.alpha)
     else:
         converged = True
-    return LaguerreApproximant(gamma=g, order=n, coeffs=tuple(coeffs[: n + 1]),
-                               converged=converged)
+    return LaguerreApproximant(gamma=g, coeffs=tuple(coeffs[: n + 1]), converged=converged)

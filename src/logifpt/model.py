@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +29,20 @@ DEFAULT_PRECISION = 256
 MIN_PRECISION = 53
 
 _PARAM_KEYS = ("r", "K", "q", "E", "sigma", "x0")
+
+
+def _json_number(value, what: str) -> float:
+    """A number read from a JSON file, as a float: the one rule for the
+    config, ``--fixed``, moments and sample files.  null, booleans, strings,
+    lists and objects are input errors, and so is an integer beyond the
+    range of a float.  Other real numbers (numpy scalars from the library's
+    own callers) pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParams(f"{what} must be a number, got {json.dumps(value, default=repr)}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InvalidParams(f"{what} is beyond the range of a float") from exc
 
 
 class Direction(Enum):
@@ -71,11 +86,7 @@ class ModelParams:
         missing = [k for k in _PARAM_KEYS if k not in d]
         if missing:
             raise InvalidParams(f"missing parameter keys: {missing}")
-        try:
-            vals = {k: float(d[k]) for k in _PARAM_KEYS}
-        except (TypeError, ValueError) as exc:
-            raise InvalidParams(f"non-numeric parameter value: {exc}") from exc
-        return cls(**vals)
+        return cls(**{k: _json_number(d[k], f"parameter {k}") for k in _PARAM_KEYS})
 
     @classmethod
     def from_json(cls, path) -> "ModelParams":

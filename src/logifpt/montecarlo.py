@@ -43,7 +43,8 @@ from mpmath import mpf
 
 from .analytics import MomentSet
 from .errors import EmptySample, InvalidParams
-from .model import DerivedParams, Direction, FptProblem, ModelParams, validate_problem
+from .model import (DerivedParams, Direction, FptProblem, ModelParams, _json_number,
+                    validate_problem)
 
 _MASK64 = (1 << 64) - 1
 _BATCH = 4096
@@ -105,8 +106,10 @@ class SimConfig:
         ignored.  Anything else, a paths or seed that is not an integer
         included, raises InvalidParams."""
         try:
-            problem = FptProblem(Direction(d["direction"]), float(d["threshold"]))
-            paths, seed, dt, horizon = d["paths"], d["seed"], float(d["dt"]), float(d["horizon"])
+            threshold, dt, horizon = (_json_number(d[k], f"sim config {k}")
+                                      for k in ("threshold", "dt", "horizon"))
+            problem = FptProblem(Direction(d["direction"]), threshold)
+            paths, seed = d["paths"], d["seed"]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"bad sim config {d!r}: {exc}") from exc
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (paths, seed)):
@@ -294,7 +297,7 @@ def empirical_moments(s: FptSample, order: int) -> MomentSet:
     if s.n == 0:
         raise EmptySample("no crossing times observed")
     moments = tuple(mpf(float(np.mean(s.times ** k))) for k in range(1, order + 1))
-    return MomentSet(problem=s.config.problem, order=order, moments=moments, precision=53)
+    return MomentSet(problem=s.config.problem, moments=moments, precision=53)
 
 
 def silverman_bandwidth(times: np.ndarray) -> float:

@@ -36,7 +36,7 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from logifpt.analytics import CumulantSet, MomentSet, fpt_moments
+from logifpt.analytics import MomentSet, fpt_moments
 from logifpt.errors import NoConvergence, TransformFailure
 from logifpt.hypergeom import PRECISION, laplace_transform
 from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_DEFAULT,
@@ -481,15 +481,15 @@ class GammaDiagnostics:
     flatness: float        # max relative spread of the implied rates
 
 
-def gamma_consistency(cs: CumulantSet) -> GammaDiagnostics:
-    """The three adjacent cumulant ratios and their spread.
+def gamma_consistency(c: tuple) -> GammaDiagnostics:
+    """The three adjacent ratios of the cumulants c_1..c_n and their spread.
 
     For a Gamma law every entry equals the rate parameter, so a small
     flatness score supports the Gamma-referenced density expansion.
     """
-    if cs.order < 4:
+    if len(c) < 4:
         raise ValueError("gamma_consistency needs cumulants up to order 4")
-    ratios = cs.ratios
+    ratios = (c[0] / c[1], 2 * c[1] / c[2], 3 * c[2] / c[3])
     betas = tuple(float(b) for b in ratios)
     mean_b = sum(betas) / 3
     flat = max(abs(b - mean_b) for b in betas) / abs(mean_b) if mean_b else float("inf")
@@ -638,7 +638,7 @@ def cauchy_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> Moment
     """
     degenerate = validate_problem(d, prob)
     if degenerate:
-        return MomentSet(problem=prob, order=order, moments=(mpf(0),) * order,
+        return MomentSet(problem=prob, moments=(mpf(0),) * order,
                          precision=PRECISION, degenerate=True)
     rho = singularity_distance(d, prob) * CAUCHY_RADIUS
     half = CAUCHY_NODES // 2
@@ -651,4 +651,4 @@ def cauchy_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> Moment
                 mpmath.re(phi[j] * mpmath.expjpi(mpf(-2 * j * k) / CAUCHY_NODES))
                 for j in range(1, half))
             moments.append((-1) ** k * mpmath.factorial(k) * total / (CAUCHY_NODES * rho ** k))
-    return MomentSet(problem=prob, order=order, moments=tuple(moments), precision=PRECISION)
+    return MomentSet(problem=prob, moments=tuple(moments), precision=PRECISION)

@@ -121,7 +121,11 @@ def _input_error_argv(case, config, tmp_path):
     for name, edit in [("config-list", lambda meta: []),
                        ("paths-null", lambda meta: {**meta, "sim": {**meta["sim"], "paths": None}}),
                        ("paths-float", lambda meta: {**meta, "sim": {**meta["sim"], "paths": 5.7}}),
-                       ("seed-float", lambda meta: {**meta, "sim": {**meta["sim"], "seed": 1.5}})]:
+                       ("seed-float", lambda meta: {**meta, "sim": {**meta["sim"], "seed": 1.5}}),
+                       ("model-huge-int", lambda meta: {**meta, "model": {**FISHERIES,
+                                                                          "K": 10 ** 400}}),
+                       ("dt-huge-int", lambda meta: {**meta, "sim": {**meta["sim"],
+                                                                     "dt": 10 ** 400}})]:
         lines = samples.read_text().splitlines()
         meta = json.loads(lines[1].removeprefix("# config: "))
         lines[1] = "# config: " + json.dumps(edit(meta))
@@ -150,6 +154,15 @@ def _input_error_argv(case, config, tmp_path):
     fixed_string.write_text(json.dumps({**FISHERIES, "U": 1e4, "K": "8.05e7"}))
     fixed_huge = tmp_path / "fixed-huge.json"
     fixed_huge.write_text(json.dumps({**FISHERIES, "U": 10 ** 400}))
+    fixed_sideways = tmp_path / "fixed-sideways.json"
+    fixed_sideways.write_text(json.dumps({**FISHERIES, "U": 1e4, "direction": "sideways"}))
+    configs = {}  # config files whose numbers follow the rule of the other JSON inputs
+    for name, change in [("huge-int", {"K": 10 ** 400}), ("quoted", {"K": "8.05e7"}),
+                         ("bool", {"E": True})]:
+        configs[name] = tmp_path / f"config-{name}.json"
+        configs[name].write_text(json.dumps({**FISHERIES, **change}))
+    configs["not-utf8"] = tmp_path / "config-not-utf8.json"
+    configs["not-utf8"].write_bytes(b'{"r": 0.71, "K": "\xff"}')
     moments_exp = tmp_path / "exp.json"  # the exponential law's moments k!
     moments_exp.write_text(json.dumps({"moments": [math.factorial(k) for k in range(1, 11)]}))
     up = ["--direction", "up", "--threshold", "1e4"]
@@ -209,6 +222,14 @@ def _input_error_argv(case, config, tmp_path):
                                 f"samples:{bad_samples['paths-float']}"],
         "samples-seed-float": ["compare", "--density", str(density),
                                "--samples", str(bad_samples["seed-float"])],
+        "samples-model-huge-int": ["compare", "--density", str(density),
+                                   "--samples", str(bad_samples["model-huge-int"])],
+        "samples-dt-huge-int": ["compare", "--density", str(density),
+                                "--samples", str(bad_samples["dt-huge-int"])],
+        **{f"config-{name}": ["moments", str(path), *up] for name, path in configs.items()},
+        "mle-init-not-a-number": ["mle", "--samples", str(samples), "--estimate", "sigma",
+                                  "--init", "sigma=abc", "--fixed", str(fixed)],
+        "fixed-direction-sideways": [*mle, "--fixed", str(fixed_sideways)],
     }[case]
 
 
@@ -225,7 +246,11 @@ def _input_error_argv(case, config, tmp_path):
                                   "mle-init-out-of-bounds", "density-nan", "density-inf-t",
                                   "density-decreasing", "density-inf-at-0",
                                   "samples-config-list", "samples-paths-null",
-                                  "samples-paths-float", "samples-seed-float"])
+                                  "samples-paths-float", "samples-seed-float",
+                                  "samples-model-huge-int", "samples-dt-huge-int",
+                                  "config-huge-int", "config-quoted", "config-bool",
+                                  "config-not-utf8", "mle-init-not-a-number",
+                                  "fixed-direction-sideways"])
 def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, capsys,
                                                      monkeypatch, case):
     import logifpt.cli
@@ -564,6 +589,32 @@ def test_density_warning_names_a_sidecar_only_with_out(config_path, tmp_path, ca
     assert ("warning: order selection did not converge; "
             f"using n = 8 (see {out_path}.json)\n") in err
     assert json.loads((tmp_path / "d.csv.json").read_text())["converged"] is False
+
+
+def test_library_warnings_are_one_line_each(config_path, capsys):
+    """Up to 110 from 100 the matched Gamma is singular at the origin: the
+    library's SingularOriginWarning reaches stderr as one "warning:" line,
+    with no source path or code line."""
+    code, out, err = run(capsys, "density", config_path, "--direction", "up",
+                         "--threshold", "110", "--grid", "0.05:1:0.05")
+    assert code == 0 and out.startswith("t,density\n")
+    lines = err.splitlines()
+    assert all(line.startswith("warning: ") for line in lines), err
+    assert any("reference density is singular at the origin" in line for line in lines), err
+
+
+@pytest.mark.parametrize("bug", [ValueError, KeyError])
+def test_a_bug_inside_a_command_propagates(config_path, monkeypatch, bug):
+    """Only what reading a file raises is an input error; a ValueError or a
+    KeyError from inside a command is a bug, not exit 1."""
+    import logifpt.cli
+
+    def broken(*args, **kwargs):
+        raise bug("a bug")
+
+    monkeypatch.setattr(logifpt.cli, "derive_params", broken)
+    with pytest.raises(bug):
+        main(["derive", config_path])
 
 
 def test_density_down_high_writes_sidecar(tmp_path, capsys):

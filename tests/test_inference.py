@@ -45,6 +45,10 @@ def test_config_validation():
     with pytest.raises(InvalidParams, match="r = 12.0 not in"):
         cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": hi + 2})
     cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": hi})
+    fixed = {k: v for k, v in FIXED_ALL.items() if k != "sigma"}
+    for value in ("8.05e7", None, True):  # the number rule of ModelParams.from_dict
+        with pytest.raises(InvalidParams, match="fixed K"):
+            MleConfig(estimate=("sigma",), fixed={**fixed, "K": value}, init={"sigma": 0.2})
 
 
 @pytest.mark.parametrize("n_max", [1, 0])

@@ -420,7 +420,7 @@ def count_sums(monkeypatch) -> list:
 
 def numbers(ms) -> tuple:
     """What a MomentSet reports: moments, cumulants, estimates, flags, cuts."""
-    return (ms.moments, ms.cumulants.cumulants, ms.error_estimates, ms.flagged,
+    return (ms.moments, ms.cumulants, ms.error_estimates, ms.flagged,
             ms.diagnostics["trunc_index"], ms.diagnostics["error_estimate"])
 
 

@@ -23,11 +23,10 @@ from tests.oracles import bell_moments, laguerre_poly, rising_factorial
 UP4 = FptProblem(Direction.UP, 1e4)
 
 
-def moment_set(values, precision=256, order=None):
+def moment_set(values, precision=256):
     with mp.workprec(precision):
         vals = tuple(mpf(v) for v in values)
-    return MomentSet(problem=UP4, order=order or len(vals), moments=vals,
-                     precision=precision)
+    return MomentSet(problem=UP4, moments=vals, precision=precision)
 
 
 def gamma_moment_set(alpha, beta, order):
@@ -442,7 +441,7 @@ def test_negative_mass_is_finite_and_non_negative(n, middle, decades, negative, 
     b_n = (-1.0 if negative else 1.0) * 10.0 ** -decades
     coeffs = (1.0, *middle[:n - 1], b_n)
     apx = LaguerreApproximant(gamma=GammaRef(alpha_mp=mpf(alpha), beta_mp=mpf(1)),
-                              order=n, coeffs=coeffs, converged=True)
+                              coeffs=coeffs, converged=True)
     assert math.isfinite(apx.negative_mass) and apx.negative_mass >= 0
 
 
@@ -470,7 +469,7 @@ def test_negative_mass_takes_F_at_inf_as_b0(n, middle, alpha):
 
     with mock.patch.object(laguerre, "_raw_cdf", spy):
         apx = LaguerreApproximant(gamma=GammaRef(alpha_mp=mpf(alpha), beta_mp=mpf(1)),
-                                  order=n, coeffs=(1.0, *middle[:n]), converged=True)
+                                  coeffs=(1.0, *middle[:n]), converged=True)
     assert all(np.isfinite(x).all() for x in seen)
     assert len(seen) <= 2 * len(apx._neg)
     if apx._neg:
@@ -549,7 +548,7 @@ def test_coeffs_round_as_the_mpf_chain(precision, alpha, beta, moments, negative
         for j, m in enumerate((mpf(1),) + mu):
             c.append(scale * m)
             scale *= -g.beta_mp / (g.alpha_mp + j + 1)
-    ms = MomentSet(problem=UP4, order=len(mu), moments=mu, precision=precision)
+    ms = MomentSet(problem=UP4, moments=mu, precision=precision)
     got = laguerre_coeffs(ms, g, len(mu))
     with mp.workprec(8192):  # wide enough to hold every sum exactly
         exact = [mpmath.fsum(math.comb(k, j) * c[j] for j in range(k + 1))

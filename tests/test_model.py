@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -82,6 +83,23 @@ def test_from_dict_missing_key():
     del bad["sigma"]
     with pytest.raises(InvalidParams):
         ModelParams.from_dict(bad)
+
+
+@pytest.mark.parametrize("value", ["8.05e7", True, None, [8.05e7], 10 ** 400])
+def test_from_dict_takes_numbers_only(value):
+    """The rule of every JSON input: a quoted number, a boolean, null, a list
+    or an integer beyond the range of a float is an input error."""
+    with pytest.raises(InvalidParams, match="parameter K"):
+        ModelParams.from_dict({**FISHERIES, "K": value})
+
+
+def test_from_dict_keeps_numpy_numbers():
+    """The likelihood assembles its candidates from numpy floats; other numpy
+    numbers pass too."""
+    got = ModelParams.from_dict({**{k: np.float64(v) for k, v in FISHERIES.items()},
+                                 "x0": np.int64(FISHERIES["x0"])})
+    assert got == ModelParams(**FISHERIES)
+    assert all(type(v) is float for v in got.to_dict().values())
 
 
 @given(st.floats(min_value=0.1, max_value=3.0),

@@ -311,7 +311,8 @@ def test_csv_round_trip(tmp_path, fisheries):
     lambda good: [], lambda good: None, lambda good: {k: good[k] for k in good if k != "seed"},
     *(lambda good, change=change: {**good, **change} for change in (
         {"paths": None}, {"paths": 5.7}, {"paths": True}, {"seed": 1.5},
-        {"threshold": "far"}, {"dt": None}, {"direction": "sideways"}))])
+        {"threshold": "far"}, {"dt": None}, {"direction": "sideways"},
+        {"threshold": "1e4"}, {"horizon": True}, {"dt": 10 ** 400}))])
 def test_sim_config_from_dict_refuses_what_to_dict_never_writes(edit):
     good = SimConfig(problem=UP4, paths=25, dt=1e-2, horizon=60.0, seed=17).to_dict()
     assert SimConfig.from_dict(good).to_dict() == good
