@@ -73,8 +73,7 @@ def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
 
     def coeffs():
         moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
-        ms = MomentSet(problem=FptProblem(Direction.UP, THRESHOLD), moments=moments,
-                       precision=d.precision)
+        ms = MomentSet(moments=moments, precision=d.precision)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             gamma = match_gamma(ms)

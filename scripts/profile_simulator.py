@@ -12,13 +12,6 @@ as ``montecarlo.sample_fpt`` runs them on its time-major buffer:
                written over the row
     scan       the crossing scan over row blocks
 
-and, for comparison, ``lie_trotter_step`` once per step on the same
-normals, allocating its result:
-
-    columns    along the columns z[:, j] of a path-major buffer (paths x
-               steps), the layout the time-major buffer replaced
-    rows       along the contiguous rows of the time-major buffer
-
 Each stage is timed alone with time.perf_counter; the median over the
 chunks is printed per stage.  Example:
 
@@ -32,13 +25,12 @@ import time
 
 import numpy as np
 
-from logifpt import ModelParams, derive_params, lie_trotter_step, montecarlo, step_constants
+from logifpt import ModelParams, derive_params, montecarlo, step_constants
 
 FISHERIES = dict(r=0.71, K=8.05e7, q=3.30e-6, E=104540.0, sigma=0.2, x0=100.0)
 THRESHOLD = 1e4
 DT = 1e-3
-CHUNK_STAGES = ("draws", "noise", "steps", "scan")
-STAGES = CHUNK_STAGES + ("columns", "rows")
+STAGES = ("draws", "noise", "steps", "scan")
 
 
 def chunk(gens, x, consts, buffers) -> dict:
@@ -49,22 +41,8 @@ def chunk(gens, x, consts, buffers) -> dict:
     start = time.perf_counter()
     montecarlo._draw_normals(gens, buf, stage)
     times["draws"] = time.perf_counter() - start
-    normals = buf.copy()
-    path_major = np.ascontiguousarray(buf.T)
-
     start = time.perf_counter()
-    cur = x
-    for j in range(len(buf)):
-        cur = lie_trotter_step(cur, path_major[:, j], *consts)
-    times["columns"] = time.perf_counter() - start
-    start = time.perf_counter()
-    cur = x
-    for row in normals:
-        cur = lie_trotter_step(cur, row, *consts)
-    times["rows"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    montecarlo._noise_factor(buf, drift_corr, vol, out=buf)
+    montecarlo._noise_factor(buf, drift_corr, vol)
     times["noise"] = time.perf_counter() - start
     start = time.perf_counter()
     montecarlo._step_rows(buf, x, (K1, grow, gm1), drift, tmp)
@@ -100,11 +78,9 @@ def main(argv=None) -> int:
     scale = 1e9 / (steps * n)
     med = {s: statistics.median(per_stage[s]) * scale for s in STAGES}
     print(f"{args.chunks} chunks of {steps} steps x {n} paths; medians in ns per path-step")
-    for s in CHUNK_STAGES:
+    for s in STAGES:
         print(f"{s:>10} {med[s]:8.2f}")
-    print(f"{'chunk':>10} {sum(med[s] for s in CHUNK_STAGES):8.2f}  (the four above)")
-    for s in ("columns", "rows"):
-        print(f"{s:>10} {med[s]:8.2f}  (lie_trotter_step)")
+    print(f"{'chunk':>10} {sum(med.values()):8.2f}  (the four above)")
     return 0
 
 

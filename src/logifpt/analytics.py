@@ -53,10 +53,8 @@ class MomentSet:
     """Raw moments E[T^k] for k = 1..order (index 0 of ``moments`` is k=1),
     with the cumulants of the same law; ``order`` is ``len(moments)``."""
 
-    problem: FptProblem
     moments: tuple
     precision: int
-    degenerate: bool = False
     error_estimates: tuple | None = None  # relative, per order (downcrossing)
     diagnostics: dict | None = None  # "trunc_index" and "error_estimate", see fpt_moments
     # c_1..c_order from the log of the transform series, set by fpt_moments as
@@ -150,8 +148,7 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
                             f"got {order}")
     if validate_problem(d, prob):
         zeros = (mpf(0),) * order
-        return MomentSet(problem=prob, moments=zeros,
-                         precision=d.precision, degenerate=True, error_estimates=zeros,
+        return MomentSet(moments=zeros, precision=d.precision, error_estimates=zeros,
                          diagnostics={"trunc_index": [0] * (order + 1),
                                       "error_estimate": [mpf(0)] * (order + 1)})
     block = l_series if prob.direction is Direction.UP else lbar_series
@@ -170,8 +167,7 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
                         for k, m in enumerate(moments, 1))
     diagnostics = {"trunc_index": list(map(max, b0.cut, b1.cut)),
                    "error_estimate": list(e or (mpf(0),) * (order + 1))}
-    return MomentSet(problem=prob, moments=moments,
-                     precision=d.precision, error_estimates=rel,
+    return MomentSet(moments=moments, precision=d.precision, error_estimates=rel,
                      diagnostics=diagnostics, series_cumulants=cumulants)
 
 

@@ -161,7 +161,7 @@ def _moments_for_density(args, d, prob) -> MomentSet:
         vals = [mpf(_json_number(v, f"moment in {path}")) for v in moments]
         if len(vals) < order:
             raise InvalidParams(f"moments file holds {len(vals)} moments, need {order}")
-        return MomentSet(problem=prob, moments=tuple(vals), precision=113)
+        return MomentSet(moments=tuple(vals), precision=113)
     raise InvalidParams(f"--moments-from must be theory, samples:FILE or moments:FILE, got {src!r}")
 
 

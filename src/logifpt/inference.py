@@ -252,7 +252,7 @@ class StudyReport:
 
 def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
              replications: int, master_seed: int = 20240, dt: float = 1e-3,
-             horizon: float = 60.0, cfg_overrides: dict | None = None) -> StudyReport:
+             horizon: float = 60.0) -> StudyReport:
     """Repeated synthetic-data estimation at a known truth.
 
     For every (subset, N, replication) a fresh sample of N crossing times is
@@ -266,14 +266,12 @@ def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
     truth_vals = {**truth.to_dict(), "U": problem.threshold}
     offsets = {"sigma": 0.15, "r": -0.10, "x0": 0.20, "U": 0.10,
                "K": -0.15, "q": 0.10, "E": 0.10}
-    overrides = cfg_overrides or {}
     rows = []
     for si, subset in enumerate(subsets):
         subset = tuple(subset)
         fixed = {p: truth_vals[p] for p in PARAM_NAMES if p not in subset}
         init = {p: truth_vals[p] * (1 + offsets[p]) for p in subset}
-        cfg = MleConfig(estimate=subset, fixed=fixed, init=init,
-                        direction=problem.direction, **overrides)
+        cfg = MleConfig(estimate=subset, fixed=fixed, init=init, direction=problem.direction)
         for N in Ns:
             fits = []
             ok = 0

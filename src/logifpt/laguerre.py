@@ -292,24 +292,23 @@ class LaguerreApproximant:
         upper = np.clip(np.asarray(x)[..., None], a, b)
         return np.sum(_raw_cdf(coeffs, alpha, a) - _raw_cdf(coeffs, alpha, upper), axis=-1)
 
-    def density(self, t, corrected: bool = True):
+    def density(self, t):
         """Approximant value(s) at t (1/time units); 0 for t < 0.
 
-        The corrected density is never negative; it is renormalized only when
-        the negative mass was clipped (``renorm_factor`` is 1 otherwise).
+        The density is the expansion clipped at 0, so never negative; it is
+        renormalized only when the negative mass was clipped
+        (``renorm_factor`` is 1 otherwise).
         """
         t = np.asarray(t, dtype=float)
         alpha = self.gamma.alpha
         beta = self.gamma.beta
         x = beta * np.maximum(t, 0.0)
         vals = beta * _gamma_pdf(alpha, x) * _coeff_sum(self._coeff_arr, alpha, x)
-        vals = np.where(t < 0, 0.0, vals)
-        if corrected:
-            vals = np.maximum(vals, 0.0) * self.renorm_factor
+        vals = np.maximum(np.where(t < 0, 0.0, vals), 0.0) * self.renorm_factor
         return float(vals) if t.ndim == 0 else vals
 
     def cdf(self, t):
-        """Integral of the (corrected) density over (0, t): exact, 1 at t = inf."""
+        """Integral of the density over (0, t): exact, 1 at t = inf."""
         t = np.asarray(t, dtype=float)
         x = self.gamma.beta * np.maximum(t, 0.0)
         out = _raw_cdf(self._coeff_arr, self.gamma.alpha, x)

@@ -149,38 +149,17 @@ class FptSample:
 
 def step_constants(d: DerivedParams, dt: float) -> tuple:
     """Float constants (K1, e^(r1 dt), e^(r1 dt) - 1, -sigma^2 dt / 2,
-    sigma sqrt(dt)) of a splitting step of size dt, for lie_trotter_step."""
+    sigma sqrt(dt)) of a splitting step of size dt."""
     K1 = float(d.K1)
     sigma = float(d.params.sigma)
     grow = math.exp(float(d.r1) * dt)
     return K1, grow, grow - 1.0, -0.5 * sigma * sigma * dt, sigma * math.sqrt(dt)
 
 
-def _drift_flow(x, K1, grow, gm1, out=None, tmp=None):
-    """The drift sub-flow x* = K1 x e^(r1 dt) / (K1 + x (e^(r1 dt) - 1)).
-
-    Given out and tmp, arrays shaped like x, it writes x* to out and
-    allocates nothing; x must not be either of them.
-    """
-    den = np.add(K1, np.multiply(x, gm1, out=tmp), out=tmp)
-    num = np.multiply(np.multiply(K1, x, out=out), grow, out=out)
-    return np.divide(num, den, out=out)
-
-
-def _noise_factor(z, drift_corr, vol, out=None):
-    """The noise sub-flow's factor exp(-sigma^2 dt / 2 + sigma sqrt(dt) z); out may be z."""
-    return np.exp(np.add(drift_corr, np.multiply(vol, z, out=out), out=out), out=out)
-
-
-def lie_trotter_step(x, z, K1, grow, gm1, drift_corr, vol):
-    """One splitting step from state x with standard-normal draw z.
-
-    The constants come from :func:`step_constants`.  Works elementwise on
-    numpy arrays; always returns a positive state.  It is the drift
-    sub-flow times the noise factor, the two helpers that ``sample_fpt``
-    steps its chunks with.
-    """
-    return _drift_flow(x, K1, grow, gm1) * _noise_factor(z, drift_corr, vol)
+def _noise_factor(z, drift_corr, vol) -> None:
+    """The normals z become the noise sub-flow's factors
+    exp(-sigma^2 dt / 2 + sigma sqrt(dt) z), in place."""
+    np.exp(np.add(drift_corr, np.multiply(vol, z, out=z), out=z), out=z)
 
 
 def _path_generators(seed: int, ids) -> list:
@@ -205,11 +184,15 @@ def _draw_normals(gens, z, stage) -> None:
 
 def _step_rows(states, x, drift_consts, drift, tmp) -> None:
     """Row j of states, the noise factors of step j, becomes the state after
-    it: the drift sub-flow of row j - 1 (of x for row 0) times the factor.
-    drift and tmp are temporaries shaped like x."""
+    it: the drift sub-flow x* (see the module docstring) of row j - 1 (of x
+    for row 0) times the factor.  drift_consts are (K1, e^(r1 dt),
+    e^(r1 dt) - 1); drift and tmp are temporaries shaped like x."""
+    K1, grow, gm1 = drift_consts
     prev = x
     for row in states:
-        _drift_flow(prev, *drift_consts, out=drift, tmp=tmp)
+        np.add(K1, np.multiply(prev, gm1, out=tmp), out=tmp)
+        np.multiply(np.multiply(K1, prev, out=drift), grow, out=drift)
+        np.divide(drift, tmp, out=drift)
         np.multiply(drift, row, out=row)
         prev = row
 
@@ -267,7 +250,7 @@ def sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
             n, span = len(x), min(_CHUNK, max_steps - base)
             states = buf[:span, :n]
             _draw_normals(gens, states, stage)
-            _noise_factor(states, drift_corr, vol, out=states)
+            _noise_factor(states, drift_corr, vol)
             _step_rows(states, x, (K1, grow, gm1), drift[:n], tmp[:n])
             first = _first_crossings(states, past, threshold, mask)
             crossed = np.flatnonzero(first < span)
@@ -297,7 +280,7 @@ def empirical_moments(s: FptSample, order: int) -> MomentSet:
     if s.n == 0:
         raise EmptySample("no crossing times observed")
     moments = tuple(mpf(float(np.mean(s.times ** k))) for k in range(1, order + 1))
-    return MomentSet(problem=s.config.problem, moments=moments, precision=53)
+    return MomentSet(moments=moments, precision=53)
 
 
 def silverman_bandwidth(times: np.ndarray) -> float:

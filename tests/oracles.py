@@ -20,9 +20,13 @@ rule or formula that the library computes another way:
   one :func:`logifpt.kernels._fixed_quotient` runs on its ints;
 - the Laguerre polynomials one at a time, against the coefficient sums of
   :mod:`logifpt.laguerre`;
-- the long-run simulated mean, against the stationary Gamma law, and the
-  simulator that allocates a fresh normal array per chunk, against the one
-  buffer :func:`logifpt.montecarlo.sample_fpt` reuses;
+- the Laguerre approximant's raw density, before the clip, against the
+  moments the approximant matches;
+- the splitting step as its closed form, against the in-place row step of
+  :mod:`logifpt.montecarlo`; with it the long-run simulated mean, against
+  the stationary Gamma law, and the simulator that allocates a fresh normal
+  array per chunk, against the one buffer
+  :func:`logifpt.montecarlo.sample_fpt` reuses;
 - moments of any order by Cauchy integrals of the hypergeometric
   transform (the trapezoidal rule on a circle), against the series moments.
 """
@@ -42,11 +46,11 @@ from logifpt.hypergeom import PRECISION, laplace_transform
 from logifpt.kernels import (_GROWTH_STOP, _STAGNATION_RUN, L_SERIES_TOL, N_MAX_DEFAULT,
                              KernelTable, SumSeries, _to_mpf, ensure_table, l_series,
                              lbar_series)
-from logifpt.laguerre import _coeff_sum
+from logifpt.laguerre import LaguerreApproximant, _coeff_sum, _gamma_pdf
 from logifpt.model import DerivedParams, Direction, FptProblem, validate_problem
 from logifpt import montecarlo
 from logifpt.montecarlo import (_MASK64, FptSample, SimConfig, _path_generators,
-                                lie_trotter_step, step_constants)
+                                step_constants)
 from logifpt.series import log_polynomials
 
 # ---------------------------------------------------------------- series
@@ -380,7 +384,7 @@ def bell_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     recursion's set.  A degenerate set comes back unchanged.
     """
     ms = fpt_moments(d, prob, order)
-    if ms.degenerate:
+    if validate_problem(d, prob):
         return ms
     block = l_series if prob.direction is Direction.UP else lbar_series
     b0, b1 = (sum_coeffs(block(y, order, d)) for y in (d.params.x0, prob.threshold))
@@ -509,9 +513,28 @@ def laguerre_poly(k: int, alpha: float, x):
     return out if out.shape else float(out)
 
 
+def raw_density(apx: LaguerreApproximant, t):
+    """The approximant's expansion beta f_alpha(beta t) p(beta t) at t, before
+    the clip at 0 and the renormalization of its density; 0 for t < 0."""
+    t = np.asarray(t, dtype=float)
+    alpha, beta = apx.gamma.alpha, apx.gamma.beta
+    x = beta * np.maximum(t, 0.0)
+    vals = np.where(t < 0, 0.0, beta * _gamma_pdf(alpha, x) * _coeff_sum(apx.coeffs, alpha, x))
+    return float(vals) if t.ndim == 0 else vals
+
+
 # ---------------------------------------------------------------- montecarlo
 
 _STATIONARY_STREAM = _MASK64  # path ids are always < paths << 2^64 - 1
+
+
+def reference_step(x, z, K1, grow, gm1, drift_corr, vol):
+    """One splitting step from state x with standard-normal draw z, written
+    out: the drift sub-flow K1 x e^(r1 dt) / (K1 + x (e^(r1 dt) - 1)) times
+    the noise factor exp(-sigma^2 dt / 2 + sigma sqrt(dt) z), with the
+    constants of :func:`logifpt.montecarlo.step_constants`.  Elementwise on
+    numpy arrays; allocates its result."""
+    return K1 * x * grow / (K1 + x * gm1) * np.exp(drift_corr + vol * z)
 
 
 def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
@@ -535,7 +558,7 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
     count = 0
     for j in range(steps):
         z = gen.standard_normal(paths)
-        x = lie_trotter_step(x, z, *consts)
+        x = reference_step(x, z, *consts)
         if j >= burn:
             acc += float(x.sum())
             count += paths
@@ -553,7 +576,7 @@ def stationary_check(d: DerivedParams, paths: int = 128, steps: int = 40000,
 def reference_sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
     """:func:`logifpt.montecarlo.sample_fpt` path-major and step by step:
     each chunk draws into a new array of (surviving paths) x (chunk steps),
-    steps along its columns with :func:`lie_trotter_step` and tracks the
+    steps along its columns with :func:`reference_step` and tracks the
     first crossing at every step, where the library steps a time-major
     buffer row by row and scans for crossings once per chunk.  Batches and
     chunks follow the module's ``_BATCH`` and ``_CHUNK``."""
@@ -577,7 +600,7 @@ def reference_sample_fpt(d: DerivedParams, cfg: SimConfig) -> FptSample:
             x_before, x_after = np.empty(len(x)), np.empty(len(x))
             cur = x
             for j in range(span):
-                nxt = lie_trotter_step(cur, z[:, j], *consts)
+                nxt = reference_step(cur, z[:, j], *consts)
                 newly = (crossed_at < 0) & (nxt > threshold if up else nxt < threshold)
                 crossed_at[newly] = j
                 x_before[newly] = cur[newly]
@@ -636,10 +659,8 @@ def cauchy_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> Moment
     The error falls as (rho/R)^N.  phi is real on the real axis, so
     phi(conj lam) = conj phi(lam) and N/2 + 1 samples suffice.
     """
-    degenerate = validate_problem(d, prob)
-    if degenerate:
-        return MomentSet(problem=prob, moments=(mpf(0),) * order,
-                         precision=PRECISION, degenerate=True)
+    if validate_problem(d, prob):
+        return MomentSet(moments=(mpf(0),) * order, precision=PRECISION)
     rho = singularity_distance(d, prob) * CAUCHY_RADIUS
     half = CAUCHY_NODES // 2
     with mp.workprec(PRECISION):
@@ -651,4 +672,4 @@ def cauchy_moments(d: DerivedParams, prob: FptProblem, order: int = 4) -> Moment
                 mpmath.re(phi[j] * mpmath.expjpi(mpf(-2 * j * k) / CAUCHY_NODES))
                 for j in range(1, half))
             moments.append((-1) ** k * mpmath.factorial(k) * total / (CAUCHY_NODES * rho ** k))
-    return MomentSet(problem=prob, moments=tuple(moments), precision=PRECISION)
+    return MomentSet(moments=tuple(moments), precision=PRECISION)

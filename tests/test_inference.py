@@ -268,8 +268,7 @@ def test_mc_study_bit_reproducible(fisheries_params):
     from logifpt.inference import mc_study
 
     kw = dict(truth=fisheries_params, problem=UP4, Ns=[60], subsets=[("sigma",)],
-              replications=2, master_seed=5150, dt=2e-3, horizon=60.0,
-              cfg_overrides={"max_iter": 25})
+              replications=2, master_seed=5150, dt=2e-3, horizon=60.0)
     r1 = mc_study(**kw)
     r2 = mc_study(**kw)
     assert r1.rows == r2.rows

@@ -18,7 +18,7 @@ from logifpt.errors import (ExpansionConditionWarning, InsufficientMoments, Inva
                             LogifptError, SingularOriginWarning, UnreliableMoments,
                             ZeroVariance)
 from tests.conftest import FISHERIES, fisheries_at, fisheries_like, rel_err
-from tests.oracles import bell_moments, laguerre_poly, rising_factorial
+from tests.oracles import bell_moments, laguerre_poly, raw_density, rising_factorial
 
 UP4 = FptProblem(Direction.UP, 1e4)
 
@@ -26,7 +26,7 @@ UP4 = FptProblem(Direction.UP, 1e4)
 def moment_set(values, precision=256):
     with mp.workprec(precision):
         vals = tuple(mpf(v) for v in values)
-    return MomentSet(problem=UP4, moments=vals, precision=precision)
+    return MomentSet(moments=vals, precision=precision)
 
 
 def gamma_moment_set(alpha, beta, order):
@@ -268,7 +268,7 @@ def test_density_normalization_and_moments(fisheries):
     total, _ = integrate.quad(lambda t: apx.density(t), 0, 80, limit=300)
     assert abs(total - 1) < 1e-6
     for j in range(1, 5):
-        mj, _ = integrate.quad(lambda t: t ** j * apx.density(t, corrected=False),
+        mj, _ = integrate.quad(lambda t: t ** j * raw_density(apx, t),
                                0, 80, limit=300)
         assert rel_err(mj, float(ms.moments[j - 1])) < 1e-6
     assert apx.norm_residual < 1e-10
@@ -325,7 +325,7 @@ def test_negative_mass_matches_quadrature(x0, direction, threshold):
         warnings.simplefilter("ignore")
         apx = build_approximant(ms, n_max=10)
     assert apx.clip_applied
-    raw = functools.partial(apx.density, corrected=False)
+    raw = functools.partial(raw_density, apx)
     ts = float(ms.moments[0]) * np.geomspace(1e-9, 200.0, 200_001)
     sign = np.sign(raw(ts))
     changes = [optimize.brentq(raw, ts[i], ts[i + 1])
@@ -364,7 +364,7 @@ def test_high_orders_find_the_roots_the_degree_drops(threshold, order):
         apx = build_approximant(ms, n=order, n_max=order)
     assert laguerre._degree(apx._coeff_arr, apx.gamma.alpha) == order
     assert apx.negative_mass >= 0
-    raw = functools.partial(apx.density, corrected=False)
+    raw = functools.partial(raw_density, apx)
     ts = np.linspace(0.0, 200.0 / apx.gamma.beta, 200_001)[1:]
     sign = np.sign(raw(ts))
     changes = [optimize.brentq(raw, ts[i], ts[i + 1])
@@ -548,7 +548,7 @@ def test_coeffs_round_as_the_mpf_chain(precision, alpha, beta, moments, negative
         for j, m in enumerate((mpf(1),) + mu):
             c.append(scale * m)
             scale *= -g.beta_mp / (g.alpha_mp + j + 1)
-    ms = MomentSet(problem=UP4, moments=mu, precision=precision)
+    ms = MomentSet(moments=mu, precision=precision)
     got = laguerre_coeffs(ms, g, len(mu))
     with mp.workprec(8192):  # wide enough to hold every sum exactly
         exact = [mpmath.fsum(math.comb(k, j) * c[j] for j in range(k + 1))

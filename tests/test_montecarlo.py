@@ -6,22 +6,33 @@ import numpy as np
 import pytest
 
 from logifpt import (Direction, FptProblem, FptSample, ModelParams, SimConfig, derive_params,
-                     empirical_moments, fpt_moments, kde, lie_trotter_step,
-                     read_samples_csv, sample_fpt, step_constants,
-                     write_samples_csv)
+                     empirical_moments, fpt_moments, kde, read_samples_csv, sample_fpt,
+                     step_constants, write_samples_csv)
 from logifpt.errors import EmptySample, InvalidParams, WrongSide
-from logifpt.montecarlo import _drift_flow, _noise_factor, silverman_bandwidth
+from logifpt.montecarlo import _noise_factor, _step_rows, silverman_bandwidth
 from tests.conftest import FISHERIES, rel_err
-from tests.oracles import reference_sample_fpt, stationary_check
+from tests.oracles import reference_sample_fpt, reference_step, stationary_check
 
 UP4 = FptProblem(Direction.UP, 1e4)
+
+
+def library_step(x, z, K1, grow, gm1, drift_corr, vol):
+    """One step of ``sample_fpt``: the noise factor of z in place, then
+    ``_step_rows`` on a one-row buffer; an array of x's shape, at least 1-d."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    row = np.array(np.broadcast_to(z, x.shape), dtype=float)[None, :]
+    _noise_factor(row, drift_corr, vol)
+    _step_rows(row, x, (K1, grow, gm1), np.empty_like(x), np.empty_like(x))
+    return row[0]
 
 
 def test_step_fixed_point_at_capacity(fisheries):
     K1 = float(fisheries.K1)
     sigma = FISHERIES["sigma"]
     dt = 0.01
-    out = lie_trotter_step(K1, 0.0, *step_constants(fisheries, dt))
+    consts = step_constants(fisheries, dt)
+    [out] = library_step(K1, 0.0, *consts)
+    assert out == reference_step(K1, 0.0, *consts)
     assert rel_err(out, K1 * math.exp(-0.5 * sigma ** 2 * dt)) < 1e-14
 
 
@@ -30,12 +41,16 @@ def test_step_identity_in_zero_drift_zero_noise_limit():
     dt = 0.01
     sigma = 1e-9
     z = 0.5 * sigma * math.sqrt(dt)  # cancels the variance correction exactly
-    out = lie_trotter_step(100.0, z, *step_constants(d, dt))
+    consts = step_constants(d, dt)
+    [out] = library_step(100.0, z, *consts)
+    assert out == reference_step(100.0, z, *consts)
     assert rel_err(out, 100.0) < 1e-12
 
 
 def test_step_worked_example(fisheries):
-    out = lie_trotter_step(100.0, 0.0, *step_constants(fisheries, 0.01))
+    consts = step_constants(fisheries, 0.01)
+    [out] = library_step(100.0, 0.0, *consts)
+    assert out == reference_step(100.0, 0.0, *consts)
     # drift flow then volatility correction factor exp(-0.0002)
     assert out == pytest.approx(100.34561, abs=2e-5)
     drift_only = 100.36568
@@ -45,7 +60,9 @@ def test_step_worked_example(fisheries):
 def test_step_positivity_and_vector(fisheries):
     xs = np.array([1e-6, 1.0, 1e8])
     zs = np.array([-8.0, 0.0, 8.0])
-    out = lie_trotter_step(xs, zs, *step_constants(fisheries, 1e-3))
+    consts = step_constants(fisheries, 1e-3)
+    out = library_step(xs, zs, *consts)
+    assert np.array_equal(out, reference_step(xs, zs, *consts))
     assert out.shape == xs.shape
     assert np.all(out > 0)
 
@@ -56,18 +73,12 @@ def test_step_positivity_and_vector(fisheries):
     (np.geomspace(1e-3, 1e9, 257), np.linspace(-6.0, 6.0, 257)),
 ], ids=["scalar", "scalar-low", "scalar-high", "extremes", "vector"])
 def test_step_is_drift_then_noise(fisheries, x, z):
-    """lie_trotter_step is the drift sub-flow times the noise factor, bit for
-    bit, whether the helpers allocate or write into the arrays given."""
-    K1, grow, gm1, drift_corr, vol = consts = step_constants(fisheries, 1e-3)
-    step = lie_trotter_step(x, z, *consts)
-    closed_form = K1 * x * grow / (K1 + x * gm1) * np.exp(drift_corr + vol * z)
-    assert np.array_equal(step, _drift_flow(x, K1, grow, gm1) * _noise_factor(z, drift_corr, vol))
-    assert np.array_equal(step, closed_form)
-    if np.ndim(x):
-        drift, tmp, noise = np.empty_like(x), np.empty_like(x), z.copy()
-        _drift_flow(x, K1, grow, gm1, out=drift, tmp=tmp)
-        _noise_factor(noise, drift_corr, vol, out=noise)
-        assert np.array_equal(step, drift * noise)
+    """The library's in-place step, the noise factor and then the row step,
+    is the closed form of the drift sub-flow times the noise factor, bit for
+    bit."""
+    consts = step_constants(fisheries, 1e-3)
+    step = library_step(x, z, *consts)
+    assert np.array_equal(step, np.atleast_1d(reference_step(x, z, *consts)))
 
 
 def test_sample_determinism_and_seed_sensitivity(fisheries):

@@ -6,9 +6,15 @@ outside its own definition, by the library (``src/``, apart from the
 ``__init__`` that exports names), ``scripts/`` or ``perfbench/``: as a name,
 an attribute, an imported name, or a string such as the benchmark's trace
 list.  Code that only tests reach belongs in ``tests/oracles.py``.
+
+Likewise every defaulted parameter of a public function or method there
+must be passed by some call in those files: by keyword, by position, or
+through ``*args`` or ``**kwargs``.  A call counts by the name it calls, as
+a name or an attribute, whatever object it is called on.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -87,3 +93,64 @@ def test_public_definition_is_run_outside_the_tests(module, name):
     assert name in REFERENCED, (
         f"logifpt.{module}.{name} is defined but only tests reach it; "
         "move it to tests/oracles.py")
+
+
+def _defaulted_parameters() -> list:
+    """(function, parameter, index) of every parameter with a default of a
+    public function, or a public method of a public class; index is the
+    parameter's position in a call (after self or cls), None if keyword-only."""
+    found = []
+    for path in sorted((ROOT / "src" / "logifpt").glob("*.py")):
+        body = ast.parse(path.read_text(), filename=str(path)).body
+        defs = [(None, node) for node in body]
+        defs += [(cls.name, node) for cls in body
+                 if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                 for node in cls.body]
+        for owner, node in defs:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args]
+            bound = owner is not None and not any(
+                isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                for dec in node.decorator_list)
+            first = len(names) - len(args.defaults)
+            named = [(name, i - bound) for i, name in enumerate(names[first:], first)]
+            named += [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+            label = ".".join(filter(None, (path.stem, owner, node.name)))
+            found += [pytest.param(node.name, name, index, id=f"{label}.{name}")
+                      for name, index in named]
+    return found
+
+
+def _passed() -> tuple:
+    """Per called name: the keywords passed to it, and the most positional
+    arguments passed to it, infinite for a call with ``*`` or ``**``."""
+    keywords, positional = {}, {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            count = math.inf if spread else len(node.args)
+            positional[name] = max(positional.get(name, 0), count)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return keywords, positional
+
+
+PASSED = _passed()
+
+
+@pytest.mark.parametrize("function, parameter, index", _defaulted_parameters())
+def test_defaulted_parameter_is_passed_outside_the_tests(function, parameter, index):
+    keywords, positional = PASSED
+    assert (parameter in keywords.get(function, ())
+            or (index is not None and positional.get(function, 0) > index)
+            or positional.get(function, 0) == math.inf), (
+        f"no call outside the tests passes {parameter} to {function}; drop the parameter "
+        "or move the variant to tests/oracles.py")

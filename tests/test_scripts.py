@@ -51,7 +51,7 @@ def test_profile_simulator():
     done = run_script("profile_simulator.py", "--paths", "37", "--chunks", "2")
     assert done.returncode == 0, done.stderr
     stages = [line.split()[0] for line in done.stdout.strip().splitlines()[1:]]
-    assert stages == ["draws", "noise", "steps", "scan", "chunk", "columns", "rows"]
+    assert stages == ["draws", "noise", "steps", "scan", "chunk"]
 
 
 def test_check_console_script(tmp_path):
