@@ -35,6 +35,15 @@ python -c 'import json; d = json.load(open("d12.csv.json")); assert d["order"] =
 logifpt density config.json --direction up --threshold 110 --grid 0.05:1:0.05 --out d110.csv 2> d110.err
 grep -q '^warning: matched shape offset' d110.err
 if grep -v '^warning:' d110.err; then echo "density wrote a stderr line that is not a warning" >&2; exit 1; fi
+# moments whose mean is not > 0 give no Gamma reference: exit 1, no rows
+echo '{"moments": [-1.0, 2.0, -6.0, 24.0]}' > negative_mean.json
+set +e
+logifpt density config.json --direction up --threshold 1e4 --grid 0:1:0.5 --nmax 4 --moments-from moments:negative_mean.json > dneg.csv 2> dneg.err
+code=$?
+set -e
+test "$code" -eq 1
+grep -q '^input error: mean must be > 0' dneg.err
+test ! -s dneg.csv
 # the seeded-simulation contract: one seed, one sample, byte for byte
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded1.csv
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded2.csv

@@ -38,19 +38,22 @@ def main(argv=None) -> int:
 
     subsets = [tuple(s.split(",")) for s in args.subsets]
     t0 = time.time()
-    report = mc_study(truth=TRUTH, problem=PROBLEM, Ns=args.Ns, subsets=subsets,
-                      replications=args.replications, master_seed=args.seed,
-                      dt=args.dt, horizon=args.horizon)
+    rows = mc_study(truth=TRUTH, problem=PROBLEM, Ns=args.Ns, subsets=subsets,
+                    replications=args.replications, master_seed=args.seed,
+                    dt=args.dt, horizon=args.horizon)
     print(f"{'N':>5} {'subset':<14} {'param':<6} {'bias':>12} {'MSE':>12} "
           f"{'err%':>7} {'conv':>5}")
-    for row in report.rows:
+    for row in rows:
         print(f"{row['N']:>5} {row['subset']:<14} {row['parameter']:<6} "
               f"{row['bias']:>12.4e} {row['mse']:>12.4e} {row['err_pct']:>7.2f} "
               f"{row['n_converged']:>3d}/{row['replications']}")
     print(f"elapsed {time.time() - t0:.0f} s", file=sys.stderr)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            report.to_csv(fh)
+        with open(args.csv, "w", newline="") as fh:
+            fh.write("N,subset,parameter,bias,mse,err_pct,n_converged,replications\n")
+            for row in rows:
+                fh.write("{N},{subset},{parameter},{bias!r},{mse!r},{err_pct!r},"
+                         "{n_converged},{replications}\n".format(**row))
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 

@@ -11,13 +11,13 @@ from .model import (DEFAULT_PRECISION, DerivedParams, Direction, FptProblem,
                     ModelParams, derive_params, validate_problem)
 from .montecarlo import (FptSample, SimConfig, empirical_moments, kde, read_samples_csv,
                          sample_fpt, step_constants, write_samples_csv)
-from .inference import MleConfig, MleResult, StudyReport, log_likelihood, mc_study, mle_fit
+from .inference import MleConfig, MleResult, log_likelihood, mc_study, mle_fit
 
 __all__ = [
     "DerivedParams", "Direction", "FptProblem", "FptSample",
     "GammaRef", "KernelTable", "LaguerreApproximant",
     "MleConfig", "MleResult", "ModelParams", "MomentSet",
-    "SimConfig", "StudyReport", "DEFAULT_PRECISION", "build_approximant",
+    "SimConfig", "DEFAULT_PRECISION", "build_approximant",
     "cumulants_from_moments", "derive_params", "empirical_moments",
     "fpt_cumulants", "fpt_moments", "kde", "l_series", "laguerre_coeffs",
     "laplace_transform", "lbar_series", "log_likelihood",

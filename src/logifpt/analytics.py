@@ -51,7 +51,11 @@ FLAG_RTOL = 1e-8
 @dataclass(frozen=True)
 class MomentSet:
     """Raw moments E[T^k] for k = 1..order (index 0 of ``moments`` is k=1),
-    with the cumulants of the same law; ``order`` is ``len(moments)``."""
+    with the cumulants of the same law; ``order`` is ``len(moments)``.
+
+    A set may hold any moments: :func:`logifpt.laguerre.match_gamma`, at the
+    set's precision, decides whether its mean and variance give a Gamma
+    reference."""
 
     moments: tuple
     precision: int
@@ -68,16 +72,6 @@ class MomentSet:
     @property
     def moments_float(self) -> tuple:
         return tuple(float(m) for m in self.moments)
-
-    @property
-    def mean(self):
-        return self.moments[0]
-
-    @property
-    def variance(self):
-        if self.order < 2:
-            raise IndexError("variance needs order >= 2")
-        return self.moments[1] - self.moments[0] ** 2
 
     @cached_property
     def flagged(self) -> tuple | None:

@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def _manifest(args, extra=None) -> dict:
     out = {
         "command": args.command,
-        "argv": getattr(args, "raw_argv", sys.argv[1:]),
+        "argv": args.raw_argv,
         "version": __version__,
         "precision": getattr(args, "precision", None),
         "seed": getattr(args, "seed", None),
@@ -64,11 +64,15 @@ def _manifest(args, extra=None) -> dict:
     return out
 
 
+def _json_text(doc: dict) -> str:
+    """The text of every JSON document the CLI writes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _write_sidecar(args, doc: dict, extra=None) -> None:
     """Write OUT.json: the command's diagnostics ``doc`` and its manifest."""
     with open(str(args.out) + ".json", "w") as fh:
-        json.dump({**doc, "manifest": _manifest(args, extra)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text({**doc, "manifest": _manifest(args, extra)}))
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -110,7 +114,7 @@ def cmd_derive(args) -> int:
         "regime": "persistent",
         "manifest": _manifest(args),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return 0
 
 
@@ -268,7 +272,7 @@ def cmd_compare(args) -> int:
         "moments": moment_rows,
         "manifest": _manifest(args),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return 0
 
 
@@ -313,10 +317,8 @@ def cmd_mle(args) -> int:
     doc = result.to_dict()
     doc["censored"] = sample.censored
     doc["censor_time"] = sample.config.censor_time
-    if args.trace:
-        doc["trace"] = result.trace
     doc["manifest"] = _manifest(args, {"estimate": list(estimate)})
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_json_text(doc), args.out)
     return 0
 
 

@@ -45,8 +45,8 @@ class ZeroVariance(LogifptError):
 
 
 class UnreliableMoments(LogifptError):
-    """Moment matching got a variance that is not > 0 from a series set that
-    flags its first or second moment: their error estimates exceed
+    """Moment matching got a variance or a mean that is not > 0 from a series
+    set that flags its first or second moment: their error estimates exceed
     ``analytics.FLAG_RTOL``, so the sums cannot give a Gamma reference."""
 
     exit_code = 3

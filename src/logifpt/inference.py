@@ -10,9 +10,10 @@ than anything gradient-based.
 
 Infeasible candidates (harvesting above growth, non-persistent regime,
 threshold on the wrong side, non-convergent moment sums, moments whose
-relative error estimate exceeds MAX_REL_ERROR) receive a large negative
-penalty instead of raising, keeping the simplex inside the analyzable
-region.
+relative error estimate exceeds MAX_REL_ERROR, moments to which
+``laguerre.match_gamma`` refuses a Gamma reference) receive a large
+negative penalty instead of raising, keeping the simplex inside the
+analyzable region.
 
 Only what callers vary is configurable (:class:`MleConfig`).  The rest is
 fixed: the simplex stays inside DEFAULT_BOUNDS, where its initial point
@@ -36,10 +37,10 @@ from .analytics import fpt_moments
 from .errors import (EmptySample, ExpansionConditionWarning, InvalidParams,
                      LogifptError, NoFeasibleStart, SingularOriginWarning)
 from .kernels import N_MAX_DEFAULT
-from .laguerre import build_approximant, match_gamma
+from .laguerre import build_approximant
 from .model import (DEFAULT_PRECISION, MIN_PRECISION, Direction, FptProblem, ModelParams,
                     _json_number, derive_params)
-from .montecarlo import FptSample, SimConfig, empirical_moments, sample_fpt
+from .montecarlo import FptSample, SimConfig, sample_fpt
 
 PARAM_NAMES = ("sigma", "r", "x0", "U", "K", "q", "E")
 
@@ -108,33 +109,28 @@ class MleConfig:
 
 @dataclass
 class MleResult:
+    """A fit's estimates and log likelihood; ``converged`` is False when the
+    simplex stopped at the iteration cap.  ``trace``, kept on request, holds
+    (point, value, best value so far) per likelihood evaluation."""
+
     estimates: dict
     loglik: float
     iterations: int
     n_evals: int
     converged: bool
-    stop_reason: str = "tolerance"  # "tolerance" or "max_iterations"
-    gamma_seed: tuple | None = None  # (alpha, beta) matched from sample moments
     trace: list | None = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "estimates": dict(self.estimates),
             "loglik": self.loglik,
             "iterations": self.iterations,
             "n_evals": self.n_evals,
             "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "gamma_seed": list(self.gamma_seed) if self.gamma_seed else None,
         }
-
-
-def _assemble(theta: dict, cfg: MleConfig):
-    """Candidate point -> (ModelParams, FptProblem); raises on bad values."""
-    full = {**cfg.fixed, **theta}
-    params = ModelParams.from_dict(full)
-    problem = FptProblem(cfg.direction, float(full["U"]))
-    return params, problem
+        if self.trace is not None:
+            out["trace"] = self.trace
+        return out
 
 
 def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
@@ -146,19 +142,19 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
 
     The Gamma reference is matched from the theoretical moments of the
     candidate point and the truncation order re-selected (cap cfg.n_max) at
-    every call.  Infeasible or non-convergent candidates (any LogifptError),
-    degenerate ones (x0 at the threshold), and those with a moment whose
-    relative error estimate exceeds MAX_REL_ERROR return the penalty value
-    instead of raising; other exceptions are bugs and propagate.
+    every call.  Infeasible or non-convergent candidates (any LogifptError;
+    ``match_gamma`` raises one for a mean or variance not > 0, as at a
+    degenerate candidate with x0 at the threshold) and those with a moment
+    whose relative error estimate exceeds MAX_REL_ERROR return the penalty
+    value instead of raising; other exceptions are bugs and propagate.  An
+    empty sample raises EmptySample.
     """
     if data.n == 0:
         raise EmptySample("cannot evaluate a likelihood on an empty sample")
     try:
-        params, problem = _assemble(theta, cfg)
-        d = derive_params(params, precision=cfg.precision)
-        ms = fpt_moments(d, problem, order=cfg.n_max)
-        if not (ms.mean > 0 and ms.variance > 0):
-            return PENALTY  # a degenerate set has zero moments
+        full = {**cfg.fixed, **theta}
+        d = derive_params(ModelParams.from_dict(full), precision=cfg.precision)
+        ms = fpt_moments(d, FptProblem(cfg.direction, float(full["U"])), order=cfg.n_max)
         # upcrossing estimates are exact zeros, which `any` passes without comparing
         if any(ms.error_estimates) and any(e > MAX_REL_ERROR for e in ms.error_estimates):
             return PENALTY
@@ -183,27 +179,16 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
     controlled by the simplex size (1e-4) and function spread (1e-6) or
     the iteration cap.  The initial point is evaluated once, to refuse an
     infeasible start, and that value serves the simplex's first vertex, so
-    ``n_evals`` counts every likelihood evaluation.  An empty estimate list
-    returns the initial point unchanged and is reported as converged.
+    ``n_evals`` counts every likelihood evaluation; that first evaluation
+    raises EmptySample on an empty sample.  An empty estimate list returns
+    the initial point unchanged and is reported as converged.
     """
     from scipy import optimize
 
-    if data.n == 0:
-        raise EmptySample("cannot fit an empty sample")
-    gamma_seed = None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            emp = empirical_moments(data, 2)
-            g = match_gamma(emp)
-            gamma_seed = (g.alpha, g.beta)
-    except LogifptError:
-        pass
     names = tuple(cfg.estimate)
     if not names:
         ll = log_likelihood({}, data, cfg)
-        return MleResult(estimates={}, loglik=ll, iterations=0, n_evals=1,
-                         converged=True, gamma_seed=gamma_seed)
+        return MleResult(estimates={}, loglik=ll, iterations=0, n_evals=1, converged=True)
     x_init = np.array([float(cfg.init[p]) for p in names])
     ll_init = log_likelihood(dict(zip(names, x_init)), data, cfg)
     if ll_init <= PENALTY / 2:
@@ -232,27 +217,12 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
     return MleResult(
         estimates={p: float(v) for p, v in zip(names, res.x)},
         loglik=-float(res.fun), iterations=int(res.nit), n_evals=int(res.nfev),
-        converged=bool(res.success),
-        stop_reason="tolerance" if res.success else "max_iterations",
-        gamma_seed=gamma_seed, trace=trace)
-
-
-@dataclass
-class StudyReport:
-    """Bias / MSE / mean relative error per (N, subset, parameter)."""
-
-    rows: list
-
-    def to_csv(self, fh) -> None:
-        fh.write("N,subset,parameter,bias,mse,err_pct,n_converged,replications\n")
-        for r in self.rows:
-            fh.write("{N},{subset},{parameter},{bias!r},{mse!r},{err_pct!r},"
-                     "{n_converged},{replications}\n".format(**r))
+        converged=bool(res.success), trace=trace)
 
 
 def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
              replications: int, master_seed: int = 20240, dt: float = 1e-3,
-             horizon: float = 60.0) -> StudyReport:
+             horizon: float = 60.0) -> list:
     """Repeated synthetic-data estimation at a known truth.
 
     For every (subset, N, replication) a fresh sample of N crossing times is
@@ -260,7 +230,10 @@ def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
     master_seed, then fitted.  Initial points are the true values nudged by
     fixed relative offsets (so recovery is not an artifact of starting at
     the optimum).  Replications run sequentially; the whole study is
-    bit-reproducible for a fixed master seed.
+    bit-reproducible for a fixed master seed.  Returns one dict per (subset,
+    N, parameter): ``N``, ``subset`` (names joined by "+"), ``parameter``,
+    ``bias``, ``mse``, ``err_pct`` (mean relative error in percent),
+    ``n_converged`` and ``replications``.
     """
     d_truth = derive_params(truth)
     truth_vals = {**truth.to_dict(), "U": problem.threshold}
@@ -293,4 +266,4 @@ def mc_study(truth: ModelParams, problem: FptProblem, Ns, subsets,
                     "err_pct": float(100.0 * np.mean(np.abs(est - tv) / abs(tv))),
                     "n_converged": ok, "replications": replications,
                 })
-    return StudyReport(rows=rows)
+    return rows

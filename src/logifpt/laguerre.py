@@ -80,11 +80,15 @@ class GammaRef:
 def match_gamma(ms: MomentSet) -> GammaRef:
     """Moment-matched reference: alpha = mean^2/var - 1, beta = mean/var.
 
+    The one place that decides whether a moment set gives a Gamma reference:
+    the mean and the variance, taken at the set's precision, must both be
+    > 0, the variance checked first.  Either not > 0 raises
+    UnreliableMoments if the set flags its first or second moment; else a
+    variance raises ZeroVariance and a mean InvalidParams.
     Warns (does not fail) when the matched shape is singular at the origin
     (alpha < 0, i.e. coefficient of variation above one) and when the
     sufficient expansion condition beta < 2/mean is violated; the expansion
-    is applied regardless in both cases.  A variance not > 0 raises
-    UnreliableMoments if the set flags its first or second moment, else ZeroVariance.
+    is applied regardless in both cases.
     """
     if ms.order < 2:
         raise InsufficientMoments("moment matching needs order >= 2")
@@ -93,10 +97,12 @@ def match_gamma(ms: MomentSet) -> GammaRef:
         var = ms.moments[1] - mean ** 2
         if not mp.isfinite(var):  # a non-finite mean or second moment
             raise InvalidParams(f"moments must be finite, got {ms.moments_float[:2]}")
-        if not var > 0:
+        if not (var > 0 and mean > 0):
+            what, value, error = (("variance", var, ZeroVariance) if not var > 0
+                                  else ("mean", mean, InvalidParams))
             if ms.flagged and any(ms.flagged[:2]):
-                raise UnreliableMoments(f"flagged moments give a variance of {float(var)}, not > 0")
-            raise ZeroVariance(f"variance must be > 0, got {float(var)}")
+                raise UnreliableMoments(f"flagged moments give a {what} of {float(value)}, not > 0")
+            raise error(f"{what} must be > 0, got {float(value)}")
         alpha = mean ** 2 / var - 1
         beta = mean / var
         if alpha < 0:

@@ -184,11 +184,11 @@ def test_criterion_08_density_quality(fisheries, fisheries_mc_sample):
 
 def test_criterion_09_mle_recovery(fisheries_params):
     t0 = time.monotonic()
-    report = mc_study(truth=fisheries_params, problem=UP4, Ns=[500],
-                      subsets=[("sigma", "r")], replications=20,
-                      master_seed=771, dt=1e-3, horizon=60.0)
+    rows = mc_study(truth=fisheries_params, problem=UP4, Ns=[500],
+                    subsets=[("sigma", "r")], replications=20,
+                    master_seed=771, dt=1e-3, horizon=60.0)
     elapsed = time.monotonic() - t0
-    errs = {row["parameter"]: row["err_pct"] for row in report.rows}
+    errs = {row["parameter"]: row["err_pct"] for row in rows}
     assert errs["sigma"] <= 3 * 2.63
     assert errs["r"] <= 3 * 0.57
     assert elapsed < 1800.0

@@ -382,7 +382,7 @@ def test_closed_form_mean_variance_down():
 def test_monotone_in_threshold(fisheries):
     means = []
     for s in (150.0, 1e3, 1e4, 1e5):
-        means.append(float(fpt_moments(fisheries, FptProblem(Direction.UP, s), 1).mean))
+        means.append(float(fpt_moments(fisheries, FptProblem(Direction.UP, s), 1).moments[0]))
     assert means == sorted(means)
     assert all(m > 0 for m in means)
 
@@ -506,7 +506,7 @@ def test_upcrossing_mean_rises_with_threshold(r, sigma, at_x0, at_low, at_high):
     at_low, at_high = sorted((at_low, at_high))
     d, low = fisheries_like(r, sigma, True, at_x0, at_low)
     _, high = fisheries_like(r, sigma, True, at_x0, at_high)
-    lower, upper = (fpt_moments(d, prob, 1).mean for prob in (low, high))
+    lower, upper = (fpt_moments(d, prob, 1).moments[0] for prob in (low, high))
     assert upper > lower if high.threshold > low.threshold else upper == lower
 
 

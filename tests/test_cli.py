@@ -549,25 +549,33 @@ def test_density_theory_warns_when_unstable(config_path, tmp_path, capsys):
     assert (not sidecar["converged"]) or sidecar["clip_applied"] or sidecar["negative_mass"] > 0
 
 
+FILE_MOMENTS = {"file": [2.0, 4.0], "negative-mean": [-1.0, 2.0, -6.0, 24.0],
+                "zero-mean": [0.0, 2.0, 6.0, 24.0]}
+
+
 @pytest.mark.parametrize("case, code, message", [
     # every moment flagged: the series give a zero variance on a valid input
     ("flagged", 3, "numerical non-convergence: flagged moments give a variance of 0.0"),
     # a moments file carries no estimates, so nothing is flagged
     ("file", 1, "input error: variance must be > 0"),
     ("degenerate", 1, "input error: variance must be > 0"),
+    ("negative-mean", 1, "input error: mean must be > 0, got -1.0"),
+    ("zero-mean", 1, "input error: mean must be > 0, got 0.0"),
 ])
 def test_density_zero_variance_exit_codes(tmp_path, capsys, case, code, message):
-    """The case of the flagged set: fisheries K, q and E at sigma 0.577,
-    r 6.63, from 4e7 down to 2.5e7."""
+    """A moment set that gives no Gamma reference writes no rows.  The case
+    of the flagged set: fisheries K, q and E at sigma 0.577, r 6.63, from
+    4e7 down to 2.5e7."""
     config = tmp_path / "config.json"
     x0, argv = 4e7, ["--direction", "down", "--threshold", "2.5e7"]
     if case == "flagged":
         config.write_text(json.dumps({**FISHERIES, "sigma": 0.577, "r": 6.63, "x0": x0}))
     else:
         config.write_text(json.dumps({**FISHERIES, "x0": x0}))
-    if case == "file":
-        (tmp_path / "m.json").write_text(json.dumps({"moments": [2.0, 4.0]}))
-        argv += ["--nmax", "2", "--moments-from", f"moments:{tmp_path / 'm.json'}"]
+    if case in FILE_MOMENTS:
+        (tmp_path / "m.json").write_text(json.dumps({"moments": FILE_MOMENTS[case]}))
+        argv += ["--nmax", str(len(FILE_MOMENTS[case])),
+                 "--moments-from", f"moments:{tmp_path / 'm.json'}"]
     if case == "degenerate":
         argv[-1] = repr(x0)
     got, out, err = run(capsys, "density", str(config), *argv, "--grid", "0.5:2:0.5")

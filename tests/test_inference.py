@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mpf
 
 from logifpt import (Direction, FptProblem, ModelParams, SimConfig, build_approximant,
                      derive_params, fpt_moments, log_likelihood, mle_fit, sample_fpt)
@@ -161,6 +162,24 @@ def test_bugs_are_not_turned_into_penalties(sample_1k, monkeypatch):
         log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg)
 
 
+@pytest.mark.parametrize("mean", [-1.0, 0.0])
+def test_a_mean_not_above_zero_is_the_penalty(sample_1k, monkeypatch, mean):
+    """Moments with a mean not > 0 and a variance > 0 give no Gamma
+    reference: ``match_gamma`` refuses them, and the likelihood is PENALTY."""
+    from logifpt import MomentSet, inference, match_gamma
+
+    def moments(d, prob, order):
+        vals = (mpf(mean), mpf(2)) + (mpf(1),) * (order - 2)
+        return MomentSet(moments=vals, precision=d.precision,
+                         error_estimates=(mpf(0),) * order)
+
+    monkeypatch.setattr(inference, "fpt_moments", moments)
+    cfg = cfg_for(["sigma"], init={"sigma": 0.2})
+    with pytest.raises(InvalidParams, match="mean must be > 0"):
+        match_gamma(moments(derive_params(ModelParams(**FISHERIES)), UP4, cfg.n_max))
+    assert log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg) == PENALTY
+
+
 def test_single_datum_at_mode(fisheries):
     ms = fpt_moments(fisheries, UP4, 10)
     with warnings.catch_warnings():
@@ -221,7 +240,6 @@ def test_fit_recovers_sigma(sample_1k, monkeypatch):
     assert res.trace[0][0] == [0.26]
     assert res.converged
     assert abs(res.estimates["sigma"] - FISHERIES["sigma"]) / FISHERIES["sigma"] < 0.10
-    assert res.gamma_seed is not None
     # best-so-far log likelihood never decreases along the trace
     best = [t[2] for t in res.trace]
     assert best == sorted(best)
@@ -271,7 +289,7 @@ def test_mc_study_bit_reproducible(fisheries_params):
               replications=2, master_seed=5150, dt=2e-3, horizon=60.0)
     r1 = mc_study(**kw)
     r2 = mc_study(**kw)
-    assert r1.rows == r2.rows
+    assert r1 == r2
 
 
 def test_p_without_a_negative_interval_skips_the_cdf_and_the_mpf_series(sample_1k,

@@ -71,17 +71,25 @@ def test_match_gamma_warnings_and_errors():
         match_gamma(moment_set([2.0]))
 
 
-@pytest.mark.parametrize("second, flags, error", [
-    (4.0, (False, False, True), ZeroVariance),
-    (4.0, (False, True, False), UnreliableMoments),
-    (3.0, (True, False, False), UnreliableMoments),
-    (5.0, (True, True, True), None),
+@pytest.mark.parametrize("first, second, flags, error", [
+    pytest.param(2.0, 4.0, (False, False, True), ZeroVariance, id="4.0-flags0-ZeroVariance"),
+    pytest.param(2.0, 4.0, (False, True, False), UnreliableMoments,
+                 id="4.0-flags1-UnreliableMoments"),
+    pytest.param(2.0, 3.0, (True, False, False), UnreliableMoments,
+                 id="3.0-flags2-UnreliableMoments"),
+    pytest.param(2.0, 5.0, (True, True, True), None, id="5.0-flags3-None"),
+    # a mean not > 0 with a variance > 0
+    pytest.param(-1.0, 3.0, (False, False, False), InvalidParams, id="mean-1.0-unflagged"),
+    pytest.param(-1.0, 3.0, (True, False, False), UnreliableMoments, id="mean-1.0-flagged"),
+    pytest.param(0.0, 3.0, (False, False, True), InvalidParams, id="mean0-flagged-above-2"),
+    pytest.param(0.0, 3.0, (False, True, False), UnreliableMoments, id="mean0-flagged"),
 ])
-def test_a_flagged_zero_variance_is_unreliable(second, flags, error):
-    """A variance not > 0 from a set that flags its mean or second moment is
-    a numerical failure (exit 3); flags above order 2 leave it an input
-    error (exit 1), and a positive variance is matched whatever the flags."""
-    ms = replace(moment_set([2.0, second, 9.0]),
+def test_a_flagged_zero_variance_is_unreliable(first, second, flags, error):
+    """A variance or a mean not > 0 from a set that flags its mean or second
+    moment is a numerical failure (exit 3); flags above order 2 leave it an
+    input error (exit 1), and a positive variance and mean are matched
+    whatever the flags.  The variance is checked first."""
+    ms = replace(moment_set([first, second, 9.0]),
                  error_estimates=tuple(mpf(f) for f in flags))
     assert ms.flagged == flags
     if error is None:
@@ -92,6 +100,7 @@ def test_a_flagged_zero_variance_is_unreliable(second, flags, error):
     with pytest.raises(error) as err:
         match_gamma(ms)
     assert err.value.exit_code == (3 if error is UnreliableMoments else 1)
+    assert ("mean" if second > first ** 2 else "variance") in str(err.value)
 
 
 def test_laguerre_poly_values():

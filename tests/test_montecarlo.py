@@ -200,7 +200,7 @@ def test_small_noise_concentrates_at_deterministic_time():
 def test_sample_matches_analytics_mean(fisheries):
     cfg = SimConfig(problem=UP4, paths=3000, dt=1e-3, horizon=60.0, seed=7)
     s = sample_fpt(fisheries, cfg)
-    target = float(fpt_moments(fisheries, UP4, 1).mean)
+    target = float(fpt_moments(fisheries, UP4, 1).moments[0])
     se = float(np.std(s.times, ddof=1)) / math.sqrt(s.n)
     assert s.censored == 0
     assert abs(float(np.mean(s.times)) - target) < 3 * se
@@ -212,7 +212,7 @@ def test_downcrossing_sampling():
     prob = FptProblem(Direction.DOWN, 3.91e7)
     cfg = SimConfig(problem=prob, paths=800, dt=1e-3, horizon=80.0, seed=11)
     s = sample_fpt(d, cfg)
-    target = float(fpt_moments(d, prob, 1).mean)
+    target = float(fpt_moments(d, prob, 1).moments[0])
     observed = float(np.mean(s.times))
     se = float(np.std(s.times, ddof=1)) / math.sqrt(s.n)
     # censoring is rare here but biases slightly low; allow it in the band

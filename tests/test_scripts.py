@@ -4,15 +4,19 @@
 scenarios through ``fpt_moments``; ``run_mle_study.py`` is only asked for its
 usage, since a study takes minutes.  ``profile_likelihood.py`` times a few
 points on a small sample, and ``profile_simulator.py`` two chunks of a few
-paths.  ``check_console_script.sh``, the console-script
-check of both CI jobs, runs against a ``logifpt`` shim that calls the
-checkout's ``logifpt.cli``.
+paths.  ``sweep_box.py`` runs the first 200 draws of its box.
+``check_console_script.sh``, the console-script check of both CI jobs, runs
+against a ``logifpt`` shim that calls the checkout's ``logifpt.cli``.
 """
 
+import csv
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from logifpt import errors
+from tests.test_cli import EXIT_CODES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,6 +56,24 @@ def test_profile_simulator():
     assert done.returncode == 0, done.stderr
     stages = [line.split()[0] for line in done.stdout.strip().splitlines()[1:]]
     assert stages == ["draws", "noise", "steps", "scan", "chunk"]
+
+
+def test_sweep_box_fails_only_with_documented_exit_codes(tmp_path):
+    """Every draw of the box ends in a density or in a package error with its
+    documented exit code; any other exception fails the script.  The counts
+    are printed, not asserted."""
+    out = tmp_path / "sweep.csv"
+    done = run_script("sweep_box.py", "--draws", "200", "--csv", str(out))
+    assert done.returncode == 0, done.stderr
+    print(done.stdout)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["draw"]) for r in rows] == list(range(200))
+    for r in rows:
+        if r["outcome"] == "ok":
+            assert (r["stage"], r["exit_code"]) == ("density", "0"), r
+        else:
+            assert int(r["exit_code"]) == EXIT_CODES[getattr(errors, r["outcome"])], r
 
 
 def test_check_console_script(tmp_path):
