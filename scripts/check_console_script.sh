@@ -22,11 +22,27 @@ python -c 'import json; d = json.load(open("md.csv.json")); e = d["error_estimat
 # the commands compose through their files: simulate -> density -> compare
 # with --kde-grid, simulate also writes the blocked kernel density
 logifpt simulate config.json --direction up --threshold 1e4 --paths 64 --dt 0.01 --horizon 60 --kde-grid 0:40:0.05 --out s.csv
-logifpt density config.json --direction up --threshold 1e4 --grid 0.05:40:0.05 --out d.csv
+# density calls scipy.special alone: writing the sidecar must not import scipy.linalg
+PYTHONPROFILEIMPORTTIME=1 logifpt density config.json --direction up --threshold 1e4 --grid 0.05:40:0.05 --out d.csv 2> dimports.txt
 test -f s.csv.json
 test -f s.csv.kde.csv
 test -f d.csv.json
+grep -qE '\| +scipy\.special(\.|$)' dimports.txt
+if grep -E '\| +scipy\.linalg(\.|$)' dimports.txt; then echo "logifpt density --out imported scipy.linalg" >&2; exit 1; fi
 logifpt compare --density d.csv --samples s.csv
+# mle fits the sample, starting from the fixed file's sigma, and writes the documented keys
+echo '{"r": 0.71, "K": 8.05e7, "q": 3.3e-6, "E": 104540, "sigma": 0.2, "x0": 100, "U": 1e4}' > fixed.json
+logifpt mle --samples s.csv --estimate sigma --fixed fixed.json --max-iter 3 --out fit.json
+python -c 'import json; d = json.load(open("fit.json")); keys = {"estimates", "loglik", "iterations", "n_evals", "converged", "censored", "censor_time", "manifest"}; assert set(d) == keys and list(d["estimates"]) == ["sigma"], d'
+# a fixed value its parameter cannot take is an input error that names it
+echo '{"r": 0.71, "K": NaN, "q": 3.3e-6, "E": 104540, "sigma": 0.2, "x0": 100, "U": 1e4}' > fixed_nan.json
+set +e
+logifpt mle --samples s.csv --estimate sigma --fixed fixed_nan.json --max-iter 3 > fit_nan.json 2> fit_nan.err
+code=$?
+set -e
+test "$code" -eq 1
+grep -qx 'input error: K must be finite, got nan' fit_nan.err
+test ! -s fit_nan.json
 # a forced order above the default --nmax computes its own moments
 logifpt density config.json --direction up --threshold 1e4 --grid 0.05:40:0.05 --order 12 --out d12.csv
 python -c 'import json; d = json.load(open("d12.csv.json")); assert d["order"] == 12, d["order"]'

@@ -82,7 +82,7 @@ def run_draw(params: ModelParams, problem: FptProblem) -> dict:
         out["stage"] = "approximant"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            apx = build_approximant(ms, n_max=ORDER)
+            apx = build_approximant(ms)
         out["stage"] = "density"
         m1, m2 = ms.moments_float[:2]
         with np.errstate(all="ignore"):

@@ -147,7 +147,8 @@ def cmd_moments(args) -> int:
 
 def _moments_for_density(args, d, prob) -> MomentSet:
     src = args.moments_from
-    # a forced order needs that many moments (two at least, for the Gamma match)
+    # the set's length caps order selection; a forced order needs that many
+    # moments (two at least, for the Gamma match)
     order = args.nmax if args.order is None else max(args.order, 2)
     if src == "theory":
         return fpt_moments(d, prob, order=order)
@@ -165,7 +166,8 @@ def _moments_for_density(args, d, prob) -> MomentSet:
         vals = [mpf(_json_number(v, f"moment in {path}")) for v in moments]
         if len(vals) < order:
             raise InvalidParams(f"moments file holds {len(vals)} moments, need {order}")
-        return MomentSet(moments=tuple(vals), precision=113)
+        # the first `order` moments, none for an order < 0, as from a sample
+        return MomentSet(moments=tuple(vals[:max(order, 0)]), precision=113)
     raise InvalidParams(f"--moments-from must be theory, samples:FILE or moments:FILE, got {src!r}")
 
 
@@ -175,7 +177,7 @@ def cmd_density(args) -> int:
     validate_problem(d, prob)
     grid = _parse_grid(args.grid)
     ms = _moments_for_density(args, d, prob)
-    apx = build_approximant(ms, n=args.order, n_max=args.nmax)
+    apx = build_approximant(ms, n=args.order)
     dens = apx.density(grid)
     lines = ["t,density"]
     lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), np.asarray(dens).tolist())]
@@ -188,7 +190,6 @@ def cmd_density(args) -> int:
             "coefficients": [float(c) for c in apx.coeffs],
             "clip_applied": apx.clip_applied,
             "renorm_factor": apx.renorm_factor,
-            "norm_residual": apx.norm_residual,
             "negative_mass": apx.negative_mass,
             "converged": apx.converged,
             "moments_from": args.moments_from,

@@ -62,7 +62,9 @@ DEFAULT_BOUNDS = {
 @dataclass(frozen=True)
 class MleConfig:
     """Which parameters to estimate, the starting point, and the order cap,
-    precision and iteration cap of the fit."""
+    precision and iteration cap of the fit.  The fixed values and the
+    starting point must make a ModelParams and an FptProblem: a value its
+    parameter cannot take raises their error here, naming it."""
 
     estimate: tuple
     fixed: dict
@@ -98,6 +100,9 @@ class MleConfig:
         if outside:  # NaN and inf included
             raise InvalidParams(f"initial values must be finite and in DEFAULT_BOUNDS: "
                                 f"{', '.join(outside)}")
+        full = {**self.fixed, **self.init}
+        ModelParams.from_dict(full)
+        FptProblem(self.direction, float(full["U"]))
         if self.max_iter < 1:
             raise InvalidParams(f"max_iter must be >= 1, got {self.max_iter}")
         if not 2 <= self.n_max <= N_MAX_DEFAULT:  # the likelihood reads the variance
@@ -161,7 +166,7 @@ def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SingularOriginWarning)
             warnings.simplefilter("ignore", ExpansionConditionWarning)
-            apx = build_approximant(ms, n_max=cfg.n_max)
+            apx = build_approximant(ms)
         dens = apx.density(data.times)
         ll = float(np.sum(np.log(np.maximum(dens, 1e-300))))
         if data.censored:
@@ -190,9 +195,10 @@ def mle_fit(data: FptSample, cfg: MleConfig, keep_trace: bool = False) -> MleRes
         ll = log_likelihood({}, data, cfg)
         return MleResult(estimates={}, loglik=ll, iterations=0, n_evals=1, converged=True)
     x_init = np.array([float(cfg.init[p]) for p in names])
-    ll_init = log_likelihood(dict(zip(names, x_init)), data, cfg)
+    start = dict(zip(names, x_init.tolist()))
+    ll_init = log_likelihood(start, data, cfg)
     if ll_init <= PENALTY / 2:
-        raise NoFeasibleStart(f"initial point {dict(zip(names, x_init))} is infeasible")
+        raise NoFeasibleStart(f"initial point {start} is infeasible")
     trace = [] if keep_trace else None
     best = [-math.inf]
     known = {tuple(x_init): ll_init}  # the simplex's first vertex is x_init

@@ -33,11 +33,9 @@ which an error in a root enters only at second order; F(inf) = b_0 is not
 evaluated.  The corrected density is never negative; above CLIP_THRESHOLD
 of negative mass it is renormalized as well.  The pre-correction mass is
 always reported.
-By orthogonality the raw expansion integrates to exactly 1, so
-``norm_residual`` (Gauss-Laguerre quadrature of p, computed on first use)
-reports only how well p is conditioned in double precision.
-scipy is imported inside the functions that call it (``_gamma_pdf``,
-``_raw_cdf``, ``_norm_residual``): at module level it would be most of the
+By orthogonality the raw expansion integrates to exactly 1.
+``scipy.special`` is imported inside the functions that call it
+(``_gamma_pdf``, ``_raw_cdf``): at module level scipy would be most of the
 start-up time of every command, and most commands never evaluate a density.
 """
 
@@ -46,7 +44,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from mpmath import mp, mpf
@@ -239,28 +236,12 @@ def _negative_intervals(coeffs: np.ndarray, alpha: float) -> list:
             if _coeff_sum(floats, alpha, x) < 0]
 
 
-def _norm_residual(coeffs: np.ndarray, alpha: float) -> float:
-    """|integral of f_alpha p - 1| by generalized Gauss-Laguerre quadrature.
-
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix, the weights (normalized to sum to 1) the squared first
-    components of its eigenvectors.
-    """
-    from scipy import linalg
-
-    m = max(2 * len(coeffs) + 8, 24)
-    k = np.arange(1, m)
-    nodes, vecs = linalg.eigh_tridiagonal(2 * np.arange(m) + alpha + 1.0,
-                                          np.sqrt(k * (k + alpha)))
-    return abs(float(vecs[0] ** 2 @ _coeff_sum(coeffs, alpha, nodes)) - 1.0)
-
-
 @dataclass
 class LaguerreApproximant:
     """Evaluable truncated expansion plus its correction metadata.
 
     The negative mass and the correction follow from the coefficients and
-    are computed on construction; ``norm_residual`` on first use.
+    are computed on construction.
     """
 
     gamma: GammaRef
@@ -285,11 +266,6 @@ class LaguerreApproximant:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @cached_property
-    def norm_residual(self) -> float:
-        """|integral of the raw expansion - 1|: a float-conditioning report."""
-        return _norm_residual(self._coeff_arr, self.gamma.alpha)
 
     def _mass_below(self, x):
         """Negative raw mass on (0, x), in the reference's x = beta t."""
@@ -349,17 +325,16 @@ def select_order(coeffs_all, alpha: float):
     return n_max, False
 
 
-def build_approximant(ms: MomentSet, n: int | None = None,
-                      n_max: int = 10) -> LaguerreApproximant:
-    """Assemble the approximant, selecting the order unless ``n`` is forced.
+def build_approximant(ms: MomentSet, n: int | None = None) -> LaguerreApproximant:
+    """Assemble the approximant, selecting the order in 3..ms.order unless
+    ``n`` is forced: the moment set's length is the order cap.
 
     The coefficients are computed once, up to the forced order or to
-    min(n_max, ms.order); the selected order keeps the first n + 1 of them,
-    which is exact because b_k depends only on the first k moments.
+    ms.order; the selected order keeps the first n + 1 of them, which is
+    exact because b_k depends only on the first k moments.
     """
     g = match_gamma(ms)
-    coeffs = [float(c) for c in
-              laguerre_coeffs(ms, g, min(n_max, ms.order) if n is None else n)]
+    coeffs = [float(c) for c in laguerre_coeffs(ms, g, ms.order if n is None else n)]
     if n is None:
         n, converged = select_order(coeffs, g.alpha)
     else:

@@ -174,7 +174,7 @@ def test_criterion_08_density_quality(fisheries, fisheries_mc_sample):
     prob_cv = FptProblem(Direction.UP, 110.0)
     ms_cv = fpt_moments(fisheries, prob_cv, 16)
     with pytest.warns(SingularOriginWarning):
-        apx_cv = build_approximant(ms_cv, n_max=16)
+        apx_cv = build_approximant(ms_cv)
     assert apx_cv.gamma.alpha < 0
     assert (not apx_cv.converged) or apx_cv.clip_applied
     _passed(8, f"order-4 approximant: mass 1+-1e-6, moments reproduced to 1e-6, "

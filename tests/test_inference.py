@@ -8,7 +8,8 @@ from mpmath import mpf
 
 from logifpt import (Direction, FptProblem, ModelParams, SimConfig, build_approximant,
                      derive_params, fpt_moments, log_likelihood, mle_fit, sample_fpt)
-from logifpt.errors import EmptySample, InvalidParams, NoConvergence, NoFeasibleStart
+from logifpt.errors import (EmptySample, InvalidHarvest, InvalidParams, NoConvergence,
+                            NoFeasibleStart)
 from logifpt.inference import DEFAULT_BOUNDS, PENALTY, MleConfig
 from logifpt.montecarlo import FptSample
 from tests.conftest import FISHERIES
@@ -50,6 +51,18 @@ def test_config_validation():
     for value in ("8.05e7", None, True):  # the number rule of ModelParams.from_dict
         with pytest.raises(InvalidParams, match="fixed K"):
             MleConfig(estimate=("sigma",), fixed={**fixed, "K": value}, init={"sigma": 0.2})
+    with pytest.raises(InvalidParams, match="fixed note"):  # not a parameter, not a number
+        MleConfig(estimate=("sigma",), fixed={**fixed, "note": "x"}, init={"sigma": 0.2})
+    # a number a parameter cannot take fails as that parameter's own error, not
+    # as an infeasible start
+    for change, message in (({"K": math.nan}, "K must be finite, got nan"),
+                            ({"K": -8.05e7}, "K must be > 0, got -80500000.0"),
+                            ({"U": -1e4}, "threshold must be finite and > 0, got -10000.0")):
+        with pytest.raises(InvalidParams, match=message) as info:
+            MleConfig(estimate=("sigma",), fixed={**fixed, **change}, init={"sigma": 0.2})
+        assert type(info.value) is InvalidParams
+    with pytest.raises(InvalidHarvest, match="q[*]E = .* must stay below r = 0.3"):
+        cfg_for(["sigma", "r"], init={"sigma": 0.2, "r": 0.3})  # qE = 0.345
 
 
 @pytest.mark.parametrize("n_max", [1, 0])
@@ -184,7 +197,7 @@ def test_single_datum_at_mode(fisheries):
     ms = fpt_moments(fisheries, UP4, 10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(ms, n_max=10)
+        apx = build_approximant(ms)
     ts = np.linspace(5.0, 25.0, 4001)
     dens = apx.density(ts)
     mode = float(ts[np.argmax(dens)])
@@ -207,8 +220,9 @@ def test_empty_estimate_echoes_init(sample_1k):
 
 def test_infeasible_start_raises(sample_1k):
     cfg = cfg_for(["sigma"], init={"sigma": 4.9})  # non-persistent regime
-    with pytest.raises(NoFeasibleStart):
+    with pytest.raises(NoFeasibleStart) as info:
         mle_fit(sample_1k, cfg)
+    assert str(info.value) == "initial point {'sigma': 4.9} is infeasible"
 
 
 def test_empty_sample_raises():
@@ -270,7 +284,7 @@ def test_uncensored_likelihood_is_the_density_sum(sample_1k, fisheries):
     assert sample_1k.censored == 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(fpt_moments(fisheries, UP4, 10), n_max=10)
+        apx = build_approximant(fpt_moments(fisheries, UP4, 10))
     want = float(np.sum(np.log(np.maximum(apx.density(sample_1k.times), 1e-300))))
     cfg = cfg_for(["sigma"], init={"sigma": 0.2})
     assert log_likelihood({"sigma": FISHERIES["sigma"]}, sample_1k, cfg) == want

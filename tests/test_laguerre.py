@@ -187,7 +187,7 @@ def test_infinite_variance_is_invalid_params():
     with pytest.raises(InvalidParams, match="moments must be finite"):
         match_gamma(ms)
     with pytest.raises(InvalidParams, match="moments must be finite"):
-        build_approximant(ms, n_max=3)
+        build_approximant(ms)
 
 
 def test_nan_mean_is_invalid_params_not_zero_variance():
@@ -221,7 +221,7 @@ def test_select_order_benchmark_scenarios(fisheries):
     ms6 = fpt_moments(d6, FptProblem(Direction.UP, 6.0e7), 12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(ms6, n_max=12)
+        apx = build_approximant(ms6)
     assert apx.order == 12 and not apx.converged
 
 
@@ -260,7 +260,7 @@ def test_gamma_fixed_point_selected_order(alpha, t_max):
     ms = gamma_moment_set(alpha, 1.5, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(ms, n_max=8)
+        apx = build_approximant(ms)
     ts = np.linspace(0.0, t_max, 400)
     expect = stats.gamma.pdf(ts, a=alpha + 1, scale=1 / 1.5)
     assert np.allclose(apx.density(ts), expect, rtol=1e-9, atol=1e-10)
@@ -280,7 +280,8 @@ def test_density_normalization_and_moments(fisheries):
         mj, _ = integrate.quad(lambda t: t ** j * raw_density(apx, t),
                                0, 80, limit=300)
         assert rel_err(mj, float(ms.moments[j - 1])) < 1e-6
-    assert apx.norm_residual < 1e-10
+    raw_total, _ = integrate.quad(lambda t: raw_density(apx, t), 0, 80, limit=300)
+    assert abs(raw_total - 1) < 1e-6
 
 
 def test_correction_mass_negligible_below_unit_cv(fisheries):
@@ -288,7 +289,7 @@ def test_correction_mass_negligible_below_unit_cv(fisheries):
     ms = fpt_moments(fisheries, UP4, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(ms, n_max=8)
+        apx = build_approximant(ms)
     assert apx.negative_mass < 1e-3
     assert abs(apx.renorm_factor - 1.0) < 1e-3
 
@@ -310,7 +311,7 @@ def test_singular_origin_scenario_diagnostics(fisheries):
     prob = FptProblem(Direction.UP, 110.0)
     ms = fpt_moments(fisheries, prob, 8)
     with pytest.warns(SingularOriginWarning):
-        apx = build_approximant(ms, n_max=8)
+        apx = build_approximant(ms)
     assert apx.gamma.alpha < 0
     assert apx.negative_mass >= 0
     # the machinery reports trouble instead of silently degrading
@@ -332,7 +333,7 @@ def test_negative_mass_matches_quadrature(x0, direction, threshold):
     ms = fpt_moments(fisheries_at(x0), FptProblem(direction, threshold), 10)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(ms, n_max=10)
+        apx = build_approximant(ms)
     assert apx.clip_applied
     raw = functools.partial(raw_density, apx)
     ts = float(ms.moments[0]) * np.geomspace(1e-9, 200.0, 200_001)
@@ -370,7 +371,7 @@ def test_high_orders_find_the_roots_the_degree_drops(threshold, order):
     ms = fpt_moments(fisheries_at(100.0), FptProblem(Direction.UP, threshold), order)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        apx = build_approximant(ms, n=order, n_max=order)
+        apx = build_approximant(ms, n=order)
     assert laguerre._degree(apx._coeff_arr, apx.gamma.alpha) == order
     assert apx.negative_mass >= 0
     raw = functools.partial(raw_density, apx)
@@ -407,7 +408,7 @@ def test_approximant_is_a_distribution(r, sigma, at_x0, at_threshold):
         ms = fpt_moments(d, prob, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            apx = build_approximant(ms, n_max=10)
+            apx = build_approximant(ms)
     except LogifptError:
         return
     ts = float(ms.moments[0]) * np.linspace(0.0, 10.0, 1001)[1:]
@@ -418,7 +419,7 @@ def test_approximant_is_a_distribution(r, sigma, at_x0, at_threshold):
     assert cdf[0] == 0.0 and cdf[-1] == 1.0
     assert np.all(np.diff(cdf) >= -1e-12)
     assert np.all((cdf >= -1e-12) & (cdf <= 1 + 1e-12))
-    assert math.isfinite(apx.norm_residual)
+    assert all(map(math.isfinite, apx.coeffs))
 
 
 def test_noise_coefficients_leave_no_negative_mass():

@@ -90,5 +90,5 @@ def test_check_console_script(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
     [workdir] = [p for p in tmp_path.iterdir() if p.name != "bin"]
-    assert {"m.csv.json", "md.csv.json", "s.csv.kde.csv", "d.csv.json", "seeded1.csv",
-            "seeded2.csv"} <= {p.name for p in workdir.iterdir()}
+    assert {"m.csv.json", "md.csv.json", "s.csv.kde.csv", "d.csv.json", "fit.json",
+            "seeded1.csv", "seeded2.csv"} <= {p.name for p in workdir.iterdir()}
