@@ -3,22 +3,25 @@
 
 Simulates one fisheries sample (x0 = 100 up to U = 1e4, sigma 0.2, r 0.71)
 and evaluates the likelihood of its crossing times at random (sigma, r)
-points, stage by stage, as ``inference.log_likelihood`` runs them:
+points.  At each point, on a fresh kernel table, it times one
+``inference.log_likelihood`` call as ``whole``, then makes one more call
+under ``stage_timer``, which charges the self time of these library
+functions to their stages:
 
-    derive     derive_params
-    rows       the kernel-table rows the two l-sums read, on a fresh table
-    l-sums     kernels.l_series at x0 and at U, on the built table
-    quotient   the moments and cumulants in ints, kernels._fixed_quotient,
-               which returns no error bound: upcrossing sums omit no terms
-    c_j/b_k    the moments, match_gamma and laguerre_coeffs, rounded to floats
-    order      select_order
-    approx     LaguerreApproximant: roots, negative intervals and mass
-    density    the density at the sample times and the log-sum
+    derive     model.derive_params
+    rows       KernelTable._m_next, the kernel-table rows
+    l-sums     kernels._l_sums, the sums at x0 and at U
+    quotient   analytics._fixed_quotient, the moments and cumulants in ints
+    c_j/b_k    laguerre.match_gamma and laguerre_coeffs
+    order      laguerre.select_order
+    approx     LaguerreApproximant construction: roots, negative intervals
+               and mass
+    density    LaguerreApproximant.density at the sample times
 
-Each stage is timed alone with time.perf_counter; the median over the
-points is printed per stage, with the median of whole ``log_likelihood``
-calls at the same points for comparison.  Points whose likelihood is the
-penalty are left out.  Example:
+The median over the points is printed per stage, with their sum and the
+median of the whole calls; the sum leaves out what runs between the
+stages.  Points whose likelihood is the penalty are left out.  Exits 1 if
+no point was feasible or a stage saw no call.  Example:
 
     python scripts/profile_likelihood.py --points 200 --seed 3
 """
@@ -27,65 +30,28 @@ import argparse
 import statistics
 import sys
 import time
-import warnings
 
-import mpmath
 import numpy as np
-from mpmath import mp, mpf
 
-from logifpt import (Direction, FptProblem, ModelParams, MomentSet, SimConfig, derive_params,
-                     kernels, sample_fpt)
-from logifpt.errors import LogifptError
+from logifpt import (Direction, FptProblem, ModelParams, SimConfig, analytics, derive_params,
+                     inference, kernels, laguerre, sample_fpt)
 from logifpt.inference import PENALTY, MleConfig, log_likelihood
-from logifpt.laguerre import (LaguerreApproximant, laguerre_coeffs, match_gamma,
-                              select_order)
+from stage_timer import stage_timer
 
 FISHERIES = dict(r=0.71, K=8.05e7, q=3.30e-6, E=104540.0, sigma=0.2, x0=100.0)
 THRESHOLD = 1e4
-STAGES = ("derive", "rows", "l-sums", "quotient", "c_j/b_k", "order", "approx", "density")
-
-
-def timed(times, stage, fn, *args):
-    start = time.perf_counter()
-    out = fn(*args)
-    times[stage] = time.perf_counter() - start
-    return out
-
-
-def stages(params: ModelParams, sample, cfg: MleConfig) -> dict:
-    """Seconds per stage of one likelihood evaluation at ``params``."""
-    times = {}
-    d = timed(times, "derive", derive_params, params, cfg.precision)
-    order, x0 = cfg.n_max, params.x0
-    kernels._table = None  # a first pass finds the last row the sums read
-    cut = max(max(kernels.l_series(y, order, d).cut) for y in (x0, THRESHOLD))
-    kernels._table = None
-
-    def rows():
-        kernels.ensure_table(d, order).fixed_row("m", cut)
-
-    timed(times, "rows", rows)
-    b0, b1 = timed(times, "l-sums", lambda: [kernels.l_series(y, order, d)
-                                             for y in (x0, THRESHOLD)])
-    with mp.workprec(d.precision):
-        q_log = d.u * mpmath.log(mpf(THRESHOLD) / mpf(x0))
-    g, *_ = timed(times, "quotient", kernels._fixed_quotient, b0, b1, q_log)
-
-    def coeffs():
-        moments = tuple((-1) ** k * g[k] for k in range(1, order + 1))
-        ms = MomentSet(moments=moments, precision=d.precision)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            gamma = match_gamma(ms)
-        return gamma, [float(c) for c in laguerre_coeffs(ms, gamma, order)]
-
-    gamma, b = timed(times, "c_j/b_k", coeffs)
-    n, converged = timed(times, "order", select_order, b, gamma.alpha)
-    apx = timed(times, "approx", lambda: LaguerreApproximant(
-        gamma=gamma, coeffs=tuple(b[: n + 1]), converged=converged))
-    timed(times, "density", lambda: float(np.sum(np.log(np.maximum(
-        apx.density(sample.times), 1e-300)))))
-    return times
+TARGETS = (
+    ("derive", inference, "derive_params"),
+    ("rows", kernels.KernelTable, "_m_next"),
+    ("l-sums", kernels, "_l_sums"),
+    ("quotient", analytics, "_fixed_quotient"),
+    ("c_j/b_k", laguerre, "match_gamma"),
+    ("c_j/b_k", laguerre, "laguerre_coeffs"),
+    ("order", laguerre, "select_order"),
+    ("approx", laguerre.LaguerreApproximant, "__post_init__"),
+    ("density", laguerre.LaguerreApproximant, "density"),
+)
+STAGES = tuple(dict.fromkeys(stage for stage, _, _ in TARGETS))
 
 
 def main(argv=None) -> int:
@@ -109,6 +75,7 @@ def main(argv=None) -> int:
     whole, skipped = [], 0
     for sigma, r in points:
         theta = {"sigma": float(sigma), "r": float(r)}
+        kernels._table = None
         start = time.perf_counter()
         ll = log_likelihood(theta, sample, cfg)
         elapsed = time.perf_counter() - start
@@ -116,13 +83,15 @@ def main(argv=None) -> int:
             skipped += 1
             continue
         whole.append(elapsed)
-        try:
-            times = stages(ModelParams(**{**FISHERIES, **theta}), sample, cfg)
-        except LogifptError:
-            skipped += 1
-            continue
+        kernels._table = None
+        with stage_timer(TARGETS) as (seconds, calls):
+            log_likelihood(theta, sample, cfg)
+        idle = [s for s in STAGES if not calls[s]]
+        if idle:
+            print(f"no call reached stages {idle} at {theta}", file=sys.stderr)
+            return 1
         for s in STAGES:
-            per_stage[s].append(times[s])
+            per_stage[s].append(seconds[s])
     if not whole:
         print("every point was infeasible", file=sys.stderr)
         return 1

@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """Per-stage wall times of one simulator chunk, in ns per path-step.
 
-Runs full chunks of ``montecarlo._CHUNK`` steps over ``--paths`` fisheries
-paths (x0 = 100 up to U = 1e4, sigma 0.2, r 0.71, dt 1e-3) stage by stage,
-as ``montecarlo.sample_fpt`` runs them on its time-major buffer:
+Each timed chunk is one ``montecarlo.sample_fpt`` call of ``--paths``
+fisheries paths (x0 = 100 up to U = 1e4, sigma 0.2, r 0.71, dt 1e-3) whose
+horizon is one chunk of ``montecarlo._CHUNK`` steps.  It runs under
+``stage_timer``, which charges the self time of the chunk's helpers to
+their stages:
 
-    draws      each path's Philox normals into the staging block, copied
-               into the buffer's columns
-    noise      the chunk-wide noise factor, in place
-    steps      the drift sub-flow per row, times that row's noise factor,
-               written over the row
-    scan       the crossing scan over row blocks
+    draws      _draw_normals: each path's Philox normals into the staging
+               block, copied into the buffer's columns
+    noise      _noise_factor: the chunk-wide noise factor, in place
+    steps      _step_rows: the drift sub-flow per row, times that row's
+               noise factor, written over the row
+    scan       _first_crossings: the crossing scan over row blocks
 
-Each stage is timed alone with time.perf_counter; the median over the
-chunks is printed per stage.  Example:
+The median over the chunks is printed per stage, and their sum.  Each chunk
+is a new call, so its draws include the first writes to the call's new
+buffer, which a call of many chunks pays once: about 1.5 ns per path-step
+at 2048 paths on a 2-vCPU host.  The scale assumes that every path steps
+through the whole chunk, so the script exits 1 if a path crossed, as it
+does if a stage saw no call.  Example:
 
     python scripts/profile_simulator.py --paths 2048 --chunks 9
 """
@@ -21,36 +27,21 @@ chunks is printed per stage.  Example:
 import argparse
 import statistics
 import sys
-import time
 
-import numpy as np
-
-from logifpt import ModelParams, derive_params, montecarlo, step_constants
+from logifpt import (Direction, FptProblem, ModelParams, SimConfig, derive_params, montecarlo,
+                     sample_fpt)
+from stage_timer import stage_timer
 
 FISHERIES = dict(r=0.71, K=8.05e7, q=3.30e-6, E=104540.0, sigma=0.2, x0=100.0)
 THRESHOLD = 1e4
 DT = 1e-3
-STAGES = ("draws", "noise", "steps", "scan")
-
-
-def chunk(gens, x, consts, buffers) -> dict:
-    """Seconds per stage of one chunk of len(buf) steps from states x."""
-    buf, stage, mask, drift, tmp = buffers
-    K1, grow, gm1, drift_corr, vol = consts
-    times = {}
-    start = time.perf_counter()
-    montecarlo._draw_normals(gens, buf, stage)
-    times["draws"] = time.perf_counter() - start
-    start = time.perf_counter()
-    montecarlo._noise_factor(buf, drift_corr, vol)
-    times["noise"] = time.perf_counter() - start
-    start = time.perf_counter()
-    montecarlo._step_rows(buf, x, (K1, grow, gm1), drift, tmp)
-    times["steps"] = time.perf_counter() - start
-    start = time.perf_counter()
-    montecarlo._first_crossings(buf, np.greater, THRESHOLD, mask)
-    times["scan"] = time.perf_counter() - start
-    return times
+TARGETS = (
+    ("draws", montecarlo, "_draw_normals"),
+    ("noise", montecarlo, "_noise_factor"),
+    ("steps", montecarlo, "_step_rows"),
+    ("scan", montecarlo, "_first_crossings"),
+)
+STAGES = tuple(stage for stage, _, _ in TARGETS)
 
 
 def main(argv=None) -> int:
@@ -63,21 +54,26 @@ def main(argv=None) -> int:
         ap.error("--paths and --chunks must be >= 1")
 
     d = derive_params(ModelParams(**FISHERIES))
-    consts = step_constants(d, DT)
-    steps, n = montecarlo._CHUNK, args.paths
-    buffers = (np.empty((steps, n)), np.empty((min(montecarlo._STAGE, n), steps)),
-               np.empty((montecarlo._SCAN, n), dtype=bool), np.empty(n), np.empty(n))
-    gens = montecarlo._path_generators(args.seed, range(n))
-    x = np.full(n, FISHERIES["x0"])
+    n = args.paths
+    cfg = SimConfig(problem=FptProblem(Direction.UP, THRESHOLD), paths=n, dt=DT,
+                    horizon=montecarlo._CHUNK * DT, seed=args.seed)
     per_stage = {s: [] for s in STAGES}
     for _ in range(args.chunks):
-        times = chunk(gens, x, consts, buffers)
-        x = buffers[0][-1].copy()
+        with stage_timer(TARGETS) as (seconds, calls):
+            sample = sample_fpt(d, cfg)
+        if sample.n:
+            print(f"{sample.n} paths crossed within the chunk", file=sys.stderr)
+            return 1
+        idle = [s for s in STAGES if not calls[s]]
+        if idle:
+            print(f"no call reached stages {idle}", file=sys.stderr)
+            return 1
         for s in STAGES:
-            per_stage[s].append(times[s])
-    scale = 1e9 / (steps * n)
+            per_stage[s].append(seconds[s])
+    scale = 1e9 / (cfg.steps * n)
     med = {s: statistics.median(per_stage[s]) * scale for s in STAGES}
-    print(f"{args.chunks} chunks of {steps} steps x {n} paths; medians in ns per path-step")
+    print(f"{args.chunks} chunks of {cfg.steps} steps x {n} paths; "
+          f"medians in ns per path-step")
     for s in STAGES:
         print(f"{s:>10} {med[s]:8.2f}")
     print(f"{'chunk':>10} {sum(med.values()):8.2f}  (the four above)")

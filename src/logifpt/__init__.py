@@ -10,7 +10,7 @@ from .laguerre import (GammaRef, LaguerreApproximant, build_approximant,
 from .model import (DEFAULT_PRECISION, DerivedParams, Direction, FptProblem,
                     ModelParams, derive_params, validate_problem)
 from .montecarlo import (FptSample, SimConfig, empirical_moments, kde, read_samples_csv,
-                         sample_fpt, step_constants, write_samples_csv)
+                         sample_fpt, write_samples_csv)
 from .inference import MleConfig, MleResult, log_likelihood, mc_study, mle_fit
 
 __all__ = [
@@ -22,6 +22,6 @@ __all__ = [
     "fpt_cumulants", "fpt_moments", "kde", "l_series", "laguerre_coeffs",
     "laplace_transform", "lbar_series", "log_likelihood",
     "match_gamma", "mc_study", "mle_fit", "q_series", "read_samples_csv",
-    "sample_fpt", "select_order", "step_constants", "t_series",
+    "sample_fpt", "select_order", "t_series",
     "validate_problem", "write_samples_csv",
 ]

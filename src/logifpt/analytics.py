@@ -4,16 +4,15 @@ Moments and cumulants come from one pass over the building-block sums, run
 in fixed-point Python ints (see :mod:`logifpt.kernels`): it takes the log of
 the transform ratio, whose coefficients are the cumulants, then its exp,
 whose coefficients are the moments, and its first ``mpf`` is each of them,
-rounded once.  At 256 bits and order 10 it keeps upcrossing moments within
-4.9e-76 of a 700-bit evaluation of the same truncated sums on the benchmark
-scenarios, which measures rounding only; their accuracy, up to 8.5e-33
-relative, is set by the cut of the l-sums at ``kernels.L_SERIES_TOL``.  This
-pass is the library's one series algebra; ``kernels.q_series`` and
-``kernels.t_series`` run on it too.  The test suite checks it against the
-Bell-polynomial closed form of the reciprocal denominator series, an
-independent route in ``mpf`` kept in ``tests/oracles.py`` with the ``mpf``
-series operations it uses.  Going down, the same pass bounds the moments'
-error from the first omitted terms of the asymptotic sums.
+rounded once.  What limits the upcrossing moments is the cut of the l-sums
+at ``kernels.L_SERIES_TOL``, not this pass's rounding; :mod:`logifpt.kernels`
+gives both figures.  This pass is the library's one series algebra;
+``kernels.q_series`` and ``kernels.t_series`` run on it too.  The test
+suite checks it against the Bell-polynomial closed form of the reciprocal
+denominator series, an independent route in ``mpf`` kept in
+``tests/oracles.py`` with the ``mpf`` series operations it uses.  Going
+down, the same pass bounds the moments' error from the first omitted terms
+of the asymptotic sums.
 
 One record holds a moment set and its cumulants: :class:`MomentSet`.  A set
 from :func:`fpt_moments` keeps the cumulants of the series pass; one from

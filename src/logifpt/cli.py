@@ -105,6 +105,12 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _density_csv(grid: np.ndarray, dens: np.ndarray) -> str:
+    """The text of a t,density CSV: one row per grid point, each value as its repr."""
+    rows = [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), dens.tolist())]
+    return "\n".join(["t,density", *rows]) + "\n"
+
+
 def cmd_derive(args) -> int:
     d = _derived(args)
     doc = {
@@ -178,10 +184,7 @@ def cmd_density(args) -> int:
     grid = _parse_grid(args.grid)
     ms = _moments_for_density(args, d, prob)
     apx = build_approximant(ms, n=args.order)
-    dens = apx.density(grid)
-    lines = ["t,density"]
-    lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), np.asarray(dens).tolist())]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_density_csv(grid, apx.density(grid)), args.out)
     if args.out:
         _write_sidecar(args, {
             "alpha": apx.gamma.alpha,
@@ -210,11 +213,7 @@ def cmd_simulate(args) -> int:
     write_samples_csv(sample, args.out)
     _write_sidecar(args, {}, {"params": d.params.to_dict(), "sim": cfg.to_dict()})
     if grid is not None:
-        dens = kde(sample, grid)
-        lines = ["t,density"]
-        lines += [f"{t!r},{v!r}" for t, v in zip(grid.tolist(), dens.tolist())]
-        with open(str(args.out) + ".kde.csv", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _emit(_density_csv(grid, kde(sample, grid)), str(args.out) + ".kde.csv")
     sys.stdout.write(json.dumps(sample.summary(), sort_keys=True) + "\n")
     return 0
 

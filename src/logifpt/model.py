@@ -149,25 +149,24 @@ def derive_params(p: ModelParams, precision: int = DEFAULT_PRECISION) -> Derived
     """Compute :class:`DerivedParams` at the requested binary precision.
 
     Raises NonPersistentRegime when the persistence index is <= 0 (the
-    regime in which crossing times may be infinite), InvalidHarvest when
-    q*E >= r and InvalidParams when ``precision`` is below MIN_PRECISION.
+    regime in which crossing times may be infinite) and InvalidParams when
+    ``precision`` is below MIN_PRECISION.  q*E < r holds: ModelParams
+    refuses anything else.
     """
     if precision < MIN_PRECISION:
         raise InvalidParams(f"precision must be >= {MIN_PRECISION} bits, got {precision}")
-    if p.q * p.E >= p.r:
-        raise InvalidHarvest(f"q*E = {p.q * p.E} must stay below r = {p.r}")
     with mp.workprec(precision):
         r = mpf(p.r)
         sigma2 = mpf(p.sigma) ** 2
         r1 = r - mpf(p.q) * mpf(p.E)
-        K1 = mpf(p.K) * (1 - mpf(p.q) * mpf(p.E) / r)
-        u = (1 - 2 * r1 / sigma2) / 2
-        v = 2 * r1 / (K1 * sigma2)
         rho = 2 * r1 / sigma2 - 1
-        if not rho > 0:
+        if not rho > 0:  # before K1 and v, which r1 = 0 would make 0 and 0/0
             raise NonPersistentRegime(
                 f"persistence index rho = {float(rho)} is not > 0; increase r1/sigma^2"
             )
+        K1 = mpf(p.K) * (1 - mpf(p.q) * mpf(p.E) / r)
+        u = (1 - 2 * r1 / sigma2) / 2
+        v = 2 * r1 / (K1 * sigma2)
         a = 2 / (sigma2 * u ** 2)
     return DerivedParams(params=p, precision=precision, r1=r1, K1=K1, u=u, v=v, a=a, rho=rho)
 

@@ -78,6 +78,17 @@ def test_nan_persistence_index_rejected():
         derive_params(p)
 
 
+@pytest.mark.parametrize("E", [2.0, 3.0])  # r1 = 0 exactly, and r1 < 0
+def test_harvest_forced_past_construction_is_not_persistent(E):
+    # ModelParams refuses q*E >= r; a params object forced past it stops at
+    # the persistence check, with the same exit code
+    p = ModelParams(**{**FISHERIES, "r": 0.5, "q": 0.25, "E": 1.0})
+    object.__setattr__(p, "E", E)
+    with pytest.raises(NonPersistentRegime) as info:
+        derive_params(p)
+    assert info.value.exit_code == InvalidHarvest.exit_code == 2
+
+
 def test_from_dict_missing_key():
     bad = dict(FISHERIES)
     del bad["sigma"]

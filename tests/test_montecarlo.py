@@ -7,9 +7,9 @@ import pytest
 
 from logifpt import (Direction, FptProblem, FptSample, ModelParams, SimConfig, derive_params,
                      empirical_moments, fpt_moments, kde, read_samples_csv, sample_fpt,
-                     step_constants, write_samples_csv)
+                     write_samples_csv)
 from logifpt.errors import EmptySample, InvalidParams, WrongSide
-from logifpt.montecarlo import _noise_factor, _step_rows, silverman_bandwidth
+from logifpt.montecarlo import _noise_factor, _step_rows, silverman_bandwidth, step_constants
 from tests.conftest import FISHERIES, rel_err
 from tests.oracles import reference_sample_fpt, reference_step, stationary_check
 

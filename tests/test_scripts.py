@@ -4,7 +4,9 @@
 scenarios through ``fpt_moments``; ``run_mle_study.py`` is only asked for its
 usage, since a study takes minutes.  ``profile_likelihood.py`` times a few
 points on a small sample, and ``profile_simulator.py`` two chunks of a few
-paths.  ``sweep_box.py`` runs the first 200 draws of its box.
+paths; ``stage_timer.py``, which both time the library's calls with, is
+checked on a clock that only the timed functions move.  ``sweep_box.py``
+runs the first 200 draws of its box.
 ``check_console_script.sh``, the console-script check of both CI jobs, runs
 against a ``logifpt`` shim that calls the checkout's ``logifpt.cli``.
 """
@@ -13,9 +15,14 @@ import csv
 import os
 import subprocess
 import sys
+import time
+import types
 from pathlib import Path
 
+import pytest
+
 from logifpt import errors
+from scripts.stage_timer import stage_timer
 from tests.test_cli import EXIT_CODES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +63,52 @@ def test_profile_simulator():
     assert done.returncode == 0, done.stderr
     stages = [line.split()[0] for line in done.stdout.strip().splitlines()[1:]]
     assert stages == ["draws", "noise", "steps", "scan", "chunk"]
+
+
+def test_stage_timer_charges_self_time_and_puts_originals_back(monkeypatch):
+    clock = [0.0]
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+
+    def tick(seconds):
+        clock[0] += seconds
+
+    class Work:
+        def outer(self):
+            tick(3.0)
+            self.inner()
+            tick(2.0)
+
+        def inner(self):
+            tick(5.0)
+
+    lib = types.SimpleNamespace(leaf=lambda: tick(7.0))
+    targets = [("outer", Work, "outer"), ("inner", Work, "inner"), ("inner", lib, "leaf")]
+    originals = [vars(owner)[name] for _, owner, name in targets]
+
+    def unchanged():
+        return all(vars(owner)[name] is fn
+                   for (_, owner, name), fn in zip(targets, originals))
+
+    with stage_timer(targets) as (seconds, calls):
+        assert not unchanged()
+        Work().outer()
+        Work().inner()
+        lib.leaf()
+    assert seconds == {"outer": 5.0, "inner": 17.0}  # inner's 5 s inside outer is its own
+    assert calls == {"outer": 1, "inner": 3}
+    assert unchanged()
+
+    with pytest.raises(ZeroDivisionError):
+        with stage_timer(targets) as (seconds, calls):
+            Work().outer()
+            1 / 0
+    assert (seconds, calls) == ({"outer": 5.0, "inner": 5.0}, {"outer": 1, "inner": 1})
+    assert unchanged()
+
+    with pytest.raises(KeyError, match="gone"):
+        with stage_timer(targets + [("gone", Work, "gone")]):
+            pass
+    assert unchanged()
 
 
 def test_sweep_box_fails_only_with_documented_exit_codes(tmp_path):
