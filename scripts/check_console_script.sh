@@ -43,6 +43,15 @@ set -e
 test "$code" -eq 1
 grep -qx 'input error: K must be finite, got nan' fit_nan.err
 test ! -s fit_nan.json
+# a fixed key that names no parameter is an input error that names it
+echo '{"r": 0.71, "K": 8.05e7, "Kk": 9e9, "q": 3.3e-6, "E": 104540, "sigma": 0.2, "x0": 100, "U": 1e4}' > fixed_key.json
+set +e
+logifpt mle --samples s.csv --estimate sigma --fixed fixed_key.json --max-iter 3 > fit_key.json 2> fit_key.err
+code=$?
+set -e
+test "$code" -eq 1
+grep -qx "input error: fixed values for unknown parameters: \['Kk'\]" fit_key.err
+test ! -s fit_key.json
 # a forced order above the default --nmax computes its own moments
 logifpt density config.json --direction up --threshold 1e4 --grid 0.05:40:0.05 --order 12 --out d12.csv
 python -c 'import json; d = json.load(open("d12.csv.json")); assert d["order"] == 12, d["order"]'
@@ -60,6 +69,16 @@ set -e
 test "$code" -eq 1
 grep -q '^input error: mean must be > 0' dneg.err
 test ! -s dneg.csv
+# flagged moments whose curve is NaN (draw 10 of scripts/sweep_box.py): exit 3, no rows
+echo '{"r": 0.2002058537285789, "K": 1128347210.9883878, "q": 1.0, "E": 0.004412859296355065, "sigma": 0.04000181127087052, "x0": 617207.8236245492}' > config_draw10.json
+set +e
+logifpt density config_draw10.json --direction down --threshold 40705.527141046376 --grid 1:200:1 --out dnan.csv 2> dnan.err
+code=$?
+set -e
+test "$code" -eq 3
+grep -q '^numerical non-convergence: flagged moments' dnan.err
+test ! -e dnan.csv
+test ! -e dnan.csv.json
 # the seeded-simulation contract: one seed, one sample, byte for byte
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded1.csv
 logifpt simulate config.json --direction up --threshold 1e4 --paths 300 --dt 0.01 --horizon 13.37 --seed 7 --out seeded2.csv

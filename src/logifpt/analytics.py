@@ -20,8 +20,9 @@ another source (empirical, read from a file) converts its moments with
 :func:`cumulants_from_moments`, which loses the digits the moments cancel:
 at sigma 1e-3 it is 1.2e-15 off where the series route is within 1e-60.
 Either way ``cumulants`` is the tuple c_1..c_order, and ``ratios`` reads the
-Gamma-structure diagnostic off it.  The order is the number of moments the
-set holds, not a stored count.
+Gamma-structure diagnostic k c_k / c_(k+1), k = 1..order - 1, off it at the
+set's precision; the ``moments`` CLI writes them rounded once to doubles.
+The order is the number of moments the set holds, not a stored count.
 
 All values are held in arbitrary precision and downcast only through the
 ``*_float`` accessors.  Downcrossing results carry per-order relative error
@@ -104,13 +105,14 @@ class MomentSet:
         return tuple(float(c) for c in self.cumulants)
 
     @property
-    def ratios(self) -> tuple | None:
-        """(c1/c2, 2 c2/c3, 3 c3/c4); each equals the Gamma rate for an
-        exactly Gamma-distributed crossing time.  None below order 4."""
-        if self.order < 4:
-            return None
+    def ratios(self) -> tuple:
+        """k c_k / c_(k+1) for k = 1..order - 1, from :attr:`cumulants` at the
+        set's precision; each equals the Gamma rate for an exactly
+        Gamma-distributed crossing time.  An entry is None where c_(k+1) is
+        exactly 0, as in a degenerate set."""
         c = self.cumulants
-        return (c[0] / c[1], 2 * c[1] / c[2], 3 * c[2] / c[3])
+        with mp.workprec(self.precision):
+            return tuple(k * c[k - 1] / c[k] if c[k] else None for k in range(1, self.order))
 
 
 def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
@@ -147,7 +149,7 @@ def fpt_moments(d: DerivedParams, prob: FptProblem, order: int) -> MomentSet:
     block = l_series if prob.direction is Direction.UP else lbar_series
     b0, b1 = block(d.params.x0, order, d), block(prob.threshold, order, d)
     with mp.workprec(d.precision):
-        q_log = None
+        q_log = mpf(0)  # going down no q enters
         if prob.direction is Direction.UP:
             # log(q(x0) / q(U)) = u log(U/x0) (1/2)_k a^k at k >= 1
             q_log = d.u * mpmath.log(mpf(prob.threshold) / mpf(d.params.x0))

@@ -26,7 +26,7 @@ from mpmath import mp, mpf
 
 from . import __version__
 from .analytics import MomentSet, fpt_moments
-from .errors import InvalidParams, LogifptError
+from .errors import InvalidParams, LogifptError, UnreliableMoments
 from .hypergeom import PRECISION as ORACLE_PRECISION, laplace_transform
 from .inference import MleConfig, mle_fit
 from .laguerre import build_approximant
@@ -129,14 +129,13 @@ def cmd_moments(args) -> int:
     prob = _problem(args)
     ms = fpt_moments(d, prob, args.order)
     m, c = ms.moments_float, ms.cumulants_float
+    ratios = [*ms.ratios, None]  # the last order has none
     lines = ["order,moment,cumulant,ratio,rel_error_estimate,flagged"]
     for k in range(1, args.order + 1):
         if not (math.isfinite(m[k - 1]) and math.isfinite(c[k - 1])):  # nothing written yet
             raise InvalidParams(f"order {k}: moment {m[k - 1]!r} and cumulant {c[k - 1]!r} "
                                 "must be finite doubles; ask for a lower --order")
-        ratio = ""
-        if k < args.order and c[k] != 0:
-            ratio = repr(k * c[k - 1] / c[k])
+        ratio = "" if ratios[k - 1] is None else repr(float(ratios[k - 1]))
         est = float(ms.error_estimates[k - 1])
         flag = bool(ms.flagged[k - 1])
         lines.append(f"{k},{m[k - 1]!r},{c[k - 1]!r},{ratio},{est!r},{flag}")
@@ -184,7 +183,13 @@ def cmd_density(args) -> int:
     grid = _parse_grid(args.grid)
     ms = _moments_for_density(args, d, prob)
     apx = build_approximant(ms, n=args.order)
-    _emit(_density_csv(grid, apx.density(grid)), args.out)
+    dens = apx.density(grid)
+    bad = np.isnan(dens) | (np.isinf(dens) & (grid > 0))  # inf at t = 0 is alpha < 0
+    flagged = [k for k, f in enumerate(ms.flagged or (), 1) if f]
+    if flagged and bad.any():  # nothing written yet
+        raise UnreliableMoments(f"flagged moments (orders {flagged}) give a density of "
+                                f"{dens[bad][0]} at t = {grid[bad][0]}")
+    _emit(_density_csv(grid, dens), args.out)
     if args.out:
         _write_sidecar(args, {
             "alpha": apx.gamma.alpha,
@@ -259,11 +264,9 @@ def cmd_compare(args) -> int:
     ecdf_lo = np.arange(0, n) / n
     ks = float(np.max(np.maximum(np.abs(ecdf_hi - model_cdf),
                                  np.abs(model_cdf - ecdf_lo))))
-    moment_rows = []
-    for k in range(1, 5):
-        curve = float(np.trapezoid(grid ** k * dens, grid))
-        emp = float(np.mean(times ** k))
-        moment_rows.append({"order": k, "density": curve, "sample": emp})
+    emp = empirical_moments(sample, 4).moments_float
+    moment_rows = [{"order": k, "density": float(np.trapezoid(grid ** k * dens, grid)),
+                    "sample": emp[k - 1]} for k in range(1, 5)]
     doc = {
         "l1_distance": l1,
         "ks_statistic": ks,

@@ -47,7 +47,9 @@ class ZeroVariance(LogifptError):
 class UnreliableMoments(LogifptError):
     """Moment matching got a variance or a mean that is not > 0 from a series
     set that flags its first or second moment: their error estimates exceed
-    ``analytics.FLAG_RTOL``, so the sums cannot give a Gamma reference."""
+    ``analytics.FLAG_RTOL``, so the sums cannot give a Gamma reference.  The
+    ``density`` command raises it too when a set that flags any order gives
+    a density that is NaN, or infinite at t > 0."""
 
     exit_code = 3
 

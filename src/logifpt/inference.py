@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class MleConfig:
     """Which parameters to estimate, the starting point, and the order cap,
     precision and iteration cap of the fit.  The fixed values and the
     starting point must make a ModelParams and an FptProblem: a value its
-    parameter cannot take raises their error here, naming it."""
+    parameter cannot take raises their error here, naming it, and a fixed
+    key that names no parameter raises InvalidParams."""
 
     estimate: tuple
     fixed: dict
@@ -89,6 +90,9 @@ class MleConfig:
             raise InvalidParams(f"parameters neither estimated nor fixed: {missing}")
         for p, v in self.fixed.items():  # else every candidate would be a penalty
             _json_number(v, f"fixed {p}")
+        stray = [p for p in self.fixed if p not in PARAM_NAMES]
+        if stray:  # a value the fit would ignore
+            raise InvalidParams(f"fixed values for unknown parameters: {stray}")
         bad_init = [p for p in est if p not in self.init]
         if bad_init:
             raise InvalidParams(f"no initial value for: {bad_init}")
@@ -126,16 +130,8 @@ class MleResult:
     trace: list | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "estimates": dict(self.estimates),
-            "loglik": self.loglik,
-            "iterations": self.iterations,
-            "n_evals": self.n_evals,
-            "converged": self.converged,
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace
-        return out
+        """The fields as plain data; ``trace`` only when it was kept."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def log_likelihood(theta: dict, data: FptSample, cfg: MleConfig) -> float:

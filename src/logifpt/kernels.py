@@ -157,9 +157,9 @@ def _fixed_powers(x, order: int, wp: int) -> list:
     return out
 
 
-def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
-    """(g, L = log g, e, dg) for g = q num / den, or num / den when ``q_log``
-    is None, and two :class:`SumSeries`: building-block series of
+def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log) -> tuple:
+    """(g, L = log g, e, dg) for g = q num / den, ``q_log`` an ``mpf``, and
+    two :class:`SumSeries`: building-block series of
     :func:`l_series` or :func:`lbar_series`, or the unit of :func:`_unit`.
     g, e and dg come each coefficient rounded once to the precision; L
     comes as exact (int, exponent) pairs, for the caller to round when it
@@ -196,12 +196,11 @@ def _fixed_quotient(num: "SumSeries", den: "SumSeries", q_log=None) -> tuple:
         return [_shift(m, e - exp) for m, e in parts], exp
 
     parts = [(1, 0), *scaled(num.mans, num.exps), (1, 0), *scaled(den.mans, den.exps)]
-    if q_log is not None:
-        c_man, c_exp = _man_exp(q_log)
-        half = 1  # (1/2)_k 2^k
-        for k, (man, e) in enumerate(apow[1:]):
-            half *= 1 - 2 * k
-            parts.append((c_man * half * man, c_exp + e - k - 1))
+    c_man, c_exp = _man_exp(q_log)  # c = 0 adds zero parts, which `common` skips
+    half = 1  # (1/2)_k 2^k
+    for k, (man, e) in enumerate(apow[1:]):
+        half *= 1 - 2 * k
+        parts.append((c_man * half * man, c_exp + e - k - 1))
     ints, exp = common(parts)
     sh = -exp  # num_0 = 1 carries at least wp bits, so the unit 1 << sh is exact
     pascal = [[math.comb(n - 1, k - 1) for k in range(1, n + 1)] for n in range(order + 1)]

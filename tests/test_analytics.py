@@ -81,6 +81,24 @@ def test_moments_agree_across_precisions(name):
             assert abs(got - want) <= mpf("1e-60") * abs(want)
 
 
+@pytest.mark.parametrize("name", [s[0] for s in scenario_grid()])
+def test_ratios_are_the_cumulant_quotients_at_working_precision(name):
+    """k c_k / c_(k+1) for k = 1..order - 1; each, as a double, is the ratio
+    of the 512-bit cumulants rounded once."""
+    _, d, prob = next(s for s in scenario_grid() if s[0] == name)
+    ms = fpt_moments(d, prob, 10)
+    hi = fpt_moments(derive_params(d.params, precision=512), prob, 10).cumulants
+    with mp.workprec(512):
+        want = [float(k * hi[k - 1] / hi[k]) for k in range(1, 10)]
+    assert [float(r) for r in ms.ratios] == want
+    assert fpt_moments(d, prob, 1).ratios == ()
+
+
+def test_degenerate_set_has_no_ratios():
+    d = fisheries_at(100.0)
+    assert fpt_moments(d, FptProblem(Direction.UP, 100.0), 4).ratios == (None,) * 3
+
+
 # the seven upcrossing scenarios of the benchmark: (x0, threshold)
 BENCH_UP = {"up_150": (100.0, 150.0), "up_1e4": (100.0, 1e4), "up_1e5": (100.0, 1e5),
             "up_110": (100.0, 110.0), "up_large": (2.01e7, 3.91e7),

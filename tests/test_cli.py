@@ -271,7 +271,8 @@ def test_malformed_inputs_exit_1_without_a_traceback(config_path, tmp_path, caps
     ({"U": -1e4}, 1, "input error: threshold must be finite and > 0, got -10000.0\n"),
     ({"E": 1e9}, 2, "infeasible regime: harvesting mortality q*E = 3300.0 must stay below "
                     "r = 0.71\n"),
-], ids=["K-nan", "K-negative", "U-negative", "harvest-above-growth"])
+    ({"Kk": 9e9}, 1, "input error: fixed values for unknown parameters: ['Kk']\n"),
+], ids=["K-nan", "K-negative", "U-negative", "harvest-above-growth", "unknown-key"])
 def test_mle_names_a_fixed_value_no_parameter_can_take(tmp_path, capsys, monkeypatch,
                                                        change, code, message):
     """A fixed value outside its parameter's domain is refused with that
@@ -381,6 +382,36 @@ def test_moments_table(config_path, capsys):
     first = lines[1].split(",")
     assert abs(float(first[1]) - 13.35) <= 0.01
     assert abs(float(first[3]) - 2.98) <= 0.01
+
+
+# the ten scenarios of the benchmark: name -> (x0, direction, threshold)
+BENCH_SCENARIOS = {
+    "up_150": (100.0, "up", 150.0), "up_1e4": (100.0, "up", 1e4),
+    "up_1e5": (100.0, "up", 1e5), "up_110": (100.0, "up", 110.0),
+    "up_large": (2.01e7, "up", 3.91e7), "up_mid": (2.01e7, "up", 2.51e7),
+    "up_high": (4.0e7, "up", 6e7), "down_mid": (3.91e7, "down", 2.8e7),
+    "down_high": (6.0e7, "down", 3.91e7), "down_deep": (3.91e7, "down", 2.01e7),
+}
+
+
+@pytest.mark.parametrize("name", [*BENCH_SCENARIOS, "degenerate"])
+def test_moments_ratio_column_is_the_moment_sets_ratios(tmp_path, capsys, name):
+    """The ratio column is MomentSet.ratios rounded once to doubles, and empty
+    where the set has none: at the last order, and at every order of a
+    degenerate set (x0 at the threshold)."""
+    x0, direction, threshold = BENCH_SCENARIOS.get(name, (100.0, "up", 100.0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FISHERIES, "x0": x0}))
+    code, out, _ = run(capsys, "moments", str(config), "--direction", direction,
+                       "--threshold", repr(threshold), "--order", "10")
+    assert code == 0
+    column = [line.split(",")[3] for line in out.strip().splitlines()[1:]]
+    ms = fpt_moments(derive_params(ModelParams.from_dict({**FISHERIES, "x0": x0})),
+                     FptProblem(Direction(direction), threshold), 10)
+    if name == "degenerate":
+        assert column == [""] * 10
+    else:
+        assert column == [repr(float(r)) for r in ms.ratios] + [""]
 
 
 def test_moments_beyond_the_double_range_exit_1(config_path, tmp_path, capsys):
@@ -631,6 +662,24 @@ def test_density_zero_variance_exit_codes(tmp_path, capsys, case, code, message)
     got, out, err = run(capsys, "density", str(config), *argv, "--grid", "0.5:2:0.5")
     assert (got, out) == (code, "")
     assert err.startswith(message) and "Traceback" not in err
+
+
+def test_density_refuses_a_nan_curve_from_flagged_moments(tmp_path, capsys):
+    """Draw 10 of scripts/sweep_box.py: every order is flagged, and the
+    variance is a rounding residue just above 0, so the Gamma match passes
+    and the curve is NaN at every point.  Nothing is written."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "r": 0.2002058537285789, "K": 1128347210.9883878, "q": 1.0, "E": 0.004412859296355065,
+        "sigma": 0.04000181127087052, "x0": 617207.8236245492}))
+    out = tmp_path / "d.csv"
+    code, stdout, err = run(capsys, "density", str(config), "--direction", "down",
+                            "--threshold", "40705.527141046376", "--grid", "1:200:1",
+                            "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.splitlines()[-1] == ("numerical non-convergence: flagged moments (orders "
+                                    f"{list(range(1, 11))}) give a density of nan at t = 1.0")
+    assert not out.exists() and not (tmp_path / "d.csv.json").exists()
 
 
 def test_density_warning_names_a_sidecar_only_with_out(config_path, tmp_path, capsys):

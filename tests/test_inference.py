@@ -53,6 +53,9 @@ def test_config_validation():
             MleConfig(estimate=("sigma",), fixed={**fixed, "K": value}, init={"sigma": 0.2})
     with pytest.raises(InvalidParams, match="fixed note"):  # not a parameter, not a number
         MleConfig(estimate=("sigma",), fixed={**fixed, "note": "x"}, init={"sigma": 0.2})
+    for key in ("Kk", "sigma_typo"):  # a number under a key the fit would ignore
+        with pytest.raises(InvalidParams, match=f"unknown parameters: \\['{key}'\\]"):
+            MleConfig(estimate=("sigma",), fixed={**fixed, key: 9e9}, init={"sigma": 0.2})
     # a number a parameter cannot take fails as that parameter's own error, not
     # as an infeasible start
     for change, message in (({"K": math.nan}, "K must be finite, got nan"),
